@@ -200,11 +200,8 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
     n_max = int(conf.get("n_max", required=True))
     k_max = int(conf.get("k_max", required=True))
     max_leak = float(conf.get("max_leak", 1e-4))
-    control = oracle_mod.StepControl(max_step=float(conf.get("max_step", 0.01)))
     out = conf.get("out")
-    grid = oracle_mod.solve_forward(
-        rates, j, t, n_max, k_max, control, max_leak=max_leak
-    )
+    grid = oracle_mod.solve_forward(rates, j, t, n_max, k_max, max_leak=max_leak)
     rows = (
         (n, k, float(grid.p[n, k]))
         for n in range(n_max + 1)
@@ -361,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--k-max", dest="k_max", type=int)
     p.add_argument("--max-leak", dest="max_leak", type=float)
-    p.add_argument("--max-step", dest="max_step", type=float)
     _add_common(p)
     p.set_defaults(func=_cmd_oracle)
 

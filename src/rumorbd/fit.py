@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from . import growth
 from .errors import DataError, DomainError
@@ -300,6 +299,10 @@ def fit_one(
         except DomainError:
             return math.inf
         return objective(curve, dataset, k)
+
+    # imported here: scipy.stats adds ~20 MB and ~0.4 s to every process
+    # that imports the package, and only the restarts need it
+    from scipy.stats import qmc
 
     sampler = qmc.LatinHypercube(d=len(dims), seed=seed)
     unit = sampler.random(n=restarts)

@@ -1,16 +1,39 @@
-"""Brute-force verification oracle: dense integration of the master equation.
+"""Brute-force verification oracle: the truncated master equation.
 
-The forward (Kolmogorov) equations for the pair (X, Y) are integrated with
-classical fixed-step RK4 on the truncated rectangle {0..n_max} x {0..k_max}.
-Probability flux out of the rectangle — births attempted at n = n_max and
-forgets attempted at k = k_max — is routed into a ``leaked_mass`` state
-integrated alongside the table, so ``p.sum() + leaked_mass == 1`` holds to
-machine precision at every step and the truncation error stays auditable
+The forward (Kolmogorov) equations for the pair (X, Y) are solved on the
+truncated rectangle {0..n_max} x {0..k_max}.  Probability flux out of the
+rectangle — births attempted at n = n_max and forgets attempted at k = k_max —
+is routed into an absorbing ``leaked_mass`` state, so ``p.sum() + leaked_mass
+== 1`` holds to machine precision and the truncation error stays auditable
 rather than silent.
 
-The generator is stiff only through n_max, so the default step is
-``min(0.01, 0.1 / (n_max * sup(lam + mu)))``, keeping the explicit scheme
-well inside its stability region.
+The rate family picks one of two routes, reported as ``TruncatedGrid.route``:
+
+* ``"uniformization"`` for every family with a ``proportional_view()``
+  (constant, proportional and curve-induced rates).  Under lam = rho * mu(t),
+  (X, Y) is the constant-rate chain with rates (rho, 1) read at operational
+  time M(t) = int_0^t mu, so (Jensen 1953)
+
+      p(M) = sum_i Poisson(Lam * M; i) P^i p(0),   P = I + Q / Lam,
+
+  with Lam = n_max * (rho + 1), the largest exit rate on the rectangle.  P is
+  nonnegative, so every table it produces is too.  Operational time is split
+  into equal chunks with Lam * Delta <= 400, so exp(-Lam * Delta) never
+  underflows.  In each chunk (a = Lam * Delta) the series stops at the first
+  i with r = a / (i + 1) < 1 and w_i * r / (1 - r) < 1e-17, an a-priori bound
+  on the Poisson mass left out; the kept weights are renormalised.  The
+  result is therefore within total variation 2e-17 per chunk of the exact
+  truncated chain, on top of floating-point rounding.  The bound is absolute:
+  a probability far below it, such as a 1e-40 leak, is not held to a
+  relative accuracy.
+* ``"rk4"`` for ``Explicit`` rates, which have no time change to exploit:
+  classical fixed-step RK4 with h = min(max_step, rate_budget / (n_max *
+  sup(lam + mu))) (see :class:`StepControl`), which keeps the explicit scheme
+  well inside its stability region.  Each step applies the generator four
+  times.
+
+``TruncatedGrid.applications`` counts the generator applications either
+route made.
 """
 
 from __future__ import annotations
@@ -24,6 +47,9 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .homogeneous import _check_j, _check_time
 from .rates import RateFamily
+
+_CHUNK_MAX = 400.0  # cap on Lam * Delta per chunk: exp(-400) ~ 1.9e-174
+_TAIL_TOL = 1e-17  # a-priori bound on the Poisson mass a chunk leaves out
 
 
 @dataclass(frozen=True)
@@ -50,6 +76,8 @@ class TruncatedGrid:
     n_max: int
     k_max: int
     leaked_mass: float
+    route: str  # "uniformization" or "rk4"
+    applications: int  # generator applications made to reach t
 
     def total_mass(self) -> float:
         return float(self.p.sum())
@@ -88,6 +116,81 @@ def _flow(
     return dp, leak
 
 
+def _poisson_weights(a: float) -> list[float]:
+    """Poisson(a) weights w_0..w_N, cut where the right tail is below _TAIL_TOL.
+
+    The tail beyond w_i is at most w_i * r / (1 - r) with r = a / (i + 1) < 1,
+    because each later weight is at most r times the one before it.
+    """
+    w = math.exp(-a)
+    weights = [w]
+    i = 0
+    while True:
+        r = a / (i + 1)
+        if r < 1.0 and w * r / (1.0 - r) < _TAIL_TOL:
+            break
+        i += 1
+        w *= r
+        weights.append(w)
+    total = math.fsum(weights)
+    return [x / total for x in weights]
+
+
+def _uniformized(
+    p: np.ndarray, rho: float, big_m: float, n_max: int
+) -> tuple[np.ndarray, float, int]:
+    """Run the (rho, 1) chain over operational time ``big_m`` by uniformization."""
+    lam_u = n_max * (rho + 1.0)
+    chunks = max(1, math.ceil(lam_u * big_m / _CHUNK_MAX))
+    weights = _poisson_weights(lam_u * big_m / chunks)
+    nvec = np.arange(n_max + 1, dtype=float)
+    leak = 0.0
+    for _ in range(chunks):
+        q, q_leak = p, leak
+        p = weights[0] * q
+        leak = weights[0] * q_leak
+        for w in weights[1:]:
+            dq, dleak = _flow(q, rho, 1.0, nvec)
+            q = q + dq / lam_u
+            q_leak += dleak / lam_u
+            p += w * q
+            leak += w * q_leak
+    return p, leak, chunks * (len(weights) - 1)
+
+
+def _rk4(
+    rates: RateFamily, p: np.ndarray, t: float, n_max: int, control: StepControl
+) -> tuple[np.ndarray, float, int]:
+    """Integrate the forward equations to ``t`` with fixed-step RK4."""
+    if t == 0.0:
+        return p, 0.0, 0
+    sup_tot = rates.total_rate_sup(0.0, t)
+    if not (math.isfinite(sup_tot) and sup_tot >= 0.0):
+        raise DomainError(f"rate supremum over [0, {t}] must be finite, got {sup_tot}")
+    if sup_tot > 0.0:
+        h = min(control.max_step, control.rate_budget / (n_max * sup_tot))
+    else:
+        h = control.max_step
+    steps = max(1, math.ceil(t / h))
+    h = t / steps
+    nvec = np.arange(n_max + 1, dtype=float)
+    leak = 0.0
+    for i in range(steps):
+        t0 = i * h
+        tm = t0 + 0.5 * h
+        t1 = t0 + h
+        la0, mu0 = rates.lam_at(t0), rates.mu_at(t0)
+        lam, mum = rates.lam_at(tm), rates.mu_at(tm)
+        la1, mu1 = rates.lam_at(t1), rates.mu_at(t1)
+        k1, l1 = _flow(p, la0, mu0, nvec)
+        k2, l2 = _flow(p + (0.5 * h) * k1, lam, mum, nvec)
+        k3, l3 = _flow(p + (0.5 * h) * k2, lam, mum, nvec)
+        k4, l4 = _flow(p + h * k3, la1, mu1, nvec)
+        p = p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        leak += (h / 6.0) * (l1 + 2.0 * (l2 + l3) + l4)
+    return p, leak, 4 * steps
+
+
 def solve_forward(
     rates: RateFamily,
     j: int,
@@ -98,7 +201,12 @@ def solve_forward(
     *,
     max_leak: float = 1e-4,
 ) -> TruncatedGrid:
-    """Integrate the truncated forward equations from (j, 0) up to time ``t``.
+    """Solve the truncated forward equations from (j, 0) up to time ``t``.
+
+    Constant and proportional rates take the uniformization route, which has
+    no step to control: passing ``step_control`` for them is a domain error.
+    ``Explicit`` rates take the RK4 route with ``step_control`` (default
+    :class:`StepControl()`).
 
     Raises a numerics error when the accumulated leaked mass exceeds
     ``max_leak`` (enlarge the grid or shorten the horizon).  Note that mass
@@ -112,48 +220,42 @@ def solve_forward(
     for name, v in (("n_max", n_max), ("k_max", k_max)):
         if not isinstance(v, int) or isinstance(v, bool) or v < j + 5:
             raise DomainError(f"{name} must be an integer >= j+5 = {j + 5}, got {v!r}")
-    control = step_control if step_control is not None else StepControl()
     rates.validate_horizon(t)
+    view = rates.proportional_view()
+    if view is not None and step_control is not None:
+        raise DomainError(
+            "step_control applies only to Explicit rates; constant and "
+            "proportional rates are solved by uniformization, which has no step"
+        )
 
     p = np.zeros((n_max + 1, k_max + 1), dtype=float)
     p[j, 0] = 1.0
-    leak = 0.0
-    if t > 0.0:
-        sup_tot = rates.total_rate_sup(0.0, t)
-        if not (math.isfinite(sup_tot) and sup_tot >= 0.0):
-            raise DomainError(f"rate supremum over [0, {t}] must be finite, got {sup_tot}")
-        if sup_tot > 0.0:
-            h = min(control.max_step, control.rate_budget / (n_max * sup_tot))
-        else:
-            h = control.max_step
-        steps = max(1, math.ceil(t / h))
-        h = t / steps
-        nvec = np.arange(n_max + 1, dtype=float)
-        for i in range(steps):
-            t0 = i * h
-            tm = t0 + 0.5 * h
-            t1 = t0 + h
-            la0, mu0 = rates.lam_at(t0), rates.mu_at(t0)
-            lam, mum = rates.lam_at(tm), rates.mu_at(tm)
-            la1, mu1 = rates.lam_at(t1), rates.mu_at(t1)
-            k1, l1 = _flow(p, la0, mu0, nvec)
-            k2, l2 = _flow(p + (0.5 * h) * k1, lam, mum, nvec)
-            k3, l3 = _flow(p + (0.5 * h) * k2, lam, mum, nvec)
-            k4, l4 = _flow(p + h * k3, la1, mu1, nvec)
-            p = p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            leak += (h / 6.0) * (l1 + 2.0 * (l2 + l3) + l4)
+    if view is not None:
+        rho, base_mu = view
+        big_m = base_mu.big_m(t)
+        if not math.isfinite(big_m):
+            raise DomainError(f"cumulative intensity M({t}) must be finite, got {big_m}")
+        p, leak, applications = _uniformized(p, rho, big_m, n_max)
+        route = "uniformization"
+    else:
+        control = step_control if step_control is not None else StepControl()
+        p, leak, applications = _rk4(rates, p, t, n_max, control)
+        route = "rk4"
 
     if not np.all(np.isfinite(p)) or not math.isfinite(leak):
+        advice = "; reduce the step bounds" if route == "rk4" else ""
         raise NumericsError(
-            "forward integration produced non-finite probabilities; "
-            "reduce the step bounds"
+            f"the {route} route produced non-finite probabilities{advice}"
         )
     if leak > max_leak:
         raise NumericsError(
             f"probability leak {leak:.3e} exceeds max_leak={max_leak:.3e}; "
             "enlarge n_max/k_max or shorten the horizon"
         )
-    return TruncatedGrid(p=p, j=j, t=t, n_max=n_max, k_max=k_max, leaked_mass=float(leak))
+    return TruncatedGrid(
+        p=p, j=j, t=t, n_max=n_max, k_max=k_max, leaked_mass=float(leak),
+        route=route, applications=applications,
+    )
 
 
 def moments_from_grid(grid: TruncatedGrid) -> GridMoments:

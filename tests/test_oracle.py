@@ -9,7 +9,7 @@ import _closed_forms as cf
 from rumorbd import DomainError, NumericsError
 from rumorbd.homogeneous import p0k_limit
 from rumorbd.oracle import StepControl, TruncatedGrid, moments_from_grid, solve_forward
-from rumorbd.rates import Constant, CosineMu, Explicit, Proportional
+from rumorbd.rates import Constant, ConstantMu, CosineMu, Explicit, Proportional
 
 
 # ===== basic structure ========================================================
@@ -119,13 +119,77 @@ def test_grid_moments_match_closed_route_seasonal():
     assert mom.cov == pytest.approx(cov_corr(rates, j, t)[0], abs=1e-6)
 
 
-def test_explicit_rates_reproduce_constant_rates_exactly():
+def test_constant_and_proportional_constant_rates_share_a_route():
+    c = solve_forward(Constant(lam=1.3, mu=0.7), 1, 1.0, 30, 30)
+    p = solve_forward(
+        Proportional(rho=1.3 / 0.7, base_mu=ConstantMu(mu=0.7)), 1, 1.0, 30, 30
+    )
+    assert np.array_equal(c.p, p.p)
+    assert c.leaked_mass == p.leaked_mass
+
+
+def test_explicit_rates_reproduce_constant_rates():
+    # RK4 (Explicit) against uniformization (Constant): two algorithms, held
+    # to the RK4 step-error tolerance of the refinement test below
     c = solve_forward(Constant(lam=1.3, mu=0.7), 1, 1.0, 30, 30)
     e = solve_forward(
         Explicit(lambda_fn=lambda s: 1.3, mu_fn=lambda s: 0.7, rate_sup_fn=lambda a, b: 2.0),
         1, 1.0, 30, 30,
     )
-    assert np.array_equal(c.p, e.p)
+    assert (c.route, e.route) == ("uniformization", "rk4")
+    assert np.abs(c.p - e.p).max() <= 1e-10
+
+
+# ===== uniformization against RK4 =============================================
+
+
+def _explicit_twin(rates):
+    """The same rates as an Explicit family, which the oracle solves by RK4."""
+    return Explicit(
+        lambda_fn=rates.lam_at, mu_fn=rates.mu_at, rate_sup_fn=rates.total_rate_sup
+    )
+
+
+def _logistic_rates():
+    from rumorbd.growth import Logistic, proportional_from_curve
+
+    return proportional_from_curve(Logistic(c=100.0, r=0.9, j=1, rho=2.0))
+
+
+@pytest.mark.parametrize(
+    "rates,j,t",
+    [
+        (Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5)), 1, 1.5),
+        (_logistic_rates(), 1, 3.0),
+    ],
+    ids=["cosine", "logistic-curve"],
+)
+def test_uniformization_matches_rk4_on_time_varying_rates(rates, j, t):
+    # RK4 reads lam/mu pointwise and never calls big_m, so this also checks
+    # the operational time M(t) the uniformization route runs to
+    u = solve_forward(rates, j, t, 40, 40, max_leak=1.0)
+    e = solve_forward(_explicit_twin(rates), j, t, 40, 40, max_leak=1.0)
+    assert (u.route, e.route) == ("uniformization", "rk4")
+    assert np.abs(u.p - e.p).max() <= 1e-12
+    assert abs(u.leaked_mass - e.leaked_mass) <= 1e-12
+
+
+def test_uniformization_over_many_chunks_stays_a_distribution():
+    # Lam * M = 45 * 3 * 15 = 2025: six chunks of operational time
+    grid = solve_forward(Constant(lam=2.0, mu=1.0), 3, 15.0, 45, 45, max_leak=1.0)
+    assert grid.p.min() >= 0.0
+    assert grid.total_mass() + grid.leaked_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_route_and_application_count_are_reported():
+    grid = solve_forward(Constant(lam=1.0, mu=2.0), 2, 1.0, 100, 100)
+    assert grid.route == "uniformization"
+    assert 0 < grid.applications <= 500  # RK4 took 12 000 on this table
+    control = StepControl(max_step=0.01, rate_budget=0.1)
+    rk = solve_forward(_explicit_twin(Constant(lam=1.0, mu=2.0)), 2, 1.0, 30, 30, control)
+    steps = math.ceil(1.0 / min(0.01, 0.1 / (30 * 3.0)))
+    assert rk.route == "rk4"
+    assert rk.applications == 4 * steps
 
 
 # ===== guards =================================================================
@@ -155,15 +219,30 @@ def test_step_control_validation():
 
 
 def test_step_control_refinement_converges():
+    rates = Explicit(lambda_fn=lambda s: 1.0, mu_fn=lambda s: 1.0, rate_sup_fn=lambda a, b: 2.0)
     coarse = solve_forward(
-        Constant(lam=1.0, mu=1.0), 1, 1.0, 30, 30,
+        rates, 1, 1.0, 30, 30,
         step_control=StepControl(max_step=0.01, rate_budget=0.5),
     )
     fine = solve_forward(
-        Constant(lam=1.0, mu=1.0), 1, 1.0, 30, 30,
+        rates, 1, 1.0, 30, 30,
         step_control=StepControl(max_step=0.002, rate_budget=0.05),
     )
     assert coarse.prob(0, 1) == pytest.approx(fine.prob(0, 1), abs=1e-10)
+
+
+def test_non_finite_operational_time_is_rejected():
+    class RunawayMu(ConstantMu):
+        def big_m(self, t):
+            return math.inf
+
+    with pytest.raises(DomainError, match="finite"):
+        solve_forward(Proportional(rho=1.0, base_mu=RunawayMu(mu=1.0)), 1, 1.0, 30, 30)
+
+
+def test_step_control_is_rejected_where_there_is_no_step():
+    with pytest.raises(DomainError, match="step_control"):
+        solve_forward(Constant(lam=1.0, mu=1.0), 1, 1.0, 30, 30, StepControl())
 
 
 def test_argument_validation():
