@@ -158,16 +158,14 @@ def _cmd_moments(ns: argparse.Namespace) -> int:
         "t", "m_x", "var_x", "m_y", "var_y", "m2_y", "m_xy", "cov", "corr",
         "fano_x", "fano_y", "cv_x", "cv_y", "r_index",
     ]
-    rows = []
-    for t in grid:
-        rep = moments_mod.moment_report(rates, j, t, method=method)
-        rows.append(
-            (
-                rep.t, rep.m_x, rep.var_x, rep.m_y, rep.var_y, rep.m2_y, rep.m_xy,
-                rep.cov, rep.corr, rep.fano_x, rep.fano_y, rep.cv_x, rep.cv_y,
-                rep.r_index,
-            )
+    rows = (
+        (
+            rep.t, rep.m_x, rep.var_x, rep.m_y, rep.var_y, rep.m2_y, rep.m_xy,
+            rep.cov, rep.corr, rep.fano_x, rep.fano_y, rep.cv_x, rep.cv_y,
+            rep.r_index,
         )
+        for rep in moments_mod.moment_report(rates, j, grid, method=method)
+    )
     _write_csv(out, "moments", header, rows)
     return 0
 

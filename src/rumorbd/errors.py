@@ -9,9 +9,13 @@ Three semantic classes, mapped to CLI exit codes by ``rumorbd.cli``:
   log-scaled escape hatch).  CLI exit code 3.
 * :class:`DataError`     -- malformed user-supplied data (CSV schema, grids,
   observation sequences).  CLI exit code 4.
+
+The argument checkers every module shares sit next to the class they raise.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class RumorBDError(Exception):
@@ -28,3 +32,18 @@ class NumericsError(RumorBDError, ArithmeticError):
 
 class DataError(RumorBDError, ValueError):
     """User-supplied data is malformed or inconsistent."""
+
+
+def check_j(j: int) -> None:
+    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
+        raise DomainError(f"initial spreader count must be an integer >= 1, got {j!r}")
+
+
+def check_time(t: float) -> None:
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise DomainError(f"time must be finite and >= 0, got {t}")
+
+
+def check_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value}")

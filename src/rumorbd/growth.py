@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, check_j, check_positive, check_time
 from .moments import MomentReport, report_from_prop
 from .rates import MuBase, Proportional
 
@@ -53,21 +53,10 @@ def _nonneg(big_m_value: float) -> float:
     return 0.0 if -1e-12 < big_m_value < 0.0 else big_m_value
 
 
-def _check_time(t: float) -> None:
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
-
-
 def _check_common(j: int, rho: float) -> None:
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise DomainError(f"initial spreader count must be an integer >= 1, got {j!r}")
+    check_j(j)
     if not (rho > 1.0 and math.isfinite(rho)):
         raise DomainError(f"curve families require a rate ratio rho > 1, got {rho}")
-
-
-def _check_positive(name: str, v: float) -> None:
-    if not (v > 0.0 and math.isfinite(v)):
-        raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
 # ===== Spreader-mean (X) families =============================================
@@ -87,8 +76,8 @@ class Gompertz:
     param_names = ("alpha", "beta")
 
     def __post_init__(self) -> None:
-        _check_positive("alpha", self.alpha)
-        _check_positive("beta", self.beta)
+        check_positive("alpha", self.alpha)
+        check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
     def mean(self, t: float) -> float:
@@ -128,8 +117,8 @@ class GenGompertz:
     param_names = ("a", "b")
 
     def __post_init__(self) -> None:
-        _check_positive("a", self.a)
-        _check_positive("b", self.b)
+        check_positive("a", self.a)
+        check_positive("b", self.b)
         _check_common(self.j, self.rho)
 
     def mean(self, t: float) -> float:
@@ -169,8 +158,8 @@ class Logistic:
     param_names = ("c", "r")
 
     def __post_init__(self) -> None:
-        _check_positive("c", self.c)
-        _check_positive("r", self.r)
+        check_positive("c", self.c)
+        check_positive("r", self.r)
         _check_common(self.j, self.rho)
         if not self.c > self.j:
             raise DomainError(
@@ -227,7 +216,7 @@ class ExtLogistic:
     param_names = ("n", "eps")
 
     def __post_init__(self) -> None:
-        _check_positive("n", self.n)
+        check_positive("n", self.n)
         _check_common(self.j, self.rho)
         if not self.n > self.j:
             raise DomainError(
@@ -314,7 +303,7 @@ class MultisigLogistic:
     param_names = ("c", "beta1", "beta2", "beta3", "beta4")
 
     def __post_init__(self) -> None:
-        _check_positive("c", self.c)
+        check_positive("c", self.c)
         _check_common(self.j, self.rho)
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if len(self.betas) != 4:
@@ -433,8 +422,8 @@ class ModKorf:
     param_names = ("alpha", "beta")
 
     def __post_init__(self) -> None:
-        _check_positive("alpha", self.alpha)
-        _check_positive("beta", self.beta)
+        check_positive("alpha", self.alpha)
+        check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
     def _u(self, t: float) -> float:
@@ -482,8 +471,8 @@ class Korf:
     param_names = ("alpha", "beta")
 
     def __post_init__(self) -> None:
-        _check_positive("alpha", self.alpha)
-        _check_positive("beta", self.beta)
+        check_positive("alpha", self.alpha)
+        check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
     def _w(self, t: float) -> float:
@@ -543,8 +532,8 @@ class Mitscherlich:
     param_names = ("alpha", "beta")
 
     def __post_init__(self) -> None:
-        _check_positive("alpha", self.alpha)
-        _check_positive("beta", self.beta)
+        check_positive("alpha", self.alpha)
+        check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
     def mean(self, t: float) -> float:
@@ -591,7 +580,7 @@ GrowthCurve = (
 
 def eval_curve(curve: GrowthCurve, t: float) -> float:
     """The curve's mean value at ``t``."""
-    _check_time(t)
+    check_time(t)
     return curve.mean(t)
 
 
@@ -602,7 +591,7 @@ def induced_m(curve: GrowthCurve, t: float) -> float:
     for the quartic-exponent family outside its validity window); roundoff
     negatives above -1e-12 are clamped to 0.
     """
-    _check_time(t)
+    check_time(t)
     m = curve.induced_big_m(t)
     if m < 0.0:
         if m >= -1e-12:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_j, check_time
 
 # Relative-discriminant threshold below which the double-root form is used.
 # At z2 = 1 this is equivalent to |lam - mu| / (lam + mu) < 1e-9.
@@ -42,16 +42,6 @@ def _check_rates(lam: float, mu: float) -> None:
         raise DomainError(f"forgetting rate must be positive and finite, got {mu}")
 
 
-def _check_j(j: int) -> None:
-    if not isinstance(j, (int,)) or isinstance(j, bool) or j < 1:
-        raise DomainError(f"initial spreader count must be an integer >= 1, got {j!r}")
-
-
-def _check_time(t: float) -> None:
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
-
-
 def _check_z(name: str, z: float) -> None:
     if not (-1.0 <= z <= 1.0):
         raise DomainError(f"{name} must lie in [-1, 1], got {z}")
@@ -63,8 +53,8 @@ def _check_z(name: str, z: float) -> None:
 def pgf(lam: float, mu: float, j: int, z1: float, z2: float, t: float) -> float:
     """Joint p.g.f. ``E[z1^X(t) z2^Y(t)]`` from ``(j, 0)`` under constant rates."""
     _check_rates(lam, mu)
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     _check_z("z1", z1)
     _check_z("z2", z2)
     if t == 0.0:
@@ -95,8 +85,8 @@ def pgf(lam: float, mu: float, j: int, z1: float, z2: float, t: float) -> float:
 def absorption_prob(lam: float, mu: float, j: int, t: float) -> float:
     """P(absorbed by t) = P(X(t) = 0) from ``(j, 0)`` under constant rates."""
     _check_rates(lam, mu)
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     d = lam - mu
     if d == 0.0:
         p1 = mu * t / (1.0 + mu * t)
@@ -113,7 +103,7 @@ def absorption_prob(lam: float, mu: float, j: int, t: float) -> float:
 def absorption_limit(lam: float, mu: float, j: int) -> float:
     """t -> oo limit of :func:`absorption_prob`: ``(mu/lam)^j`` if lam > mu else 1."""
     _check_rates(lam, mu)
-    _check_j(j)
+    check_j(j)
     if lam > mu:
         return (mu / lam) ** j
     return 1.0
@@ -132,7 +122,7 @@ def p0k_limit(lam: float, mu: float, j: int, k: int) -> float:
     would overflow on conversion to float.
     """
     _check_rates(lam, mu)
-    _check_j(j)
+    check_j(j)
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError(f"inactive count k must be an integer, got {k!r}")
     if k < j:
@@ -160,6 +150,6 @@ def p0k_limit(lam: float, mu: float, j: int, k: int) -> float:
 def p01(lam: float, mu: float, t: float) -> float:
     """P(X(t) = 0, Y(t) = 1): absorbed after a single forgetting event."""
     _check_rates(lam, mu)
-    _check_time(t)
+    check_time(t)
     tot = lam + mu
     return mu * (-math.expm1(-tot * t)) / tot

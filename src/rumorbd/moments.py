@@ -5,14 +5,19 @@ Two independent computation routes are provided and cross-checked in tests:
 * the **closed** route, available for constant/proportional rate families,
   evaluates the kernel formulas of :mod:`rumorbd.proportional` at
   ``M = int_0^t mu``;
-* the **ode** route integrates the moment differential system implied by the
-  master equation directly (valid for any rate family)::
+* the **ode** route reads the moment engine of :mod:`rumorbd._ode`, which
+  integrates the moment differential system implied by the master equation
+  directly (valid for any rate family)::
 
       m_X'   = (lam - mu) m_X
       m2_X'  = (lam + mu) m_X + 2 (lam - mu) m2_X
       m_Y'   = mu m_X
       m_XY'  = (lam - mu) m_XY + mu (m2_X - m_X)
       m2_Y'  = mu (2 m_XY + m_X)
+
+  and derives the dispersion index as ``r = m_XY / (m_X m_Y)``.  A scalar
+  accessor solves to its own ``t``; :func:`moment_report` over a grid makes
+  one solve for the whole grid.  Nothing is cached between calls.
 
 At ``t = 0`` both variances vanish, so the correlation is reported as its
 analytic ``t -> 0+`` limit ``-sqrt(mu(0)/(lam(0) + mu(0)))`` with the
@@ -21,26 +26,21 @@ analytic ``t -> 0+`` limit ``-sqrt(mu(0)/(lam(0) + mu(0)))`` with the
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
+import numpy as np
 from scipy.optimize import brentq
 
 from . import proportional as prop
-from . import rates as rates_mod
-from .errors import DomainError, NumericsError
+from ._ode import moment_state, moment_states
+from .errors import DomainError, NumericsError, check_j, check_time
 from .rates import ConstantMu, RateFamily
-
-_ODE_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
-_ODE_LOCK = threading.Lock()
 
 _METHODS = ("auto", "closed", "ode")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentReport:
     """All first/second-order summaries of ``(X(t), Y(t))`` at one time."""
 
@@ -60,16 +60,6 @@ class MomentReport:
     cv_y: float
     r_index: float
     corr_is_limit: bool = False
-
-
-def _check_j(j: int) -> None:
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise DomainError(f"initial spreader count must be an integer >= 1, got {j!r}")
-
-
-def _check_time(t: float) -> None:
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
 
 
 def _resolve(rates: RateFamily, method: str) -> str:
@@ -95,43 +85,8 @@ def _corr_zero_limit(rates: RateFamily) -> float:
 # ===== ODE route ==============================================================
 
 
-def _ode_states(rates: RateFamily, j: int, t: float) -> tuple[float, ...]:
-    """(m_x, m2_x, m_y, m_xy, m2_y) at ``t`` via incremental integration."""
-    with _ODE_LOCK:
-        cache = getattr(rates, "_moment_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(rates, "_moment_cache", cache)
-        if j not in cache:
-            cache[j] = ([0.0], [(float(j), float(j * j), 0.0, 0.0, 0.0)])
-        times, states = cache[j]
-        idx = bisect.bisect_right(times, t) - 1
-        t0, y0 = times[idx], states[idx]
-        if t - t0 < 1e-15:
-            return y0
-
-        def rhs(s, y):
-            mx, m2x, _, mxy, _ = y
-            lam = rates.lam_at(s)
-            mu = rates.mu_at(s)
-            return [
-                (lam - mu) * mx,
-                (lam + mu) * mx + 2.0 * (lam - mu) * m2x,
-                mu * mx,
-                (lam - mu) * mxy + mu * (m2x - mx),
-                mu * (2.0 * mxy + mx),
-            ]
-
-        sol = solve_ivp(rhs, (t0, t), y0, **_ODE_OPTS)
-        if not sol.success:
-            raise NumericsError(f"moment integration failed at t={t}: {sol.message}")
-        y1 = tuple(float(v) for v in sol.y[:, -1])
-        if not all(math.isfinite(v) for v in y1):
-            raise NumericsError(f"moment integration overflowed at t={t}")
-        pos = bisect.bisect_right(times, t)
-        times.insert(pos, t)
-        states.insert(pos, y1)
-        return y1
+def _ode_r_index(j: int, mx: float, my: float, mxy: float) -> float:
+    return mxy / (mx * my) if my > 0.0 else 1.0 - 1.0 / j
 
 
 def _clamp_var(v: float, scale: float) -> float:
@@ -147,58 +102,58 @@ def _clamp_var(v: float, scale: float) -> float:
 
 def mean_x(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[X(t)] = j * eta(t)."""
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     how = _resolve(rates, method)
     if how == "closed":
         rho, base = rates.proportional_view()
         return prop.mean_x_prop(rho, base.big_m(t), j)
-    return _ode_states(rates, j, t)[0]
+    return moment_state(rates, j, t)[0]
 
 
 def var_x(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Var X(t)."""
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     how = _resolve(rates, method)
     if how == "closed":
         rho, base = rates.proportional_view()
         return prop.var_x_prop(rho, base.big_m(t), j)
-    mx, m2x, *_ = _ode_states(rates, j, t)
+    mx, m2x, *_ = moment_state(rates, j, t)
     return _clamp_var(m2x - mx * mx, m2x)
 
 
 def mean_y(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[Y(t)] = j * (phi_y - eta + 1)."""
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     how = _resolve(rates, method)
     if how == "closed":
         rho, base = rates.proportional_view()
         return prop.mean_y_prop(rho, base.big_m(t), j)
-    return _ode_states(rates, j, t)[2]
+    return moment_state(rates, j, t)[2]
 
 
 def second_moment_y(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[Y(t)^2]."""
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     how = _resolve(rates, method)
     if how == "closed":
         rho, base = rates.proportional_view()
         return prop.m2_y_prop(rho, base.big_m(t), j)
-    return _ode_states(rates, j, t)[4]
+    return moment_state(rates, j, t)[4]
 
 
 def mixed_moment(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[X(t) Y(t)] = m_X(t) * gamma(t; j)."""
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     how = _resolve(rates, method)
     if how == "closed":
         rho, base = rates.proportional_view()
         return prop.mixed_moment_prop(rho, base.big_m(t), j)
-    return _ode_states(rates, j, t)[3]
+    return moment_state(rates, j, t)[3]
 
 
 def cov_corr(
@@ -210,8 +165,8 @@ def cov_corr(
     correlation is reported as its analytic limit
     ``-sqrt(mu(0)/(lam(0)+mu(0)))``.
     """
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     if t == 0.0:
         return 0.0, _corr_zero_limit(rates)
     how = _resolve(rates, method)
@@ -221,30 +176,22 @@ def cov_corr(
         if m == 0.0:
             return 0.0, _corr_zero_limit(rates)
         return prop.cov_prop(rho, m, j), prop.corr_prop(rho, m, j)
-    mx, m2x, my, mxy, m2y = _ode_states(rates, j, t)
-    cov = mxy - mx * my
-    vx = _clamp_var(m2x - mx * mx, m2x)
-    vy = _clamp_var(m2y - my * my, m2y)
-    if vx <= 0.0 or vy <= 0.0:
-        return cov, _corr_zero_limit(rates)
-    return cov, cov / (math.sqrt(vx) * math.sqrt(vy))
+    rep = _ode_report(rates, j, t, moment_state(rates, j, t))
+    return rep.cov, rep.corr
 
 
 def r_index(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Dispersion index ``gamma(t; j) / m_Y(t)``; limit ``1 - 1/j`` at t = 0."""
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     if t == 0.0:
         return 1.0 - 1.0 / j
     how = _resolve(rates, method)
     if how == "closed":
         rho, base = rates.proportional_view()
         return prop.r_index_prop(rho, base.big_m(t), j)
-    g = rates_mod.gamma(rates, j, t, method="quadrature")
-    my = _ode_states(rates, j, t)[2]
-    if my <= 0.0:
-        return 1.0 - 1.0 / j
-    return g / my
+    mx, _, my, mxy, *_ = moment_state(rates, j, t)
+    return _ode_r_index(j, mx, my, mxy)
 
 
 def fano_cv(
@@ -292,7 +239,7 @@ def _assemble_report(
 
 def report_from_prop(rho: float, big_m_value: float, j: int, t: float) -> MomentReport:
     """Full moment report from the closed kernels at one cumulative intensity."""
-    _check_j(j)
+    check_j(j)
     if big_m_value == 0.0:
         return _assemble_report(
             t, j, float(j), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -314,20 +261,8 @@ def report_from_prop(rho: float, big_m_value: float, j: int, t: float) -> Moment
     )
 
 
-def moment_report(rates: RateFamily, j: int, t: float, method: str = "auto") -> MomentReport:
-    """Everything :class:`MomentReport` carries, via one consistent route."""
-    _check_j(j)
-    _check_time(t)
-    how = _resolve(rates, method)
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        return report_from_prop(rho, base.big_m(t), j, t)
-    if t == 0.0:
-        return _assemble_report(
-            t, j, float(j), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            _corr_zero_limit(rates), 1.0 - 1.0 / j, True,
-        )
-    mx, m2x, my, mxy, m2y = _ode_states(rates, j, t)
+def _ode_report(rates: RateFamily, j: int, t: float, state: list[float]) -> MomentReport:
+    mx, m2x, my, mxy, m2y, *_ = state
     vx = _clamp_var(m2x - mx * mx, m2x)
     vy = _clamp_var(m2y - my * my, m2y)
     cov = mxy - mx * my
@@ -337,8 +272,32 @@ def moment_report(rates: RateFamily, j: int, t: float, method: str = "auto") -> 
     else:
         corr = _corr_zero_limit(rates)
         corr_is_limit = True
-    r_ = r_index(rates, j, t, method=how)
+    r_ = _ode_r_index(j, mx, my, mxy)
     return _assemble_report(t, j, mx, my, vx, vy, m2y, mxy, cov, corr, r_, corr_is_limit)
+
+
+def moment_report(rates: RateFamily, j: int, t, method: str = "auto"):
+    """Everything :class:`MomentReport` carries, via one consistent route.
+
+    ``t`` is one time, giving one report, or a nondecreasing sequence of
+    times, giving a list of reports.  On the ODE route a sequence costs one
+    solve to its last time.
+    """
+    check_j(j)
+    scalar = np.ndim(t) == 0
+    times = [t] if scalar else list(t)
+    for i, ti in enumerate(times):
+        check_time(ti)
+        if i and ti < times[i - 1]:
+            raise DomainError(f"times must be nondecreasing, got {ti} after {times[i - 1]}")
+    how = _resolve(rates, method)
+    if how == "closed":
+        rho, base = rates.proportional_view()
+        reports = [report_from_prop(rho, base.big_m(ti), j, ti) for ti in times]
+    else:
+        states = moment_states(rates, j, times) if times else []
+        reports = [_ode_report(rates, j, ti, y) for ti, y in zip(times, states)]
+    return reports[0] if scalar else reports
 
 
 # ===== Crossing time ==========================================================
@@ -352,7 +311,7 @@ def crossing_time(rates: RateFamily, j: int) -> float | None:
     kept for interface symmetry).  There is no crossing when ``rho >= 2``.
     Non-invertible cumulative intensities are handled by root bracketing.
     """
-    _check_j(j)
+    check_j(j)
     view = rates.proportional_view()
     if view is None:
         raise DomainError("crossing time needs a constant or proportional family")

@@ -44,8 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
-from .homogeneous import _check_j, _check_time
+from .errors import DomainError, NumericsError, check_j, check_time
 from .rates import RateFamily
 
 _CHUNK_MAX = 400.0  # cap on Lam * Delta per chunk: exp(-400) ~ 1.9e-174
@@ -215,8 +214,8 @@ def solve_forward(
     individual small states remain accurate even when the total leak is
     sizeable; callers exploiting this may raise ``max_leak`` explicitly.
     """
-    _check_j(j)
-    _check_time(t)
+    check_j(j)
+    check_time(t)
     for name, v in (("n_max", n_max), ("k_max", k_max)):
         if not isinstance(v, int) or isinstance(v, bool) or v < j + 5:
             raise DomainError(f"{name} must be an integer >= j+5 = {j + 5}, got {v!r}")

@@ -28,8 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DomainError
-from .homogeneous import _check_j
+from .errors import DataError, DomainError, check_j
 from .rates import Constant, ConstantMu, Proportional, RateFamily
 
 _CHUNK = 1024
@@ -131,7 +130,7 @@ def _constant_rates(rates: RateFamily) -> tuple[float, float] | None:
 
 
 def _check_sim_args(j: int, horizon: float, seed: int, cap: int) -> None:
-    _check_j(j)
+    check_j(j)
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

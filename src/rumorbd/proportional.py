@@ -41,7 +41,7 @@ from ._kernels import (
     log_h3,
     one_minus_q_over_x,
 )
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, check_j
 
 _CONFLUENT_REL_DISC = 1e-18
 _LINEAR_LIMIT = 1e300
@@ -70,7 +70,7 @@ def pgf_prop(rho: float, big_m_value: float, j: int, z1: float, z2: float) -> fl
     """Joint p.g.f. ``E[z1^X z2^Y]`` at cumulative intensity ``M``."""
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     homogeneous._check_z("z1", z1)
     homogeneous._check_z("z2", z2)
     if big_m_value == 0.0:
@@ -100,7 +100,7 @@ def absorption_prop(rho: float, big_m_value: float, j: int) -> float:
     """P(absorbed by the time M(t) reaches ``big_m_value``)."""
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     a = rho - 1.0
     x = a * big_m_value
     if a == 0.0:
@@ -117,7 +117,7 @@ def absorption_prop(rho: float, big_m_value: float, j: int) -> float:
 def absorption_prop_limit(rho: float, m_limit: float, j: int) -> float:
     """Eventual absorption probability when ``M(t) -> m_limit`` (may be inf)."""
     _check_rho(rho)
-    homogeneous._check_j(j)
+    check_j(j)
     if math.isinf(m_limit):
         if m_limit < 0:
             raise DomainError("M limit cannot be -inf")
@@ -153,14 +153,14 @@ def _g_blocks(rho: float, big_m_value: float) -> tuple[float, float, float, floa
 def mean_x_prop(rho: float, big_m_value: float, j: int) -> float:
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     return j * _exp_guarded((rho - 1.0) * big_m_value)
 
 
 def var_x_prop(rho: float, big_m_value: float, j: int) -> float:
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     x = (rho - 1.0) * big_m_value
     return j * (rho + 1.0) * _exp_guarded(x) * big_m_value * f1(x)
 
@@ -168,7 +168,7 @@ def var_x_prop(rho: float, big_m_value: float, j: int) -> float:
 def mean_y_prop(rho: float, big_m_value: float, j: int) -> float:
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     x = (rho - 1.0) * big_m_value
     return j * big_m_value * f1(x)
 
@@ -176,7 +176,7 @@ def mean_y_prop(rho: float, big_m_value: float, j: int) -> float:
 def m2_y_prop(rho: float, big_m_value: float, j: int) -> float:
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     g1, _, g3, g4_ = _g_blocks(rho, big_m_value)
     return j * (g1 + 4.0 * g3 + 2.0 * (j - 1) * g4_)
 
@@ -203,7 +203,7 @@ def var_y_prop(rho: float, big_m_value: float, j: int) -> float:
 def gamma_prop(rho: float, big_m_value: float, j: int) -> float:
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     g1, g2, _, _ = _g_blocks(rho, big_m_value)
     return (j - 1) * g1 + 2.0 * g2
 
@@ -235,7 +235,7 @@ def r_index_prop(rho: float, big_m_value: float, j: int) -> float:
     """
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     x = (rho - 1.0) * big_m_value
     return (j - 1.0) / j + (2.0 * rho * big_m_value / j) * one_minus_q_over_x(x)
 
@@ -295,7 +295,7 @@ def moments_prop(rho: float, big_m_value: float, j: int) -> PropMoments:
     """
     _check_rho(rho)
     _check_big_m(big_m_value)
-    homogeneous._check_j(j)
+    check_j(j)
     r_val = r_index_prop(rho, big_m_value, j)
 
     x = (rho - 1.0) * big_m_value

@@ -19,44 +19,31 @@ The integral transforms underlying every closed-form moment are::
     gamma(t) = int_0^t mu * eta * (2 phi_x + j - 1)
 
 For Constant/Proportional rates all five reduce to closed kernel expressions
-in ``(rho, M)``.  For anything else the un-nested ``L`` and ``M`` are computed
-by adaptive quadrature, while the nested ``phi_x``/``phi_y``/``gamma`` come
-from a single ODE sweep over the state ``[L, M, phi_x, G1, G2]`` (with
-``phi_y = G1 + eta - 1`` and ``gamma = (j-1) G1 + 2 G2``), extended
-incrementally from cached checkpoints so repeated evaluations never
-re-integrate from zero.
+in ``(rho, M)``.  For any family the ``"quadrature"`` route (the name is kept
+for compatibility) reads them off the moment engine of :mod:`rumorbd._ode`,
+one solve to ``t``::
+
+    M = M,   eta = m_X / j,   phi_x = phi_x,
+    phi_y = m_Y / j + eta - 1,   gamma = m_XY / m_X
+
+The engine carries second moments (~ eta^2), so on this route a transform
+raises :class:`NumericsError` once ``L(t)`` exceeds about 354, half the
+range of a lone ``exp``.  Constant and proportional families default to the
+closed route and never meet this limit.
 """
 
 from __future__ import annotations
 
 import abc
-import bisect
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad, solve_ivp
-
 from ._kernels import f1, f2
-from .errors import DataError, DomainError, NumericsError
+from ._ode import moment_state
+from .errors import DataError, DomainError, check_j, check_positive, check_time
 
 _TWO_PI = 2.0 * math.pi
-
-_QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-9, limit=200)
-_SWEEP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
-
-_CACHE_LOCK = threading.Lock()
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_time(t: float) -> None:
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
 
 
 # ===== Base forgetting-rate profiles ==========================================
@@ -87,13 +74,13 @@ class ConstantMu(MuBase):
     mu: float
 
     def __post_init__(self) -> None:
-        _check_positive("mu", self.mu)
+        check_positive("mu", self.mu)
 
     def mu_at(self, t: float) -> float:
         return self.mu
 
     def big_m(self, t: float) -> float:
-        _check_time(t)
+        check_time(t)
         return self.mu * t
 
     def mu_sup(self, t0: float, t1: float) -> float:
@@ -125,8 +112,8 @@ class CosineMu(MuBase):
     period: float
 
     def __post_init__(self) -> None:
-        _check_positive("mu", self.mu)
-        _check_positive("period", self.period)
+        check_positive("mu", self.mu)
+        check_positive("period", self.period)
         if not (0.0 < abs(self.alpha) < self.mu):
             raise DomainError(
                 f"cosine amplitude must satisfy 0 < |alpha| < mu, got "
@@ -137,7 +124,7 @@ class CosineMu(MuBase):
         return self.mu + self.alpha * math.cos(_TWO_PI * t / self.period)
 
     def big_m(self, t: float) -> float:
-        _check_time(t)
+        check_time(t)
         return self.mu * t + (self.alpha * self.period / _TWO_PI) * math.sin(
             _TWO_PI * t / self.period
         )
@@ -179,8 +166,8 @@ class Constant(RateFamily):
     mu: float
 
     def __post_init__(self) -> None:
-        _check_positive("lam", self.lam)
-        _check_positive("mu", self.mu)
+        check_positive("lam", self.lam)
+        check_positive("mu", self.mu)
 
     def lam_at(self, t: float) -> float:
         return self.lam
@@ -203,7 +190,7 @@ class Proportional(RateFamily):
     base_mu: MuBase
 
     def __post_init__(self) -> None:
-        _check_positive("rho", self.rho)
+        check_positive("rho", self.rho)
         if not isinstance(self.base_mu, MuBase):
             raise DomainError(
                 f"base_mu must be a forgetting-rate profile, got {self.base_mu!r}"
@@ -255,63 +242,6 @@ class Explicit(RateFamily):
         return self.rate_sup_fn(t0, t1)
 
 
-# ===== Transform cache plumbing ===============================================
-
-
-def _instance_cache(rates: RateFamily) -> dict:
-    cache = getattr(rates, "_transform_cache", None)
-    if cache is None:
-        cache = {
-            "quad_L": {},
-            "quad_M": {},
-            "sweep_times": [0.0],
-            "sweep_states": [(0.0, 0.0, 0.0, 0.0, 0.0)],
-        }
-        object.__setattr__(rates, "_transform_cache", cache)
-    return cache
-
-
-def _quad_memo(rates: RateFamily, key: str, fn: Callable[[float], float], t: float) -> float:
-    cache = _instance_cache(rates)[key]
-    if t not in cache:
-        val, _ = quad(fn, 0.0, t, **_QUAD_OPTS)
-        cache[t] = val
-    return cache[t]
-
-
-def _sweep(rates: RateFamily, t: float) -> tuple[float, float, float, float, float]:
-    """State ``(L, M, phi_x, G1, G2)`` at ``t`` via incremental integration."""
-    cache = _instance_cache(rates)
-    times: list[float] = cache["sweep_times"]
-    states: list[tuple] = cache["sweep_states"]
-    idx = bisect.bisect_right(times, t) - 1
-    t0 = times[idx]
-    y0 = states[idx]
-    if t - t0 < 1e-15:
-        return y0
-
-    def rhs(s: float, y):
-        big_l = y[0]
-        lam = rates.lam_at(s)
-        mu = rates.mu_at(s)
-        el = math.exp(big_l) if big_l < 709.0 else math.inf
-        eml = math.exp(-big_l) if big_l > -709.0 else math.inf
-        return [lam - mu, mu, lam * eml, mu * el, mu * el * y[2]]
-
-    sol = solve_ivp(rhs, (t0, t), y0, **_SWEEP_OPTS)
-    if not sol.success:
-        raise NumericsError(f"transform sweep failed at t={t}: {sol.message}")
-    y1 = tuple(float(v) for v in sol.y[:, -1])
-    if not all(math.isfinite(v) for v in y1):
-        raise NumericsError(
-            f"transform sweep overflowed at t={t}; use the closed route"
-        )
-    pos = bisect.bisect_right(times, t)
-    times.insert(pos, t)
-    states.insert(pos, y1)
-    return y1
-
-
 def _resolve_method(rates: RateFamily, method: str) -> str:
     if method not in ("auto", "closed", "quadrature"):
         raise DomainError(f"unknown transform method {method!r}")
@@ -328,69 +258,55 @@ def _resolve_method(rates: RateFamily, method: str) -> str:
 
 def big_m(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Cumulative forgetting intensity ``M(t) = int_0^t mu``."""
-    _check_time(t)
-    how = _resolve_method(rates, method)
-    if how == "closed":
+    check_time(t)
+    if _resolve_method(rates, method) == "closed":
         _, base = rates.proportional_view()
         return base.big_m(t)
-    with _CACHE_LOCK:
-        return _quad_memo(rates, "quad_M", rates.mu_at, t)
+    return moment_state(rates, 1, t)[5]
 
 
 def eta(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Growth factor ``eta(t) = exp(int_0^t (lam - mu))``."""
-    _check_time(t)
-    how = _resolve_method(rates, method)
-    if how == "closed":
+    check_time(t)
+    if _resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
         x = (rho - 1.0) * base.big_m(t)
         return math.exp(x) if x < 709.0 else math.inf
-    with _CACHE_LOCK:
-        big_l = _quad_memo(
-            rates, "quad_L", lambda s: rates.lam_at(s) - rates.mu_at(s), t
-        )
-    return math.exp(big_l) if big_l < 709.0 else math.inf
+    return moment_state(rates, 1, t)[0]
 
 
 def phi_x(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Discounted spreading integral ``int_0^t lam / eta``."""
-    _check_time(t)
-    how = _resolve_method(rates, method)
-    if how == "closed":
+    check_time(t)
+    if _resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
         m = base.big_m(t)
         return rho * m * f1(-(rho - 1.0) * m)
-    with _CACHE_LOCK:
-        return _sweep(rates, t)[2]
+    return moment_state(rates, 1, t)[6]
 
 
 def phi_y(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Amplified spreading integral ``int_0^t lam * eta``."""
-    _check_time(t)
-    how = _resolve_method(rates, method)
-    if how == "closed":
+    check_time(t)
+    if _resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
         m = base.big_m(t)
         return rho * m * f1((rho - 1.0) * m)
-    with _CACHE_LOCK:
-        big_l, _, _, g1, _ = _sweep(rates, t)
-    return g1 + math.expm1(big_l)
+    mx, _, my, *_ = moment_state(rates, 1, t)
+    return my + mx - 1.0
 
 
 def gamma(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Mixed-moment integrand ``int_0^t mu eta (2 phi_x + j - 1)``."""
-    _check_time(t)
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise DomainError(f"initial spreader count must be an integer >= 1, got {j!r}")
-    how = _resolve_method(rates, method)
-    if how == "closed":
+    check_time(t)
+    check_j(j)
+    if _resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
         m = base.big_m(t)
         x = (rho - 1.0) * m
         return (j - 1) * m * f1(x) + 2.0 * rho * m * m * f2(x)
-    with _CACHE_LOCK:
-        _, _, _, g1, g2 = _sweep(rates, t)
-    return (j - 1) * g1 + 2.0 * g2
+    mx, _, _, mxy, *_ = moment_state(rates, j, t)
+    return mxy / mx
 
 
 # ===== Config parsing =========================================================

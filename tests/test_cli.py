@@ -56,6 +56,29 @@ def test_moments_schema_and_closed_values(capsys):
     assert float(at_one[4]) == pytest.approx(cf.var_y(1, 1, 1, 1.0), rel=1e-9)
 
 
+def test_moments_ode_route_matches_closed_route(capsys):
+    rates = json.dumps({
+        "kind": "proportional", "rho": 1.5,
+        "base": {"kind": "cosine", "mu": 1, "alpha": 0.5, "period": 2.5},
+    })
+    tables = {}
+    for method in ("closed", "ode"):
+        rc, out, err = _run(capsys, [
+            "moments", "--rates", rates, "--j", "2", "--grid", "0:20:400", "--method", method,
+        ])
+        assert rc == 0 and err == ""
+        tables[method] = _rows(out)
+    schema, header, closed = tables["closed"]
+    assert tables["ode"][:2] == (schema, header)
+    ode = tables["ode"][2]
+    assert len(ode) == len(closed) == 400
+    for a, b in zip(ode, closed):
+        assert a[0] == b[0]
+        for name, x, y in zip(header[1:], a[1:], b[1:]):
+            rel = 1e-7 if name == "corr" else 1e-8
+            assert float(x) == pytest.approx(float(y), rel=rel, abs=1e-10), (b[0], name)
+
+
 def test_moments_requires_rates(capsys):
     rc, out, err = _run(capsys, ["moments", "--j", "1", "--grid", "0:1:4"])
     assert rc == 4

@@ -1,5 +1,6 @@
 """Moment reports: closed route vs direct ODE integration vs naive algebra."""
 
+import gc
 import math
 
 import pytest
@@ -209,7 +210,83 @@ def test_ode_cache_is_order_independent():
     b = make()
     mixed = {t: second_moment_y(b, 2, t) for t in ts}
     for t in ts:
-        assert mixed[t] == pytest.approx(ordered[t], rel=1e-9)
+        assert mixed[t] == ordered[t]  # no hidden state: bit-identical
+
+
+def test_ode_grid_values_match_across_grids_with_the_same_end():
+    # the solver's steps depend only on the last time, so shared points agree
+    r = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
+    fine = [20.0 * i / 1000 for i in range(1001)]
+    coarse = moment_report(r, 2, [5.0, 20.0], method="ode")
+    dense = moment_report(r, 2, fine, method="ode")
+    assert coarse == [dense[250], dense[1000]]
+
+
+def test_moment_report_over_a_grid():
+    r = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
+    ts = [0.0, 0.5, 0.5, 2.0, 6.0]
+    closed = moment_report(r, 3, ts, method="closed")
+    assert closed == [moment_report(r, 3, t, method="closed") for t in ts]
+    ode = moment_report(r, 3, ts, method="ode")
+    assert ode[0] == moment_report(r, 3, 0.0, method="ode")
+    assert ode[1] == ode[2]
+    for a, b in zip(ode, closed):
+        assert a.t == b.t and a.corr_is_limit == b.corr_is_limit
+        for name in ("m_x", "m_y", "var_x", "var_y", "m2_y", "m_xy", "cov", "r_index"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-8, abs=1e-10)
+        assert a.corr == pytest.approx(b.corr, rel=1e-7)
+    assert moment_report(r, 3, [], method="ode") == []
+    with pytest.raises(DomainError):
+        moment_report(r, 3, [1.0, 0.5])
+    with pytest.raises(DomainError):
+        moment_report(r, 3, [0.5, -1.0], method="ode")
+
+
+def _counting_cosine():
+    base = CosineMu(mu=1.0, alpha=0.5, period=2.5)
+    calls = [0]
+
+    def mu_fn(s):
+        calls[0] += 1
+        return base.mu_at(s)
+
+    def lam_fn(s):
+        calls[0] += 1
+        return 1.5 * base.mu_at(s)
+
+    return Explicit(lam_fn, mu_fn, lambda a, b: 2.5 * base.mu_sup(a, b)), calls
+
+
+def test_ode_grid_is_one_solve():
+    grid = [20.0 * i / 1000 for i in range(1000)]
+    one, one_calls = _counting_cosine()
+    moment_report(one, 1, [grid[-1]])
+    many, many_calls = _counting_cosine()
+    moment_report(many, 1, grid)
+    # dense output adds three stages per step; a solve per point would cost ~13x
+    assert many_calls[0] < 1.5 * one_calls[0]
+
+
+def test_ode_grid_leaves_no_cyclic_garbage():
+    r, _ = _counting_cosine()
+    grid = [20.0 * i / 1000 for i in range(1000)]
+    gc.collect()
+    gc.disable()
+    try:
+        moment_report(r, 1, grid)
+        assert gc.collect() < 200
+    finally:
+        gc.enable()
+
+
+def test_queries_attach_nothing_to_the_rates_object():
+    for r in (_explicit_copy(1.4, 0.8),
+              Proportional(rho=2.0, base_mu=CosineMu(mu=1.0, alpha=0.3, period=1.7))):
+        before = dict(vars(r))
+        moment_report(r, 2, [0.5, 1.0], method="ode")
+        r_index(r, 2, 1.0, method="ode")
+        second_moment_y(r, 2, 1.0, method="ode")
+        assert vars(r) == before
 
 
 # ===== crossing time ==========================================================

@@ -262,6 +262,17 @@ def test_sweep_overflow_raises_numerics_error():
         phi_y(r, 100.0)  # exp(9 t) overflows well before t = 100
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_engine_overflows_at_half_the_exponent_range():
+    # the engine carries second moments ~ eta^2 = exp(2 L): with L = 9 t that
+    # is exp(540) at t = 30, while by t = 39 (exp(702)) the solve overflows
+    r = Explicit(lambda_fn=lambda s: 10.0, mu_fn=lambda s: 1.0, rate_sup_fn=lambda a, b: 11.0)
+    assert math.isfinite(phi_y(r, 30.0))
+    assert phi_y(r, 30.0) == pytest.approx(phi_y(Constant(lam=10.0, mu=1.0), 30.0), rel=1e-9)
+    with pytest.raises(NumericsError):
+        phi_y(r, 39.0)
+
+
 def test_eta_closed_overflow_is_inf():
     assert eta(Constant(lam=3.0, mu=1.0), 400.0) == math.inf
 
@@ -279,14 +290,14 @@ def test_transform_cache_is_order_independent():
     shuffled = make()
     mixed = {t: gamma(shuffled, 2, t, "quadrature") for t in ts}
     for t in ts:
-        assert mixed[t] == pytest.approx(ordered[t], rel=1e-9)
+        assert mixed[t] == ordered[t]  # no hidden state: bit-identical
 
 
 def test_transform_cache_repeat_is_identical():
     r = Proportional(rho=2.0, base_mu=CosineMu(mu=1.0, alpha=0.3, period=1.7))
     a = phi_x(r, 1.8, "quadrature")
     b = phi_x(r, 1.8, "quadrature")
-    assert a == b  # served from the checkpoint cache, bit-identical
+    assert a == b  # the same solve twice, bit-identical
 
 
 def test_transform_cache_extension_matches_fresh():
