@@ -5,8 +5,7 @@ Every output is a CSV whose first line is a versioned schema comment
 (`# schema: rumorbd.<name>.v1`), so downstream plotting scripts can pin the
 column layout.  Options may come from flags or a JSON --config file; flags
 win over the file, the file wins over defaults.  Exit codes: 0 ok, 2 bad
-usage or parameter domain, 3 numeric failure, 4 malformed data.  The
-RUMORBD_THREADS environment variable caps simulation worker threads.
+usage or parameter domain, 3 numeric failure, 4 malformed data.
 """
 
 from __future__ import annotations

@@ -47,3 +47,8 @@ def check_time(t: float) -> None:
 def check_positive(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def check_z(name: str, z: float) -> None:
+    if not (-1.0 <= z <= 1.0):
+        raise DomainError(f"{name} must lie in [-1, 1], got {z}")

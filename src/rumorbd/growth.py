@@ -12,8 +12,8 @@ proportional-family mean defines a cumulative forgetting intensity::
 and an instantaneous forgetting rate ``mu(t) = M'(t)`` (with
 ``lam(t) = rho mu(t)``), turning any fitted curve into a fully specified
 stochastic model.  Each family implements the induced ``M`` and ``mu`` in
-closed form, plus an exact upper bound of ``mu`` over a window (used by the
-exact thinning sampler).
+closed form, plus an exact upper bound of ``mu`` over a window (the thinning
+envelope ``Proportional.total_rate_sup`` reports).
 
 The quartic-exponent multisigmoidal family is the one member whose induced
 ``mu`` can become negative (its polynomial exponent ``Q`` eventually
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DataError, DomainError, check_j, check_positive, check_time
 from .moments import MomentReport, report_from_prop
-from .rates import MuBase, Proportional
+from .rates import MuBase, Proportional, first_passage
 
 
 def _exp(v: float) -> float:
@@ -608,26 +606,6 @@ def derived_report(curve: GrowthCurve, t: float) -> MomentReport:
     return report_from_prop(curve.rho, induced_m(curve, t), curve.j, t)
 
 
-def _crossing_numeric(
-    mfun: Callable[[float], float], m_thr: float, t_cap: float | None
-) -> float:
-    if t_cap is None:
-        t_hi = 1.0
-        for _ in range(80):
-            if mfun(t_hi) >= m_thr:
-                break
-            t_hi *= 2.0
-            if t_hi > 1e15:
-                return 0.0
-        else:
-            return 0.0
-    else:
-        if t_cap <= 0.0 or mfun(t_cap) < m_thr:
-            return 0.0
-        t_hi = t_cap
-    return float(brentq(lambda s: mfun(s) - m_thr, 0.0, t_hi, xtol=1e-12, rtol=8.9e-16))
-
-
 def crossing_time_curve(curve: GrowthCurve) -> float:
     """First time with m_X = m_Y under the induced model; 0.0 when none exists.
 
@@ -665,14 +643,17 @@ def crossing_time_curve(curve: GrowthCurve) -> float:
         if gap <= 0.0:
             return 0.0
         return math.log(curve.beta * (2.0 - rho) / gap) / curve.alpha
+    # the rest take a numeric root: the quartic-exponent family inside its
+    # validity window, gen-Gompertz and extended logistic after a limit test
+    t_hi = None
     if isinstance(curve, MultisigLogistic):
         end = curve.induced_validity_end()
-        cap = end if math.isfinite(end) else None
-        return _crossing_numeric(lambda s: induced_m(curve, s), m_thr, cap)
-    # gen-Gompertz and extended logistic: numeric root with a finite limit test
-    if curve.big_m_limit() <= m_thr:
+        if math.isfinite(end):
+            t_hi = end
+    elif curve.big_m_limit() <= m_thr:
         return 0.0
-    return _crossing_numeric(lambda s: induced_m(curve, s), m_thr, None)
+    t = first_passage(CurveInducedMu(curve), m_thr, hi=t_hi)
+    return 0.0 if t is None else t
 
 
 # ===== Curve-induced forgetting profile =======================================

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, check_j, check_time
+from .errors import DomainError, check_j, check_time, check_z
 
 # Relative-discriminant threshold below which the double-root form is used.
 # At z2 = 1 this is equivalent to |lam - mu| / (lam + mu) < 1e-9.
@@ -42,11 +42,6 @@ def _check_rates(lam: float, mu: float) -> None:
         raise DomainError(f"forgetting rate must be positive and finite, got {mu}")
 
 
-def _check_z(name: str, z: float) -> None:
-    if not (-1.0 <= z <= 1.0):
-        raise DomainError(f"{name} must lie in [-1, 1], got {z}")
-
-
 # ===== Probability generating function ========================================
 
 
@@ -55,8 +50,8 @@ def pgf(lam: float, mu: float, j: int, z1: float, z2: float, t: float) -> float:
     _check_rates(lam, mu)
     check_j(j)
     check_time(t)
-    _check_z("z1", z1)
-    _check_z("z2", z2)
+    check_z("z1", z1)
+    check_z("z2", z2)
     if t == 0.0:
         return z1**j
 

@@ -30,12 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import proportional as prop
 from ._ode import moment_state, moment_states
 from .errors import DomainError, NumericsError, check_j, check_time
-from .rates import ConstantMu, RateFamily
+from .rates import RateFamily, first_passage
 
 _METHODS = ("auto", "closed", "ode")
 
@@ -319,17 +318,4 @@ def crossing_time(rates: RateFamily, j: int) -> float | None:
     m_thr = prop.crossing_m_threshold(rho)
     if math.isinf(m_thr):
         return None
-    if isinstance(base, ConstantMu):
-        return m_thr / base.mu
-    t_hi = 1.0
-    for _ in range(80):
-        if base.big_m(t_hi) >= m_thr:
-            break
-        t_hi *= 2.0
-        if t_hi > 1e18:
-            return None  # cumulative intensity saturates below the threshold
-    else:
-        return None
-    return float(
-        brentq(lambda s: base.big_m(s) - m_thr, 0.0, t_hi, xtol=1e-12, rtol=8.9e-16)
-    )
+    return first_passage(base, m_thr)

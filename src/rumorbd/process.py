@@ -1,17 +1,25 @@
 """Exact stochastic simulation of the spreader/inactive pair (X(t), Y(t)).
 
 From state (n, k) the process jumps to (n+1, k) at rate n*lam(t) (a spread)
-and to (n-1, k+1) at rate n*mu(t) (a forget); {n = 0} is absorbing.  Constant
-rates use the classical exponential-clock scheme.  Time-varying rates use
-exact Ogata-style thinning against the dominating rate n * sup(lam + mu)
-taken over adaptive lookahead windows (halved until the acceptance ratio at
-the window start reaches 0.2), so no discretization error enters either way.
+and to (n-1, k+1) at rate n*mu(t) (a forget); {n = 0} is absorbing.  One
+event loop serves :func:`simulate` and :func:`ensemble`, on one of two clocks:
 
-Each replicate draws from its own counter-based stream (Philox keyed by
-(seed, replicate index)): ensembles are reproducible replicate by replicate
-and safe to fan across threads.  Partial sums are reduced in chunk order, so
-results are bit-identical regardless of scheduling; the worker count is
-capped by the RUMORBD_THREADS environment variable (default 1).
+* a family with a proportional view (``lam = rho * mu``: constant rates and
+  every :class:`Proportional` profile) runs in operational time
+  ``M(t) = int_0^t mu``, where it is the constant-rate (rho, 1) chain: jumps
+  at total rate n (rho + 1), a spread with probability rho / (rho + 1).
+  Grid times are mapped forward through M; trajectory event times are mapped
+  back through M^-1 (closed for constant mu, a bracketed root otherwise), so
+  the sampler calls nothing of the profile but ``big_m``;
+* any other family (:class:`Explicit`) runs in real time by Ogata-style
+  thinning against the dominating rate n * sup(lam + mu) taken over adaptive
+  lookahead windows (halved until the acceptance ratio at the window start
+  reaches 0.2).
+
+Neither clock introduces discretization error.  Each replicate draws from its
+own counter-based stream (Philox keyed by (seed, replicate index)), so a
+result depends only on its inputs, and :func:`simulate` replays replicate 0
+of :func:`ensemble` for the same seed.
 
 A hard population cap (default 10**6) guards the supercritical regime, where
 the spreader count grows exponentially in mean: a trajectory reaching the cap
@@ -21,17 +29,14 @@ is frozen there and flagged, never silently truncated.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_j
-from .rates import Constant, ConstantMu, Proportional, RateFamily
+from .errors import DomainError, check_j, check_time
+from .rates import MuBase, RateFamily, first_passage
 
-_CHUNK = 1024
 _BUF = 256
 _MAX_HALVINGS = 60
 _MIN_ACCEPT = 0.2
@@ -119,16 +124,6 @@ def _gen_for(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _constant_rates(rates: RateFamily) -> tuple[float, float] | None:
-    """(lam, mu) when the family is constant in time, else None."""
-    if isinstance(rates, Constant):
-        return rates.lam, rates.mu
-    if isinstance(rates, Proportional) and isinstance(rates.base_mu, ConstantMu):
-        mu = rates.base_mu.mu
-        return rates.rho * mu, mu
-    return None
-
-
 def _check_sim_args(j: int, horizon: float, seed: int, cap: int) -> None:
     check_j(j)
     if not (horizon > 0.0 and math.isfinite(horizon)):
@@ -174,6 +169,59 @@ def _next_event(
     return None
 
 
+def _path(
+    rates: RateFamily,
+    view: tuple[float, MuBase] | None,
+    end: float,
+    j: int,
+    d: _Draws,
+    cap: int,
+    clock: list[float],
+    jumps: list[tuple[float, bool, int, int]] | None = None,
+) -> tuple[list[tuple[int, int]], int, int, float]:
+    """Run one path from state (j, 0) until absorption, past ``end`` or the cap.
+
+    ``view`` is ``rates.proportional_view()``; with one the clock is
+    operational time M(t), otherwise real time, and ``end`` and ``clock`` (a
+    nondecreasing grid) are on that clock.  Returns ``(states, n, k, s_cap)``:
+    ``states[i]`` is the (right-continuous) state at ``clock[i]`` for the grid
+    points before the last jump, later points see the final state (n, k), and
+    ``s_cap`` is the clock at which a spread reached ``cap`` (inf if none).
+    ``jumps``, when given, receives ``(clock, is_spread, n, k)`` after each jump.
+    """
+    if view is not None:
+        tot = view[0] + 1.0
+        p_spread = view[0] / tot
+    g_len = len(clock)
+    states: list[tuple[int, int]] = []
+    gi = 0
+    n, k, s = j, 0, 0.0
+    while n > 0:
+        if view is None:
+            nxt = _next_event(rates, n, s, end, d)
+            if nxt is None:
+                break
+            s, spread = nxt
+        else:
+            s += d.exp() / (n * tot)
+            if s > end:
+                break
+            spread = d.uni() < p_spread
+        while gi < g_len and clock[gi] < s:
+            states.append((n, k))
+            gi += 1
+        if spread:
+            n += 1
+        else:
+            n -= 1
+            k += 1
+        if jumps is not None:
+            jumps.append((s, spread, n, k))
+        if spread and n >= cap:
+            return states, n, k, s
+    return states, n, k, math.inf
+
+
 def simulate(
     rates: RateFamily,
     j: int,
@@ -189,172 +237,27 @@ def simulate(
     """
     _check_sim_args(j, horizon, seed, cap)
     rates.validate_horizon(horizon)
+    view = rates.proportional_view()
+    end = horizon if view is None else view[1].big_m(horizon)
     d = _Draws(_gen_for(seed, 0))
-    n, k, t = j, 0, 0.0
+    jumps: list[tuple[float, bool, int, int]] = []
+    _, n, k, s_cap = _path(rates, view, end, j, d, cap, [], jumps)
+    t = 0.0
     events: list[Event] = []
-    absorbed = False
-    cap_hit = False
-
-    cr = _constant_rates(rates)
-    if cr is not None:
-        lam, mu = cr
-        tot = lam + mu
-        p_spread = lam / tot
-        while n > 0:
-            t_next = t + d.exp() / (n * tot)
-            if t_next > horizon:
-                break
-            t = t_next
-            if d.uni() < p_spread:
-                n += 1
-                events.append(Event(t, "spread", n, k))
-                if n >= cap:
-                    cap_hit = True
-                    break
-            else:
-                n -= 1
-                k += 1
-                events.append(Event(t, "forget", n, k))
-                if n == 0:
-                    absorbed = True
-                    break
-    else:
-        while n > 0:
-            nxt = _next_event(rates, n, t, horizon, d)
-            if nxt is None:
-                break
-            t, is_spread = nxt
-            if is_spread:
-                n += 1
-                events.append(Event(t, "spread", n, k))
-                if n >= cap:
-                    cap_hit = True
-                    break
-            else:
-                n -= 1
-                k += 1
-                events.append(Event(t, "forget", n, k))
-                if n == 0:
-                    absorbed = True
-                    break
+    for s, spread, n_after, k_after in jumps:
+        # M is nondecreasing, so the previous event time brackets this one
+        t = s if view is None else first_passage(view[1], s, t, horizon)
+        events.append(Event(t, "spread" if spread else "forget", n_after, k_after))
 
     return Trajectory(
         initial_j=j,
         horizon=horizon,
         events=events,
-        absorbed=absorbed,
-        cap_hit=cap_hit,
+        absorbed=n == 0,
+        cap_hit=s_cap < math.inf,
         final_n=n,
         final_k=k,
     )
-
-
-def _chunk_sums(
-    rates: RateFamily,
-    j: int,
-    horizon: float,
-    grid: list[float],
-    seed: int,
-    lo: int,
-    hi: int,
-    cap: int,
-) -> tuple[list[float], ...]:
-    """Partial per-grid-point sums over replicates [lo, hi)."""
-    g_len = len(grid)
-    sx = [0.0] * g_len
-    sxx = [0.0] * g_len
-    sy = [0.0] * g_len
-    syy = [0.0] * g_len
-    sxy = [0.0] * g_len
-    n_abs = [0.0] * g_len
-    n_cap = [0.0] * g_len
-
-    cr = _constant_rates(rates)
-    if cr is not None:
-        lam, mu = cr
-        tot = lam + mu
-        p_spread = lam / tot
-
-    for ridx in range(lo, hi):
-        d = _Draws(_gen_for(seed, ridx))
-        n, k, t = j, 0, 0.0
-        gi = 0
-        t_cap = math.inf
-        if cr is not None:
-            while n > 0:
-                t_next = t + d.exp() / (n * tot)
-                if t_next > horizon:
-                    break
-                while gi < g_len and grid[gi] < t_next:
-                    fn = float(n)
-                    fk = float(k)
-                    sx[gi] += fn
-                    sxx[gi] += fn * fn
-                    sy[gi] += fk
-                    syy[gi] += fk * fk
-                    sxy[gi] += fn * fk
-                    gi += 1
-                t = t_next
-                if d.uni() < p_spread:
-                    n += 1
-                    if n >= cap:
-                        t_cap = t
-                        break
-                else:
-                    n -= 1
-                    k += 1
-                    if n == 0:
-                        break
-        else:
-            while n > 0:
-                nxt = _next_event(rates, n, t, horizon, d)
-                if nxt is None:
-                    break
-                t_next, is_spread = nxt
-                while gi < g_len and grid[gi] < t_next:
-                    fn = float(n)
-                    fk = float(k)
-                    sx[gi] += fn
-                    sxx[gi] += fn * fn
-                    sy[gi] += fk
-                    syy[gi] += fk * fk
-                    sxy[gi] += fn * fk
-                    gi += 1
-                t = t_next
-                if is_spread:
-                    n += 1
-                    if n >= cap:
-                        t_cap = t
-                        break
-                else:
-                    n -= 1
-                    k += 1
-                    if n == 0:
-                        break
-        # grid points at/after the last transition see the frozen final state
-        fn = float(n)
-        fk = float(k)
-        while gi < g_len:
-            sx[gi] += fn
-            sxx[gi] += fn * fn
-            sy[gi] += fk
-            syy[gi] += fk * fk
-            sxy[gi] += fn * fk
-            if n == 0:
-                n_abs[gi] += 1.0
-            if grid[gi] >= t_cap:
-                n_cap[gi] += 1.0
-            gi += 1
-    return sx, sxx, sy, syy, sxy, n_abs, n_cap
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("RUMORBD_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise DataError(f"RUMORBD_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, workers)
 
 
 def ensemble(
@@ -370,7 +273,7 @@ def ensemble(
 
     The state reported at grid time g is the state after all events with
     time <= g (right-continuous paths).  Given a seed the result is
-    bit-identical however many worker threads run.
+    bit-identical on every run.
     """
     _check_sim_args(j, horizon, seed, cap)
     if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
@@ -378,37 +281,55 @@ def ensemble(
     grid_f = [float(g) for g in grid]
     if not grid_f:
         raise DomainError("grid must contain at least one time point")
+    for g in grid_f:
+        check_time(g)
     for a, b in zip(grid_f, grid_f[1:]):
         if b < a:
             raise DomainError("grid times must be nondecreasing")
-    if grid_f[0] < 0.0 or grid_f[-1] > horizon:
+    if grid_f[-1] > horizon:
         raise DomainError(
             f"grid must lie within [0, horizon={horizon}], got "
             f"[{grid_f[0]}, {grid_f[-1]}]"
         )
     rates.validate_horizon(horizon)
-
-    spans = [(lo, min(lo + _CHUNK, replicates)) for lo in range(0, replicates, _CHUNK)]
-    workers = min(_worker_count(), len(spans))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_chunk_sums, rates, j, horizon, grid_f, seed, lo, hi, cap)
-                for lo, hi in spans
-            ]
-            partials = [f.result() for f in futures]  # reduced in chunk order
+    view = rates.proportional_view()
+    if view is None:
+        end, clock = horizon, grid_f
     else:
-        partials = [
-            _chunk_sums(rates, j, horizon, grid_f, seed, lo, hi, cap)
-            for lo, hi in spans
-        ]
+        end, clock = view[1].big_m(horizon), [view[1].big_m(g) for g in grid_f]
 
+    # integer sums are exact, so the statistics do not depend on summation order
     g_len = len(grid_f)
-    totals = [np.zeros(g_len) for _ in range(7)]
-    for part in partials:
-        for acc, chunk in zip(totals, part):
-            acc += np.asarray(chunk)
-    sx, sxx, sy, syy, sxy, n_abs, n_cap = totals
+    sx = [0] * g_len
+    sxx = [0] * g_len
+    sy = [0] * g_len
+    syy = [0] * g_len
+    sxy = [0] * g_len
+    n_abs = [0] * g_len
+    n_cap = [0] * g_len
+    for ridx in range(replicates):
+        d = _Draws(_gen_for(seed, ridx))
+        states, n, k, s_cap = _path(rates, view, end, j, d, cap, clock)
+        for gi, (x, y) in enumerate(states):
+            sx[gi] += x
+            sxx[gi] += x * x
+            sy[gi] += y
+            syy[gi] += y * y
+            sxy[gi] += x * y
+        # grid points at/after the last transition see the frozen final state
+        for gi in range(len(states), g_len):
+            sx[gi] += n
+            sxx[gi] += n * n
+            sy[gi] += k
+            syy[gi] += k * k
+            sxy[gi] += n * k
+            if n == 0:
+                n_abs[gi] += 1
+            if clock[gi] >= s_cap:
+                n_cap[gi] += 1
+    sx, sxx, sy, syy, sxy, n_abs, n_cap = (
+        np.array(v, dtype=float) for v in (sx, sxx, sy, syy, sxy, n_abs, n_cap)
+    )
 
     r = float(replicates)
     mean_x = sx / r

@@ -41,7 +41,7 @@ from ._kernels import (
     log_h3,
     one_minus_q_over_x,
 )
-from .errors import DomainError, NumericsError, check_j
+from .errors import DomainError, NumericsError, check_j, check_z
 
 _CONFLUENT_REL_DISC = 1e-18
 _LINEAR_LIMIT = 1e300
@@ -71,8 +71,8 @@ def pgf_prop(rho: float, big_m_value: float, j: int, z1: float, z2: float) -> fl
     _check_rho(rho)
     _check_big_m(big_m_value)
     check_j(j)
-    homogeneous._check_z("z1", z1)
-    homogeneous._check_z("z2", z2)
+    check_z("z1", z1)
+    check_z("z2", z2)
     if big_m_value == 0.0:
         return z1**j
 

@@ -39,6 +39,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from scipy.optimize import brentq
+
 from ._kernels import f1, f2
 from ._ode import moment_state
 from .errors import DataError, DomainError, check_j, check_positive, check_time
@@ -132,6 +134,34 @@ class CosineMu(MuBase):
     def mu_sup(self, t0: float, t1: float) -> float:
         lo, hi = _cos_extremes(_TWO_PI * t0 / self.period, _TWO_PI * t1 / self.period)
         return self.mu + max(self.alpha * lo, self.alpha * hi)
+
+
+def first_passage(
+    base: MuBase, level: float, lo: float = 0.0, hi: float | None = None
+) -> float | None:
+    """First ``t >= lo`` at which the profile's nondecreasing M reaches ``level``.
+
+    With ``hi`` the search is confined to ``[lo, hi]``; without it ``hi``
+    doubles from 1 until ``M(hi) >= level``.  None when ``M`` stays below
+    ``level`` up to ``hi`` (or up to 1e18, where ``M`` is taken to saturate).
+    :class:`ConstantMu` inverts in closed form; any other profile by
+    ``brentq`` (xtol 1e-12, rtol 8.9e-16), which calls only ``big_m``.
+    """
+    big_m = base.big_m
+    if hi is not None and big_m(hi) < level:
+        return None
+    if isinstance(base, ConstantMu):
+        t = level / base.mu
+        return t if hi is None else min(t, hi)
+    if hi is None:
+        hi = 1.0
+        while big_m(hi) < level:
+            hi *= 2.0
+            if hi > 1e18:
+                return None
+    if big_m(lo) >= level:
+        return lo
+    return float(brentq(lambda s: big_m(s) - level, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
 
 # ===== Rate families ==========================================================

@@ -3,13 +3,16 @@ and exit codes."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import _closed_forms as cf
+import rumorbd
 from rumorbd.cli import main
 from rumorbd import growth
 
@@ -318,16 +321,20 @@ def test_exit_codes_for_bad_usage(capsys, argv, code):
 
 def test_installed_script_round_trip(tmp_path):
     """The console entry point wires argv and exit codes correctly."""
+    # the subprocess imports the same package as this test, installed or not
+    src = str(Path(rumorbd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     res = subprocess.run(
         [sys.executable, "-m", "rumorbd.cli", "absorb", "--rates", "constant:1,1",
          "--j", "1", "--grid", "0:2:4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert res.returncode == 0
     assert res.stdout.startswith("# schema: rumorbd.absorb.v1\n")
     res = subprocess.run(
         [sys.executable, "-m", "rumorbd.cli", "absorb", "--rates", "constant:1,1",
          "--j", "0", "--grid", "0:2:4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert res.returncode == 2

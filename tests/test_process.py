@@ -7,9 +7,11 @@ import pytest
 from scipy import stats as sps
 
 import _closed_forms as cf
-from rumorbd import DataError, DomainError
+from rumorbd import DomainError
 from rumorbd.process import EnsembleStats, Trajectory, ensemble, simulate
-from rumorbd.rates import Constant, CosineMu, Explicit, Proportional
+from rumorbd.rates import Constant, CosineMu, Explicit, MuBase, Proportional
+
+SEASONAL = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
 
 
 def _state_at(traj: Trajectory, g: float) -> tuple[int, int]:
@@ -26,6 +28,13 @@ def _state_at(traj: Trajectory, g: float) -> tuple[int, int]:
 def _explicit_copy(lam, mu):
     return Explicit(
         lambda_fn=lambda s: lam, mu_fn=lambda s: mu, rate_sup_fn=lambda a, b: lam + mu
+    )
+
+
+def _explicit_twin(rates):
+    """The same rates as an Explicit family, which the sampler thins in real time."""
+    return Explicit(
+        lambda_fn=rates.lam_at, mu_fn=rates.mu_at, rate_sup_fn=rates.total_rate_sup
     )
 
 
@@ -61,11 +70,8 @@ def _check_path_invariants(traj: Trajectory, cap: int):
 
 @pytest.mark.parametrize(
     "rates",
-    [
-        Constant(lam=1.2, mu=0.8),
-        Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5)),
-    ],
-    ids=["constant", "seasonal"],
+    [Constant(lam=1.2, mu=0.8), SEASONAL, _explicit_twin(SEASONAL)],
+    ids=["constant", "seasonal", "seasonal-explicit"],
 )
 def test_trajectory_invariants_hold_on_every_path(rates):
     cap = 10**6
@@ -113,12 +119,15 @@ def test_first_event_split_matches_rate_ratio():
     assert abs(spreads / n - p) < 3.5 * se
 
 
-def test_first_event_time_thinning_matches_time_changed_exponential():
+@pytest.mark.parametrize("explicit", [False, True], ids=["proportional", "explicit"])
+def test_first_event_time_thinning_matches_time_changed_exponential(explicit):
     # With intensity n (1+rho) mu(t), the compensator (1+rho) M(t) of the first
     # event (from n = 1) must be a unit exponential.  Subcritical rho keeps the
     # paths short: only the first event matters here.
     base = CosineMu(mu=1.0, alpha=0.5, period=2.5)
     rates = Proportional(rho=0.4, base_mu=base)
+    if explicit:
+        rates = _explicit_twin(rates)
     transformed = []
     for seed in range(10_000):
         traj = simulate(rates, 1, 14.0, seed)
@@ -141,6 +150,46 @@ def test_thinning_sampler_agrees_with_direct_sampler():
     assert gap_y < 3.5 * math.hypot(direct.se_y[0], thinned.se_y[0])
 
 
+def test_operational_time_agrees_with_thinning_on_seasonal_rates():
+    # one proportional family through the two clocks: operational time M(t)
+    # for the family itself, real-time thinning for its Explicit twin
+    j, horizon, R = 1, 3.0, 4000
+    grid = [0.5, 1.0, 2.0, 3.0]
+    operational = ensemble(SEASONAL, j, horizon, grid, R, seed=11)
+    thinned = ensemble(_explicit_twin(SEASONAL), j, horizon, grid, R, seed=12)
+    for i in range(len(grid)):
+        gap = abs(operational.mean_x[i] - thinned.mean_x[i])
+        assert gap < 3.5 * math.hypot(operational.se_x[i], thinned.se_x[i])
+        gap_y = abs(operational.mean_y[i] - thinned.mean_y[i])
+        assert gap_y < 3.5 * math.hypot(operational.se_y[i], thinned.se_y[i])
+
+
+class _BigMOnly(MuBase):
+    """The seasonal profile's M, with a rate and an envelope that raise."""
+
+    def big_m(self, t):
+        return SEASONAL.base_mu.big_m(t)
+
+    def mu_at(self, t):
+        raise AssertionError("mu_at called")
+
+    def mu_sup(self, t0, t1):
+        raise AssertionError("mu_sup called")
+
+
+def test_proportional_sampling_needs_only_big_m():
+    # neither the pointwise rates nor the thinning envelope are consulted
+    rates = Proportional(rho=1.5, base_mu=_BigMOnly())
+    traj = simulate(rates, 2, 3.0, 5)
+    assert traj.events
+    assert traj.events == simulate(SEASONAL, 2, 3.0, 5).events
+    grid = [0.0, 1.0, 3.0]
+    stats = ensemble(rates, 2, 3.0, grid, 50, 5)
+    ref = ensemble(SEASONAL, 2, 3.0, grid, 50, 5)
+    assert np.array_equal(stats.mean_x, ref.mean_x)
+    assert np.array_equal(stats.mean_y, ref.mean_y)
+
+
 def test_thinning_rejects_a_violated_envelope():
     lying = Explicit(
         lambda_fn=lambda s: 2.0, mu_fn=lambda s: 0.5, rate_sup_fn=lambda a, b: 1.0
@@ -152,8 +201,10 @@ def test_thinning_rejects_a_violated_envelope():
 # ===== ensemble statistics ====================================================
 
 
-def test_ensemble_single_replicate_replays_the_trajectory():
-    rates = Constant(lam=1.3, mu=0.9)
+@pytest.mark.parametrize(
+    "rates", [Constant(lam=1.3, mu=0.9), SEASONAL], ids=["constant", "seasonal"]
+)
+def test_ensemble_single_replicate_replays_the_trajectory(rates):
     j, horizon, seed = 2, 2.0, 7
     traj = simulate(rates, j, horizon, seed)
     grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
@@ -210,7 +261,7 @@ def test_population_cap_freezes_paths():
     assert np.all(stats.mean_x <= 4.0)
 
 
-# ===== determinism and threading ==============================================
+# ===== determinism ============================================================
 
 
 def test_ensemble_bit_identical_for_fixed_seed():
@@ -221,25 +272,6 @@ def test_ensemble_bit_identical_for_fixed_seed():
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     c = ensemble(Constant(lam=1.0, mu=1.0), 2, 1.0, [0.5, 1.0], 3000, 18)
     assert not np.array_equal(a.mean_x, c.mean_x)
-
-
-def test_ensemble_bit_identical_across_worker_counts(monkeypatch):
-    args = (Constant(lam=1.5, mu=1.0), 1, 1.0, [0.5, 1.0], 4096, 23)
-    monkeypatch.setenv("RUMORBD_THREADS", "1")
-    one = ensemble(*args)
-    monkeypatch.setenv("RUMORBD_THREADS", "4")
-    four = ensemble(*args)
-    for name in ("mean_x", "var_x", "mean_y", "var_y", "cov", "corr",
-                 "absorbed_frac", "se_x", "se_y", "cap_frac"):
-        assert np.array_equal(
-            getattr(one, name), getattr(four, name), equal_nan=True
-        ), name
-
-
-def test_worker_count_env_is_validated(monkeypatch):
-    monkeypatch.setenv("RUMORBD_THREADS", "lots")
-    with pytest.raises(DataError):
-        ensemble(Constant(lam=1.0, mu=1.0), 1, 1.0, [1.0], 10, 0)
 
 
 # ===== argument validation ====================================================
@@ -271,6 +303,18 @@ def test_ensemble_argument_validation():
         ensemble(r, 1, 1.0, [-0.1, 0.5], 10, 0)
     with pytest.raises(DomainError):
         ensemble(r, 1, 1.0, [1.0], 0, 0)
+
+
+@pytest.mark.parametrize(
+    "rates", [Constant(lam=1.0, mu=1.0), SEASONAL, _explicit_twin(SEASONAL)],
+    ids=["constant", "seasonal", "seasonal-explicit"],
+)
+@pytest.mark.parametrize(
+    "grid", [[math.nan, 0.5], [0.5, math.nan]], ids=["nan-first", "nan-last"]
+)
+def test_ensemble_rejects_a_non_finite_grid_time(rates, grid):
+    with pytest.raises(DomainError, match="finite"):
+        ensemble(rates, 1, 1.0, grid, 10, 0)
 
 
 def test_horizon_validation_consults_the_rate_family():
