@@ -1,4 +1,4 @@
-"""Stable scalar kernels for the closed-form moment machinery.
+"""Stable array-native kernels for the closed-form moment machinery.
 
 Every closed-form moment of the time-changed process can be written in terms of
 ``x = (rho - 1) * M`` and four entire functions of ``x``::
@@ -17,17 +17,26 @@ with removable singularities at 0: ``f1(0)=1``, ``f2(0)=1/2``, ``g4(0)=1/2``,
     G4 = M^2 g4(x)      # int mu eta G1
 
 so the critical balance point ``rho = 1`` (``x = 0``) needs no special-casing
-anywhere downstream.  Each kernel has a log-domain companion, used when
-``e^x`` would overflow the float range.
+anywhere downstream.
+
+The four kernels and :func:`one_minus_q_over_x` take a float or an array and
+evaluate elementwise, so a whole grid costs one call; a scalar returns a
+Python float, computed by the same code as the array elements, so scalar and
+grid values agree bit for bit.  Values past the overflow threshold are inf.
+Each kernel has a scalar log-domain companion, used when ``e^x`` would
+overflow the float range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 _LN2 = math.log(2.0)
 
-# expm1 overflows (raises OverflowError in the math module) beyond ~709.78.
+# exp overflows beyond ~709.78; every kernel reports inf from here on.
 _X_OVERFLOW = 709.0
 
 # Maclaurin series are used inside this radius; ~30 terms reach machine
@@ -35,46 +44,91 @@ _X_OVERFLOW = 709.0
 _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 34
 
+# Series coefficients, highest order first (Horner's order); the
+# h3 ones are 2^{m+2}/(m+3)! - 1/(m+2)! == (2^{m+2} - (m+3))/(m+3)!.
+_ORDERS = range(_SERIES_TERMS, -1, -1)
+_F2_SERIES = [1.0 / math.factorial(m + 2) for m in _ORDERS]
+_H3_SERIES = [(2.0 ** (m + 2) - (m + 3)) / math.factorial(m + 3) for m in _ORDERS]
 
-def f1(x: float) -> float:
+
+def float_or_array(fn, *args):
+    """``fn(*args)`` with FP warnings off (overflow to inf is part of every
+    contract here); a 0-d result is returned as a Python float."""
+    with np.errstate(all="ignore"):
+        out = np.asarray(fn(*args))
+    return float(out) if out.ndim == 0 else out
+
+
+def _elementwise(kernel):
+    """Run ``kernel`` on ``x`` as a float array, through :func:`float_or_array`."""
+
+    @functools.wraps(kernel)
+    def wrapper(x):
+        return float_or_array(kernel, np.asarray(x, dtype=float))
+
+    return wrapper
+
+
+def _horner(coeffs: list[float], v):
+    """The polynomial at ``v``, highest order first (np.polyval's order and
+    bits); on a numpy scalar it costs no array overhead."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * v + c
+    return acc
+
+
+def _split(x: np.ndarray, near, far) -> np.ndarray:
+    """``near`` inside the series radius, ``far`` outside it.
+
+    A 0-d ``x`` reaches ``near`` as a numpy scalar: the same operations, in
+    the same order, without per-operation array overhead.
+    """
+    inside = np.abs(x) <= _SERIES_RADIUS
+    if x.ndim == 0:
+        return near(x[()]) if inside else far(x)
+    out = np.empty_like(x)
+    out[inside] = near(x[inside])
+    out[~inside] = far(x[~inside])
+    return out
+
+
+@_elementwise
+def f1(x):
     """(e^x - 1)/x with the removable singularity filled in."""
-    if x == 0.0:
-        return 1.0
-    if x > _X_OVERFLOW:
-        return math.inf
-    return math.expm1(x) / x
+    out = np.where(x > _X_OVERFLOW, np.inf, np.expm1(x) / x)
+    return np.where(x == 0.0, 1.0, out)
 
 
-def f2(x: float) -> float:
+@_elementwise
+def f2(x):
     """(e^x - 1 - x)/x^2, the second exponential remainder."""
-    if abs(x) <= _SERIES_RADIUS:
-        # sum x^m / (m+2)!, accumulated highest order first
-        acc = 0.0
-        for m in range(_SERIES_TERMS, -1, -1):
-            acc = acc * x + 1.0 / math.factorial(m + 2)
-        return acc
-    if x > _X_OVERFLOW:
-        return math.inf
-    return (math.expm1(x) - x) / (x * x)
+    return _split(
+        x,
+        lambda v: _horner(_F2_SERIES, v),
+        lambda v: np.where(v > _X_OVERFLOW, np.inf, (np.expm1(v) - v) / (v * v)),
+    )
 
 
-def g4(x: float) -> float:
+@_elementwise
+def g4(x):
     """(e^x - 1)^2 / (2 x^2) == f1(x)^2 / 2."""
     v = f1(x)
     return 0.5 * v * v
 
 
-def h3(x: float) -> float:
+@_elementwise
+def h3(x):
     """(e^{2x} - 1 - 2x e^x) / (2 x^3)."""
-    if abs(x) <= _SERIES_RADIUS:
-        # coefficient 2^{m+2}/(m+3)! - 1/(m+2)! == (2^{m+2} - (m+3))/(m+3)!
-        acc = 0.0
-        for m in range(_SERIES_TERMS, -1, -1):
-            acc = acc * x + (2.0 ** (m + 2) - (m + 3)) / math.factorial(m + 3)
-        return acc
-    if 2.0 * x > _X_OVERFLOW:
-        return math.inf
-    return (math.expm1(2.0 * x) / (2.0 * x) - math.exp(x)) / (x * x)
+    return _split(
+        x,
+        lambda v: _horner(_H3_SERIES, v),
+        lambda v: np.where(
+            2.0 * v > _X_OVERFLOW,
+            np.inf,
+            (np.expm1(2.0 * v) / (2.0 * v) - np.exp(v)) / (v * v),
+        ),
+    )
 
 
 # ===== Log-domain companions ==================================================
@@ -121,19 +175,19 @@ def log_h3(x: float) -> float:
 # ===== Ratio kernel for the dispersion index ==================================
 
 
-def one_minus_q_over_x(x: float) -> float:
+@_elementwise
+def one_minus_q_over_x(x):
     """(1 - x/(e^x - 1)) / x, the kernel of the dispersion-index formula.
 
-    Entire in x with value 1/2 at 0; equals f2(x)/f1(x).  Computed via a short
-    Bernoulli-style series near 0 (the direct form loses all digits there) and
-    directly elsewhere, with an underflow-safe tail for huge x.
+    Entire in x with value 1/2 at 0.  Inside the series radius it is computed
+    as f2(x)/f1(x), which keeps full precision (the direct form cancels
+    near 0); outside, directly, with an underflow-safe tail for huge x.
     """
-    ax = abs(x)
-    if ax <= 1e-3:
-        # 1/2 - x/12 + x^3/720 - x^5/30240 ...
-        return 0.5 - x / 12.0 + x**3 / 720.0
-    if x >= _X_OVERFLOW:
-        q = x * math.exp(-x) if x < 745.0 else 0.0
-        return (1.0 - q) / x
-    q = x / math.expm1(x)
-    return (1.0 - q) / x
+
+    def direct(v):
+        q = np.where(
+            v < _X_OVERFLOW, v / np.expm1(v), np.where(v < 745.0, v * np.exp(-v), 0.0)
+        )
+        return (1.0 - q) / v
+
+    return _split(x, lambda v: f2(v) / f1(v), direct)

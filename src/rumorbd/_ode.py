@@ -23,22 +23,24 @@ solver's steps.  The state carries second moments, which grow like
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NumericsError
 
 _ODE_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
 
 
-def moment_states(rates, j: int, times) -> list[list[float]]:
-    """``[m_X, m2_X, m_Y, m_XY, m2_Y, M, phi_x]`` at each of ``times``.
+def moment_states(rates, j: int, times) -> np.ndarray:
+    """``[m_X, m2_X, m_Y, m_XY, m2_Y, M, phi_x]`` at each of ``times``, one row each.
 
     ``times`` must be a nonempty, nondecreasing sequence of validated times.
     """
+    # imported here: scipy.integrate takes longer to import than all of rumorbd
+    from scipy.integrate import solve_ivp
+
     grid, back = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     y0 = [float(j), float(j * j), 0.0, 0.0, 0.0, 0.0, 0.0]
     if grid[-1] == 0.0:
-        return [list(y0) for _ in back]
+        return np.tile(y0, (len(back), 1))
 
     def rhs(s, y):
         mx, m2x, _, mxy, _, _, _ = y
@@ -61,9 +63,9 @@ def moment_states(rates, j: int, times) -> list[list[float]]:
         raise NumericsError(
             f"moment integration overflowed before t={grid[-1]}; use the closed route"
         )
-    return sol.y[:, back].T.tolist()
+    return sol.y[:, back].T
 
 
 def moment_state(rates, j: int, t: float) -> list[float]:
     """The state at one time, from a solve to that time."""
-    return moment_states(rates, j, [t])[0]
+    return moment_states(rates, j, [t])[0].tolist()

@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import fit as fit_mod
 from . import growth
@@ -157,15 +160,8 @@ def _cmd_moments(ns: argparse.Namespace) -> int:
         "t", "m_x", "var_x", "m_y", "var_y", "m2_y", "m_xy", "cov", "corr",
         "fano_x", "fano_y", "cv_x", "cv_y", "r_index",
     ]
-    rows = (
-        (
-            rep.t, rep.m_x, rep.var_x, rep.m_y, rep.var_y, rep.m2_y, rep.m_xy,
-            rep.cov, rep.corr, rep.fano_x, rep.fano_y, rep.cv_x, rep.cv_y,
-            rep.r_index,
-        )
-        for rep in moments_mod.moment_report(rates, j, grid, method=method)
-    )
-    _write_csv(out, "moments", header, rows)
+    reports = moments_mod.moment_report(rates, j, grid, method=method)
+    _write_csv(out, "moments", header, map(operator.attrgetter(*header), reports))
     return 0
 
 
@@ -181,11 +177,9 @@ def _cmd_absorb(ns: argparse.Namespace) -> int:
             "absorption probabilities need constant or proportional rates"
         )
     rho, base_mu = view
-    rows = []
-    for t in grid:
-        p_abs = proportional.absorption_prop(rho, base_mu.big_m(t), j)
-        rows.append((t, p_abs))
-    _write_csv(out, "absorb", ["t", "absorption_prob"], rows)
+    big_m = np.array([base_mu.big_m(t) for t in grid])
+    p_abs = proportional.absorption_prop(rho, big_m, j)
+    _write_csv(out, "absorb", ["t", "absorption_prob"], zip(grid, p_abs.tolist()))
     return 0
 
 

@@ -52,3 +52,12 @@ def check_positive(name: str, value: float) -> None:
 def check_z(name: str, z: float) -> None:
     if not (-1.0 <= z <= 1.0):
         raise DomainError(f"{name} must lie in [-1, 1], got {z}")
+
+
+def check_final_count(j: int, k: int) -> None:
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise DomainError(f"inactive count k must be an integer, got {k!r}")
+    if k < j:
+        raise DomainError(
+            f"final inactive count k={k} is unreachable from j={j} (needs k >= j)"
+        )

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import growth
 from .errors import DataError, DomainError
@@ -234,6 +233,14 @@ class SelectionReport:
     kind: str
     results: tuple[FitResult, ...]
     winner: str | None
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: scipy.optimize
+    takes longer to import than all of rumorbd, and only fits need it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _resolve_family(family) -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, check_j, check_time, check_z
+from .errors import DomainError, check_final_count, check_j, check_time, check_z
 
 # Relative-discriminant threshold below which the double-root form is used.
 # At z2 = 1 this is equivalent to |lam - mu| / (lam + mu) < 1e-9.
@@ -118,12 +118,7 @@ def p0k_limit(lam: float, mu: float, j: int, k: int) -> float:
     """
     _check_rates(lam, mu)
     check_j(j)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError(f"inactive count k must be an integer, got {k!r}")
-    if k < j:
-        raise DomainError(
-            f"final inactive count k={k} is unreachable from j={j} (needs k >= j)"
-        )
+    check_final_count(j, k)
     tot = lam + mu
     c = lam * mu / (tot * tot)
     if k <= 300:

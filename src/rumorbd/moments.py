@@ -19,6 +19,12 @@ Two independent computation routes are provided and cross-checked in tests:
   accessor solves to its own ``t``; :func:`moment_report` over a grid makes
   one solve for the whole grid.  Nothing is cached between calls.
 
+On the closed route a grid is one vector evaluation: ``M`` at every time,
+then each closed form once over the whole ``M`` array.  One vectorized
+assembly turns either route's columns into reports, and a scalar goes
+through the same code, so a grid report equals the scalar reports of its
+times bit for bit.
+
 At ``t = 0`` both variances vanish, so the correlation is reported as its
 analytic ``t -> 0+`` limit ``-sqrt(mu(0)/(lam(0) + mu(0)))`` with the
 ``corr_is_limit`` flag set, and the dispersion index as its limit ``1 - 1/j``.
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import proportional as prop
-from ._ode import moment_state, moment_states
+from ._ode import moment_states
 from .errors import DomainError, NumericsError, check_j, check_time
 from .rates import RateFamily, first_passage
 
@@ -81,78 +87,34 @@ def _corr_zero_limit(rates: RateFamily) -> float:
     return -math.sqrt(mu0 / tot) if tot > 0.0 else math.nan
 
 
-# ===== ODE route ==============================================================
-
-
-def _ode_r_index(j: int, mx: float, my: float, mxy: float) -> float:
-    return mxy / (mx * my) if my > 0.0 else 1.0 - 1.0 / j
-
-
-def _clamp_var(v: float, scale: float) -> float:
-    if v < 0.0:
-        if v >= -1e-12 * max(1.0, scale):
-            return 0.0
-        raise NumericsError(f"variance assembly lost all precision ({v})")
-    return v
-
-
 # ===== Individual moments =====================================================
+# Each accessor reads one field of the report at one time, so accessors and
+# grid reports agree bit for bit on either route.
 
 
 def mean_x(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[X(t)] = j * eta(t)."""
-    check_j(j)
-    check_time(t)
-    how = _resolve(rates, method)
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        return prop.mean_x_prop(rho, base.big_m(t), j)
-    return moment_state(rates, j, t)[0]
+    return moment_report(rates, j, t, method).m_x
 
 
 def var_x(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Var X(t)."""
-    check_j(j)
-    check_time(t)
-    how = _resolve(rates, method)
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        return prop.var_x_prop(rho, base.big_m(t), j)
-    mx, m2x, *_ = moment_state(rates, j, t)
-    return _clamp_var(m2x - mx * mx, m2x)
+    return moment_report(rates, j, t, method).var_x
 
 
 def mean_y(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[Y(t)] = j * (phi_y - eta + 1)."""
-    check_j(j)
-    check_time(t)
-    how = _resolve(rates, method)
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        return prop.mean_y_prop(rho, base.big_m(t), j)
-    return moment_state(rates, j, t)[2]
+    return moment_report(rates, j, t, method).m_y
 
 
 def second_moment_y(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[Y(t)^2]."""
-    check_j(j)
-    check_time(t)
-    how = _resolve(rates, method)
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        return prop.m2_y_prop(rho, base.big_m(t), j)
-    return moment_state(rates, j, t)[4]
+    return moment_report(rates, j, t, method).m2_y
 
 
 def mixed_moment(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[X(t) Y(t)] = m_X(t) * gamma(t; j)."""
-    check_j(j)
-    check_time(t)
-    how = _resolve(rates, method)
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        return prop.mixed_moment_prop(rho, base.big_m(t), j)
-    return moment_state(rates, j, t)[3]
+    return moment_report(rates, j, t, method).m_xy
 
 
 def cov_corr(
@@ -164,33 +126,13 @@ def cov_corr(
     correlation is reported as its analytic limit
     ``-sqrt(mu(0)/(lam(0)+mu(0)))``.
     """
-    check_j(j)
-    check_time(t)
-    if t == 0.0:
-        return 0.0, _corr_zero_limit(rates)
-    how = _resolve(rates, method)
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        m = base.big_m(t)
-        if m == 0.0:
-            return 0.0, _corr_zero_limit(rates)
-        return prop.cov_prop(rho, m, j), prop.corr_prop(rho, m, j)
-    rep = _ode_report(rates, j, t, moment_state(rates, j, t))
+    rep = moment_report(rates, j, t, method)
     return rep.cov, rep.corr
 
 
 def r_index(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Dispersion index ``gamma(t; j) / m_Y(t)``; limit ``1 - 1/j`` at t = 0."""
-    check_j(j)
-    check_time(t)
-    if t == 0.0:
-        return 1.0 - 1.0 / j
-    how = _resolve(rates, method)
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        return prop.r_index_prop(rho, base.big_m(t), j)
-    mx, _, my, mxy, *_ = moment_state(rates, j, t)
-    return _ode_r_index(j, mx, my, mxy)
+    return moment_report(rates, j, t, method).r_index
 
 
 def fano_cv(
@@ -208,79 +150,69 @@ def fano_cv(
 # ===== Bundled report =========================================================
 
 
-def _assemble_report(
-    t: float,
-    j: int,
-    m_x_: float,
-    m_y_: float,
-    var_x_: float,
-    var_y_: float,
-    m2_y_: float,
-    m_xy_: float,
-    cov_: float,
-    corr_: float,
-    r_: float,
-    corr_is_limit: bool,
-) -> MomentReport:
-    fano_x_ = var_x_ / m_x_ if m_x_ > 0.0 else 0.0
-    cv_x_ = math.sqrt(var_x_) / m_x_ if m_x_ > 0.0 else 0.0
-    if m_y_ > 0.0:
-        fano_y_ = var_y_ / m_y_
-        cv_y_ = math.sqrt(var_y_) / m_y_
-    else:
-        fano_y_, cv_y_ = 1.0, math.inf
-    return MomentReport(
-        t=t, j=j, m_x=m_x_, m_y=m_y_, var_x=var_x_, var_y=var_y_, m2_y=m2_y_,
-        m_xy=m_xy_, cov=cov_, corr=corr_, fano_x=fano_x_, fano_y=fano_y_,
-        cv_x=cv_x_, cv_y=cv_y_, r_index=r_, corr_is_limit=corr_is_limit,
+def _assemble(times, j: int, cols: dict, corr_is_limit) -> list[MomentReport]:
+    """One report per time from ``prop.REPORT_COLUMNS``, adding fano and cv."""
+    m_x, m_y, var_x_, var_y_ = (np.asarray(cols[k]) for k in ("m_x", "m_y", "var_x", "var_y"))
+    with np.errstate(all="ignore"):
+        fano_x = np.where(m_x > 0.0, var_x_ / m_x, 0.0)
+        cv_x = np.where(m_x > 0.0, np.sqrt(var_x_) / m_x, 0.0)
+        fano_y = np.where(m_y > 0.0, var_y_ / m_y, 1.0)
+        cv_y = np.where(m_y > 0.0, np.sqrt(var_y_) / m_y, math.inf)
+    columns = (
+        m_x, m_y, var_x_, var_y_, cols["m2_y"], cols["m_xy"], cols["cov"], cols["corr"],
+        fano_x, fano_y, cv_x, cv_y, cols["r_index"], corr_is_limit,
     )
+    rows = zip(times, *(np.atleast_1d(c).tolist() for c in columns))
+    return [MomentReport(t, j, *row) for t, *row in rows]
 
 
-def report_from_prop(rho: float, big_m_value: float, j: int, t: float) -> MomentReport:
-    """Full moment report from the closed kernels at one cumulative intensity."""
+def report_from_prop(rho: float, big_m_value, j: int, t):
+    """Full moment report from the closed kernels.
+
+    ``big_m_value`` is one cumulative intensity, giving one report at time
+    ``t``, or an array of them paired with the sequence of times ``t``,
+    giving a list.  Where M = 0 the moments are exact, the correlation is
+    reported as its limit ``-1/sqrt(1 + rho)`` and ``r`` as ``1 - 1/j``.
+    """
     check_j(j)
-    if big_m_value == 0.0:
-        return _assemble_report(
-            t, j, float(j), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            -1.0 / math.sqrt(1.0 + rho), 1.0 - 1.0 / j, True,
-        )
-    m = big_m_value
-    return _assemble_report(
-        t, j,
-        prop.mean_x_prop(rho, m, j),
-        prop.mean_y_prop(rho, m, j),
-        prop.var_x_prop(rho, m, j),
-        prop.var_y_prop(rho, m, j),
-        prop.m2_y_prop(rho, m, j),
-        prop.mixed_moment_prop(rho, m, j),
-        prop.cov_prop(rho, m, j),
-        prop.corr_prop(rho, m, j),
-        prop.r_index_prop(rho, m, j),
-        False,
-    )
+    scalar = np.ndim(big_m_value) == 0
+    cols = prop.report_columns_prop(rho, big_m_value, j)
+    at_zero = np.asarray(big_m_value) == 0.0
+    cols["corr"] = np.where(at_zero, -1.0 / math.sqrt(1.0 + rho), cols["corr"])
+    cols["r_index"] = np.where(at_zero, 1.0 - 1.0 / j, cols["r_index"])
+    reports = _assemble([t] if scalar else t, j, cols, at_zero)
+    return reports[0] if scalar else reports
 
 
-def _ode_report(rates: RateFamily, j: int, t: float, state: list[float]) -> MomentReport:
-    mx, m2x, my, mxy, m2y, *_ = state
+def _clamp_var(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    lost = v < -1e-12 * np.maximum(1.0, scale)
+    if lost.any():
+        raise NumericsError(f"variance assembly lost all precision ({v[lost][0]})")
+    return np.where(v < 0.0, 0.0, v)
+
+
+def _ode_reports(rates: RateFamily, j: int, times, states: np.ndarray) -> list[MomentReport]:
+    mx, m2x, my, mxy, m2y = states[:, :5].T
     vx = _clamp_var(m2x - mx * mx, m2x)
     vy = _clamp_var(m2y - my * my, m2y)
     cov = mxy - mx * my
-    if vx > 0.0 and vy > 0.0:
-        corr = cov / (math.sqrt(vx) * math.sqrt(vy))
-        corr_is_limit = False
-    else:
-        corr = _corr_zero_limit(rates)
-        corr_is_limit = True
-    r_ = _ode_r_index(j, mx, my, mxy)
-    return _assemble_report(t, j, mx, my, vx, vy, m2y, mxy, cov, corr, r_, corr_is_limit)
+    limit = ~((vx > 0.0) & (vy > 0.0))
+    with np.errstate(all="ignore"):
+        corr = cov / (np.sqrt(vx) * np.sqrt(vy))
+        r = np.where(my > 0.0, mxy / (mx * my), 1.0 - 1.0 / j)
+    if limit.any():
+        corr = np.where(limit, _corr_zero_limit(rates), corr)
+    cols = dict(m_x=mx, m_y=my, var_x=vx, var_y=vy, m2_y=m2y, m_xy=mxy, cov=cov, corr=corr,
+                r_index=r)
+    return _assemble(times, j, cols, limit)
 
 
 def moment_report(rates: RateFamily, j: int, t, method: str = "auto"):
     """Everything :class:`MomentReport` carries, via one consistent route.
 
     ``t`` is one time, giving one report, or a nondecreasing sequence of
-    times, giving a list of reports.  On the ODE route a sequence costs one
-    solve to its last time.
+    times, giving a list of reports.  On the closed route a sequence is one
+    vector evaluation; on the ODE route, one solve to its last time.
     """
     check_j(j)
     scalar = np.ndim(t) == 0
@@ -290,12 +222,15 @@ def moment_report(rates: RateFamily, j: int, t, method: str = "auto"):
         if i and ti < times[i - 1]:
             raise DomainError(f"times must be nondecreasing, got {ti} after {times[i - 1]}")
     how = _resolve(rates, method)
+    if not times:
+        return []
     if how == "closed":
         rho, base = rates.proportional_view()
-        reports = [report_from_prop(rho, base.big_m(ti), j, ti) for ti in times]
-    else:
-        states = moment_states(rates, j, times) if times else []
-        reports = [_ode_report(rates, j, ti, y) for ti, y in zip(times, states)]
+        if scalar:
+            return report_from_prop(rho, base.big_m(t), j, t)
+        big_m = np.array([base.big_m(ti) for ti in times], dtype=float)
+        return report_from_prop(rho, big_m, j, times)
+    reports = _ode_reports(rates, j, times, moment_states(rates, j, times))
     return reports[0] if scalar else reports
 
 

@@ -22,14 +22,19 @@ The p.g.f. and absorption functionals are the constant-rate ones under the
 substitution ``lam t -> rho M``, ``mu t -> M``; they are implemented here
 independently in ``(rho, M)`` variables (the constant-rate module serves as a
 cross-check, not as a backend).
+
+The moment functions and :func:`absorption_prop` take ``M`` as a float or an
+array; a float gives a float, computed by the same code as an array element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
-from . import homogeneous
+import numpy as np
+
 from ._kernels import (
     f1,
     f2,
@@ -39,28 +44,32 @@ from ._kernels import (
     log_f2,
     log_g4,
     log_h3,
+    float_or_array,
     one_minus_q_over_x,
 )
-from .errors import DomainError, NumericsError, check_j, check_z
+from .errors import (
+    DomainError, NumericsError, check_final_count, check_j, check_positive, check_z,
+)
 
 _CONFLUENT_REL_DISC = 1e-18
 _LINEAR_LIMIT = 1e300
 
 
-def _check_rho(rho: float) -> None:
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError(f"rate ratio rho must be positive and finite, got {rho}")
+_check_rho = partial(check_positive, "rate ratio rho")
 
 
-def _check_big_m(big_m_value: float) -> None:
-    if not (big_m_value >= 0.0 and math.isfinite(big_m_value)):
-        raise DomainError(
-            f"cumulative forgetting intensity M must be finite and >= 0, got {big_m_value}"
-        )
+def _check_big_m(big_m_value) -> np.ndarray:
+    """M as a float array, after checking that every element is finite and >= 0."""
+    m = np.asarray(big_m_value, dtype=float)
+    bad = ~((m >= 0.0) & np.isfinite(m))
+    if bad.any():
+        got = big_m_value if m.ndim == 0 else m[bad][0]
+        raise DomainError(f"cumulative forgetting intensity M must be finite and >= 0, got {got}")
+    return m
 
 
-def _exp_guarded(x: float) -> float:
-    return math.exp(x) if x < 709.0 else math.inf
+def _exp_guarded(x):
+    return np.where(x < 709.0, np.exp(x), np.inf)
 
 
 # ===== Probability generating function ========================================
@@ -96,24 +105,6 @@ def pgf_prop(rho: float, big_m_value: float, j: int, z1: float, z2: float) -> fl
 # ===== Absorption =============================================================
 
 
-def absorption_prop(rho: float, big_m_value: float, j: int) -> float:
-    """P(absorbed by the time M(t) reaches ``big_m_value``)."""
-    _check_rho(rho)
-    _check_big_m(big_m_value)
-    check_j(j)
-    a = rho - 1.0
-    x = a * big_m_value
-    if a == 0.0:
-        p1 = big_m_value / (1.0 + big_m_value)
-    elif x > 350.0:
-        w = math.exp(-x) if x < 745.0 else 0.0
-        p1 = (1.0 - w) / (rho * (1.0 - w) + a * w)
-    else:
-        em = math.expm1(x)
-        p1 = em / (rho * em + a)
-    return p1**j
-
-
 def absorption_prop_limit(rho: float, m_limit: float, j: int) -> float:
     """Eventual absorption probability when ``M(t) -> m_limit`` (may be inf)."""
     _check_rho(rho)
@@ -128,116 +119,139 @@ def absorption_prop_limit(rho: float, m_limit: float, j: int) -> float:
 def p0k_limit_prop(rho: float, j: int, k: int) -> float:
     """Limiting final-inactive-count distribution, assuming ``M(t) -> oo``.
 
-    Identical to the constant-rate law with ``(lam, mu) = (rho, 1)``: the final
-    count distribution depends on the rates only through their ratio.  The
-    caller is responsible for the premise that the cumulative intensity
-    actually diverges.
+    The ratio-only law ``(j/(2k-j)) C(2k-j, k) (rho/(rho+1)^2)^k
+    ((rho+1)/rho)^j`` for ``k >= j``, with the ballot number exact in integers
+    up to k = 300 and through ``lgamma`` beyond.  The caller is responsible
+    for the premise that the cumulative intensity actually diverges.
     """
     _check_rho(rho)
-    return homogeneous.p0k_limit(rho, 1.0, j, k)
-
-
-# ===== Moments ================================================================
-
-
-def _g_blocks(rho: float, big_m_value: float) -> tuple[float, float, float, float]:
-    x = (rho - 1.0) * big_m_value
-    m = big_m_value
-    g1 = m * f1(x)
-    g2 = rho * m * m * f2(x)
-    g3 = rho * m * m * m * h3(x)
-    g4_ = m * m * g4(x)
-    return g1, g2, g3, g4_
-
-
-def mean_x_prop(rho: float, big_m_value: float, j: int) -> float:
-    _check_rho(rho)
-    _check_big_m(big_m_value)
     check_j(j)
-    return j * _exp_guarded((rho - 1.0) * big_m_value)
-
-
-def var_x_prop(rho: float, big_m_value: float, j: int) -> float:
-    _check_rho(rho)
-    _check_big_m(big_m_value)
-    check_j(j)
-    x = (rho - 1.0) * big_m_value
-    return j * (rho + 1.0) * _exp_guarded(x) * big_m_value * f1(x)
-
-
-def mean_y_prop(rho: float, big_m_value: float, j: int) -> float:
-    _check_rho(rho)
-    _check_big_m(big_m_value)
-    check_j(j)
-    x = (rho - 1.0) * big_m_value
-    return j * big_m_value * f1(x)
-
-
-def m2_y_prop(rho: float, big_m_value: float, j: int) -> float:
-    _check_rho(rho)
-    _check_big_m(big_m_value)
-    check_j(j)
-    g1, _, g3, g4_ = _g_blocks(rho, big_m_value)
-    return j * (g1 + 4.0 * g3 + 2.0 * (j - 1) * g4_)
-
-
-def var_y_prop(rho: float, big_m_value: float, j: int) -> float:
-    """Var Y = m2_Y - m_Y^2, with a guard for roundoff-negative results.
-
-    The subtraction is benign at moderate scales but can produce a tiny
-    negative number near t = 0; anything below -1e-12 (relative to the
-    second moment) indicates a genuine numerical failure and raises.
-    """
-    m2 = m2_y_prop(rho, big_m_value, j)
-    my = mean_y_prop(rho, big_m_value, j)
-    v = m2 - my * my
-    if v < 0.0:
-        if v >= -1e-12 * max(1.0, m2):
-            return 0.0
-        raise NumericsError(
-            f"second-moment assembly lost all precision (Var_Y = {v})"
-        )
-    return v
-
-
-def gamma_prop(rho: float, big_m_value: float, j: int) -> float:
-    _check_rho(rho)
-    _check_big_m(big_m_value)
-    check_j(j)
-    g1, g2, _, _ = _g_blocks(rho, big_m_value)
-    return (j - 1) * g1 + 2.0 * g2
-
-
-def mixed_moment_prop(rho: float, big_m_value: float, j: int) -> float:
-    return mean_x_prop(rho, big_m_value, j) * gamma_prop(rho, big_m_value, j)
-
-
-def cov_prop(rho: float, big_m_value: float, j: int) -> float:
-    return mean_x_prop(rho, big_m_value, j) * (
-        gamma_prop(rho, big_m_value, j) - mean_y_prop(rho, big_m_value, j)
+    check_final_count(j, k)
+    tot = rho + 1.0
+    c = rho / (tot * tot)
+    n = 2 * k - j
+    if k <= 300:
+        return j * math.comb(n, k) // n * c**k * (tot / rho) ** j
+    log_ballot = (
+        math.log(j) - math.log(n) + math.lgamma(n + 1) - math.lgamma(k + 1)
+        - math.lgamma(k - j + 1)
     )
+    return math.exp(log_ballot + k * math.log(c) + j * math.log(tot / rho))
 
 
-def corr_prop(rho: float, big_m_value: float, j: int) -> float:
-    """Correlation of (X, Y); NaN at M = 0 where both variances vanish."""
-    vx = var_x_prop(rho, big_m_value, j)
-    vy = var_y_prop(rho, big_m_value, j)
-    if vx <= 0.0 or vy <= 0.0:
-        return math.nan
-    return cov_prop(rho, big_m_value, j) / (math.sqrt(vx) * math.sqrt(vy))
+# ===== Moments and absorption over an array of M ==============================
 
 
-def r_index_prop(rho: float, big_m_value: float, j: int) -> float:
-    """Dispersion index gamma/m_Y in the cancellation-free ratio form.
+class _ClosedForms:
+    """Every closed form at validated intensities ``m`` (a float array); each
+    kernel and each quantity is evaluated at most once, on first use."""
 
-    Equals 1 - 1/j at M = 0 (the kernel value 1/2 makes the second term
-    vanish there) and stays exact for M as large as 1e3 and beyond.
-    """
+    def __init__(self, rho: float, m: np.ndarray, j: int) -> None:
+        self.rho, self.m, self.j, self.x = rho, m, j, (rho - 1.0) * m
+
+    eta = cached_property(lambda s: _exp_guarded(s.x))
+    k1 = cached_property(lambda s: f1(s.x))
+    G1 = cached_property(lambda s: s.m * s.k1)
+    G2 = cached_property(lambda s: s.rho * s.m * s.m * f2(s.x))
+    G3 = cached_property(lambda s: s.rho * s.m * s.m * s.m * h3(s.x))
+    G4 = cached_property(lambda s: s.m * s.m * g4(s.x))
+    m_x = cached_property(lambda s: s.j * s.eta)
+    var_x = cached_property(lambda s: s.j * (s.rho + 1.0) * s.eta * s.m * s.k1)
+    m_y = cached_property(lambda s: s.j * s.m * s.k1)
+    m2_y = cached_property(lambda s: s.j * (s.G1 + 4.0 * s.G3 + 2.0 * (s.j - 1) * s.G4))
+    gamma = cached_property(lambda s: (s.j - 1) * s.G1 + 2.0 * s.G2)
+    m_xy = cached_property(lambda s: s.m_x * s.gamma)
+    cov = cached_property(lambda s: s.m_x * (s.gamma - s.m_y))
+
+    @cached_property
+    def var_y(self):
+        # m2_Y - m_Y^2 can dip a few ulp below zero near M = 0 (clamped);
+        # below -1e-12 relative to m2_Y the assembly has genuinely failed
+        v = self.m2_y - self.m_y * self.m_y
+        lost = v < -1e-12 * np.maximum(1.0, self.m2_y)
+        if lost.any():
+            raise NumericsError(
+                f"second-moment assembly lost all precision (Var_Y = {np.asarray(v)[lost][0]})"
+            )
+        return np.where(v < 0.0, 0.0, v)
+
+    @cached_property
+    def corr(self):
+        vx, vy = self.var_x, self.var_y
+        corr = self.cov / (np.sqrt(vx) * np.sqrt(vy))
+        return np.where((vx > 0.0) & (vy > 0.0), corr, np.nan)
+
+    @cached_property
+    def r_index(self):
+        # gamma/m_Y in the cancellation-free ratio form: 1 - 1/j at M = 0
+        # (the kernel's 1/2 meets M = 0) and exact for M as large as 1e3
+        second = (2.0 * self.rho * self.m / self.j) * one_minus_q_over_x(self.x)
+        return (self.j - 1.0) / self.j + second
+
+    @cached_property
+    def absorption(self):
+        rho, m = self.rho, self.m
+        a = rho - 1.0
+        if a == 0.0:
+            return (m / (1.0 + m)) ** self.j
+        # supercritical long run: rewritten in e^{-x} to dodge overflow
+        w = np.where(self.x < 745.0, np.exp(-self.x), 0.0)
+        em = np.expm1(self.x)
+        p1 = np.where(
+            self.x > 350.0, (1.0 - w) / (rho * (1.0 - w) + a * w), em / (rho * em + a)
+        )
+        return p1**self.j
+
+
+def _forms(rho: float, big_m_value, j: int) -> _ClosedForms:
     _check_rho(rho)
-    _check_big_m(big_m_value)
+    m = _check_big_m(big_m_value)
     check_j(j)
-    x = (rho - 1.0) * big_m_value
-    return (j - 1.0) / j + (2.0 * rho * big_m_value / j) * one_minus_q_over_x(x)
+    return _ClosedForms(rho, m, j)
+
+
+def _closed_form(name: str, attr: str, doc: str):
+    """The public function ``name(rho, big_m_value, j)`` returning ``attr``."""
+
+    def public(rho: float, big_m_value, j: int):
+        return float_or_array(getattr, _forms(rho, big_m_value, j), attr)
+
+    public.__name__ = public.__qualname__ = name
+    public.__doc__ = doc + "\n\n``big_m_value`` is a float or an array; a float gives a float."
+    return public
+
+
+mean_x_prop = _closed_form("mean_x_prop", "m_x", "E[X] = j e^x.")
+var_x_prop = _closed_form("var_x_prop", "var_x", "Var X = j (rho + 1) e^x M f1(x).")
+mean_y_prop = _closed_form("mean_y_prop", "m_y", "E[Y] = j M f1(x).")
+m2_y_prop = _closed_form("m2_y_prop", "m2_y", "E[Y^2] = j (G1 + 4 G3 + 2 (j - 1) G4).")
+var_y_prop = _closed_form(
+    "var_y_prop", "var_y",
+    "Var Y = m2_Y - m_Y^2; roundoff-negative values near M = 0 are clamped to 0,\n"
+    "and NumericsError is raised where the subtraction lost all precision.",
+)
+gamma_prop = _closed_form("gamma_prop", "gamma", "gamma = (j - 1) G1 + 2 G2.")
+mixed_moment_prop = _closed_form("mixed_moment_prop", "m_xy", "E[XY] = m_X gamma.")
+cov_prop = _closed_form("cov_prop", "cov", "Cov(X, Y) = m_X (gamma - m_Y).")
+corr_prop = _closed_form(
+    "corr_prop", "corr", "Correlation of (X, Y); NaN at M = 0 where both variances vanish."
+)
+r_index_prop = _closed_form(
+    "r_index_prop", "r_index", "Dispersion index gamma/m_Y in the cancellation-free ratio form."
+)
+absorption_prop = _closed_form(
+    "absorption_prop", "absorption", "P(absorbed by the time M(t) reaches ``big_m_value``)."
+)
+
+REPORT_COLUMNS = ("m_x", "m_y", "var_x", "var_y", "m2_y", "m_xy", "cov", "corr", "r_index")
+
+
+def report_columns_prop(rho: float, big_m_value, j: int) -> dict:
+    """The :data:`REPORT_COLUMNS` at ``(rho, M, j)`` from one evaluation of
+    each kernel, as numpy values shaped like ``big_m_value``."""
+    forms = _forms(rho, big_m_value, j)
+    with np.errstate(all="ignore"):
+        return {name: getattr(forms, name) for name in REPORT_COLUMNS}
 
 
 def crossing_m_threshold(rho: float) -> float:
@@ -293,20 +307,13 @@ def moments_prop(rho: float, big_m_value: float, j: int) -> PropMoments:
     otherwise the computation is redone in the log domain and the report is
     flagged ``log_scale=True``.
     """
-    _check_rho(rho)
-    _check_big_m(big_m_value)
-    check_j(j)
-    r_val = r_index_prop(rho, big_m_value, j)
+    forms = _forms(rho, big_m_value, j)
+    r_val = float_or_array(getattr, forms, "r_index")
 
     x = (rho - 1.0) * big_m_value
     if x < 650.0:  # linear attempt is safe to evaluate (no inf intermediates)
-        vals = (
-            mean_x_prop(rho, big_m_value, j),
-            var_x_prop(rho, big_m_value, j),
-            mean_y_prop(rho, big_m_value, j),
-            m2_y_prop(rho, big_m_value, j),
-            mixed_moment_prop(rho, big_m_value, j),
-        )
+        names = ("m_x", "var_x", "m_y", "m2_y", "m_xy")
+        vals = tuple(float_or_array(getattr, forms, name) for name in names)
         if all(math.isfinite(v) and abs(v) <= _LINEAR_LIMIT for v in vals):
             return PropMoments(rho, big_m_value, j, *vals, r_val, False)
 

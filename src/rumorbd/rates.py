@@ -39,9 +39,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.optimize import brentq
-
-from ._kernels import f1, f2
+from . import proportional as prop
+from ._kernels import f1
 from ._ode import moment_state
 from .errors import DataError, DomainError, check_j, check_positive, check_time
 
@@ -161,6 +160,8 @@ def first_passage(
                 return None
     if big_m(lo) >= level:
         return lo
+    from scipy.optimize import brentq  # imported on first use, as in fit.minimize
+
     return float(brentq(lambda s: big_m(s) - level, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
 
@@ -300,8 +301,7 @@ def eta(rates: RateFamily, t: float, method: str = "auto") -> float:
     check_time(t)
     if _resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
-        x = (rho - 1.0) * base.big_m(t)
-        return math.exp(x) if x < 709.0 else math.inf
+        return prop.mean_x_prop(rho, base.big_m(t), 1)
     return moment_state(rates, 1, t)[0]
 
 
@@ -332,9 +332,7 @@ def gamma(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     check_j(j)
     if _resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
-        m = base.big_m(t)
-        x = (rho - 1.0) * m
-        return (j - 1) * m * f1(x) + 2.0 * rho * m * m * f2(x)
+        return prop.gamma_prop(rho, base.big_m(t), j)
     mx, _, _, mxy, *_ = moment_state(rates, j, t)
     return mxy / mx
 

@@ -319,12 +319,16 @@ def test_exit_codes_for_bad_usage(capsys, argv, code):
     assert err != ""
 
 
+def _checkout_env() -> dict:
+    # a subprocess imports the same package as this test, installed or not
+    src = str(Path(rumorbd.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_installed_script_round_trip(tmp_path):
     """The console entry point wires argv and exit codes correctly."""
-    # the subprocess imports the same package as this test, installed or not
-    src = str(Path(rumorbd.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _checkout_env()
     res = subprocess.run(
         [sys.executable, "-m", "rumorbd.cli", "absorb", "--rates", "constant:1,1",
          "--j", "1", "--grid", "0:2:4"],
@@ -338,3 +342,16 @@ def test_installed_script_round_trip(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert res.returncode == 2
+
+
+def test_cli_import_does_not_load_scipy_solvers():
+    """Cold start: scipy.optimize and scipy.integrate load on first use only."""
+    probe = (
+        "import sys, rumorbd.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_checkout_env()
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
 """Stable exponential kernels: series/direct agreement, limits, log companions."""
 
 import math
+import struct
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,3 +125,65 @@ def test_one_minus_q_ratio_identity():
     # equals f2/f1 wherever both are representable
     for x in (-5.0, -0.3, 0.4, 5.0, 50.0):
         assert one_minus_q_over_x(x) == pytest.approx(f2(x) / f1(x), rel=1e-13)
+
+
+def _one_minus_q_over_x_exact(x: float) -> float:
+    """(1 - x/(e^x - 1))/x in 60-digit decimal arithmetic, rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(x)
+        return float((1 - d / (d.exp() - 1)) / d)
+
+
+def test_one_minus_q_over_x_full_precision_in_series_radius():
+    # the direct form lost 2-3 digits just outside its old 1e-3 series radius
+    xs = [1.001e-3, -1.001e-3, 1e-3, -1e-3, 1e-9, -1e-9, 0.5, -0.5]
+    xs += np.linspace(-0.5, 0.5, 401).tolist()
+    for x in xs:
+        if x == 0.0:
+            continue
+        want = _one_minus_q_over_x_exact(x)
+        assert one_minus_q_over_x(x) == pytest.approx(want, rel=1e-15, abs=0.0), x
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in np.asarray(values, dtype=float).ravel()]
+
+
+EDGE_XS = [
+    -800.0, -1.0, -0.5, 0.0, 1e-3, 0.25, 0.5, 1.0, 40.0, 354.0, 709.0, 745.0, 800.0,
+    math.nan,
+]
+EDGE_XS += [np.nextafter(v, s) for v in (-0.5, 0.5, 709.0) for s in (-math.inf, math.inf)]
+EDGE_XS += [-1e-3, 1e-300]
+
+
+@pytest.mark.parametrize("fn", [f1, f2, g4, h3, one_minus_q_over_x])
+def test_kernels_take_arrays_bit_for_bit(fn):
+    xs = np.array(EDGE_XS)
+    got = fn(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    scalars = [fn(float(x)) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    assert _bits(got) == _bits(scalars)
+    assert _bits(fn(xs.reshape(2, -1))) == _bits(got)
+    assert fn(np.array([])).shape == (0,)
+
+
+def test_series_branch_is_horner_in_np_polyval_order():
+    from rumorbd import _kernels
+
+    xs = np.linspace(-0.5, 0.5, 1001)
+    assert _bits(f2(xs)) == _bits(np.polyval(_kernels._F2_SERIES, xs))
+    assert _bits(h3(xs)) == _bits(np.polyval(_kernels._H3_SERIES, xs))
+
+
+def test_kernels_overflow_to_inf_past_the_threshold():
+    over = np.nextafter(709.0, math.inf)
+    for fn in (f1, f2):
+        assert math.isfinite(fn(709.0))
+        assert fn(over) == math.inf
+    assert g4(over) == math.inf
+    assert math.isfinite(h3(354.5))  # h3 grows like e^{2x}
+    assert h3(np.nextafter(354.5, math.inf)) == math.inf
+    assert one_minus_q_over_x(1e4) > 0.0

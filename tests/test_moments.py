@@ -1,8 +1,11 @@
 """Moment reports: closed route vs direct ODE integration vs naive algebra."""
 
+import dataclasses
 import gc
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -240,6 +243,63 @@ def test_moment_report_over_a_grid():
         moment_report(r, 3, [1.0, 0.5])
     with pytest.raises(DomainError):
         moment_report(r, 3, [0.5, -1.0], method="ode")
+
+
+def _bits(values) -> tuple:
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in values)
+
+
+def _edge_times(x_per_t: float) -> list[float]:
+    """Times whose x = (rho - 1) M lands on the kernels' branch edges: 0, +-1e-3,
+    the series radius +-0.5 and its neighbours, and around the overflow at 709."""
+    if x_per_t == 0.0:
+        return [0.0, 1e-3, 0.5, 3.0]
+    xs = [0.0, 1e-3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 3.0]
+    xs += [np.nextafter(709.0, 0.0), 709.0, np.nextafter(709.0, 710.0), 800.0]
+    return [float(x) / abs(x_per_t) for x in xs]
+
+
+# x = (rho - 1) M = x_per_t * t exactly: rho - 1 and mu are powers of two
+VECTOR_CASES = [((2.0, 1.0), 1.0), ((1.0, 2.0), -1.0), ((1.0, 1.0), 0.0)]
+
+
+@pytest.mark.parametrize("rates_args,x_per_t", VECTOR_CASES)
+def test_closed_grid_rows_equal_scalar_calls_bit_for_bit(rates_args, x_per_t):
+    lam, mu = rates_args
+    r = Constant(lam=lam, mu=mu)
+    j = 3
+    ts = _edge_times(x_per_t)
+    rho, base = r.proportional_view()
+    assert [(rho - 1.0) * base.big_m(t) for t in ts] == [x_per_t * t for t in ts]
+    grid = moment_report(r, j, ts)
+    if x_per_t > 0.0:  # the overflow rows are there: inf moments, nan assemblies
+        assert math.isinf(grid[-1].m_x) and math.isinf(grid[-3].var_x)
+        assert math.isnan(grid[-1].corr)
+    for t, rep in zip(ts, grid):
+        assert _bits(dataclasses.astuple(moment_report(r, j, t))) == _bits(
+            dataclasses.astuple(rep)
+        )
+        accessors = (
+            mean_x(r, j, t), var_x(r, j, t), mean_y(r, j, t), second_moment_y(r, j, t),
+            mixed_moment(r, j, t), *cov_corr(r, j, t), r_index(r, j, t), *fano_cv(r, j, t),
+        )
+        fields = (
+            rep.m_x, rep.var_x, rep.m_y, rep.m2_y, rep.m_xy, rep.cov, rep.corr,
+            rep.r_index, rep.fano_x, rep.cv_x, rep.fano_y, rep.cv_y,
+        )
+        assert _bits(accessors) == _bits(fields)
+        assert rep.corr_is_limit == (t == 0.0)
+        if t == 0.0 or not all(math.isfinite(v) for v in fields):
+            continue
+        # the naive transcriptions, at the tolerances of the scalar check above
+        assert rep.m_x == pytest.approx(cf.mean_x(lam, mu, j, t), rel=1e-12)
+        assert rep.var_x == pytest.approx(cf.var_x(lam, mu, j, t), rel=1e-11)
+        assert rep.m_y == pytest.approx(cf.mean_y(lam, mu, j, t), rel=1e-12)
+        assert rep.m2_y == pytest.approx(cf.m2_y(lam, mu, j, t), rel=1e-10)
+        assert rep.m_xy == pytest.approx(cf.mixed_moment(lam, mu, j, t), rel=1e-10)
+        assert rep.cov == pytest.approx(cf.cov(lam, mu, j, t), rel=1e-9, abs=1e-12)
+        assert rep.corr == pytest.approx(cf.corr(lam, mu, j, t), rel=1e-8)
+        assert rep.r_index == pytest.approx(cf.r_index(lam, mu, j, t), rel=1e-10)
 
 
 def _counting_cosine():

@@ -8,13 +8,15 @@ The constant-rate reference values come from the independent transcriptions in
 """
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import _closed_forms as cf
-from rumorbd import DomainError, NumericsError
+from rumorbd import DomainError, NumericsError, proportional
 from rumorbd.homogeneous import p0k_limit, pgf
 from rumorbd.proportional import (
     PropMoments,
@@ -215,6 +217,85 @@ def test_p0k_limit_prop_delegates_to_ratio_law():
         for j, k in ((1, 1), (1, 4), (2, 3)):
             assert p0k_limit_prop(rho, j, k) == p0k_limit(rho, 1.0, j, k)
     assert p0k_limit_prop(2.0, 1, 1) == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+def test_p0k_limit_prop_matches_the_constant_rate_law_across_the_lgamma_switch():
+    for rho in (0.5, 1.0, 3.0):
+        for j in (1, 3):
+            for k in (j, j + 1, 7, 299, 300, 301, 302, 800):
+                want = p0k_limit(rho, 1.0, j, k)
+                assert p0k_limit_prop(rho, j, k) == pytest.approx(want, rel=1e-13, abs=0.0)
+    with pytest.raises(DomainError):
+        p0k_limit_prop(2.0, 3, 2)
+    with pytest.raises(DomainError):
+        p0k_limit_prop(2.0, 1, 2.0)
+
+
+# ===== array intensities ======================================================
+
+ARRAY_FUNCTIONS = [
+    mean_x_prop, var_x_prop, mean_y_prop, m2_y_prop, var_y_prop, gamma_prop,
+    mixed_moment_prop, cov_prop, corr_prop, r_index_prop, absorption_prop,
+]
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in np.asarray(values, dtype=float).ravel()]
+
+
+def _edge_intensities(rho: float) -> np.ndarray:
+    """M values whose x = (rho - 1) M sits on every branch edge of the kernels
+    (series radius 0.5, overflow 709) and of the absorption law (350, 745)."""
+    m = [0.0, 1e-300, 1e-3, 1.0, 20.0]
+    if rho != 1.0:
+        for x in (0.5, 350.0, 709.0, 745.0):
+            edge = x / abs(rho - 1.0)
+            m += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)]
+    return np.array(sorted(m))
+
+
+@pytest.mark.parametrize("fn", ARRAY_FUNCTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_array_intensities_match_scalar_calls_bit_for_bit(fn, rho):
+    ms = _edge_intensities(rho)
+    got = fn(rho, ms, 3)
+    assert isinstance(got, np.ndarray) and got.shape == ms.shape
+    scalars = [fn(rho, float(m), 3) for m in ms]
+    assert all(type(v) is float for v in scalars)
+    assert _bits(got) == _bits(scalars)
+
+
+def test_array_intensities_are_validated_once_with_the_scalar_message():
+    with pytest.raises(DomainError, match="got -0.5"):
+        mean_x_prop(2.0, np.array([1.0, -0.5, 2.0]), 1)
+    with pytest.raises(DomainError, match="got inf"):
+        absorption_prop(2.0, np.array([0.0, math.inf]), 1)
+    with pytest.raises(DomainError, match="rho"):
+        var_y_prop(-1.0, np.array([1.0]), 1)
+
+
+def test_var_y_raises_when_any_element_loses_precision(monkeypatch):
+    ms = np.array([0.5, 1.0, 2.0])
+    exact = proportional._ClosedForms.m2_y.func
+    assert var_y_prop(2.0, ms, 2).min() > 0.0
+    # damage the second moment of the middle element only
+    monkeypatch.setattr(proportional._ClosedForms, "m2_y", property(
+        lambda forms: exact(forms) * np.where(forms.m == 1.0, 0.5, 1.0)
+    ))
+    with pytest.raises(NumericsError):
+        var_y_prop(2.0, ms, 2)
+    assert var_y_prop(2.0, 0.5, 2) > 0.0
+
+
+def test_report_columns_are_the_individual_functions():
+    ms = _edge_intensities(2.0)
+    cols = proportional.report_columns_prop(2.0, ms, 3)
+    for name, fn in zip(proportional.REPORT_COLUMNS, (
+        mean_x_prop, mean_y_prop, var_x_prop, var_y_prop, m2_y_prop, mixed_moment_prop,
+        cov_prop, corr_prop, r_index_prop,
+    )):
+        assert _bits(cols[name]) == _bits(fn(2.0, ms, 3)), name
+    assert proportional.report_columns_prop(2.0, 1.5, 3)["m_x"] == mean_x_prop(2.0, 1.5, 3)
 
 
 # ===== bundled report =========================================================
