@@ -44,11 +44,11 @@ _X_OVERFLOW = 709.0
 _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 34
 
-# Series coefficients, highest order first (Horner's order); the
+# Series coefficients, highest order first (np.polyval's order); the
 # h3 ones are 2^{m+2}/(m+3)! - 1/(m+2)! == (2^{m+2} - (m+3))/(m+3)!.
 _ORDERS = range(_SERIES_TERMS, -1, -1)
-_F2_SERIES = [1.0 / math.factorial(m + 2) for m in _ORDERS]
-_H3_SERIES = [(2.0 ** (m + 2) - (m + 3)) / math.factorial(m + 3) for m in _ORDERS]
+_F2_SERIES = np.array([1.0 / math.factorial(m + 2) for m in _ORDERS])
+_H3_SERIES = np.array([(2.0 ** (m + 2) - (m + 3)) / math.factorial(m + 3) for m in _ORDERS])
 
 
 def float_or_array(fn, *args):
@@ -69,27 +69,14 @@ def _elementwise(kernel):
     return wrapper
 
 
-def _horner(coeffs: list[float], v):
-    """The polynomial at ``v``, highest order first (np.polyval's order and
-    bits); on a numpy scalar it costs no array overhead."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * v + c
-    return acc
-
-
 def _split(x: np.ndarray, near, far) -> np.ndarray:
-    """``near`` inside the series radius, ``far`` outside it.
-
-    A 0-d ``x`` reaches ``near`` as a numpy scalar: the same operations, in
-    the same order, without per-operation array overhead.
-    """
+    """``near`` inside the series radius, ``far`` outside it; a branch no
+    element takes is not evaluated."""
     inside = np.abs(x) <= _SERIES_RADIUS
-    if x.ndim == 0:
-        return near(x[()]) if inside else far(x)
     out = np.empty_like(x)
-    out[inside] = near(x[inside])
-    out[~inside] = far(x[~inside])
+    for mask, fn in ((inside, near), (~inside, far)):
+        if mask.any():
+            out[mask] = fn(x[mask])
     return out
 
 
@@ -105,7 +92,7 @@ def f2(x):
     """(e^x - 1 - x)/x^2, the second exponential remainder."""
     return _split(
         x,
-        lambda v: _horner(_F2_SERIES, v),
+        functools.partial(np.polyval, _F2_SERIES),
         lambda v: np.where(v > _X_OVERFLOW, np.inf, (np.expm1(v) - v) / (v * v)),
     )
 
@@ -122,7 +109,7 @@ def h3(x):
     """(e^{2x} - 1 - 2x e^x) / (2 x^3)."""
     return _split(
         x,
-        lambda v: _horner(_H3_SERIES, v),
+        functools.partial(np.polyval, _H3_SERIES),
         lambda v: np.where(
             2.0 * v > _X_OVERFLOW,
             np.inf,

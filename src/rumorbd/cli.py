@@ -17,8 +17,6 @@ import operator
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fit as fit_mod
 from . import growth
 from . import moments as moments_mod
@@ -177,8 +175,7 @@ def _cmd_absorb(ns: argparse.Namespace) -> int:
             "absorption probabilities need constant or proportional rates"
         )
     rho, base_mu = view
-    big_m = np.array([base_mu.big_m(t) for t in grid])
-    p_abs = proportional.absorption_prop(rho, big_m, j)
+    p_abs = proportional.absorption_prop(rho, [base_mu.big_m(t) for t in grid], j)
     _write_csv(out, "absorb", ["t", "absorption_prob"], zip(grid, p_abs.tolist()))
     return 0
 

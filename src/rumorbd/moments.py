@@ -39,10 +39,11 @@ import numpy as np
 
 from . import proportional as prop
 from ._ode import moment_states
-from .errors import DomainError, NumericsError, check_j, check_time
+from .errors import DomainError, check_j, check_time
 from .rates import RateFamily, first_passage
 
 _METHODS = ("auto", "closed", "ode")
+_VAR_LOST = "variance assembly lost all precision ({})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,33 +89,46 @@ def _corr_zero_limit(rates: RateFamily) -> float:
 
 
 # ===== Individual moments =====================================================
-# Each accessor reads one field of the report at one time, so accessors and
-# grid reports agree bit for bit on either route.
+# On the closed route an accessor is the one ``prop`` function it needs, at
+# M(t); on the ODE route it reads one field of the report.  Either way it runs
+# the code of the grid rows, so accessors and grid reports agree bit for bit.
+
+
+def _field(prop_fn, name: str, rates, j: int, t: float, method: str, at_zero=None) -> float:
+    """``prop_fn(rho, M(t), j)`` on the closed route, ``at_zero`` instead where
+    M(t) = 0 if one is given; the report's ``name`` on the ODE route."""
+    check_j(j)
+    check_time(t)
+    if _resolve(rates, method) == "ode":
+        return getattr(moment_report(rates, j, t, method), name)
+    rho, base = rates.proportional_view()
+    m = base.big_m(t)
+    return at_zero if m == 0.0 and at_zero is not None else prop_fn(rho, m, j)
 
 
 def mean_x(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[X(t)] = j * eta(t)."""
-    return moment_report(rates, j, t, method).m_x
+    return _field(prop.mean_x_prop, "m_x", rates, j, t, method)
 
 
 def var_x(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Var X(t)."""
-    return moment_report(rates, j, t, method).var_x
+    return _field(prop.var_x_prop, "var_x", rates, j, t, method)
 
 
 def mean_y(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[Y(t)] = j * (phi_y - eta + 1)."""
-    return moment_report(rates, j, t, method).m_y
+    return _field(prop.mean_y_prop, "m_y", rates, j, t, method)
 
 
 def second_moment_y(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[Y(t)^2]."""
-    return moment_report(rates, j, t, method).m2_y
+    return _field(prop.m2_y_prop, "m2_y", rates, j, t, method)
 
 
 def mixed_moment(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """E[X(t) Y(t)] = m_X(t) * gamma(t; j)."""
-    return moment_report(rates, j, t, method).m_xy
+    return _field(prop.mixed_moment_prop, "m_xy", rates, j, t, method)
 
 
 def cov_corr(
@@ -126,13 +140,17 @@ def cov_corr(
     correlation is reported as its analytic limit
     ``-sqrt(mu(0)/(lam(0)+mu(0)))``.
     """
-    rep = moment_report(rates, j, t, method)
-    return rep.cov, rep.corr
+    if _resolve(rates, method) == "ode":
+        rep = moment_report(rates, j, t, method)
+        return rep.cov, rep.corr
+    corr = _field(prop.corr_prop, "corr", rates, j, t, method, _corr_zero_limit(rates))
+    return _field(prop.cov_prop, "cov", rates, j, t, method), corr
 
 
 def r_index(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Dispersion index ``gamma(t; j) / m_Y(t)``; limit ``1 - 1/j`` at t = 0."""
-    return moment_report(rates, j, t, method).r_index
+    check_j(j)
+    return _field(prop.r_index_prop, "r_index", rates, j, t, method, 1.0 - 1.0 / j)
 
 
 def fano_cv(
@@ -184,17 +202,10 @@ def report_from_prop(rho: float, big_m_value, j: int, t):
     return reports[0] if scalar else reports
 
 
-def _clamp_var(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    lost = v < -1e-12 * np.maximum(1.0, scale)
-    if lost.any():
-        raise NumericsError(f"variance assembly lost all precision ({v[lost][0]})")
-    return np.where(v < 0.0, 0.0, v)
-
-
 def _ode_reports(rates: RateFamily, j: int, times, states: np.ndarray) -> list[MomentReport]:
     mx, m2x, my, mxy, m2y = states[:, :5].T
-    vx = _clamp_var(m2x - mx * mx, m2x)
-    vy = _clamp_var(m2y - my * my, m2y)
+    vx = prop.clamp_variance(m2x - mx * mx, m2x, _VAR_LOST)
+    vy = prop.clamp_variance(m2y - my * my, m2y, _VAR_LOST)
     cov = mxy - mx * my
     limit = ~((vx > 0.0) & (vy > 0.0))
     with np.errstate(all="ignore"):
@@ -226,11 +237,9 @@ def moment_report(rates: RateFamily, j: int, t, method: str = "auto"):
         return []
     if how == "closed":
         rho, base = rates.proportional_view()
-        if scalar:
-            return report_from_prop(rho, base.big_m(t), j, t)
-        big_m = np.array([base.big_m(ti) for ti in times], dtype=float)
-        return report_from_prop(rho, big_m, j, times)
-    reports = _ode_reports(rates, j, times, moment_states(rates, j, times))
+        reports = report_from_prop(rho, np.array([base.big_m(ti) for ti in times]), j, times)
+    else:
+        reports = _ode_reports(rates, j, times, moment_states(rates, j, times))
     return reports[0] if scalar else reports
 
 

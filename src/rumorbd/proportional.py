@@ -142,6 +142,15 @@ def p0k_limit_prop(rho: float, j: int, k: int) -> float:
 # ===== Moments and absorption over an array of M ==============================
 
 
+def clamp_variance(v: np.ndarray, scale: np.ndarray, message: str) -> np.ndarray:
+    """``v`` with roundoff-negative entries clamped to 0; NumericsError
+    (``message`` formatted with the first offender) below -1e-12 max(1, scale)."""
+    lost = v < -1e-12 * np.maximum(1.0, scale)
+    if lost.any():
+        raise NumericsError(message.format(v[lost][0]))
+    return np.where(v < 0.0, 0.0, v)
+
+
 class _ClosedForms:
     """Every closed form at validated intensities ``m`` (a float array); each
     kernel and each quantity is evaluated at most once, on first use."""
@@ -167,13 +176,10 @@ class _ClosedForms:
     def var_y(self):
         # m2_Y - m_Y^2 can dip a few ulp below zero near M = 0 (clamped);
         # below -1e-12 relative to m2_Y the assembly has genuinely failed
-        v = self.m2_y - self.m_y * self.m_y
-        lost = v < -1e-12 * np.maximum(1.0, self.m2_y)
-        if lost.any():
-            raise NumericsError(
-                f"second-moment assembly lost all precision (Var_Y = {np.asarray(v)[lost][0]})"
-            )
-        return np.where(v < 0.0, 0.0, v)
+        return clamp_variance(
+            self.m2_y - self.m_y * self.m_y, self.m2_y,
+            "second-moment assembly lost all precision (Var_Y = {})",
+        )
 
     @cached_property
     def corr(self):

@@ -170,14 +170,6 @@ def test_kernels_take_arrays_bit_for_bit(fn):
     assert fn(np.array([])).shape == (0,)
 
 
-def test_series_branch_is_horner_in_np_polyval_order():
-    from rumorbd import _kernels
-
-    xs = np.linspace(-0.5, 0.5, 1001)
-    assert _bits(f2(xs)) == _bits(np.polyval(_kernels._F2_SERIES, xs))
-    assert _bits(h3(xs)) == _bits(np.polyval(_kernels._H3_SERIES, xs))
-
-
 def test_kernels_overflow_to_inf_past_the_threshold():
     over = np.nextafter(709.0, math.inf)
     for fn in (f1, f2):
