@@ -27,20 +27,30 @@ from . import rates as rates_mod
 from .errors import DataError, DomainError, NumericsError
 
 
-def _fmt(v) -> str:
+def _spec(v) -> str:
     if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+        return "%.12g"
+    return "%d" if isinstance(v, int) and not isinstance(v, bool) else "%s"
 
 
 def _write_csv(path: str | None, schema: str, header: list[str], rows) -> None:
+    """Write the rows under a schema line and the header.
+
+    One ``%`` template per call, from the types of the first row's cells
+    (every column holds one type): ``%.12g`` for floats, ``%d`` for ints and
+    ``%s`` for anything else, such as strings and bools.
+    """
     own = path is not None and path != "-"
     f = open(path, "w", newline="") if own else sys.stdout
     try:
         f.write(f"# schema: rumorbd.{schema}.v1\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            line = ",".join(map(_spec, first)) + "\n"
+            f.write(line % tuple(first))
+            f.writelines(line % tuple(row) for row in rows)
     finally:
         if own:
             f.close()

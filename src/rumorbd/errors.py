@@ -44,6 +44,14 @@ def check_time(t: float) -> None:
         raise DomainError(f"time must be finite and >= 0, got {t}")
 
 
+def check_times(times: list[float]) -> None:
+    """Each time finite and >= 0, in nondecreasing order."""
+    for i, t in enumerate(times):
+        check_time(t)
+        if i and t < times[i - 1]:
+            raise DomainError(f"times must be nondecreasing, got {t} after {times[i - 1]}")
+
+
 def check_positive(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be positive and finite, got {value}")

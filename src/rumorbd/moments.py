@@ -39,7 +39,7 @@ import numpy as np
 
 from . import proportional as prop
 from ._ode import moment_states
-from .errors import DomainError, check_j, check_time
+from .errors import DomainError, check_j, check_time, check_times
 from .rates import RateFamily, first_passage
 
 _METHODS = ("auto", "closed", "ode")
@@ -228,10 +228,7 @@ def moment_report(rates: RateFamily, j: int, t, method: str = "auto"):
     check_j(j)
     scalar = np.ndim(t) == 0
     times = [t] if scalar else list(t)
-    for i, ti in enumerate(times):
-        check_time(ti)
-        if i and ti < times[i - 1]:
-            raise DomainError(f"times must be nondecreasing, got {ti} after {times[i - 1]}")
+    check_times(times)
     how = _resolve(rates, method)
     if not times:
         return []

@@ -13,6 +13,7 @@ import pytest
 
 import _closed_forms as cf
 import rumorbd
+from rumorbd import cli
 from rumorbd.cli import main
 from rumorbd import growth
 
@@ -295,6 +296,29 @@ def test_output_file_mode_writes_schema_line(tmp_path, capsys):
     assert rc == 0
     assert out == ""  # nothing on stdout when a file is requested
     assert out_path.read_text().startswith("# schema: rumorbd.moments.v1\n")
+
+
+def test_csv_template_writes_the_bytes_of_per_cell_formatting(tmp_path):
+    # reference: each cell formatted on its own, floats to 12 significant digits
+    def cell(v):
+        return format(v, ".12g") if isinstance(v, float) else str(v)
+
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300,
+              0.1 + 0.2, 1.0 / 3.0, 123456789012.5, 2.0**53, np.float64(0.1)]
+    ints = [10**12, 10**13 + 7, 10**14 - 1, 10**15, -(10**15), 0]
+    texts = ["spread", "", "a%b;c=1.5", "nan"]
+    rows = [
+        (f, ints[i % len(ints)], texts[i % len(texts)], i % 2 == 0)
+        for i, f in enumerate(floats)
+    ]
+    path = tmp_path / "cells.csv"
+    cli._write_csv(str(path), "cells", ["f", "i", "s", "b"], iter(rows))
+    expected = "# schema: rumorbd.cells.v1\nf,i,s,b\n" + "".join(
+        ",".join(map(cell, row)) + "\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode()
+    cli._write_csv(str(path), "cells", ["f"], [])
+    assert path.read_bytes() == b"# schema: rumorbd.cells.v1\nf\n"
 
 
 # ===== argument and domain failures ===========================================

@@ -7,11 +7,13 @@ import pytest
 from scipy import stats as sps
 
 import _closed_forms as cf
-from rumorbd import DomainError
+from rumorbd import DomainError, process
+from rumorbd.growth import Logistic, proportional_from_curve
 from rumorbd.process import EnsembleStats, Trajectory, ensemble, simulate
 from rumorbd.rates import Constant, CosineMu, Explicit, MuBase, Proportional
 
 SEASONAL = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
+INDUCED = proportional_from_curve(Logistic(c=50.0, r=0.9, j=2, rho=2.0))
 
 
 def _state_at(traj: Trajectory, g: float) -> tuple[int, int]:
@@ -202,9 +204,13 @@ def test_thinning_rejects_a_violated_envelope():
 
 
 @pytest.mark.parametrize(
-    "rates", [Constant(lam=1.3, mu=0.9), SEASONAL], ids=["constant", "seasonal"]
+    "rates",
+    [Constant(lam=1.3, mu=0.9), SEASONAL, INDUCED, _explicit_twin(SEASONAL)],
+    ids=["constant", "seasonal", "induced", "seasonal-explicit"],
 )
 def test_ensemble_single_replicate_replays_the_trajectory(rates):
+    # the contract: simulate is ensemble(replicates=1) for the same seed, the
+    # same stream through the same sampler, read at the grid times
     j, horizon, seed = 2, 2.0, 7
     traj = simulate(rates, j, horizon, seed)
     grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
@@ -272,6 +278,55 @@ def test_ensemble_bit_identical_for_fixed_seed():
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     c = ensemble(Constant(lam=1.0, mu=1.0), 2, 1.0, [0.5, 1.0], 3000, 18)
     assert not np.array_equal(a.mean_x, c.mean_x)
+
+
+_FIELDS = ("mean_x", "var_x", "mean_y", "var_y", "cov", "corr", "absorbed_frac",
+           "se_x", "se_y", "cap_frac")
+
+
+def test_ensemble_over_several_blocks_is_bit_identical():
+    args = (SEASONAL, 1, 2.0, [0.0, 0.5, 1.0, 2.0], process._BLOCK + 3, 23)
+    a = ensemble(*args)
+    b = ensemble(*args)
+    for name in _FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert a.mean_x[0] == 1.0 and 0.0 < a.absorbed_frac[-1] < 1.0
+
+
+def test_statistics_depend_neither_on_an_unreached_cap_nor_on_the_sum_width(monkeypatch):
+    args = (INDUCED, 2, 3.0, [0.5, 1.0, 3.0], 400, 4)
+    ref = ensemble(*args, cap=10**6)
+    assert np.all(ref.cap_frac == 0.0)
+    huge_cap = ensemble(*args, cap=2**40)
+    monkeypatch.setattr(process, "_EXACT", 1)  # every block sums in Python ints
+    python_ints = ensemble(*args, cap=2**40)
+    for name in _FIELDS:
+        assert np.array_equal(getattr(ref, name), getattr(huge_cap, name), equal_nan=True)
+        assert np.array_equal(getattr(ref, name), getattr(python_ints, name), equal_nan=True)
+
+
+def test_block_sums_equal_python_int_sums_on_states_near_3e9():
+    # one square of 3e9 fits int64 and two overflow it: the table must widen
+    rng = np.random.default_rng(5)
+    g_len, m = 9, 40
+    lo = rng.integers(0, g_len, m)
+    hi = np.minimum(lo + rng.integers(1, 4, m), g_len)
+    x = 3_000_000_000 + rng.integers(-10**6, 10**6, m)
+    y = rng.integers(0, 3_100_000_000, m)
+    acc = np.zeros((7, g_len + 1), dtype=np.int64)
+    acc = process._accumulate(acc, lo[:5], hi[:5], x[:5] % 1000, y[:5] % 1000)  # int64 still
+    assert acc.dtype == np.int64
+    acc = process._accumulate(acc, lo[5:], hi[5:], x[5:], y[5:])
+    assert acc.dtype == object
+    got = np.cumsum(acc[:5, :g_len], axis=1).tolist()
+    want = [[0] * g_len for _ in range(5)]
+    xs = [int(v) % 1000 for v in x[:5]] + [int(v) for v in x[5:]]
+    ys = [int(v) % 1000 for v in y[:5]] + [int(v) for v in y[5:]]
+    for a, b, xi, yi in zip(lo.tolist(), hi.tolist(), xs, ys):
+        for g in range(a, b):
+            for row, v in enumerate((xi, xi * xi, yi, yi * yi, xi * yi)):
+                want[row][g] += v
+    assert got == want
 
 
 # ===== argument validation ====================================================
