@@ -363,7 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="CSV file with header t,count")
     p.add_argument("--objective", choices=("mse", "rae"))
     p.add_argument("--families", help="'all' or comma-separated family names")
-    p.add_argument("--budget", type=int, help="objective evaluations per restart")
+    p.add_argument(
+        "--budget", type=int,
+        help="evaluations per restart: residual vectors, Jacobian columns included, "
+        "for MSE; objective values for RAE or --estimate-j",
+    )
     p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--rho", type=float, help="fixed rate ratio carried by the curves")

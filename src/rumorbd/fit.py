@@ -1,9 +1,16 @@
 """Curve fitting for diffusion time series: objectives, multi-start search,
 model selection, and inactive-mean reconstruction.
 
-Fitting minimizes MSE or RAE over each family's parameter box with
-Nelder-Mead restarted from Latin-hypercube draws (positive parameters are
-searched in log scale).  The initial spreader count j is pinned to the first
+Fitting minimizes MSE or RAE over each family's parameter box from
+Latin-hypercube starts (positive parameters are searched in log scale).  MSE
+is a smooth sum of squares, so it is minimized as bounded least squares on
+the residual vector y - m(t): trust-region reflective steps (Branch, Coleman
+& Li 1999) with the hard box as bounds and a forward-difference Jacobian.
+``budget`` caps the residual evaluations per restart, Jacobian columns
+included.  RAE is not smooth, and with ``estimate_j`` the rounded j makes the
+residual piecewise constant in its coordinate (a zero Jacobian column), so
+both keep Nelder-Mead, where ``budget`` caps objective evaluations per
+restart.  The initial spreader count j is pinned to the first
 observation by default — the model requires X(0) = j and the series starts at
 the first post — and the rate ratio rho is never estimated: it is a fixed
 input (Y-family mean levels depend on it, X-family means do not).
@@ -235,12 +242,24 @@ class SelectionReport:
     winner: str | None
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use: scipy.optimize
-    takes longer to import than all of rumorbd, and only fits need it."""
+def minimize(fun, x0, method: str, **kwargs):
+    """One restart: ``scipy.optimize.least_squares`` for ``method="trf"``, else
+    ``scipy.optimize.minimize``.  Imported on first use: scipy.optimize takes
+    longer to import than all of rumorbd, and only fits need it."""
+    if method == "trf":
+        from scipy.optimize import least_squares
+
+        return least_squares(fun, x0, method="trf", **kwargs)
     from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(fun, x0, **kwargs)
+    return scipy_minimize(fun, x0, method=method, **kwargs)
+
+
+def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """``n`` points in [0, 1)^d, one in each of the ``n`` strata of every axis."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    strata = np.stack([rng.permutation(n) for _ in range(d)], axis=1)
+    return (strata + rng.random((n, d))) / n
 
 
 def _resolve_family(family) -> str:
@@ -267,8 +286,16 @@ def fit_one(
     seed: int = 0,
     rho: float = 2.0,
     estimate_j: bool = False,
+    logistic: FitResult | None = None,
 ) -> FitResult:
-    """Multi-start Nelder-Mead fit of one family (budget = evals per restart).
+    """Multi-start fit of one family; ``budget`` caps the evaluations per restart.
+
+    MSE restarts run bounded least squares (:class:`_LeastSquares`); RAE and
+    ``estimate_j`` restarts run Nelder-Mead (:class:`_NelderMead`).  The
+    multisigmoidal family gets one extra restart at the plain-logistic
+    optimum: ``logistic`` when given (as :func:`select_model` does), else a
+    logistic fit with the same settings.  ``message`` names the parameters
+    that ended on a hard box bound.
 
     Deterministic: identical (dataset, kind, seed, budget) give a bit-identical
     result.  When every restart fails to find a finite objective, an explicit
@@ -289,60 +316,35 @@ def fit_one(
             f"{len(dims)} parameters, dataset {dataset.name!r} has {len(dataset)}"
         )
 
-    evals = 0
-
-    def score(z: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        decoded = _decode(z, dims)
-        if not _in_box(decoded, dims):
-            return math.inf
-        if estimate_j:
-            params, j_here = decoded[:-1], max(1, int(round(decoded[-1])))
-        else:
-            params, j_here = decoded, j
-        try:
-            curve = _build_curve(name, params, j_here, rho)
-        except DomainError:
-            return math.inf
-        return objective(curve, dataset, k)
-
-    # imported here: scipy.stats adds ~20 MB and ~0.4 s to every process
-    # that imports the package, and only the restarts need it
-    from scipy.stats import qmc
-
-    sampler = qmc.LatinHypercube(d=len(dims), seed=seed)
-    unit = sampler.random(n=restarts)
-    lows = np.array([_z_box(d)[0] for d in dims])
-    highs = np.array([_z_box(d)[1] for d in dims])
-    starts = [lows + u * (highs - lows) for u in unit]
+    unit = _latin_hypercube(restarts, len(dims), seed)
+    lows, highs = np.array([_z_box(d) for d in dims]).T
+    starts = list(lows + unit * (highs - lows))
 
     if name == "multisig_logistic" and not estimate_j:
         # extra restart nested at the plain-logistic solution: with
         # beta = (r, 0, 0, 0-) the quartic exponent reduces to r t, so the
         # optimum can only improve on the logistic one
-        logi = fit_one(
-            "logistic", dataset, k, budget, restarts=restarts, seed=seed, rho=rho
-        )
-        if logi.curve is not None:
-            c_hat, r_hat = logi.params
+        if logistic is None:
+            logistic = fit_one(
+                "logistic", dataset, k, budget, restarts=restarts, seed=seed, rho=rho
+            )
+        if logistic.curve is not None:
+            c_hat, r_hat = logistic.params
             seed_params = (c_hat, r_hat, 0.0, 0.0, _B4_EDGE)
             starts.append(_encode(seed_params, dims))
+
+    if k == "mse" and not estimate_j:
+        search = _LeastSquares(name, dims, dataset, j, rho)
+    else:
+        search = _NelderMead(name, dims, dataset, k, j, rho, estimate_j)
 
     best_val = math.inf
     best_z: np.ndarray | None = None
     best_ok = False
     for z0 in starts:
-        res = minimize(
-            score,
-            z0,
-            method="Nelder-Mead",
-            options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True},
-        )
-        if math.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
-            best_z = np.asarray(res.x)
-            best_ok = bool(res.success)
+        z, val, ok = search.run(z0, budget)
+        if val < best_val:
+            best_val, best_z, best_ok = val, z, ok
 
     if best_z is None:
         return FitResult(
@@ -351,7 +353,7 @@ def fit_one(
             kind=k,
             value=math.inf,
             converged=False,
-            n_evals=evals,
+            n_evals=search.evals,
             restarts=len(starts),
             j=j,
             rho=rho,
@@ -359,11 +361,7 @@ def fit_one(
             message="all restarts diverged or left the parameter box",
         )
 
-    decoded = _decode(best_z, dims)
-    if estimate_j:
-        params, j_fin = decoded[:-1], max(1, int(round(decoded[-1])))
-    else:
-        params, j_fin = decoded, j
+    params, j_fin = search.params(best_z)
     curve = _build_curve(name, params, j_fin, rho)
     value = objective(curve, dataset, k)  # re-evaluated at the stored parameters
     return FitResult(
@@ -372,12 +370,152 @@ def fit_one(
         kind=k,
         value=value,
         converged=best_ok,
-        n_evals=evals,
+        n_evals=search.evals,
         restarts=len(starts),
         j=j_fin,
         rho=rho,
         curve=curve,
+        message=_bound_message(params, dims),
     )
+
+
+# Tolerances of the bounded least-squares restarts (each must exceed the
+# machine epsilon, or least_squares warns that the test is disabled).
+_FTOL = 1e-12
+_XTOL = 1e-10
+_GTOL = 1e-12
+# A residual vector with any |entry| at or above this cap (or a curve that
+# raises DomainError) is replaced by a constant finite fill: curves near
+# overflow give finite residuals near 1e200, whose squares overflow TRF's
+# cost 0.5 f.f and leave infs in the SVD of its Jacobian.
+_RESIDUAL_CAP = 1e50
+_FD_STEP = float(np.finfo(float).eps) ** 0.5
+
+
+def _bound_message(params: tuple[float, ...], dims: list[_Dim]) -> str:
+    """Names the parameters that ended on a hard box bound (within _XTOL)."""
+    hits = [
+        f"{dim.name} ({side})"
+        for v, dim in zip(params, dims)
+        for side, bound in (("lower", dim.lo), ("upper", dim.hi))
+        if abs(v - bound) <= _XTOL * max(1.0, abs(bound))
+    ]
+    return f"on the parameter box bound: {', '.join(hits)}" if hits else ""
+
+
+class _LeastSquares:
+    """MSE restarts: bounded trust-region reflective least squares on the
+    residual vector y - m(t) in the internal coordinates, the hard box as
+    bounds.
+
+    ``budget`` caps residual evaluations per restart, Jacobian columns
+    included: at most ``budget // (d + 1)`` solver steps, each one residual
+    and at most one d-column Jacobian (the first residual and Jacobian are
+    spent even when the budget is smaller).
+    """
+
+    def __init__(self, name, dims, dataset, j, rho):
+        # beta4 = -e^z is searched as beta4 itself: its optimum is often the
+        # bound 0-, where z -> -inf and the residual's slope in z vanishes
+        self.start_dims = dims
+        dims = [d._replace(log=False, negate=False) if d.negate else d for d in dims]
+        self.name, self.dims, self.j, self.rho = name, dims, j, rho
+        self.t = np.asarray(dataset.times)
+        self.y = np.asarray(dataset.counts)
+        self.lo = np.array([math.log(d.lo) if d.log else d.lo for d in dims])
+        self.hi = np.array([math.log(d.hi) if d.log else d.hi for d in dims])
+        self.fill = np.full(self.y.size, _RESIDUAL_CAP)
+        self.evals = 0
+        self.last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def params(self, z: np.ndarray) -> tuple[tuple[float, ...], int]:
+        # exp(log(lo)) can round just outside the box: clip onto it
+        decoded = _decode(z, self.dims)
+        return tuple(min(max(v, d.lo), d.hi) for v, d in zip(decoded, self.dims)), self.j
+
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        self.evals += 1
+        try:
+            curve = _build_curve(self.name, self.params(z)[0], self.j, self.rho)
+        except DomainError:
+            r = self.fill
+        else:
+            with np.errstate(all="ignore"):
+                r = self.y - np.asarray(curve.mean_array(self.t), dtype=float)
+                if not np.all(np.abs(r) < _RESIDUAL_CAP):  # also catches NaN
+                    r = self.fill
+        self.last = (z.copy(), r)
+        return r
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Forward differences from the residual the solver just evaluated at
+        ``z``, stepping inward at an upper bound."""
+        if self.last is not None and np.array_equal(self.last[0], z):
+            r0 = self.last[1]
+        else:
+            r0 = self.residual(z)
+        jac = np.empty((r0.size, z.size))
+        for i in range(z.size):
+            h = _FD_STEP * max(1.0, abs(z[i]))
+            zh = z.copy()
+            zh[i] = z[i] + h if z[i] + h <= self.hi[i] else z[i] - h
+            jac[:, i] = (self.residual(zh) - r0) / (zh[i] - z[i])
+        return jac
+
+    def run(self, z0: np.ndarray, budget: int) -> tuple[np.ndarray, float, bool]:
+        res = minimize(
+            self.residual,
+            np.clip(_encode(_decode(z0, self.start_dims), self.dims), self.lo, self.hi),
+            "trf",
+            jac=self.jacobian,
+            bounds=(self.lo, self.hi),
+            x_scale="jac",
+            max_nfev=max(1, budget // (len(self.dims) + 1)),
+            ftol=_FTOL,
+            xtol=_XTOL,
+            gtol=_GTOL,
+        )
+        if not np.all(np.abs(res.fun) < _RESIDUAL_CAP):
+            return res.x, math.inf, False
+        return res.x, float(np.mean(res.fun * res.fun)), bool(res.success)
+
+
+class _NelderMead:
+    """RAE and ``estimate_j`` restarts: Nelder-Mead on the objective, +inf
+    outside the hard box.  RAE is not smooth, and a rounded j makes the
+    residual piecewise constant in its coordinate (a zero Jacobian column),
+    so neither suits least squares."""
+
+    def __init__(self, name, dims, dataset, kind, j, rho, estimate_j):
+        self.name, self.dims, self.dataset, self.kind = name, dims, dataset, kind
+        self.j, self.rho, self.estimate_j = j, rho, estimate_j
+        self.evals = 0
+
+    def params(self, z: np.ndarray) -> tuple[tuple[float, ...], int]:
+        decoded = _decode(z, self.dims)
+        if self.estimate_j:
+            return decoded[:-1], max(1, int(round(decoded[-1])))
+        return decoded, self.j
+
+    def score(self, z: np.ndarray) -> float:
+        self.evals += 1
+        if not _in_box(_decode(z, self.dims), self.dims):
+            return math.inf
+        params, j = self.params(z)
+        try:
+            curve = _build_curve(self.name, params, j, self.rho)
+        except DomainError:
+            return math.inf
+        return objective(curve, self.dataset, self.kind)
+
+    def run(self, z0: np.ndarray, budget: int) -> tuple[np.ndarray, float, bool]:
+        res = minimize(
+            self.score,
+            z0,
+            "Nelder-Mead",
+            options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True},
+        )
+        return np.asarray(res.x), float(res.fun), bool(res.success)
 
 
 def select_model(
@@ -407,11 +545,13 @@ def select_model(
 
     results: list[FitResult] = []
     for name in names:
+        # the multisigmoidal fit nests at the logistic optimum fitted here
+        logistic = next((r for r in results if r.family == "logistic"), None)
         try:
             results.append(
                 fit_one(
-                    name, dataset, k, budget,
-                    restarts=restarts, seed=seed, rho=rho, estimate_j=estimate_j,
+                    name, dataset, k, budget, restarts=restarts, seed=seed,
+                    rho=rho, estimate_j=estimate_j, logistic=logistic,
                 )
             )
         except (DataError, DomainError) as exc:

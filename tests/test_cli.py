@@ -230,6 +230,22 @@ def test_fit_stdout_mode_emits_csv_then_json(tmp_path, capsys):
     assert report["winner"] == "logistic"
 
 
+def test_fit_estimate_j_runs_end_to_end(tmp_path, capsys):
+    data = tmp_path / "cascade.csv"
+    _write_logistic_csv(data, n_points=25, horizon=6.0)
+    prefix = tmp_path / "fitj"
+    rc, out, err = _run(
+        capsys,
+        ["fit", "--data", str(data), "--families", "logistic", "--estimate-j",
+         "--budget", "400", "--restarts", "2", "--out", str(prefix)],
+    )
+    assert rc == 0 and err == ""
+    logi = json.loads((tmp_path / "fitj.json").read_text())["results"][0]
+    assert logi["family"] == "logistic"
+    assert isinstance(logi["j"], int) and logi["j"] >= 1
+    assert math.isfinite(logi["value"])
+
+
 def test_fit_missing_data_file_exits_4(tmp_path, capsys):
     rc, out, err = _run(capsys, ["fit", "--data", str(tmp_path / "absent.csv")])
     assert rc == 4
@@ -379,3 +395,20 @@ def test_cli_import_does_not_load_scipy_solvers():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_fit_does_not_load_scipy_stats(tmp_path):
+    """The fit's Latin hypercube is drawn with numpy: scipy.stats stays unloaded."""
+    data = tmp_path / "cascade.csv"
+    _write_logistic_csv(data, n_points=20, horizon=6.0)
+    probe = (
+        "import sys; from rumorbd.cli import main; "
+        f"rc = main(['fit', '--data', {str(data)!r}, '--families', 'logistic,gompertz', "
+        f"'--budget', '200', '--restarts', '2', '--out', {str(tmp_path / 'fitout')!r}]); "
+        "print(rc, 'scipy.optimize' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_checkout_env()
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 True False"

@@ -3,15 +3,21 @@ and inactive-mean reconstruction."""
 
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from rumorbd import DataError, DomainError
 from rumorbd import growth
 from rumorbd.fit import (
     Dataset,
     FitResult,
+    _dims_for,
+    _in_box,
+    _latin_hypercube,
+    _LeastSquares,
     dataset_from_csv,
     fit_one,
     objective,
@@ -33,6 +39,18 @@ def _noisy(curve, times, rel, seed, name="noisy"):
     y[0] = curve.mean(0.0)  # keep the exact initial count
     y = np.maximum.accumulate(np.maximum(y, 1.0))
     return Dataset(name=name, times=tuple(t), counts=tuple(y))
+
+
+def _count_series(seed):
+    """The benchmark's count series: logistic c=100, r=0.9, j=1 at 40 days in
+    [0, 14], log-normal noise (sigma 0.05), rounded, monotone."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    t = np.linspace(0.0, 14.0, 40)
+    m = 100.0 / (1.0 + 99.0 * np.exp(-0.9 * t))
+    y = np.round(m * np.exp(0.05 * rng.standard_normal(t.size)))
+    y[0] = 1.0
+    y = np.maximum.accumulate(np.maximum(y, 1.0))
+    return Dataset(name=f"series{seed}", times=tuple(t.tolist()), counts=tuple(y.tolist()))
 
 
 class _ConstantStub:
@@ -180,6 +198,81 @@ def test_fit_is_deterministic_for_fixed_seed():
     assert a.n_evals == b.n_evals
 
 
+def test_latin_hypercube_puts_one_point_in_each_stratum():
+    n, d = 16, 5
+    unit = _latin_hypercube(n, d, seed=3)
+    assert unit.shape == (n, d)
+    assert np.all((unit >= 0.0) & (unit < 1.0))
+    for k in range(d):
+        assert sorted(np.floor(unit[:, k] * n).astype(int)) == list(range(n))
+    assert np.array_equal(unit, _latin_hypercube(n, d, seed=3))
+    assert not np.array_equal(unit, _latin_hypercube(n, d, seed=4))
+
+
+def test_fit_budget_caps_evaluations_per_restart():
+    truth = growth.Gompertz(alpha=1.0, beta=0.8, j=2, rho=2.0)
+    ds = _noisy(truth, np.linspace(0.0, 6.0, 30), rel=0.02, seed=5)
+    for kind, budget in (("mse", 60), ("mse", 400), ("rae", 60)):
+        fit = fit_one("gompertz", ds, kind, budget=budget, restarts=3, seed=1)
+        assert 0 < fit.n_evals <= fit.restarts * budget
+
+
+def _polished(family, ds, params):
+    """Nelder-Mead from ``params`` in natural coordinates, +inf off the box."""
+    dims = _dims_for(family, ds)
+    cls = growth.FAMILIES[family]
+
+    def mse(p):
+        p = tuple(p)
+        if not _in_box(p, dims):
+            return math.inf
+        try:
+            if cls is growth.MultisigLogistic:
+                curve = cls(c=p[0], betas=p[1:], j=1, rho=2.0)
+            else:
+                curve = cls(j=1, rho=2.0, **dict(zip(cls.param_names, p)))
+        except DomainError:
+            return math.inf
+        return objective(curve, ds, "mse")
+
+    res = minimize(mse, np.array(params), method="Nelder-Mead",
+                   options={"maxfev": 4000, "xatol": 1e-13, "fatol": 1e-16,
+                            "adaptive": True})
+    return res.fun
+
+
+def test_mse_fits_are_local_optima_nelder_mead_cannot_improve():
+    truth = growth.Logistic(c=9.0, r=1.1, j=1, rho=2.0)
+    ds = _noisy(truth, np.linspace(0.0, 8.0, 40), rel=0.02, seed=1)
+    report = select_model(ds, "all", "mse", budget=2000, restarts=6, seed=0)
+    for fr in report.results:
+        polished = _polished(fr.family, ds, fr.params)
+        assert polished >= fr.value * (1.0 - 1e-9), fr.family
+
+
+def test_fit_message_names_parameters_on_a_box_bound():
+    ds = _count_series(1)
+    fit = fit_one("logistic", ds, "mse", budget=400, restarts=4, seed=1)
+    y_max = max(ds.counts)
+    assert y_max == 107.0
+    assert fit.params[0] == pytest.approx(y_max, rel=1e-12)  # c on its lower bound
+    assert fit.message == "on the parameter box bound: c (lower)"
+    truth = growth.Logistic(c=10.0, r=1.2, j=1, rho=2.0)
+    inside = fit_one("logistic", _sampled(truth, np.linspace(0.0, 10.0, 50)), "mse",
+                     budget=400, restarts=4, seed=0)
+    assert inside.message == ""
+
+
+def test_estimate_j_recovers_the_initial_count():
+    truth = growth.Logistic(c=12.0, r=1.0, j=3, rho=2.0)
+    ds = _sampled(truth, np.linspace(0.0, 6.0, 25))
+    fit = fit_one("logistic", ds, "mse", seed=0, estimate_j=True)
+    assert fit.j == 3
+    c_hat, r_hat = fit.params
+    assert c_hat == pytest.approx(12.0, rel=1e-6)
+    assert r_hat == pytest.approx(1.0, rel=1e-6)
+
+
 def test_fit_accepts_class_and_rejects_unknown_family():
     truth = growth.Logistic(c=8.0, r=1.0, j=1, rho=2.0)
     ds = _sampled(truth, np.linspace(0.0, 6.0, 20))
@@ -226,6 +319,39 @@ def test_select_model_ranks_families_and_records_failures():
     assert failed.value == math.inf
     assert not failed.converged
     assert "points" in failed.message
+
+
+def test_select_model_multisig_is_no_worse_than_its_logistic():
+    truth = growth.Logistic(c=9.0, r=1.1, j=1, rho=2.0)
+    ds = _noisy(truth, np.linspace(0.0, 8.0, 40), rel=0.02, seed=1)
+    report = select_model(
+        ds, ["logistic", "multisig_logistic"], "mse", budget=2000, restarts=6, seed=0
+    )
+    logi, multi = report.results
+    assert multi.value <= logi.value
+
+
+def test_select_model_survives_overflowing_curves_without_warnings():
+    """Residuals near overflow are capped: no RuntimeWarning, no solver error."""
+    for seed in range(1, 13):
+        ds = _count_series(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = select_model(ds, "all", "mse", budget=400, restarts=4, seed=seed)
+        assert all(math.isfinite(r.value) for r in report.results)
+
+
+def test_least_squares_restart_caps_finite_overflowing_residuals():
+    """exp(491) ~ 1e213 is finite, but its square overflows the solver's cost."""
+    ds = _count_series(1)
+    search = _LeastSquares("gen_gompertz", _dims_for("gen_gompertz", ds), ds, 1, 2.0)
+    z0 = np.log([40.0, 100.0])  # a = 40, b = 100: m(14) = e^491
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = search.residual(z0)
+        z, value, converged = search.run(z0, 400)
+    assert np.all(r == r[0]) and math.isfinite(float(r @ r))
+    assert value == math.inf and not converged
 
 
 def test_select_model_all_covers_the_registry():
