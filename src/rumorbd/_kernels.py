@@ -51,20 +51,25 @@ _F2_SERIES = np.array([1.0 / math.factorial(m + 2) for m in _ORDERS])
 _H3_SERIES = np.array([(2.0 ** (m + 2) - (m + 3)) / math.factorial(m + 3) for m in _ORDERS])
 
 
+@np.errstate(all="ignore")  # as a decorator: no errstate object per call
 def float_or_array(fn, *args):
     """``fn(*args)`` with FP warnings off (overflow to inf is part of every
     contract here); a 0-d result is returned as a Python float."""
-    with np.errstate(all="ignore"):
-        out = np.asarray(fn(*args))
-    return float(out) if out.ndim == 0 else out
+    out = fn(*args)
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def _elementwise(kernel):
-    """Run ``kernel`` on ``x`` as a float array, through :func:`float_or_array`."""
+def elementwise(fn):
+    """Run ``fn`` on its last argument as a float array, through
+    :func:`float_or_array`; leading arguments (such as ``self``) pass as is.
+    A number goes in as a float64 scalar: the same loops as an array element,
+    with less call overhead than a 0-d array."""
 
-    @functools.wraps(kernel)
-    def wrapper(x):
-        return float_or_array(kernel, np.asarray(x, dtype=float))
+    @functools.wraps(fn)
+    def wrapper(*args):
+        *head, x = args
+        x = np.float64(x) if isinstance(x, (int, float)) else np.asarray(x, dtype=float)
+        return float_or_array(fn, *head, x)
 
     return wrapper
 
@@ -80,14 +85,14 @@ def _split(x: np.ndarray, near, far) -> np.ndarray:
     return out
 
 
-@_elementwise
+@elementwise
 def f1(x):
     """(e^x - 1)/x with the removable singularity filled in."""
     out = np.where(x > _X_OVERFLOW, np.inf, np.expm1(x) / x)
     return np.where(x == 0.0, 1.0, out)
 
 
-@_elementwise
+@elementwise
 def f2(x):
     """(e^x - 1 - x)/x^2, the second exponential remainder."""
     return _split(
@@ -97,14 +102,14 @@ def f2(x):
     )
 
 
-@_elementwise
+@elementwise
 def g4(x):
     """(e^x - 1)^2 / (2 x^2) == f1(x)^2 / 2."""
     v = f1(x)
     return 0.5 * v * v
 
 
-@_elementwise
+@elementwise
 def h3(x):
     """(e^{2x} - 1 - 2x e^x) / (2 x^3)."""
     return _split(
@@ -162,7 +167,7 @@ def log_h3(x: float) -> float:
 # ===== Ratio kernel for the dispersion index ==================================
 
 
-@_elementwise
+@elementwise
 def one_minus_q_over_x(x):
     """(1 - x/(e^x - 1)) / x, the kernel of the dispersion-index formula.
 

@@ -24,7 +24,7 @@ from . import oracle as oracle_mod
 from . import process as process_mod
 from . import proportional
 from . import rates as rates_mod
-from .errors import DataError, DomainError, NumericsError
+from .errors import DataError, DomainError, NumericsError, converted
 
 
 def _spec(v) -> str:
@@ -73,13 +73,15 @@ class _Conf:
             if not isinstance(self.cfg, dict):
                 raise DataError(f"config file {cfg_path} must hold a JSON object")
 
-    def get(self, key: str, default=None, required: bool = False):
+    def get(self, key: str, default=None, required: bool = False, kind=None):
+        """The option's value, converted by ``kind`` when one is given."""
+        flag = f"--{key.replace('_', '-')}"
         v = getattr(self.ns, key, None)
         if v is None:
             v = self.cfg.get(key, default)
         if v is None and required:
-            raise DataError(f"missing required option --{key.replace('_', '-')}")
-        return v
+            raise DataError(f"missing required option {flag}")
+        return v if v is None or kind is None else converted(v, kind, f"option {flag}")
 
 
 def _parse_rates(value) -> rates_mod.RateFamily:
@@ -130,17 +132,17 @@ def _parse_grid(value) -> list[float]:
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     conf = _Conf(ns)
     rates = _parse_rates(conf.get("rates", required=True))
-    j = int(conf.get("j", required=True))
-    horizon = float(conf.get("horizon", required=True))
-    seed = int(conf.get("seed", 0))
-    cap = int(conf.get("cap", 10**6))
+    j = conf.get("j", required=True, kind=int)
+    horizon = conf.get("horizon", required=True, kind=float)
+    seed = conf.get("seed", 0, kind=int)
+    cap = conf.get("cap", 10**6, kind=int)
     out = conf.get("out")
     if conf.get("trajectory", False):
         traj = process_mod.simulate(rates, j, horizon, seed, cap=cap)
         rows = [(e.time, e.kind, e.n, e.k) for e in traj.events]
         _write_csv(out, "trajectory", ["time", "event", "n", "k"], rows)
         return 0
-    replicates = int(conf.get("replicates", 1000))
+    replicates = conf.get("replicates", 1000, kind=int)
     grid = _parse_grid(conf.get("grid", f"0:{horizon}:50"))
     stats = process_mod.ensemble(rates, j, horizon, grid, replicates, seed, cap=cap)
     header = [
@@ -160,7 +162,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 def _cmd_moments(ns: argparse.Namespace) -> int:
     conf = _Conf(ns)
     rates = _parse_rates(conf.get("rates", required=True))
-    j = int(conf.get("j", required=True))
+    j = conf.get("j", required=True, kind=int)
     grid = _parse_grid(conf.get("grid", required=True))
     method = str(conf.get("method", "auto"))
     out = conf.get("out")
@@ -176,7 +178,7 @@ def _cmd_moments(ns: argparse.Namespace) -> int:
 def _cmd_absorb(ns: argparse.Namespace) -> int:
     conf = _Conf(ns)
     rates = _parse_rates(conf.get("rates", required=True))
-    j = int(conf.get("j", required=True))
+    j = conf.get("j", required=True, kind=int)
     grid = _parse_grid(conf.get("grid", required=True))
     out = conf.get("out")
     view = rates.proportional_view()
@@ -185,7 +187,7 @@ def _cmd_absorb(ns: argparse.Namespace) -> int:
             "absorption probabilities need constant or proportional rates"
         )
     rho, base_mu = view
-    p_abs = proportional.absorption_prop(rho, [base_mu.big_m(t) for t in grid], j)
+    p_abs = proportional.absorption_prop(rho, base_mu.big_m(grid), j)
     _write_csv(out, "absorb", ["t", "absorption_prob"], zip(grid, p_abs.tolist()))
     return 0
 
@@ -193,11 +195,11 @@ def _cmd_absorb(ns: argparse.Namespace) -> int:
 def _cmd_oracle(ns: argparse.Namespace) -> int:
     conf = _Conf(ns)
     rates = _parse_rates(conf.get("rates", required=True))
-    j = int(conf.get("j", required=True))
-    t = float(conf.get("t", required=True))
-    n_max = int(conf.get("n_max", required=True))
-    k_max = int(conf.get("k_max", required=True))
-    max_leak = float(conf.get("max_leak", 1e-4))
+    j = conf.get("j", required=True, kind=int)
+    t = conf.get("t", required=True, kind=float)
+    n_max = conf.get("n_max", required=True, kind=int)
+    k_max = conf.get("k_max", required=True, kind=int)
+    max_leak = conf.get("max_leak", 1e-4, kind=float)
     out = conf.get("out")
     grid = oracle_mod.solve_forward(rates, j, t, n_max, k_max, max_leak=max_leak)
     rows = (
@@ -227,10 +229,10 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
         dataset,
         families,
         kind,
-        budget=int(conf.get("budget", 10_000)),
-        restarts=int(conf.get("restarts", 16)),
-        seed=int(conf.get("seed", 0)),
-        rho=float(conf.get("rho", 2.0)),
+        budget=conf.get("budget", 10_000, kind=int),
+        restarts=conf.get("restarts", 16, kind=int),
+        seed=conf.get("seed", 0, kind=int),
+        rho=conf.get("rho", 2.0, kind=float),
         estimate_j=bool(conf.get("estimate_j", False)),
     )
     out = conf.get("out")
@@ -277,18 +279,17 @@ def _cmd_reconstruct_y(ns: argparse.Namespace) -> int:
     kind = str(conf.get("objective", "mse"))
     rho_raw = conf.get("rho_values", required=True)
     if isinstance(rho_raw, str):
-        rho_values = [float(r) for r in rho_raw.split(",") if r.strip()]
-    else:
-        rho_values = [float(r) for r in rho_raw]
+        rho_raw = [r for r in rho_raw.split(",") if r.strip()]
+    rho_values = [converted(r, float, "option --rho-values") for r in rho_raw]
     grid = _parse_grid(conf.get("grid", required=True))
     fr = fit_mod.fit_one(
         family,
         dataset,
         kind,
-        budget=int(conf.get("budget", 10_000)),
-        restarts=int(conf.get("restarts", 16)),
-        seed=int(conf.get("seed", 0)),
-        rho=float(conf.get("rho", 2.0)),
+        budget=conf.get("budget", 10_000, kind=int),
+        restarts=conf.get("restarts", 16, kind=int),
+        seed=conf.get("seed", 0, kind=int),
+        rho=conf.get("rho", 2.0, kind=float),
     )
     rec = fit_mod.reconstruct_y(fr, rho_values, grid)
     rows = []

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class RumorBDError(Exception):
     """Base class for all toolkit errors."""
@@ -39,17 +41,27 @@ def check_j(j: int) -> None:
         raise DomainError(f"initial spreader count must be an integer >= 1, got {j!r}")
 
 
-def check_time(t: float) -> None:
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
+def check_time(t, name: str = "time") -> None:
+    """``t`` (a real or operational time) finite and >= 0; an array is checked
+    in one vector pass."""
+    if isinstance(t, (int, float)):
+        if not (t >= 0.0 and math.isfinite(t)):
+            raise DomainError(f"{name} must be finite and >= 0, got {t}")
+        return
+    arr = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0.0))
+    if bad.any():
+        raise DomainError(f"{name} must be finite and >= 0, got {arr[bad][0]}")
 
 
-def check_times(times: list[float]) -> None:
-    """Each time finite and >= 0, in nondecreasing order."""
-    for i, t in enumerate(times):
-        check_time(t)
-        if i and t < times[i - 1]:
-            raise DomainError(f"times must be nondecreasing, got {t} after {times[i - 1]}")
+def check_times(times) -> None:
+    """Each time finite and >= 0, in nondecreasing order; one vector pass."""
+    arr = np.asarray(times, dtype=float)
+    check_time(arr)
+    down = np.flatnonzero(arr[1:] < arr[:-1])
+    if down.size:
+        i = down[0] + 1
+        raise DomainError(f"times must be nondecreasing, got {times[i]} after {times[i - 1]}")
 
 
 def check_positive(name: str, value: float) -> None:
@@ -69,3 +81,21 @@ def check_final_count(j: int, k: int) -> None:
         raise DomainError(
             f"final inactive count k={k} is unreachable from j={j} (needs k >= j)"
         )
+
+
+def converted(value, kind, what: str):
+    """``kind(value)``; a value that does not convert raises :class:`DataError`
+    naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
+def config_field(cfg: dict, key: str, what: str, kind=float, default=None):
+    """``cfg[key]`` (``default`` when absent) converted by ``kind``; a missing key
+    with no default, or a value that does not convert, raises :class:`DataError`
+    naming the key."""
+    if key not in cfg and default is None:
+        raise DataError(f"{what} is missing {key!r}")
+    return converted(cfg.get(key, default), kind, f"{what}: {key!r}")

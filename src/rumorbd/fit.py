@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import growth
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, check_time
 
 _KINDS = ("mse", "rae")
 _RATE_LO, _RATE_HI = 1e-3, 1e2
@@ -85,7 +85,8 @@ def dataset_from_csv(path: str | Path, name: str | None = None) -> Dataset:
     rows: list[tuple[float, float]] = []
     header_seen = False
     try:
-        text_rows = list(csv.reader(path.open(newline="")))
+        with path.open(newline="") as f:
+            text_rows = list(csv.reader(f))
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
     for lineno, row in enumerate(text_rows, start=1):
@@ -127,8 +128,7 @@ def objective(curve, dataset: Dataset, kind: str) -> float:
     k = _check_kind(kind)
     t = np.asarray(dataset.times)
     y = np.asarray(dataset.counts)
-    with np.errstate(all="ignore"):
-        m = np.asarray(curve.mean_array(t), dtype=float)
+    m = curve.mean_array(t)
     if not np.all(np.isfinite(m)):
         return math.inf
     res = y - m
@@ -440,10 +440,9 @@ class _LeastSquares:
         except DomainError:
             r = self.fill
         else:
-            with np.errstate(all="ignore"):
-                r = self.y - np.asarray(curve.mean_array(self.t), dtype=float)
-                if not np.all(np.abs(r) < _RESIDUAL_CAP):  # also catches NaN
-                    r = self.fill
+            r = self.y - curve.mean_array(self.t)
+            if not np.all(np.abs(r) < _RESIDUAL_CAP):  # also catches NaN
+                r = self.fill
         self.last = (z.copy(), r)
         return r
 
@@ -602,12 +601,10 @@ def reconstruct_y(fit: FitResult, rho_values, grid) -> YReconstruction:
     t = np.asarray([float(g) for g in grid])
     if t.size == 0:
         raise DomainError("grid must contain at least one time point")
-    if np.any(t < 0.0) or not np.all(np.isfinite(t)):
-        raise DomainError("grid times must be finite and >= 0")
+    check_time(t)
 
     curve = fit.curve
-    with np.errstate(all="ignore"):
-        m_hat = np.asarray(curve.mean_array(t), dtype=float)
+    m_hat = curve.mean_array(t)
     out = np.empty((len(rhos), t.size))
     for i, rho in enumerate(rhos):
         if not (rho > 0.0 and math.isfinite(rho)):

@@ -11,9 +11,14 @@ proportional-family mean defines a cumulative forgetting intensity::
 
 and an instantaneous forgetting rate ``mu(t) = M'(t)`` (with
 ``lam(t) = rho mu(t)``), turning any fitted curve into a fully specified
-stochastic model.  Each family implements the induced ``M`` and ``mu`` in
-closed form, plus an exact upper bound of ``mu`` over a window (the thinning
-envelope ``Proportional.total_rate_sup`` reports).
+stochastic model.
+
+Each family's mean (``mean_array``, also ``mean``), induced ``M`` and induced
+``mu`` is one numpy implementation that takes a time or an array of times: an
+array is one vector evaluation, and a float gives a Python float from the same
+code, bit for bit an array element's.  Floating-point warnings are off inside
+(overflow to inf is part of the contract).  The bound of ``mu`` over a window
+(``induced_mu_sup``) is no longer read by any sampler.
 
 The quartic-exponent multisigmoidal family is the one member whose induced
 ``mu`` can become negative (its polynomial exponent ``Q`` eventually
@@ -28,27 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_j, check_positive, check_time
+from ._kernels import elementwise, float_or_array
+from .errors import (
+    DataError, DomainError, check_j, check_positive, check_time, config_field, converted,
+)
 from .moments import MomentReport, report_from_prop
 from .rates import MuBase, Proportional, first_passage
 
 
-def _exp(v: float) -> float:
-    return math.exp(v) if v < 709.0 else math.inf
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    if math.isinf(a) and a < 0:
-        return a
-    return a + math.log1p(math.exp(b - a))
-
-
-def _nonneg(big_m_value: float) -> float:
+def _nonneg(big_m_value):
     # log-difference forms can round M(0) to -1 ulp; the intensity integral
     # itself is never negative, so snap boundary noise back to exact zero
-    return 0.0 if -1e-12 < big_m_value < 0.0 else big_m_value
+    return np.where((big_m_value < 0.0) & (big_m_value > -1e-12), 0.0, big_m_value)
 
 
 def _check_common(j: int, rho: float) -> None:
@@ -57,11 +53,30 @@ def _check_common(j: int, rho: float) -> None:
         raise DomainError(f"curve families require a rate ratio rho > 1, got {rho}")
 
 
+class GrowthCurve:
+    """What the eight families share.
+
+    Each family writes ``mean_array``, ``induced_big_m`` and ``induced_mu`` as
+    numpy code on an array of times; defining the class wraps each of them in
+    :func:`~rumorbd._kernels.elementwise`, which gives them the float-or-array
+    contract of the module docstring.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in ("mean_array", "induced_big_m", "induced_mu"):
+            setattr(cls, name, elementwise(cls.__dict__[name]))
+
+    def mean(self, t):
+        """The curve's mean at ``t``, a time or an array of times."""
+        return self.mean_array(t)
+
+
 # ===== Spreader-mean (X) families =============================================
 
 
 @dataclass(frozen=True)
-class Gompertz:
+class Gompertz(GrowthCurve):
     """m(t) = j exp(alpha (1 - e^{-beta t}))."""
 
     alpha: float
@@ -78,31 +93,27 @@ class Gompertz:
         check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
-    def mean(self, t: float) -> float:
-        return self.j * _exp(self.alpha * -math.expm1(-self.beta * t))
+    def mean_array(self, t):
+        return self.j * np.exp(self.alpha * -np.expm1(-self.beta * t))
 
-    def mean_array(self, t: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return self.j * np.exp(self.alpha * -np.expm1(-self.beta * t))
+    def induced_big_m(self, t):
+        return self.alpha * -np.expm1(-self.beta * t) / (self.rho - 1.0)
 
-    def induced_big_m(self, t: float) -> float:
-        return self.alpha * -math.expm1(-self.beta * t) / (self.rho - 1.0)
-
-    def induced_mu(self, t: float) -> float:
-        return self.alpha * self.beta * math.exp(-self.beta * t) / (self.rho - 1.0)
+    def induced_mu(self, t):
+        return self.alpha * self.beta * np.exp(-self.beta * t) / (self.rho - 1.0)
 
     def induced_mu_sup(self, t0: float, t1: float) -> float:
         return self.induced_mu(t0)  # decreasing
 
     def mean_limit(self) -> float:
-        return self.j * _exp(self.alpha)
+        return self.j * float_or_array(np.exp, self.alpha)
 
     def big_m_limit(self) -> float:
         return self.alpha / (self.rho - 1.0)
 
 
 @dataclass(frozen=True)
-class GenGompertz:
+class GenGompertz(GrowthCurve):
     """m(t) = j exp(a b t / (t + b))."""
 
     a: float
@@ -119,31 +130,27 @@ class GenGompertz:
         check_positive("b", self.b)
         _check_common(self.j, self.rho)
 
-    def mean(self, t: float) -> float:
-        return self.j * _exp(self.a * self.b * t / (t + self.b))
+    def mean_array(self, t):
+        return self.j * np.exp(self.a * self.b * t / (t + self.b))
 
-    def mean_array(self, t: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return self.j * np.exp(self.a * self.b * t / (t + self.b))
-
-    def induced_big_m(self, t: float) -> float:
+    def induced_big_m(self, t):
         return self.a * self.b * t / ((self.rho - 1.0) * (t + self.b))
 
-    def induced_mu(self, t: float) -> float:
+    def induced_mu(self, t):
         return self.a * self.b**2 / ((self.rho - 1.0) * (t + self.b) ** 2)
 
     def induced_mu_sup(self, t0: float, t1: float) -> float:
         return self.induced_mu(t0)  # decreasing
 
     def mean_limit(self) -> float:
-        return self.j * _exp(self.a * self.b)
+        return self.j * float_or_array(np.exp, self.a * self.b)
 
     def big_m_limit(self) -> float:
         return self.a * self.b / (self.rho - 1.0)
 
 
 @dataclass(frozen=True)
-class Logistic:
+class Logistic(GrowthCurve):
     """m(t) = C j / (j + (C - j) e^{-r t})."""
 
     c: float
@@ -164,24 +171,18 @@ class Logistic:
                 f"carrying capacity must exceed the initial count, got c={self.c} <= j={self.j}"
             )
 
-    def mean(self, t: float) -> float:
-        return self.c * self.j / (self.j + (self.c - self.j) * math.exp(-self.r * t))
-
-    def mean_array(self, t: np.ndarray) -> np.ndarray:
+    def mean_array(self, t):
         return self.c * self.j / (self.j + (self.c - self.j) * np.exp(-self.r * t))
 
-    def induced_big_m(self, t: float) -> float:
+    def induced_big_m(self, t):
         # table form (r t + log C - log(C + j(e^{rt} - 1)))/(rho - 1), evaluated
         # through logaddexp so huge r t cannot overflow
-        num = (
-            self.r * t
-            + math.log(self.c)
-            - _logaddexp(math.log(self.c - self.j), math.log(self.j) + self.r * t)
-        )
+        rt = self.r * t
+        num = rt + math.log(self.c) - np.logaddexp(math.log(self.c - self.j), math.log(self.j) + rt)
         return _nonneg(num / (self.rho - 1.0))
 
-    def induced_mu(self, t: float) -> float:
-        w = math.exp(-self.r * t)
+    def induced_mu(self, t):
+        w = np.exp(-self.r * t)
         cj = self.c - self.j
         return self.r * cj * w / ((self.rho - 1.0) * (cj * w + self.j))
 
@@ -196,7 +197,7 @@ class Logistic:
 
 
 @dataclass(frozen=True)
-class ExtLogistic:
+class ExtLogistic(GrowthCurve):
     """Extended logistic with asymmetry parameter eps in (-1, 1).
 
     m(t) = (A + B e^{(1+eps)t}) / (D + E e^{(1+eps)t}) with
@@ -231,27 +232,22 @@ class ExtLogistic:
         ee = 2.0 * e * j + n - e * n
         return a, b, d, ee
 
-    def mean(self, t: float) -> float:
-        a, b, d, ee = self._coeffs()
-        wbar = math.exp(-(1.0 + self.eps) * t)
-        return (a * wbar + b) / (d * wbar + ee)
-
-    def mean_array(self, t: np.ndarray) -> np.ndarray:
+    def mean_array(self, t):
         a, b, d, ee = self._coeffs()
         wbar = np.exp(-(1.0 + self.eps) * t)
         return (a * wbar + b) / (d * wbar + ee)
 
-    def induced_big_m(self, t: float) -> float:
+    def induced_big_m(self, t):
         a, b, d, ee = self._coeffs()
-        wbar = math.exp(-(1.0 + self.eps) * t)
-        num = math.log(a * wbar + b) - math.log(self.j) - math.log(d * wbar + ee)
+        wbar = np.exp(-(1.0 + self.eps) * t)
+        num = np.log(a * wbar + b) - math.log(self.j) - np.log(d * wbar + ee)
         return _nonneg(num / (self.rho - 1.0))
 
-    def induced_mu(self, t: float) -> float:
+    def induced_mu(self, t):
         a, b, d, ee = self._coeffs()
         n, j = self.n, float(self.j)
         one_eps = 1.0 + self.eps
-        wbar = math.exp(-one_eps * t)
+        wbar = np.exp(-one_eps * t)
         k = one_eps**2 * n * (n - j) * ee
         return k * wbar / ((self.rho - 1.0) * (d * wbar + ee) * (a * wbar + b))
 
@@ -267,12 +263,7 @@ class ExtLogistic:
         return -math.log(wbar_star) / (1.0 + self.eps)
 
     def induced_mu_sup(self, t0: float, t1: float) -> float:
-        t_star = self._mu_peak_time()
-        if t_star <= t0:
-            return self.induced_mu(t0)
-        if t_star >= t1:
-            return self.induced_mu(t1)
-        return self.induced_mu(t_star)
+        return self.induced_mu(min(max(self._mu_peak_time(), t0), t1))
 
     def mean_limit(self) -> float:
         return self.n
@@ -282,7 +273,7 @@ class ExtLogistic:
 
 
 @dataclass(frozen=True)
-class MultisigLogistic:
+class MultisigLogistic(GrowthCurve):
     """Logistic with a quartic exponent: m(t) = C j / (j + (C-j) e^{-Q(t)}).
 
     Q(t) = b1 t + b2 t^2 + b3 t^3 + b4 t^4 with b4 < 0.  Setting
@@ -313,47 +304,36 @@ class MultisigLogistic:
                 f"carrying capacity must exceed the initial count, got c={self.c} <= j={self.j}"
             )
 
-    def q(self, t: float) -> float:
+    def q(self, t):
         b1, b2, b3, b4 = self.betas
         return t * (b1 + t * (b2 + t * (b3 + t * b4)))
 
-    def q_prime(self, t: float) -> float:
+    def q_prime(self, t):
         b1, b2, b3, b4 = self.betas
         return b1 + t * (2.0 * b2 + t * (3.0 * b3 + t * 4.0 * b4))
 
-    def mean(self, t: float) -> float:
+    def mean_array(self, t):
         qv = self.q(t)
-        if qv >= 0.0:
-            return self.c * self.j / (self.j + (self.c - self.j) * math.exp(-qv))
-        eq = _exp(qv)
-        return self.c * self.j * eq / (self.j * eq + (self.c - self.j))
-
-    def mean_array(self, t: np.ndarray) -> np.ndarray:
-        b1, b2, b3, b4 = self.betas
-        qv = t * (b1 + t * (b2 + t * (b3 + t * b4)))
         cj = self.c - self.j
-        with np.errstate(over="ignore", invalid="ignore"):
-            pos = self.c * self.j / (self.j + cj * np.exp(-qv))
-            eq = np.exp(np.minimum(qv, 0.0))
-            neg = self.c * self.j * eq / (self.j * eq + cj)
+        # e^{-Q} overflows where Q << 0: there the form in e^{Q} is used
+        pos = self.c * self.j / (self.j + cj * np.exp(-qv))
+        eq = np.exp(np.minimum(qv, 0.0))
+        neg = self.c * self.j * eq / (self.j * eq + cj)
         return np.where(qv >= 0.0, pos, neg)
 
-    def induced_big_m(self, t: float) -> float:
+    def induced_big_m(self, t):
         qv = self.q(t)
-        num = (
-            qv
-            + math.log(self.c)
-            - _logaddexp(math.log(self.c - self.j), math.log(self.j) + qv)
-        )
+        num = qv + math.log(self.c) - np.logaddexp(math.log(self.c - self.j), math.log(self.j) + qv)
         return _nonneg(num / (self.rho - 1.0))
 
-    def induced_mu(self, t: float) -> float:
-        qv = self.q(t)
-        w = _exp(-qv)
+    def _share(self, qv):
+        # (C-j) e^{-Q} / ((rho-1)(j + (C-j) e^{-Q})), the factor of Q' in the
+        # induced rate, with e^{-Q} cancelled so that neither sign of Q overflows
         cj = self.c - self.j
-        if math.isinf(w):
-            return self.q_prime(t) / (self.rho - 1.0)
-        return self.q_prime(t) * cj * w / ((self.rho - 1.0) * (self.j + cj * w))
+        return cj / ((self.rho - 1.0) * (cj + self.j * np.exp(qv)))
+
+    def induced_mu(self, t):
+        return self.q_prime(t) * self._share(self.q(t))
 
     def _q_prime_roots(self) -> list[float]:
         b1, b2, b3, b4 = self.betas
@@ -395,19 +375,15 @@ class MultisigLogistic:
                 if t0 < z < t1:
                     cands.append(z)
         qp_max = max(0.0, max(self.q_prime(s) for s in cands))
-        qv0 = self.q(t0)
-        w0 = _exp(-qv0)
-        cj = self.c - self.j
-        if math.isinf(w0):
-            return qp_max / (self.rho - 1.0)
-        return qp_max * cj * w0 / ((self.rho - 1.0) * (self.j + cj * w0))
+        # the share decreases in Q, which is smallest at t0 where Q' >= 0
+        return qp_max * float_or_array(self._share, self.q(t0))
 
     def mean_limit(self) -> float:
         raise DomainError("the quartic-exponent curve has no long-run limit inside its validity window")
 
 
 @dataclass(frozen=True)
-class ModKorf:
+class ModKorf(GrowthCurve):
     """m(t) = j exp((alpha/beta)(1 - (1+t)^{-beta}))."""
 
     alpha: float
@@ -424,29 +400,24 @@ class ModKorf:
         check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
-    def _u(self, t: float) -> float:
+    def _u(self, t):
         # 1 - (1+t)^{-beta}, evaluated without cancellation
-        return -math.expm1(-self.beta * math.log1p(t))
+        return -np.expm1(-self.beta * np.log1p(t))
 
-    def mean(self, t: float) -> float:
-        return self.j * _exp(self.alpha / self.beta * self._u(t))
+    def mean_array(self, t):
+        return self.j * np.exp(self.alpha / self.beta * self._u(t))
 
-    def mean_array(self, t: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            u = -np.expm1(-self.beta * np.log1p(t))
-            return self.j * np.exp(self.alpha / self.beta * u)
-
-    def induced_big_m(self, t: float) -> float:
+    def induced_big_m(self, t):
         return self.alpha / self.beta * self._u(t) / (self.rho - 1.0)
 
-    def induced_mu(self, t: float) -> float:
-        return self.alpha * math.exp(-(self.beta + 1.0) * math.log1p(t)) / (self.rho - 1.0)
+    def induced_mu(self, t):
+        return self.alpha * np.exp(-(self.beta + 1.0) * np.log1p(t)) / (self.rho - 1.0)
 
     def induced_mu_sup(self, t0: float, t1: float) -> float:
         return self.induced_mu(t0)  # decreasing
 
     def mean_limit(self) -> float:
-        return self.j * _exp(self.alpha / self.beta)
+        return self.j * float_or_array(np.exp, self.alpha / self.beta)
 
     def big_m_limit(self) -> float:
         return self.alpha / self.beta / (self.rho - 1.0)
@@ -456,7 +427,7 @@ class ModKorf:
 
 
 @dataclass(frozen=True)
-class Korf:
+class Korf(GrowthCurve):
     """m_Y(t) = (j/(rho-1)) exp(-(alpha/beta) t^{-beta}), with m_Y(0) = 0."""
 
     alpha: float
@@ -473,41 +444,27 @@ class Korf:
         check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
-    def _w(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return math.exp(-(self.alpha / self.beta) * t**-self.beta)
+    def _w(self, t):
+        # exp(-(alpha/beta) t^{-beta}); t^{-beta} is inf at t = 0, giving exactly 0
+        return np.exp(-(self.alpha / self.beta) * np.power(t, -self.beta))
 
-    def mean(self, t: float) -> float:
+    def _envelope(self, t):
+        # dominating bound alpha t^{-beta-1} w(t) / (rho-1) >= mu(t), 0 at t = 0
+        env = self.alpha * np.power(t, -(self.beta + 1.0)) * self._w(t) / (self.rho - 1.0)
+        return np.where(t > 0.0, env, 0.0)
+
+    def mean_array(self, t):
         return self.j / (self.rho - 1.0) * self._w(t)
 
-    def mean_array(self, t: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
-            w = np.exp(-(self.alpha / self.beta) * np.power(t, -self.beta))
-        return self.j / (self.rho - 1.0) * np.where(t > 0.0, w, 0.0)
+    def induced_big_m(self, t):
+        return np.log1p(self._w(t)) / (self.rho - 1.0)
 
-    def induced_big_m(self, t: float) -> float:
-        return math.log1p(self._w(t)) / (self.rho - 1.0)
-
-    def induced_mu(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        w = self._w(t)
-        return self.alpha * t ** -(self.beta + 1.0) * w / ((self.rho - 1.0) * (1.0 + w))
-
-    def _envelope(self, t: float) -> float:
-        # dominating bound alpha t^{-beta-1} w(t) / (rho-1) >= mu(t)
-        if t <= 0.0:
-            return 0.0
-        return self.alpha * t ** -(self.beta + 1.0) * self._w(t) / (self.rho - 1.0)
+    def induced_mu(self, t):
+        return self._envelope(t) / (1.0 + self._w(t))
 
     def induced_mu_sup(self, t0: float, t1: float) -> float:
         t_star = (self.alpha / (self.beta + 1.0)) ** (1.0 / self.beta)
-        if t1 <= t_star:
-            return self._envelope(t1)
-        if t0 >= t_star:
-            return self._envelope(t0)
-        return self._envelope(t_star)
+        return float_or_array(self._envelope, min(max(t_star, t0), t1))
 
     def mean_limit(self) -> float:
         return self.j / (self.rho - 1.0)
@@ -517,7 +474,7 @@ class Korf:
 
 
 @dataclass(frozen=True)
-class Mitscherlich:
+class Mitscherlich(GrowthCurve):
     """m_Y(t) = beta (1 - e^{-alpha t})."""
 
     alpha: float
@@ -534,20 +491,20 @@ class Mitscherlich:
         check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
-    def mean(self, t: float) -> float:
-        return self.beta * -math.expm1(-self.alpha * t)
-
-    def mean_array(self, t: np.ndarray) -> np.ndarray:
+    def _m(self, t):
         return self.beta * -np.expm1(-self.alpha * t)
 
-    def induced_big_m(self, t: float) -> float:
-        a = self.rho - 1.0
-        return math.log1p(a * self.mean(t) / self.j) / a
+    def mean_array(self, t):
+        return self._m(t)
 
-    def induced_mu(self, t: float) -> float:
+    def induced_big_m(self, t):
         a = self.rho - 1.0
-        num = self.alpha * self.beta * math.exp(-self.alpha * t)
-        return num / (self.j + a * self.mean(t))
+        return np.log1p(a * self._m(t) / self.j) / a
+
+    def induced_mu(self, t):
+        a = self.rho - 1.0
+        num = self.alpha * self.beta * np.exp(-self.alpha * t)
+        return num / (self.j + a * self._m(t))
 
     def induced_mu_sup(self, t0: float, t1: float) -> float:
         return self.induced_mu(t0)  # decreasing
@@ -570,39 +527,34 @@ FAMILIES: dict[str, type] = {
     )
 }
 
-GrowthCurve = (
-    Gompertz | GenGompertz | Logistic | ExtLogistic | MultisigLogistic
-    | ModKorf | Korf | Mitscherlich
-)
-
-
-def eval_curve(curve: GrowthCurve, t: float) -> float:
-    """The curve's mean value at ``t``."""
+def eval_curve(curve: GrowthCurve, t):
+    """The curve's mean value at ``t``, a time or an array of times."""
     check_time(t)
     return curve.mean(t)
 
 
-def induced_m(curve: GrowthCurve, t: float) -> float:
-    """Cumulative forgetting intensity the curve induces at ``t``.
+def induced_m(curve: GrowthCurve, t):
+    """Cumulative forgetting intensity the curve induces at ``t``, a time or
+    an array of times.
 
     Raises a domain error when the implied ``M(t)`` is negative (possible only
-    for the quartic-exponent family outside its validity window); roundoff
-    negatives above -1e-12 are clamped to 0.
+    for the quartic-exponent family outside its validity window); the families
+    snap roundoff negatives above -1e-12 to 0 themselves.
     """
     check_time(t)
     m = curve.induced_big_m(t)
-    if m < 0.0:
-        if m >= -1e-12:
-            return 0.0
+    bad = np.asarray(m) < 0.0
+    if bad.any():
         raise DomainError(
-            f"curve implies a negative cumulative intensity at t={t} "
-            "(outside the validity window)"
+            f"curve implies a negative cumulative intensity at "
+            f"t={np.asarray(t, dtype=float)[bad][0]} (outside the validity window)"
         )
     return m
 
 
-def derived_report(curve: GrowthCurve, t: float) -> MomentReport:
-    """Full moment report of the process the curve induces."""
+def derived_report(curve: GrowthCurve, t) -> MomentReport | list[MomentReport]:
+    """Full moment report of the process the curve induces: one report for a
+    time, a list of them for a sequence of times."""
     return report_from_prop(curve.rho, induced_m(curve, t), curve.j, t)
 
 
@@ -688,7 +640,7 @@ class CurveInducedMu(MuBase):
     def mu_at(self, t: float) -> float:
         return self.curve.induced_mu(t)
 
-    def big_m(self, t: float) -> float:
+    def big_m(self, t):
         return induced_m(self.curve, t)
 
     def mu_sup(self, t0: float, t1: float) -> float:
@@ -718,19 +670,18 @@ def curve_from_config(cfg: dict) -> GrowthCurve:
         raise DataError(
             f"unknown curve family {name!r} (known: {', '.join(sorted(FAMILIES))})"
         )
-    j = int(cfg.get("j", 1))
-    rho = float(cfg.get("rho", 2.0))
-    try:
-        if cls is MultisigLogistic:
-            if "betas" in cfg:
-                betas = tuple(float(b) for b in cfg["betas"])
-            else:
-                betas = tuple(float(cfg[f"beta{i}"]) for i in range(1, 5))
-            return MultisigLogistic(c=float(cfg["c"]), betas=betas, j=j, rho=rho)
-        kwargs = {name_: float(cfg[name_]) for name_ in cls.param_names}
-    except KeyError as exc:
-        raise DataError(f"curve family {name!r} is missing parameter {exc}") from exc
-    return cls(j=j, rho=rho, **kwargs)
+    what = f"curve family {name!r}"
+    j = config_field(cfg, "j", what, int, 1)
+    rho = config_field(cfg, "rho", what, float, 2.0)
+    if cls is MultisigLogistic:
+        if "betas" in cfg:
+            if not isinstance(cfg["betas"], (list, tuple)):
+                raise DataError(f"{what}: 'betas' must be a list, got {cfg['betas']!r}")
+            betas = tuple(converted(b, float, f"{what}: 'betas'") for b in cfg["betas"])
+        else:
+            betas = tuple(config_field(cfg, f"beta{i}", what) for i in range(1, 5))
+        return MultisigLogistic(c=config_field(cfg, "c", what), betas=betas, j=j, rho=rho)
+    return cls(j=j, rho=rho, **{key: config_field(cfg, key, what) for key in cls.param_names})
 
 
 def curve_to_config(curve: GrowthCurve) -> dict:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import proportional as prop
 from ._ode import moment_states
-from .errors import DomainError, check_j, check_time, check_times
+from .errors import DomainError, check_j, check_times
 from .rates import RateFamily, first_passage
 
 _METHODS = ("auto", "closed", "ode")
@@ -98,7 +98,6 @@ def _field(prop_fn, name: str, rates, j: int, t: float, method: str, at_zero=Non
     """``prop_fn(rho, M(t), j)`` on the closed route, ``at_zero`` instead where
     M(t) = 0 if one is given; the report's ``name`` on the ODE route."""
     check_j(j)
-    check_time(t)
     if _resolve(rates, method) == "ode":
         return getattr(moment_report(rates, j, t, method), name)
     rho, base = rates.proportional_view()
@@ -234,7 +233,7 @@ def moment_report(rates: RateFamily, j: int, t, method: str = "auto"):
         return []
     if how == "closed":
         rho, base = rates.proportional_view()
-        reports = report_from_prop(rho, np.array([base.big_m(ti) for ti in times]), j, times)
+        reports = report_from_prop(rho, base.big_m(times), j, times)
     else:
         reports = _ode_reports(rates, j, times, moment_states(rates, j, times))
     return reports[0] if scalar else reports

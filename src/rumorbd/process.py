@@ -263,7 +263,8 @@ def _tables(
             path = np.array([times + [math.inf]]), np.cumsum([[j] + steps + [1]], axis=1)
             yield _run(lambda *_: path, grid, horizon, j, cap, 1, jumps)
     else:  # the (rho, 1) chain in operational time, a stream per block
-        clock, end = [view[1].big_m(g) for g in grid], view[1].big_m(horizon)
+        m = view[1].big_m(grid + [horizon])  # one vector call: the grid, then the horizon
+        clock, end = m[:-1], float(m[-1])
         for block, first in enumerate(range(0, replicates, _BLOCK)):
             chunk = _chain(_gen_for(seed, block), view[0])
             yield _run(chunk, clock, end, j, cap, min(_BLOCK, replicates - first), jumps)

@@ -48,7 +48,7 @@ from ._kernels import (
     one_minus_q_over_x,
 )
 from .errors import (
-    DomainError, NumericsError, check_final_count, check_j, check_positive, check_z,
+    DomainError, NumericsError, check_final_count, check_j, check_positive, check_time, check_z,
 )
 
 _CONFLUENT_REL_DISC = 1e-18
@@ -56,16 +56,8 @@ _LINEAR_LIMIT = 1e300
 
 
 _check_rho = partial(check_positive, "rate ratio rho")
-
-
-def _check_big_m(big_m_value) -> np.ndarray:
-    """M as a float array, after checking that every element is finite and >= 0."""
-    m = np.asarray(big_m_value, dtype=float)
-    bad = ~((m >= 0.0) & np.isfinite(m))
-    if bad.any():
-        got = big_m_value if m.ndim == 0 else m[bad][0]
-        raise DomainError(f"cumulative forgetting intensity M must be finite and >= 0, got {got}")
-    return m
+# M(t) is operational time, checked as a time is
+_check_big_m = partial(check_time, name="cumulative forgetting intensity M")
 
 
 def _exp_guarded(x):
@@ -211,9 +203,9 @@ class _ClosedForms:
 
 def _forms(rho: float, big_m_value, j: int) -> _ClosedForms:
     _check_rho(rho)
-    m = _check_big_m(big_m_value)
+    _check_big_m(big_m_value)
     check_j(j)
-    return _ClosedForms(rho, m, j)
+    return _ClosedForms(rho, np.asarray(big_m_value, dtype=float), j)
 
 
 def _closed_form(name: str, attr: str, doc: str):

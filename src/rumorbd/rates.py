@@ -39,10 +39,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import proportional as prop
-from ._kernels import f1
+from ._kernels import elementwise, f1
 from ._ode import moment_state
-from .errors import DataError, DomainError, check_j, check_positive, check_time
+from .errors import DataError, DomainError, check_j, check_positive, check_time, config_field
 
 _TWO_PI = 2.0 * math.pi
 
@@ -57,8 +59,12 @@ class MuBase(abc.ABC):
     def mu_at(self, t: float) -> float: ...
 
     @abc.abstractmethod
-    def big_m(self, t: float) -> float:
-        """Cumulative intensity ``int_0^t mu``."""
+    def big_m(self, t):
+        """Cumulative intensity ``int_0^t mu`` at a time or an array of times.
+
+        An array is checked in one vector pass (a negative or NaN time raises
+        :class:`DomainError`) and evaluated in one vector call; a float gives a
+        Python float from the same code, bit for bit an array element's."""
 
     @abc.abstractmethod
     def mu_sup(self, t0: float, t1: float) -> float:
@@ -80,7 +86,8 @@ class ConstantMu(MuBase):
     def mu_at(self, t: float) -> float:
         return self.mu
 
-    def big_m(self, t: float) -> float:
+    @elementwise
+    def big_m(self, t):
         check_time(t)
         return self.mu * t
 
@@ -124,9 +131,10 @@ class CosineMu(MuBase):
     def mu_at(self, t: float) -> float:
         return self.mu + self.alpha * math.cos(_TWO_PI * t / self.period)
 
-    def big_m(self, t: float) -> float:
+    @elementwise
+    def big_m(self, t):
         check_time(t)
-        return self.mu * t + (self.alpha * self.period / _TWO_PI) * math.sin(
+        return self.mu * t + (self.alpha * self.period / _TWO_PI) * np.sin(
             _TWO_PI * t / self.period
         )
 
@@ -345,18 +353,20 @@ def mu_base_from_config(cfg: dict) -> MuBase:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise DataError(f"forgetting-rate config needs a 'kind' key, got {cfg!r}")
     kind = cfg["kind"]
+    what = f"{kind!r} forgetting-rate profile"
     if kind == "constant":
-        return ConstantMu(mu=float(cfg["mu"]))
+        return ConstantMu(mu=config_field(cfg, "mu", what))
     if kind == "cosine":
+        period = "period" if "period" in cfg else "Q"
         return CosineMu(
-            mu=float(cfg["mu"]),
-            alpha=float(cfg["alpha"]),
-            period=float(cfg.get("period", cfg.get("Q", 0.0))),
+            mu=config_field(cfg, "mu", what),
+            alpha=config_field(cfg, "alpha", what),
+            period=config_field(cfg, period, what, default=0.0),
         )
     if kind == "curve":
         from .growth import CurveInducedMu, curve_from_config
 
-        return CurveInducedMu(curve_from_config(cfg["curve"]))
+        return CurveInducedMu(curve_from_config(cfg.get("curve")))
     raise DataError(f"unknown forgetting-rate profile kind {kind!r}")
 
 
@@ -366,12 +376,16 @@ def rates_from_config(cfg: dict) -> RateFamily:
         raise DataError(f"rates config needs a 'kind' key, got {cfg!r}")
     kind = cfg["kind"]
     if kind == "constant":
-        lam = cfg.get("lam", cfg.get("lambda"))
-        if lam is None or "mu" not in cfg:
+        lam = "lam" if "lam" in cfg else "lambda"
+        if lam not in cfg or "mu" not in cfg:
             raise DataError("constant rates need 'lam' (or 'lambda') and 'mu'")
-        return Constant(lam=float(lam), mu=float(cfg["mu"]))
+        what = "constant rates"
+        return Constant(lam=config_field(cfg, lam, what), mu=config_field(cfg, "mu", what))
     if kind == "proportional":
         if "rho" not in cfg or "base" not in cfg:
             raise DataError("proportional rates need 'rho' and 'base'")
-        return Proportional(rho=float(cfg["rho"]), base_mu=mu_base_from_config(cfg["base"]))
+        return Proportional(
+            rho=config_field(cfg, "rho", "proportional rates"),
+            base_mu=mu_base_from_config(cfg["base"]),
+        )
     raise DataError(f"unknown rate family kind {kind!r} (explicit rates are code-only)")

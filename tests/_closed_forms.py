@@ -127,6 +127,48 @@ def p01(lam: float, mu: float, t: float) -> float:
     return mu * (1.0 - math.exp(-(lam + mu) * t)) / (lam + mu)
 
 
+# ===== Growth-table curve means (direct algebra) ==============================
+
+
+def mean_gompertz(alpha, beta, j, t):
+    return j * math.exp(alpha * (1.0 - math.exp(-beta * t)))
+
+
+def mean_gen_gompertz(a, b, j, t):
+    return j * math.exp(a * b * t / (t + b))
+
+
+def mean_logistic(c, r, j, t):
+    return c * j / (j + (c - j) * math.exp(-r * t))
+
+
+def mean_ext_logistic(n, eps, j, t):
+    w = math.exp((1.0 + eps) * t)
+    num = (eps - 1.0) * n * (n - j) + w * n * (2.0 * eps * j + n - eps * n)
+    den = 2.0 * eps * (n - j) + w * (2.0 * eps * j + n - eps * n)
+    return num / den
+
+
+def mean_multisig(c, betas, j, t):
+    b1, b2, b3, b4 = betas
+    q = b1 * t + b2 * t**2 + b3 * t**3 + b4 * t**4
+    return c * j / (j + (c - j) * math.exp(-q))
+
+
+def mean_mod_korf(alpha, beta, j, t):
+    return j * math.exp(alpha / beta * (1.0 - (1.0 + t) ** (-beta)))
+
+
+def mean_korf(alpha, beta, j, rho, t):
+    if t == 0.0:
+        return 0.0
+    return j / (rho - 1.0) * math.exp(-(alpha / beta) * t ** (-beta))
+
+
+def mean_mitscherlich(alpha, beta, t):
+    return beta * (1.0 - math.exp(-alpha * t))
+
+
 # ===== Growth-table induced intensities (direct algebra) ======================
 
 

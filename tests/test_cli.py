@@ -359,6 +359,34 @@ def test_exit_codes_for_bad_usage(capsys, argv, code):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "rates,key",
+    [
+        ({"kind": "proportional", "rho": 1.5, "base": {"kind": "cosine", "mu": 1}}, "alpha"),
+        ({"kind": "proportional", "rho": 1.5, "base": {"kind": "constant"}}, "mu"),
+        ({"kind": "constant", "lam": "x", "mu": 1}, "lam"),
+        ({"kind": "proportional", "rho": 2.0, "base": {"kind": "curve", "curve": {
+            "family": "logistic", "c": "abc", "r": 1.0, "rho": 2.0}}}, "c"),
+    ],
+    ids=["cosine-without-alpha", "constant-base-without-mu", "lam-not-a-number",
+         "curve-parameter-not-a-number"],
+)
+def test_malformed_rate_values_exit_4_naming_the_key(capsys, rates, key):
+    rc, out, err = _run(
+        capsys, ["moments", "--rates", json.dumps(rates), "--j", "1", "--grid", "0:1:4"]
+    )
+    assert rc == 4 and out == ""
+    assert err.startswith("data error: ") and f"'{key}'" in err
+
+
+def test_malformed_config_option_exits_4_naming_the_option(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rates": "constant:1,1", "j": "two", "grid": "0:1:4"}))
+    rc, out, err = _run(capsys, ["moments", "--config", str(cfg)])
+    assert rc == 4 and out == ""
+    assert err.startswith("data error: ") and "--j" in err and "'two'" in err
+
+
 def _checkout_env() -> dict:
     # a subprocess imports the same package as this test, installed or not
     src = str(Path(rumorbd.__file__).resolve().parent.parent)

@@ -1,6 +1,7 @@
 """Growth-curve families: induced intensities, round trips, crossings, configs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import _closed_forms as cf
 from rumorbd import DataError, DomainError
+from rumorbd.errors import check_times
 from rumorbd.growth import (
     FAMILIES,
     CurveInducedMu,
@@ -28,6 +30,8 @@ from rumorbd.growth import (
     induced_m,
     proportional_from_curve,
 )
+from rumorbd.moments import moment_report
+from rumorbd.rates import ConstantMu, CosineMu
 
 CANON = [
     Gompertz(alpha=3.0, beta=2.0, j=1, rho=1.5),
@@ -65,6 +69,27 @@ def _naive_m(curve, t):
     raise AssertionError(f"no naive form for {curve!r}")
 
 
+def _naive_mean(curve, t):
+    """Dispatch to the independently transcribed curve means."""
+    if isinstance(curve, Gompertz):
+        return cf.mean_gompertz(curve.alpha, curve.beta, curve.j, t)
+    if isinstance(curve, GenGompertz):
+        return cf.mean_gen_gompertz(curve.a, curve.b, curve.j, t)
+    if isinstance(curve, Logistic):
+        return cf.mean_logistic(curve.c, curve.r, curve.j, t)
+    if isinstance(curve, ExtLogistic):
+        return cf.mean_ext_logistic(curve.n, curve.eps, curve.j, t)
+    if isinstance(curve, MultisigLogistic):
+        return cf.mean_multisig(curve.c, curve.betas, curve.j, t)
+    if isinstance(curve, ModKorf):
+        return cf.mean_mod_korf(curve.alpha, curve.beta, curve.j, t)
+    if isinstance(curve, Korf):
+        return cf.mean_korf(curve.alpha, curve.beta, curve.j, curve.rho, t)
+    if isinstance(curve, Mitscherlich):
+        return cf.mean_mitscherlich(curve.alpha, curve.beta, t)
+    raise AssertionError(f"no naive form for {curve!r}")
+
+
 # ===== boundary values and array evaluation ===================================
 
 
@@ -93,6 +118,93 @@ def test_multisig_mean_array_negative_exponent_branch():
     for i, t in enumerate(ts):
         assert arr[i] == pytest.approx(c.mean(float(t)), rel=1e-13)
     assert np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("curve", CANON, ids=lambda c: c.family + str(c.rho))
+def test_mean_array_matches_naive_forms(curve):
+    arr = curve.mean_array(np.array(TIMES))
+    for i, t in enumerate(TIMES):
+        assert arr[i] == pytest.approx(_naive_mean(curve, t), rel=1e-13, abs=0.0)
+
+
+def test_gompertz_mean_overflows_to_inf_without_warning():
+    curve = Gompertz(alpha=800.0, beta=1.0, j=1, rho=2.0)  # e^800 is past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arr = curve.mean_array(np.array([0.0, 1.0, 50.0]))
+        far = curve.mean(50.0)
+    assert arr[0] == 1.0 and math.isfinite(arr[1]) and arr[2] == math.inf
+    assert type(far) is float and far == math.inf
+
+
+def test_korf_is_exactly_zero_at_time_zero():
+    curve = Korf(alpha=1.0, beta=0.8, j=1, rho=1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (curve.mean_array, curve.induced_big_m, curve.induced_mu):
+            assert fn(0.0) == 0.0
+            assert fn(np.array([0.0, 1.0]))[0] == 0.0
+
+
+def test_multisig_mean_matches_naive_form_where_q_is_negative():
+    c = MultisigLogistic(c=5.0, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=2.0)
+    ts = [3.0, 4.5, 6.0]  # Q < 0 from t ~ 2.15 on
+    arr = c.mean_array(np.array(ts))
+    for i, t in enumerate(ts):
+        assert c.q(t) < 0.0
+        assert arr[i] == pytest.approx(cf.mean_multisig(5.0, c.betas, 1, t), rel=1e-13, abs=0.0)
+
+
+# ===== array contract of the forgetting-rate profiles =========================
+
+PROFILES = [ConstantMu(0.7), CosineMu(mu=1.0, alpha=0.5, period=2.5)] + [
+    CurveInducedMu(c) for c in CANON
+]
+
+
+def _profile_id(prof):
+    return type(prof).__name__ + (
+        f"-{prof.curve.family}{prof.curve.rho}" if isinstance(prof, CurveInducedMu) else ""
+    )
+
+
+@pytest.mark.parametrize("prof", PROFILES, ids=_profile_id)
+def test_big_m_array_equals_pointwise_calls(prof):
+    grid = np.linspace(0.0, 8.0, 257)
+    arr = prof.big_m(grid)
+    assert isinstance(arr, np.ndarray) and arr.shape == grid.shape
+    assert arr.tolist() == [prof.big_m(float(t)) for t in grid]  # bit for bit
+    assert type(prof.big_m(0.7)) is float
+    empty = prof.big_m(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("prof", PROFILES, ids=_profile_id)
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_big_m_array_rejects_bad_times(prof, bad):
+    with pytest.raises(DomainError):
+        prof.big_m(np.array([0.0, bad, 2.0]))
+    with pytest.raises(DomainError):
+        prof.big_m(bad)
+
+
+@pytest.mark.parametrize("curve", CANON, ids=lambda c: c.family + str(c.rho))
+def test_closed_report_grid_equals_scalar_reports(curve):
+    rates = proportional_from_curve(curve)
+    grid = [float(t) for t in np.linspace(0.0, 8.0, 33)]
+    reports = moment_report(rates, curve.j, grid)
+    for t, rep in zip(grid, reports):
+        assert repr(moment_report(rates, curve.j, t)) == repr(rep)  # bit for bit
+    assert repr(derived_report(curve, grid)) == repr(reports)
+
+
+def test_check_times_keeps_its_message_on_arrays():
+    message = r"^times must be nondecreasing, got 1\.0 after 2\.0$"
+    for times in ([0.0, 2.0, 1.0], np.array([0.0, 2.0, 1.0])):
+        with pytest.raises(DomainError, match=message):
+            check_times(times)
+    with pytest.raises(DomainError, match=r"^time must be finite and >= 0, got -1\.0$"):
+        check_times(np.array([0.0, -1.0]))
 
 
 # ===== induced intensity vs naive transcriptions ==============================
