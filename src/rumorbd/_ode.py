@@ -32,14 +32,14 @@ _ODE_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
 def moment_states(rates, j: int, times) -> np.ndarray:
     """``[m_X, m2_X, m_Y, m_XY, m2_Y, M, phi_x]`` at each of ``times``, one row each.
 
-    ``times`` must be a nonempty, nondecreasing sequence of validated times.
+    ``times`` must be a nondecreasing sequence of validated times.
     """
     # imported here: scipy.integrate takes longer to import than all of rumorbd
     from scipy.integrate import solve_ivp
 
     grid, back = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     y0 = [float(j), float(j * j), 0.0, 0.0, 0.0, 0.0, 0.0]
-    if grid[-1] == 0.0:
+    if not grid.size or grid[-1] == 0.0:
         return np.tile(y0, (len(back), 1))
 
     def rhs(s, y):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 from pathlib import Path
 
@@ -84,6 +83,15 @@ class _Conf:
         return v if v is None or kind is None else converted(v, kind, f"option {flag}")
 
 
+def _listed(value, flag: str) -> list:
+    """A comma-separated string, or a JSON list from the config, as a list."""
+    if isinstance(value, str):
+        return [v.strip() for v in value.split(",") if v.strip()]
+    if not isinstance(value, list):
+        raise DataError(f"option {flag} must be a comma-separated list, got {value!r}")
+    return value
+
+
 def _parse_rates(value) -> rates_mod.RateFamily:
     """Inline rate spec: JSON object, or the shorthand 'constant:LAM,MU'."""
     if isinstance(value, dict):
@@ -137,7 +145,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     seed = conf.get("seed", 0, kind=int)
     cap = conf.get("cap", 10**6, kind=int)
     out = conf.get("out")
-    if conf.get("trajectory", False):
+    if conf.get("trajectory", False, kind=bool):
         traj = process_mod.simulate(rates, j, horizon, seed, cap=cap)
         rows = [(e.time, e.kind, e.n, e.k) for e in traj.events]
         _write_csv(out, "trajectory", ["time", "event", "n", "k"], rows)
@@ -149,13 +157,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         "t", "mean_x", "var_x", "mean_y", "var_y", "cov", "corr",
         "absorbed_frac", "se_x", "se_y", "cap_frac",
     ]
-    rows = zip(
-        stats.grid.tolist(), stats.mean_x.tolist(), stats.var_x.tolist(),
-        stats.mean_y.tolist(), stats.var_y.tolist(), stats.cov.tolist(),
-        stats.corr.tolist(), stats.absorbed_frac.tolist(),
-        stats.se_x.tolist(), stats.se_y.tolist(), stats.cap_frac.tolist(),
-    )
-    _write_csv(out, "ensemble", header, rows)
+    columns = [stats.grid, *(getattr(stats, h) for h in header[1:])]
+    _write_csv(out, "ensemble", header, zip(*(c.tolist() for c in columns)))
     return 0
 
 
@@ -170,8 +173,8 @@ def _cmd_moments(ns: argparse.Namespace) -> int:
         "t", "m_x", "var_x", "m_y", "var_y", "m2_y", "m_xy", "cov", "corr",
         "fano_x", "fano_y", "cv_x", "cv_y", "r_index",
     ]
-    reports = moments_mod.moment_report(rates, j, grid, method=method)
-    _write_csv(out, "moments", header, map(operator.attrgetter(*header), reports))
+    rep = moments_mod.moment_report(rates, j, grid, method=method)
+    _write_csv(out, "moments", header, zip(*(getattr(rep, h).tolist() for h in header)))
     return 0
 
 
@@ -223,8 +226,8 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     dataset = fit_mod.dataset_from_csv(conf.get("data", required=True))
     kind = str(conf.get("objective", "mse"))
     families = conf.get("families", "all")
-    if isinstance(families, str) and families != "all":
-        families = [f.strip() for f in families.split(",") if f.strip()]
+    if families != "all":
+        families = _listed(families, "--families")
     report = fit_mod.select_model(
         dataset,
         families,
@@ -233,7 +236,7 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
         restarts=conf.get("restarts", 16, kind=int),
         seed=conf.get("seed", 0, kind=int),
         rho=conf.get("rho", 2.0, kind=float),
-        estimate_j=bool(conf.get("estimate_j", False)),
+        estimate_j=conf.get("estimate_j", False, kind=bool),
     )
     out = conf.get("out")
     header = ["family", "objective", "value", "converged", "n_evals", "restarts", "params"]
@@ -277,9 +280,7 @@ def _cmd_reconstruct_y(ns: argparse.Namespace) -> int:
     dataset = fit_mod.dataset_from_csv(conf.get("data", required=True))
     family = str(conf.get("family", required=True))
     kind = str(conf.get("objective", "mse"))
-    rho_raw = conf.get("rho_values", required=True)
-    if isinstance(rho_raw, str):
-        rho_raw = [r for r in rho_raw.split(",") if r.strip()]
+    rho_raw = _listed(conf.get("rho_values", required=True), "--rho-values")
     rho_values = [converted(r, float, "option --rho-values") for r in rho_raw]
     grid = _parse_grid(conf.get("grid", required=True))
     fr = fit_mod.fit_one(

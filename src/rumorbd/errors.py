@@ -85,11 +85,18 @@ def check_final_count(j: int, k: int) -> None:
 
 def converted(value, kind, what: str):
     """``kind(value)``; a value that does not convert raises :class:`DataError`
-    naming ``what``."""
+    naming ``what``.  Nothing is truncated or read by truthiness: a bool
+    converts only to ``bool``, ``bool`` takes only a bool, and ``int`` takes
+    no fractional number."""
+    message = f"{what} must be {kind.__name__}, got {value!r}"
+    if isinstance(value, bool) != (kind is bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise DataError(message)
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise DataError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+        raise DataError(message) from exc
 
 
 def config_field(cfg: dict, key: str, what: str, kind=float, default=None):

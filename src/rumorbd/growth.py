@@ -22,8 +22,8 @@ code, bit for bit an array element's.  Floating-point warnings are off inside
 
 The quartic-exponent multisigmoidal family is the one member whose induced
 ``mu`` can become negative (its polynomial exponent ``Q`` eventually
-decreases); its validity window ``{t : Q'(t) >= 0}`` is computed exactly and
-enforced before simulation.
+decreases); its validity window ``{t : Q'(t) >= 0}`` is computed exactly,
+enforced before simulation and bounds the crossing-time search.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from ._kernels import elementwise, float_or_array
 from .errors import (
     DataError, DomainError, check_j, check_positive, check_time, config_field, converted,
 )
-from .moments import MomentReport, report_from_prop
-from .rates import MuBase, Proportional, first_passage
+from .moments import MomentReport, crossing_time, report_from_prop
+from .rates import MuBase, Proportional
 
 
 def _nonneg(big_m_value):
@@ -70,6 +70,15 @@ class GrowthCurve:
     def mean(self, t):
         """The curve's mean at ``t``, a time or an array of times."""
         return self.mean_array(t)
+
+    def induced_validity_end(self) -> float:
+        """Largest T with the induced ``mu >= 0`` on [0, T]: inf but for the
+        quartic-exponent family."""
+        return math.inf
+
+    def validate_horizon(self, horizon: float) -> None:
+        """Raise if the induced rate turns negative before ``horizon``."""
+        CurveInducedMu(self).validate_horizon(horizon)
 
 
 # ===== Spreader-mean (X) families =============================================
@@ -355,14 +364,6 @@ class MultisigLogistic(GrowthCurve):
                 return s
         return math.inf
 
-    def validate_horizon(self, horizon: float) -> None:
-        end = self.induced_validity_end()
-        if horizon > end + 1e-9:
-            raise DomainError(
-                f"curve-induced forgetting rate turns negative at t~{end:.6g}; "
-                f"requested horizon {horizon} exceeds the validity window"
-            )
-
     def induced_mu_sup(self, t0: float, t1: float) -> float:
         b1, b2, b3, b4 = self.betas
         cands = [t0, t1]
@@ -552,59 +553,21 @@ def induced_m(curve: GrowthCurve, t):
     return m
 
 
-def derived_report(curve: GrowthCurve, t) -> MomentReport | list[MomentReport]:
-    """Full moment report of the process the curve induces: one report for a
-    time, a list of them for a sequence of times."""
+def derived_report(curve: GrowthCurve, t) -> MomentReport:
+    """Full moment report of the process the curve induces: floats for one
+    time, columns over a sequence of times."""
     return report_from_prop(curve.rho, induced_m(curve, t), curve.j, t)
 
 
 def crossing_time_curve(curve: GrowthCurve) -> float:
     """First time with m_X = m_Y under the induced model; 0.0 when none exists.
 
-    The crossing condition is ``M(t) = -log(2-rho)/(rho-1)``, which can only be
-    met for 1 < rho < 2 and only when the curve's limiting intensity exceeds
-    the threshold; otherwise the spreaders dominate from the start and the
-    convention is to report 0.
+    :func:`~rumorbd.moments.crossing_time` of the induced rates: the crossing
+    needs ``M(t) = -log(2-rho)/(rho-1)``, met only for 1 < rho < 2 and only
+    when the intensity reaches it inside the validity window; otherwise the
+    spreaders dominate throughout and the convention is to report 0.
     """
-    rho = curve.rho
-    if not rho < 2.0:
-        return 0.0
-    big_l = -math.log(2.0 - rho)
-    m_thr = big_l / (rho - 1.0)
-
-    if isinstance(curve, Gompertz):
-        if curve.alpha <= big_l:
-            return 0.0
-        return -math.log1p(-big_l / curve.alpha) / curve.beta
-    if isinstance(curve, Logistic):
-        gap = curve.c * (2.0 - rho) - curve.j
-        if gap <= 0.0:
-            return 0.0
-        return math.log((curve.c - curve.j) / gap) / curve.r
-    if isinstance(curve, ModKorf):
-        if curve.alpha <= curve.beta * big_l:
-            return 0.0
-        return (1.0 - curve.beta * big_l / curve.alpha) ** (-1.0 / curve.beta) - 1.0
-    if isinstance(curve, Korf):
-        if not rho < 1.5:
-            return 0.0
-        denom = math.log((2.0 - rho) / (rho - 1.0))
-        return ((curve.alpha / curve.beta) / denom) ** (1.0 / curve.beta)
-    if isinstance(curve, Mitscherlich):
-        gap = curve.beta * (2.0 - rho) - curve.j
-        if gap <= 0.0:
-            return 0.0
-        return math.log(curve.beta * (2.0 - rho) / gap) / curve.alpha
-    # the rest take a numeric root: the quartic-exponent family inside its
-    # validity window, gen-Gompertz and extended logistic after a limit test
-    t_hi = None
-    if isinstance(curve, MultisigLogistic):
-        end = curve.induced_validity_end()
-        if math.isfinite(end):
-            t_hi = end
-    elif curve.big_m_limit() <= m_thr:
-        return 0.0
-    t = first_passage(CurveInducedMu(curve), m_thr, hi=t_hi)
+    t = crossing_time(proportional_from_curve(curve), curve.j)
     return 0.0 if t is None else t
 
 
@@ -646,10 +609,8 @@ class CurveInducedMu(MuBase):
     def mu_sup(self, t0: float, t1: float) -> float:
         return self.curve.induced_mu_sup(t0, t1)
 
-    def validate_horizon(self, horizon: float) -> None:
-        hook = getattr(self.curve, "validate_horizon", None)
-        if hook is not None:
-            hook(horizon)
+    def validity_end(self) -> float:
+        return self.curve.induced_validity_end()
 
 
 def proportional_from_curve(curve: GrowthCurve) -> Proportional:

@@ -21,9 +21,10 @@ Two independent computation routes are provided and cross-checked in tests:
 
 On the closed route a grid is one vector evaluation: ``M`` at every time,
 then each closed form once over the whole ``M`` array.  One vectorized
-assembly turns either route's columns into reports, and a scalar goes
-through the same code, so a grid report equals the scalar reports of its
-times bit for bit.
+assembly turns either route's columns into one :class:`MomentReport`: of
+floats for one time, of arrays over a grid.  A scalar goes through the same
+code, so column ``i`` of a closed grid report equals the scalar report at
+``t_i`` bit for bit.
 
 At ``t = 0`` both variances vanish, so the correlation is reported as its
 analytic ``t -> 0+`` limit ``-sqrt(mu(0)/(lam(0) + mu(0)))`` with the
@@ -40,15 +41,20 @@ import numpy as np
 from . import proportional as prop
 from ._ode import moment_states
 from .errors import DomainError, check_j, check_times
-from .rates import RateFamily, first_passage
+from .rates import RateFamily, first_passage, resolve_method
 
-_METHODS = ("auto", "closed", "ode")
 _VAR_LOST = "variance assembly lost all precision ({})"
 
 
 @dataclass(frozen=True, slots=True)
 class MomentReport:
-    """All first/second-order summaries of ``(X(t), Y(t))`` at one time."""
+    """All first/second-order summaries of ``(X(t), Y(t))``.
+
+    At one time every field is a float (``corr_is_limit`` a bool); over a
+    sequence of times ``t`` and every other field but ``j`` are numpy arrays
+    over it, ``corr_is_limit`` a bool array, so two grid reports are compared
+    column by column rather than with ``==``.
+    """
 
     t: float
     j: int
@@ -68,17 +74,6 @@ class MomentReport:
     corr_is_limit: bool = False
 
 
-def _resolve(rates: RateFamily, method: str) -> str:
-    if method not in _METHODS:
-        raise DomainError(f"unknown moment method {method!r}")
-    view = rates.proportional_view()
-    if method == "closed" and view is None:
-        raise DomainError("closed moments need a constant or proportional family")
-    if method == "auto":
-        return "closed" if view is not None else "ode"
-    return method
-
-
 def _corr_zero_limit(rates: RateFamily) -> float:
     view = rates.proportional_view()
     if view is not None:
@@ -91,14 +86,14 @@ def _corr_zero_limit(rates: RateFamily) -> float:
 # ===== Individual moments =====================================================
 # On the closed route an accessor is the one ``prop`` function it needs, at
 # M(t); on the ODE route it reads one field of the report.  Either way it runs
-# the code of the grid rows, so accessors and grid reports agree bit for bit.
+# the code of the grid columns, so accessors and grid reports agree bit for bit.
 
 
 def _field(prop_fn, name: str, rates, j: int, t: float, method: str, at_zero=None) -> float:
     """``prop_fn(rho, M(t), j)`` on the closed route, ``at_zero`` instead where
     M(t) = 0 if one is given; the report's ``name`` on the ODE route."""
     check_j(j)
-    if _resolve(rates, method) == "ode":
+    if resolve_method(rates, method) == "ode":
         return getattr(moment_report(rates, j, t, method), name)
     rho, base = rates.proportional_view()
     m = base.big_m(t)
@@ -139,7 +134,7 @@ def cov_corr(
     correlation is reported as its analytic limit
     ``-sqrt(mu(0)/(lam(0)+mu(0)))``.
     """
-    if _resolve(rates, method) == "ode":
+    if resolve_method(rates, method) == "ode":
         rep = moment_report(rates, j, t, method)
         return rep.cov, rep.corr
     corr = _field(prop.corr_prop, "corr", rates, j, t, method, _corr_zero_limit(rates))
@@ -167,8 +162,9 @@ def fano_cv(
 # ===== Bundled report =========================================================
 
 
-def _assemble(times, j: int, cols: dict, corr_is_limit) -> list[MomentReport]:
-    """One report per time from ``prop.REPORT_COLUMNS``, adding fano and cv."""
+def _assemble(t, j: int, cols: dict, corr_is_limit) -> MomentReport:
+    """The report from ``prop.REPORT_COLUMNS``, adding fano and cv: floats
+    for one time ``t``, the columns themselves for a sequence of times."""
     m_x, m_y, var_x_, var_y_ = (np.asarray(cols[k]) for k in ("m_x", "m_y", "var_x", "var_y"))
     with np.errstate(all="ignore"):
         fano_x = np.where(m_x > 0.0, var_x_ / m_x, 0.0)
@@ -179,30 +175,29 @@ def _assemble(times, j: int, cols: dict, corr_is_limit) -> list[MomentReport]:
         m_x, m_y, var_x_, var_y_, cols["m2_y"], cols["m_xy"], cols["cov"], cols["corr"],
         fano_x, fano_y, cv_x, cv_y, cols["r_index"], corr_is_limit,
     )
-    rows = zip(times, *(np.atleast_1d(c).tolist() for c in columns))
-    return [MomentReport(t, j, *row) for t, *row in rows]
+    if np.ndim(t) == 0:
+        return MomentReport(t, j, *(np.asarray(c).item() for c in columns))
+    return MomentReport(np.asarray(t, dtype=float), j, *map(np.asarray, columns))
 
 
-def report_from_prop(rho: float, big_m_value, j: int, t):
+def report_from_prop(rho: float, big_m_value, j: int, t) -> MomentReport:
     """Full moment report from the closed kernels.
 
-    ``big_m_value`` is one cumulative intensity, giving one report at time
-    ``t``, or an array of them paired with the sequence of times ``t``,
-    giving a list.  Where M = 0 the moments are exact, the correlation is
-    reported as its limit ``-1/sqrt(1 + rho)`` and ``r`` as ``1 - 1/j``.
+    ``big_m_value`` is one cumulative intensity at time ``t``, or an array
+    of them paired with the sequence of times ``t``, giving columns.  Where
+    M = 0 the moments are exact, the correlation is reported as its limit
+    ``-1/sqrt(1 + rho)`` and ``r`` as ``1 - 1/j``.
     """
     check_j(j)
-    scalar = np.ndim(big_m_value) == 0
     cols = prop.report_columns_prop(rho, big_m_value, j)
     at_zero = np.asarray(big_m_value) == 0.0
     cols["corr"] = np.where(at_zero, -1.0 / math.sqrt(1.0 + rho), cols["corr"])
     cols["r_index"] = np.where(at_zero, 1.0 - 1.0 / j, cols["r_index"])
-    reports = _assemble([t] if scalar else t, j, cols, at_zero)
-    return reports[0] if scalar else reports
+    return _assemble(t, j, cols, at_zero)
 
 
-def _ode_reports(rates: RateFamily, j: int, times, states: np.ndarray) -> list[MomentReport]:
-    mx, m2x, my, mxy, m2y = states[:, :5].T
+def _ode_report(rates: RateFamily, j: int, t) -> MomentReport:
+    mx, m2x, my, mxy, m2y = moment_states(rates, j, np.atleast_1d(t))[:, :5].T
     vx = prop.clamp_variance(m2x - mx * mx, m2x, _VAR_LOST)
     vy = prop.clamp_variance(m2y - my * my, m2y, _VAR_LOST)
     cov = mxy - mx * my
@@ -214,29 +209,22 @@ def _ode_reports(rates: RateFamily, j: int, times, states: np.ndarray) -> list[M
         corr = np.where(limit, _corr_zero_limit(rates), corr)
     cols = dict(m_x=mx, m_y=my, var_x=vx, var_y=vy, m2_y=m2y, m_xy=mxy, cov=cov, corr=corr,
                 r_index=r)
-    return _assemble(times, j, cols, limit)
+    return _assemble(t, j, cols, limit)
 
 
-def moment_report(rates: RateFamily, j: int, t, method: str = "auto"):
+def moment_report(rates: RateFamily, j: int, t, method: str = "auto") -> MomentReport:
     """Everything :class:`MomentReport` carries, via one consistent route.
 
-    ``t`` is one time, giving one report, or a nondecreasing sequence of
-    times, giving a list of reports.  On the closed route a sequence is one
-    vector evaluation; on the ODE route, one solve to its last time.
+    ``t`` is one time, giving floats, or a nondecreasing sequence of times,
+    giving columns over it.  On the closed route a sequence is one vector
+    evaluation; on the ODE route, one solve to its last time.
     """
     check_j(j)
-    scalar = np.ndim(t) == 0
-    times = [t] if scalar else list(t)
-    check_times(times)
-    how = _resolve(rates, method)
-    if not times:
-        return []
-    if how == "closed":
-        rho, base = rates.proportional_view()
-        reports = report_from_prop(rho, base.big_m(times), j, times)
-    else:
-        reports = _ode_reports(rates, j, times, moment_states(rates, j, times))
-    return reports[0] if scalar else reports
+    check_times(np.atleast_1d(t))
+    if resolve_method(rates, method) == "ode":
+        return _ode_report(rates, j, t)
+    rho, base = rates.proportional_view()
+    return report_from_prop(rho, base.big_m(t), j, t)
 
 
 # ===== Crossing time ==========================================================
@@ -247,7 +235,8 @@ def crossing_time(rates: RateFamily, j: int) -> float | None:
 
     Requires a constant or proportional family.  The crossing condition is
     ``M(t) = -log(2 - rho)/(rho - 1)`` — independent of ``j`` (the argument is
-    kept for interface symmetry).  There is no crossing when ``rho >= 2``.
+    kept for interface symmetry).  There is no crossing when ``rho >= 2``, nor
+    when ``M`` stays below the threshold up to the profile's validity end.
     Non-invertible cumulative intensities are handled by root bracketing.
     """
     check_j(j)
@@ -258,4 +247,4 @@ def crossing_time(rates: RateFamily, j: int) -> float | None:
     m_thr = prop.crossing_m_threshold(rho)
     if math.isinf(m_thr):
         return None
-    return first_passage(base, m_thr)
+    return first_passage(base, m_thr, hi=base.validity_end())

@@ -19,9 +19,8 @@ The integral transforms underlying every closed-form moment are::
     gamma(t) = int_0^t mu * eta * (2 phi_x + j - 1)
 
 For Constant/Proportional rates all five reduce to closed kernel expressions
-in ``(rho, M)``.  For any family the ``"quadrature"`` route (the name is kept
-for compatibility) reads them off the moment engine of :mod:`rumorbd._ode`,
-one solve to ``t``::
+in ``(rho, M)``.  For any family the ``"ode"`` route reads them off the
+moment engine of :mod:`rumorbd._ode`, one solve to ``t``::
 
     M = M,   eta = m_X / j,   phi_x = phi_x,
     phi_y = m_Y / j + eta - 1,   gamma = m_XY / m_X
@@ -70,8 +69,18 @@ class MuBase(abc.ABC):
     def mu_sup(self, t0: float, t1: float) -> float:
         """An exact upper bound of ``mu`` on ``[t0, t1]``."""
 
+    def validity_end(self) -> float:
+        """Largest ``T`` with ``mu >= 0`` on ``[0, T]``; inf by default."""
+        return math.inf
+
     def validate_horizon(self, horizon: float) -> None:
         """Raise if the profile leaves the model's domain before ``horizon``."""
+        end = self.validity_end()
+        if horizon > end + 1e-9:
+            raise DomainError(
+                f"forgetting rate turns negative at t~{end:.6g}; "
+                f"requested horizon {horizon} exceeds the validity window"
+            )
 
 
 @dataclass(frozen=True)
@@ -144,23 +153,22 @@ class CosineMu(MuBase):
 
 
 def first_passage(
-    base: MuBase, level: float, lo: float = 0.0, hi: float | None = None
+    base: MuBase, level: float, lo: float = 0.0, hi: float = math.inf
 ) -> float | None:
     """First ``t >= lo`` at which the profile's nondecreasing M reaches ``level``.
 
-    With ``hi`` the search is confined to ``[lo, hi]``; without it ``hi``
+    A finite ``hi`` confines the search to ``[lo, hi]``; an infinite one
     doubles from 1 until ``M(hi) >= level``.  None when ``M`` stays below
     ``level`` up to ``hi`` (or up to 1e18, where ``M`` is taken to saturate).
     :class:`ConstantMu` inverts in closed form; any other profile by
     ``brentq`` (xtol 1e-12, rtol 8.9e-16), which calls only ``big_m``.
     """
     big_m = base.big_m
-    if hi is not None and big_m(hi) < level:
+    if hi < math.inf and big_m(hi) < level:
         return None
     if isinstance(base, ConstantMu):
-        t = level / base.mu
-        return t if hi is None else min(t, hi)
-    if hi is None:
+        return min(level / base.mu, hi)
+    if hi == math.inf:
         hi = 1.0
         while big_m(hi) < level:
             hi *= 2.0
@@ -281,14 +289,18 @@ class Explicit(RateFamily):
         return self.rate_sup_fn(t0, t1)
 
 
-def _resolve_method(rates: RateFamily, method: str) -> str:
-    if method not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown transform method {method!r}")
+def resolve_method(rates: RateFamily, method: str) -> str:
+    """The route of a transform or moment: ``"closed"`` or ``"ode"``.
+
+    ``"auto"`` takes the closed route when the family has a proportional view
+    and the ODE route otherwise; ``"closed"`` needs that view."""
+    if method not in ("auto", "closed", "ode"):
+        raise DomainError(f"unknown method {method!r}")
     view = rates.proportional_view()
     if method == "closed" and view is None:
-        raise DomainError("closed transforms need a constant or proportional family")
+        raise DomainError("the closed route needs a constant or proportional family")
     if method == "auto":
-        return "closed" if view is not None else "quadrature"
+        return "closed" if view is not None else "ode"
     return method
 
 
@@ -298,7 +310,7 @@ def _resolve_method(rates: RateFamily, method: str) -> str:
 def big_m(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Cumulative forgetting intensity ``M(t) = int_0^t mu``."""
     check_time(t)
-    if _resolve_method(rates, method) == "closed":
+    if resolve_method(rates, method) == "closed":
         _, base = rates.proportional_view()
         return base.big_m(t)
     return moment_state(rates, 1, t)[5]
@@ -307,7 +319,7 @@ def big_m(rates: RateFamily, t: float, method: str = "auto") -> float:
 def eta(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Growth factor ``eta(t) = exp(int_0^t (lam - mu))``."""
     check_time(t)
-    if _resolve_method(rates, method) == "closed":
+    if resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
         return prop.mean_x_prop(rho, base.big_m(t), 1)
     return moment_state(rates, 1, t)[0]
@@ -316,7 +328,7 @@ def eta(rates: RateFamily, t: float, method: str = "auto") -> float:
 def phi_x(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Discounted spreading integral ``int_0^t lam / eta``."""
     check_time(t)
-    if _resolve_method(rates, method) == "closed":
+    if resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
         m = base.big_m(t)
         return rho * m * f1(-(rho - 1.0) * m)
@@ -326,7 +338,7 @@ def phi_x(rates: RateFamily, t: float, method: str = "auto") -> float:
 def phi_y(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Amplified spreading integral ``int_0^t lam * eta``."""
     check_time(t)
-    if _resolve_method(rates, method) == "closed":
+    if resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
         m = base.big_m(t)
         return rho * m * f1((rho - 1.0) * m)
@@ -338,7 +350,7 @@ def gamma(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Mixed-moment integrand ``int_0^t mu eta (2 phi_x + j - 1)``."""
     check_time(t)
     check_j(j)
-    if _resolve_method(rates, method) == "closed":
+    if resolve_method(rates, method) == "closed":
         rho, base = rates.proportional_view()
         return prop.gamma_prop(rho, base.big_m(t), j)
     mx, _, _, mxy, *_ = moment_state(rates, j, t)

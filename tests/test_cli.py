@@ -15,7 +15,7 @@ import _closed_forms as cf
 import rumorbd
 from rumorbd import cli
 from rumorbd.cli import main
-from rumorbd import growth
+from rumorbd import growth, moments
 
 
 def _run(capsys, argv):
@@ -385,6 +385,80 @@ def test_malformed_config_option_exits_4_naming_the_option(tmp_path, capsys):
     rc, out, err = _run(capsys, ["moments", "--config", str(cfg)])
     assert rc == 4 and out == ""
     assert err.startswith("data error: ") and "--j" in err and "'two'" in err
+
+
+_CURVE_RATES = {"kind": "proportional", "rho": 2.0, "base": {"kind": "curve", "curve": {
+    "family": "logistic", "c": 10.0, "r": 1.0, "j": 1.5, "rho": 2.0}}}
+
+
+@pytest.mark.parametrize(
+    "argv,cfg,named",
+    [
+        (["moments"], {"rates": "constant:1,1", "j": 2.7, "grid": "0:1:4"}, "--j"),
+        (["moments"], {"rates": "constant:1,1", "j": True, "grid": "0:1:4"}, "--j"),
+        (["moments"], {"rates": _CURVE_RATES, "j": 1, "grid": "0:1:4"}, "'j'"),
+        (["simulate"], {"rates": "constant:1,1", "j": 1, "horizon": 1.0, "grid": "0:1:4",
+                        "replicates": 10.9}, "--replicates"),
+        (["simulate"], {"rates": "constant:1,1", "j": 1, "horizon": 1.0,
+                        "trajectory": "no"}, "--trajectory"),
+        (["fit"], {"families": 5}, "--families"),
+        (["fit"], {"families": "logistic", "estimate_j": "no"}, "--estimate-j"),
+        (["reconstruct-y"], {"family": "logistic", "rho_values": 2, "grid": "0:5:10"},
+         "--rho-values"),
+    ],
+    ids=["j-fractional", "j-bool", "curve-j-fractional", "replicates-fractional",
+         "trajectory-string", "families-number", "estimate-j-string", "rho-values-number"],
+)
+def test_config_values_of_the_wrong_type_exit_4_naming_the_option(
+    tmp_path, capsys, argv, cfg, named
+):
+    data = tmp_path / "cascade.csv"
+    _write_logistic_csv(data, n_points=20, horizon=6.0)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"data": str(data), **cfg}))
+    rc, out, err = _run(capsys, [*argv, "--config", str(path)])
+    assert rc == 4 and out == ""
+    assert err.startswith("data error: ") and named in err
+
+
+def test_config_accepts_integral_numbers_and_json_booleans(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"rates": "constant:1,1", "j": 2.0, "grid": "0:1:4"}))
+    rc, out, _ = _run(capsys, ["moments", "--config", str(path)])
+    assert rc == 0 and _rows(out)[2][0][:2] == ["0", "2"]
+    path.write_text(json.dumps({"rates": "constant:1,1", "j": 1, "horizon": 1.0,
+                                "seed": 1, "trajectory": True}))
+    rc, out, _ = _run(capsys, ["simulate", "--config", str(path)])
+    assert rc == 0 and out.startswith("# schema: rumorbd.trajectory.v1\n")
+
+
+_MOMENT_HEADER = [
+    "t", "m_x", "var_x", "m_y", "var_y", "m2_y", "m_xy", "cov", "corr",
+    "fano_x", "fano_y", "cv_x", "cv_y", "r_index",
+]
+
+
+@pytest.mark.parametrize("method", ["closed", "ode"])
+def test_moments_csv_is_the_report_to_12_digits(capsys, method):
+    spec = json.dumps({"kind": "proportional", "rho": 1.5,
+                       "base": {"kind": "cosine", "mu": 1.0, "alpha": 0.5, "period": 2.5}})
+    rc, out, err = _run(capsys, ["moments", "--rates", spec, "--j", "2", "--grid", "0:3:6",
+                                 "--method", method])
+    assert rc == 0 and err == ""
+    rates, times = cli._parse_rates(spec), cli._parse_grid("0:3:6")
+    scalars = [moments.moment_report(rates, 2, t, method=method) for t in times]
+    if method == "closed":
+        rows = [[getattr(rep, h) for h in _MOMENT_HEADER] for rep in scalars]
+    else:
+        # an ODE value depends on the last time of its solve, so the scalar
+        # report pins the last row; earlier rows are the grid report's columns
+        grid = moments.moment_report(rates, 2, times, method=method)
+        rows = [[getattr(grid, h)[i].item() for h in _MOMENT_HEADER] for i in range(6)]
+        assert rows[-1] == [getattr(scalars[-1], h) for h in _MOMENT_HEADER]
+    expected = "# schema: rumorbd.moments.v1\n" + ",".join(_MOMENT_HEADER) + "\n" + "".join(
+        ",".join(format(v, ".12g") for v in row) + "\n" for row in rows
+    )
+    assert out == expected
 
 
 def _checkout_env() -> dict:

@@ -1,5 +1,6 @@
 """Growth-curve families: induced intensities, round trips, crossings, configs."""
 
+import dataclasses
 import math
 import warnings
 
@@ -30,7 +31,7 @@ from rumorbd.growth import (
     induced_m,
     proportional_from_curve,
 )
-from rumorbd.moments import moment_report
+from rumorbd.moments import crossing_time, moment_report
 from rumorbd.rates import ConstantMu, CosineMu
 
 CANON = [
@@ -193,9 +194,16 @@ def test_closed_report_grid_equals_scalar_reports(curve):
     rates = proportional_from_curve(curve)
     grid = [float(t) for t in np.linspace(0.0, 8.0, 33)]
     reports = moment_report(rates, curve.j, grid)
-    for t, rep in zip(grid, reports):
-        assert repr(moment_report(rates, curve.j, t)) == repr(rep)  # bit for bit
-    assert repr(derived_report(curve, grid)) == repr(reports)
+    names = [f.name for f in dataclasses.fields(reports) if f.name != "j"]
+    for i, t in enumerate(grid):
+        scalar = moment_report(rates, curve.j, t)
+        for name in names:  # bit for bit
+            assert repr(getattr(scalar, name)) == repr(getattr(reports, name)[i].item())
+    derived = derived_report(curve, grid)
+    assert derived.j == reports.j
+    for name in names:
+        column = getattr(reports, name)
+        assert getattr(derived, name).tobytes() == column.tobytes() and column.shape == (33,)
 
 
 def test_check_times_keeps_its_message_on_arrays():
@@ -487,6 +495,29 @@ def test_crossing_reports_zero_when_none_exists():
     )
     # the Korf intensity tops out at log(2)/(rho-1): crossing needs rho < 1.5
     assert crossing_time_curve(Korf(alpha=1.0, beta=0.8, j=1, rho=1.7)) == 0.0
+
+
+NO_CROSSING = [
+    Gompertz(alpha=3.0, beta=2.0, j=1, rho=2.0),
+    Logistic(c=10.0, r=1.2, j=1, rho=2.5),
+    Gompertz(alpha=0.3, beta=1.0, j=1, rho=1.5),
+    Logistic(c=1.5, r=1.0, j=1, rho=1.9),
+    MultisigLogistic(c=1.5, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=1.9),
+    Korf(alpha=1.0, beta=0.8, j=1, rho=1.7),
+]
+
+
+@pytest.mark.parametrize("curve", CANON + NO_CROSSING, ids=lambda c: c.family + str(c.rho))
+def test_crossing_time_curve_is_the_rates_crossing_time(curve):
+    t = crossing_time(proportional_from_curve(curve), curve.j)
+    assert crossing_time_curve(curve) == (0.0 if t is None else t)
+
+
+def test_crossing_search_stops_at_the_validity_end():
+    # M peaks below the threshold inside the window and turns negative past it
+    curve = MultisigLogistic(c=1.6, betas=(1.0, 0.0, 0.0, -0.5), j=1, rho=1.5)
+    assert crossing_time(proportional_from_curve(curve), 1) is None
+    assert crossing_time_curve(curve) == 0.0
 
 
 def test_crossing_time_is_j_free_for_x_kind():

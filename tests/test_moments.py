@@ -216,29 +216,44 @@ def test_ode_cache_is_order_independent():
         assert mixed[t] == ordered[t]  # no hidden state: bit-identical
 
 
+def _row(rep: MomentReport, i: int) -> MomentReport:
+    """Column ``i`` of a grid report, read as the report of one time."""
+    return MomentReport(**{
+        f.name: rep.j if f.name == "j" else getattr(rep, f.name)[i].item()
+        for f in dataclasses.fields(rep)
+    })
+
+
 def test_ode_grid_values_match_across_grids_with_the_same_end():
     # the solver's steps depend only on the last time, so shared points agree
     r = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
     fine = [20.0 * i / 1000 for i in range(1001)]
     coarse = moment_report(r, 2, [5.0, 20.0], method="ode")
     dense = moment_report(r, 2, fine, method="ode")
-    assert coarse == [dense[250], dense[1000]]
+    assert [_row(coarse, 0), _row(coarse, 1)] == [_row(dense, 250), _row(dense, 1000)]
 
 
 def test_moment_report_over_a_grid():
     r = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
     ts = [0.0, 0.5, 0.5, 2.0, 6.0]
     closed = moment_report(r, 3, ts, method="closed")
-    assert closed == [moment_report(r, 3, t, method="closed") for t in ts]
+    assert isinstance(closed, MomentReport) and closed.corr_is_limit.dtype == bool
+    assert [_row(closed, i) for i in range(len(ts))] == [
+        moment_report(r, 3, t, method="closed") for t in ts
+    ]
     ode = moment_report(r, 3, ts, method="ode")
-    assert ode[0] == moment_report(r, 3, 0.0, method="ode")
-    assert ode[1] == ode[2]
-    for a, b in zip(ode, closed):
+    assert _row(ode, 0) == moment_report(r, 3, 0.0, method="ode")
+    assert _row(ode, 1) == _row(ode, 2)
+    for i in range(len(ts)):
+        a, b = _row(ode, i), _row(closed, i)
         assert a.t == b.t and a.corr_is_limit == b.corr_is_limit
         for name in ("m_x", "m_y", "var_x", "var_y", "m2_y", "m_xy", "cov", "r_index"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-8, abs=1e-10)
         assert a.corr == pytest.approx(b.corr, rel=1e-7)
-    assert moment_report(r, 3, [], method="ode") == []
+    empty = moment_report(r, 3, [], method="ode")
+    assert all(
+        getattr(empty, f.name).shape == (0,) for f in dataclasses.fields(empty) if f.name != "j"
+    )
     with pytest.raises(DomainError):
         moment_report(r, 3, [1.0, 0.5])
     with pytest.raises(DomainError):
@@ -273,9 +288,10 @@ def test_closed_grid_rows_equal_scalar_calls_bit_for_bit(rates_args, x_per_t):
     assert [(rho - 1.0) * base.big_m(t) for t in ts] == [x_per_t * t for t in ts]
     grid = moment_report(r, j, ts)
     if x_per_t > 0.0:  # the overflow rows are there: inf moments, nan assemblies
-        assert math.isinf(grid[-1].m_x) and math.isinf(grid[-3].var_x)
-        assert math.isnan(grid[-1].corr)
-    for t, rep in zip(ts, grid):
+        assert math.isinf(grid.m_x[-1]) and math.isinf(grid.var_x[-3])
+        assert math.isnan(grid.corr[-1])
+    for i, t in enumerate(ts):
+        rep = _row(grid, i)
         assert _bits(dataclasses.astuple(moment_report(r, j, t))) == _bits(
             dataclasses.astuple(rep)
         )

@@ -142,7 +142,7 @@ def test_explicit_family_passthrough():
     r.validate_horizon(100.0)  # default: no-op
 
 
-# ===== transforms: closed route vs quadrature route ===========================
+# ===== transforms: closed route vs ODE route ==================================
 
 # Naive reference values computed inside the test from the defining integrals,
 # with eta built from the elementary antiderivatives -- independent of the
@@ -207,12 +207,12 @@ def test_transforms_quadrature_route_matches_closed(rho):
     base = CosineMu(mu=1.0, alpha=0.5, period=2.5)
     r = Proportional(rho=rho, base_mu=base)
     for t in (0.2, 1.0, 3.1, 6.0):
-        assert big_m(r, t, "quadrature") == pytest.approx(big_m(r, t, "closed"), rel=1e-9)
-        assert eta(r, t, "quadrature") == pytest.approx(eta(r, t, "closed"), rel=1e-9)
-        assert phi_x(r, t, "quadrature") == pytest.approx(phi_x(r, t, "closed"), rel=1e-8)
-        assert phi_y(r, t, "quadrature") == pytest.approx(phi_y(r, t, "closed"), rel=1e-8)
+        assert big_m(r, t, "ode") == pytest.approx(big_m(r, t, "closed"), rel=1e-9)
+        assert eta(r, t, "ode") == pytest.approx(eta(r, t, "closed"), rel=1e-9)
+        assert phi_x(r, t, "ode") == pytest.approx(phi_x(r, t, "closed"), rel=1e-8)
+        assert phi_y(r, t, "ode") == pytest.approx(phi_y(r, t, "closed"), rel=1e-8)
         for j in (1, 4):
-            assert gamma(r, j, t, "quadrature") == pytest.approx(
+            assert gamma(r, j, t, "ode") == pytest.approx(
                 gamma(r, j, t, "closed"), rel=1e-8
             )
 
@@ -286,17 +286,17 @@ def test_transform_cache_is_order_independent():
 
     ts = [0.3, 2.9, 1.1, 0.7, 2.0, 0.05]
     fwd = make()
-    ordered = {t: gamma(fwd, 2, t, "quadrature") for t in sorted(ts)}
+    ordered = {t: gamma(fwd, 2, t, "ode") for t in sorted(ts)}
     shuffled = make()
-    mixed = {t: gamma(shuffled, 2, t, "quadrature") for t in ts}
+    mixed = {t: gamma(shuffled, 2, t, "ode") for t in ts}
     for t in ts:
         assert mixed[t] == ordered[t]  # no hidden state: bit-identical
 
 
 def test_transform_cache_repeat_is_identical():
     r = Proportional(rho=2.0, base_mu=CosineMu(mu=1.0, alpha=0.3, period=1.7))
-    a = phi_x(r, 1.8, "quadrature")
-    b = phi_x(r, 1.8, "quadrature")
+    a = phi_x(r, 1.8, "ode")
+    b = phi_x(r, 1.8, "ode")
     assert a == b  # the same solve twice, bit-identical
 
 
