@@ -4,13 +4,16 @@ model selection, and inactive-mean reconstruction.
 Fitting minimizes MSE or RAE over each family's parameter box from
 Latin-hypercube starts (positive parameters are searched in log scale).  MSE
 is a smooth sum of squares, so it is minimized as bounded least squares on
-the residual vector y - m(t): trust-region reflective steps (Branch, Coleman
-& Li 1999) with the hard box as bounds and a forward-difference Jacobian.
-``budget`` caps the residual evaluations per restart, Jacobian columns
-included.  RAE is not smooth, and with ``estimate_j`` the rounded j makes the
-residual piecewise constant in its coordinate (a zero Jacobian column), so
-both keep Nelder-Mead, where ``budget`` caps objective evaluations per
-restart.  The initial spreader count j is pinned to the first
+the residual vector y - m(t): a Levenberg-Marquardt written in numpy
+(:func:`_lockstep_lm`) runs all restarts of a family in lockstep, the hard
+box as bounds and a forward-difference Jacobian, and evaluates the family's
+broadcast mean formula once per iteration on the parameter rows of every
+restart.  ``budget`` caps the residual evaluations per restart, Jacobian
+columns included.  RAE is not smooth, and with ``estimate_j`` the rounded j
+makes the residual piecewise constant in its coordinate (a zero Jacobian
+column), so both keep scipy's Nelder-Mead, one restart after another, where
+``budget`` caps objective evaluations per restart; only they import
+scipy.optimize.  The initial spreader count j is pinned to the first
 observation by default — the model requires X(0) = j and the series starts at
 the first post — and the rate ratio rho is never estimated: it is a fixed
 input (Y-family mean levels depend on it, X-family means do not).
@@ -243,13 +246,16 @@ class SelectionReport:
 
 
 def minimize(fun, x0, method: str, **kwargs):
-    """One restart: ``scipy.optimize.least_squares`` for ``method="trf"``, else
-    ``scipy.optimize.minimize``.  Imported on first use: scipy.optimize takes
-    longer to import than all of rumorbd, and only fits need it."""
-    if method == "trf":
-        from scipy.optimize import least_squares
+    """The one optimizer entry of the fits.
 
-        return least_squares(fun, x0, method="trf", **kwargs)
+    ``method="lm"`` runs :func:`_lockstep_lm` on every row of ``x0`` at once,
+    ``fun`` mapping a matrix of points to a matrix of residual rows.  Any other
+    method is one ``scipy.optimize.minimize`` run from ``x0``, imported on first
+    use: scipy.optimize takes longer to import than all of rumorbd, and only
+    RAE and ``estimate_j`` fits need it.
+    """
+    if method == "lm":
+        return _lockstep_lm(fun, x0, **kwargs)
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, method=method, **kwargs)
@@ -260,6 +266,21 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     strata = np.stack([rng.permutation(n) for _ in range(d)], axis=1)
     return (strata + rng.random((n, d))) / n
+
+
+def _starts(dims: list[_Dim], restarts: int, seed: int,
+            logistic: FitResult | None = None) -> list[np.ndarray]:
+    """Latin-hypercube starts in internal coordinates, plus for the
+    multisigmoidal family one start nested at the ``logistic`` optimum: with
+    beta = (r, 0, 0, 0-) the quartic exponent reduces to r t, so the optimum
+    can only improve on the logistic one."""
+    unit = _latin_hypercube(restarts, len(dims), seed)
+    lows, highs = np.array([_z_box(d) for d in dims]).T
+    starts = list(lows + unit * (highs - lows))
+    if logistic is not None and logistic.curve is not None:
+        c_hat, r_hat = logistic.params
+        starts.append(_encode((c_hat, r_hat, 0.0, 0.0, _B4_EDGE), dims))
+    return starts
 
 
 def _resolve_family(family) -> str:
@@ -290,8 +311,9 @@ def fit_one(
 ) -> FitResult:
     """Multi-start fit of one family; ``budget`` caps the evaluations per restart.
 
-    MSE restarts run bounded least squares (:class:`_LeastSquares`); RAE and
-    ``estimate_j`` restarts run Nelder-Mead (:class:`_NelderMead`).  The
+    MSE restarts run bounded least squares, all of them in lockstep
+    (:class:`_LeastSquares`); RAE and ``estimate_j`` restarts run Nelder-Mead
+    one after another (:class:`_NelderMead`).  The
     multisigmoidal family gets one extra restart at the plain-logistic
     optimum: ``logistic`` when given (as :func:`select_model` does), else a
     logistic fit with the same settings.  ``message`` names the parameters
@@ -316,44 +338,29 @@ def fit_one(
             f"{len(dims)} parameters, dataset {dataset.name!r} has {len(dataset)}"
         )
 
-    unit = _latin_hypercube(restarts, len(dims), seed)
-    lows, highs = np.array([_z_box(d) for d in dims]).T
-    starts = list(lows + unit * (highs - lows))
-
-    if name == "multisig_logistic" and not estimate_j:
-        # extra restart nested at the plain-logistic solution: with
-        # beta = (r, 0, 0, 0-) the quartic exponent reduces to r t, so the
-        # optimum can only improve on the logistic one
-        if logistic is None:
-            logistic = fit_one(
-                "logistic", dataset, k, budget, restarts=restarts, seed=seed, rho=rho
-            )
-        if logistic.curve is not None:
-            c_hat, r_hat = logistic.params
-            seed_params = (c_hat, r_hat, 0.0, 0.0, _B4_EDGE)
-            starts.append(_encode(seed_params, dims))
+    nested = name == "multisig_logistic" and not estimate_j
+    if nested and logistic is None:
+        logistic = fit_one("logistic", dataset, k, budget, restarts=restarts, seed=seed, rho=rho)
+    starts = _starts(dims, restarts, seed, logistic if nested else None)
 
     if k == "mse" and not estimate_j:
         search = _LeastSquares(name, dims, dataset, j, rho)
     else:
         search = _NelderMead(name, dims, dataset, k, j, rho, estimate_j)
 
-    best_val = math.inf
-    best_z: np.ndarray | None = None
-    best_ok = False
-    for z0 in starts:
-        z, val, ok = search.run(z0, budget)
-        if val < best_val:
-            best_val, best_z, best_ok = val, z, ok
+    rows = search.run(starts, budget)
+    n_evals = sum(row.evals for row in rows)
+    finite = [row for row in rows if row.value < math.inf]
+    best = min(finite, key=lambda row: row.value, default=None)  # ties: the first restart
 
-    if best_z is None:
+    if best is None:
         return FitResult(
             family=name,
             params=(),
             kind=k,
             value=math.inf,
             converged=False,
-            n_evals=search.evals,
+            n_evals=n_evals,
             restarts=len(starts),
             j=j,
             rho=rho,
@@ -361,7 +368,7 @@ def fit_one(
             message="all restarts diverged or left the parameter box",
         )
 
-    params, j_fin = search.params(best_z)
+    params, j_fin = search.params(best.z)
     curve = _build_curve(name, params, j_fin, rho)
     value = objective(curve, dataset, k)  # re-evaluated at the stored parameters
     return FitResult(
@@ -369,8 +376,8 @@ def fit_one(
         params=params,
         kind=k,
         value=value,
-        converged=best_ok,
-        n_evals=search.evals,
+        converged=best.converged,
+        n_evals=n_evals,
         restarts=len(starts),
         j=j_fin,
         rho=rho,
@@ -379,17 +386,18 @@ def fit_one(
     )
 
 
-# Tolerances of the bounded least-squares restarts (each must exceed the
-# machine epsilon, or least_squares warns that the test is disabled).
+# Stopping tolerances of the lockstep least squares (see _lockstep_lm).
 _FTOL = 1e-12
 _XTOL = 1e-10
 _GTOL = 1e-12
-# A residual vector with any |entry| at or above this cap (or a curve that
-# raises DomainError) is replaced by a constant finite fill: curves near
-# overflow give finite residuals near 1e200, whose squares overflow TRF's
-# cost 0.5 f.f and leave infs in the SVD of its Jacobian.
+_MU0 = 0.1  # initial damping, relative to the largest eigenvalue of the scaled Gram matrix
+# A residual row with any |entry| at or above this cap, NaN, or parameters the
+# family rejects is replaced by a constant finite fill: curves near overflow
+# give finite residuals near 1e200, whose squares overflow the cost r.r.
 _RESIDUAL_CAP = 1e50
-_FD_STEP = float(np.finfo(float).eps) ** 0.5
+_EPS = float(np.finfo(float).eps)
+_FD_STEP = _EPS**0.5
+_BUDGET, _GTOL_MET, _FTOL_MET, _XTOL_MET = 0, 1, 2, 3  # how a row stopped
 
 
 def _bound_message(params: tuple[float, ...], dims: list[_Dim]) -> str:
@@ -403,15 +411,163 @@ def _bound_message(params: tuple[float, ...], dims: list[_Dim]) -> str:
     return f"on the parameter box bound: {', '.join(hits)}" if hits else ""
 
 
+class _Restart(NamedTuple):
+    """Where one restart ended."""
+
+    z: np.ndarray  # internal coordinates
+    value: float  # objective there; inf when the curve is invalid or overflows
+    converged: bool  # stopped on a tolerance test, not on its budget
+    evals: int
+
+
+class _Lockstep(NamedTuple):
+    """What :func:`_lockstep_lm` returns: one row per start."""
+
+    x: np.ndarray  # (n, d) final points
+    fun: np.ndarray  # (n, m) residuals there
+    nfev: np.ndarray  # (n,) residual evaluations, Jacobian columns included
+    status: np.ndarray  # (n,) _BUDGET, _GTOL_MET, _FTOL_MET or _XTOL_MET
+    success: bool  # every row stopped on a tolerance test
+
+
+@np.errstate(over="ignore")  # a damping that overflows gives a zero step
+def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
+    """Bounded Levenberg-Marquardt on every row of ``x0`` at once.
+
+    ``residuals`` maps an (N, d) matrix of points to the (N, m) matrix of their
+    residual vectors; each row minimises its own cost F = r.r over the box
+    [lower, upper].  A row alternates two kinds of evaluation: the d
+    forward-difference columns of its Jacobian J at its point z (step
+    h = sqrt(eps) max(1, |z_i|), taken inward at an upper bound), and one trial
+    point.  Each iteration is one ``residuals`` call on the trial points and
+    Jacobian columns of all running rows, so the rows advance in lockstep.
+    Each row's arithmetic is its own: a row ends bit for bit the same alone as
+    in any batch.
+
+    After each Jacobian, coordinate i is held fixed where z sits on a bound and
+    the gradient g = J^T r points out of the box.  The free columns are scaled
+    by D_i, the largest norm of column i seen so far (scipy's
+    ``x_scale="jac"``; a zero norm counts as 1), and the scaled Gram matrix
+    (J D^-1)^T (J D^-1) is diagonalised once.  The step p minimises
+    |r + J p|^2 + mu e_max |D p|^2, e_max the largest eigenvalue of that
+    matrix, so the damping follows the scale of the residuals; the trial
+    point is z + p clipped onto the box.  The initial damping is mu = 0.1.
+    With rho = (actual reduction)/(predicted reduction) of the clipped step, a
+    trial that lowers F is accepted and mu is multiplied by
+    max(1/3, 1 - (2 min(rho, 1) - 1)^3), but not below the machine epsilon; a
+    rejected trial multiplies mu by nu, then doubles nu (Nielsen 1999; nu
+    restarts at 2 on acceptance).  A
+    rejected trial costs one evaluation: the next step reuses the
+    diagonalisation.
+
+    A row stops on the first of:
+
+    * gtol: max |g_i| over the free coordinates < 1e-12, tested after each
+      Jacobian;
+    * ftol: an accepted trial lowered F by less than 1e-12 F with rho > 0.25;
+    * xtol: its next step has |p| < 1e-10 (1e-10 + |z|); that step is not
+      evaluated;
+    * budget: its next evaluation would take its count of residual
+      evaluations past ``budget``.  A Jacobian is made only with room for the
+      trial after it (d + 1 evaluations); the evaluation at the start is
+      always made.
+
+    A damping that overflows gives a zero step, which ends the row on xtol.
+    """
+    z = np.clip(np.array(x0, dtype=float), lower, upper)
+    n, d = z.shape
+    add = np.add.reduce
+    r = residuals(z)
+    m = r.shape[1]
+    cost = add(r * r, axis=1)
+    nfev = np.ones(n, dtype=int)
+    status = np.full(n, -1)
+    need_jac = np.ones(n, dtype=bool)
+    # per row, from its last Jacobian: J; the scaling D; the eigenvalues e of
+    # the scaled Gram matrix, its eigenvectors V divided by D (zero on the
+    # fixed coordinates) and V^T D^-1 g
+    jac = np.empty((n, d, m))
+    scale = np.zeros((n, d))
+    eig = np.empty((n, d))
+    basis = np.empty((n, d, d))
+    vg = np.empty((n, d))
+    mu = np.full(n, _MU0)
+    nu = np.full(n, 2.0)
+    step = np.zeros((n, d))
+    eye = np.eye(d, dtype=bool)
+    while True:
+        running = status < 0
+        over = running & (nfev + np.where(need_jac, d + 1, 1) > budget)
+        status[over] = _BUDGET
+        running ^= over
+        ji = np.flatnonzero(running & need_jac)
+        ti = np.flatnonzero(running & ~need_jac)
+        nt = ti.size
+        if not (nt or ji.size):
+            break
+        zt = z[ti]
+        trial = np.minimum(np.maximum(zt + step[ti], lower), upper)
+        zj = z[ji]
+        h = _FD_STEP * np.maximum(1.0, np.abs(zj))
+        zh = zj + h
+        zh = np.where(zh <= upper, zh, zj - h)
+        columns = np.where(eye, zh[:, None, :], zj[:, None, :])
+        out = residuals(np.concatenate([trial, columns.reshape(-1, d)]))
+
+        if ji.size:
+            nfev[ji] += d
+            rj = r[ji]
+            jj = (out[nt:].reshape(-1, d, m) - rj[:, None, :]) / (zh - zj)[:, :, None]
+            g = add(jj * rj[:, None, :], axis=2)
+            fixed = np.where(g > 0.0, zj <= lower, (g < 0.0) & (zj >= upper))
+            gfree = np.abs(np.where(fixed, 0.0, g))
+            status[ji[np.maximum.reduce(gfree, axis=1) < _GTOL]] = _GTOL_MET
+            sj = np.maximum(scale[ji], np.sqrt(add(jj * jj, axis=2)))
+            sj[sj == 0.0] = 1.0
+            scale[ji] = sj
+            js = np.where(fixed[:, :, None], 0.0, jj / sj[:, :, None])
+            e, v = np.linalg.eigh(add(js[:, :, None, :] * js[:, None, :, :], axis=3))
+            jac[ji] = jj
+            eig[ji] = np.maximum(e, 0.0)
+            basis[ji] = np.where(fixed[:, :, None], 0.0, v / sj[:, :, None])
+            vg[ji] = add(v * (g / sj)[:, :, None], axis=1)
+            need_jac[ji] = False
+
+        if nt:
+            nfev[ti] += 1
+            rt = out[:nt]
+            p = trial - zt
+            jp = add(jac[ti] * p[:, :, None], axis=1)
+            pred = -(2.0 * add(r[ti] * jp, axis=1) + add(jp * jp, axis=1))
+            ct = add(rt * rt, axis=1)
+            actual = cost[ti] - ct
+            rho = np.divide(actual, pred, out=np.zeros(nt), where=pred > 0.0)
+            ok = actual > 0.0
+            status[ti[ok & (actual < _FTOL * cost[ti]) & (rho > 0.25)]] = _FTOL_MET
+            factor = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
+            mu[ti] = np.where(ok, np.maximum(mu[ti] * factor, _EPS), mu[ti] * nu[ti])
+            nu[ti] = np.where(ok, 2.0, 2.0 * nu[ti])
+            ai = ti[ok]
+            z[ai], r[ai], cost[ai] = trial[ok], rt[ok], ct[ok]
+            need_jac[ai] = True
+
+        si = np.flatnonzero((status < 0) & ~need_jac)
+        w = vg[si] / (eig[si] + (mu[si] * eig[si, -1])[:, None])
+        new = -add(basis[si] * w[:, None, :], axis=2)
+        zs = z[si]
+        small = np.sqrt(add(new * new, axis=1)) < _XTOL * (_XTOL + np.sqrt(add(zs * zs, axis=1)))
+        status[si[small]] = _XTOL_MET
+        step[si] = new
+    return _Lockstep(z, r, nfev, status, bool(np.all(status != _BUDGET)))
+
+
 class _LeastSquares:
-    """MSE restarts: bounded trust-region reflective least squares on the
-    residual vector y - m(t) in the internal coordinates, the hard box as
-    bounds.
+    """MSE restarts: :func:`_lockstep_lm` on the residual rows y - m(t) of
+    every start at once, in the internal coordinates, the hard box as bounds.
 
     ``budget`` caps residual evaluations per restart, Jacobian columns
-    included: at most ``budget // (d + 1)`` solver steps, each one residual
-    and at most one d-column Jacobian (the first residual and Jacobian are
-    spent even when the budget is smaller).
+    included.  Each evaluation is one call of the family's broadcast
+    ``mean_formula`` on a matrix of parameter rows.
     """
 
     def __init__(self, name, dims, dataset, j, rho):
@@ -419,64 +575,43 @@ class _LeastSquares:
         # bound 0-, where z -> -inf and the residual's slope in z vanishes
         self.start_dims = dims
         dims = [d._replace(log=False, negate=False) if d.negate else d for d in dims]
-        self.name, self.dims, self.j, self.rho = name, dims, j, rho
+        self.family, self.dims, self.j, self.rho = growth.FAMILIES[name], dims, j, rho
         self.t = np.asarray(dataset.times)
         self.y = np.asarray(dataset.counts)
+        self.log = np.array([d.log for d in dims])
+        self.p_lo = np.array([d.lo for d in dims])
+        self.p_hi = np.array([d.hi for d in dims])
         self.lo = np.array([math.log(d.lo) if d.log else d.lo for d in dims])
         self.hi = np.array([math.log(d.hi) if d.log else d.hi for d in dims])
-        self.fill = np.full(self.y.size, _RESIDUAL_CAP)
-        self.evals = 0
-        self.last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        """Parameter rows of the rows of ``z``; exp(log(lo)) can round just
+        outside the box, so they are clipped onto it."""
+        return np.minimum(np.maximum(np.where(self.log, np.exp(z), z), self.p_lo), self.p_hi)
 
     def params(self, z: np.ndarray) -> tuple[tuple[float, ...], int]:
-        # exp(log(lo)) can round just outside the box: clip onto it
-        decoded = _decode(z, self.dims)
-        return tuple(min(max(v, d.lo), d.hi) for v, d in zip(decoded, self.dims)), self.j
+        return tuple(self.decode(z).tolist()), self.j
 
-    def residual(self, z: np.ndarray) -> np.ndarray:
-        self.evals += 1
-        try:
-            curve = _build_curve(self.name, self.params(z)[0], self.j, self.rho)
-        except DomainError:
-            r = self.fill
-        else:
-            r = self.y - curve.mean_array(self.t)
-            if not np.all(np.abs(r) < _RESIDUAL_CAP):  # also catches NaN
-                r = self.fill
-        self.last = (z.copy(), r)
+    def residuals(self, z: np.ndarray) -> np.ndarray:
+        """Residual rows at the rows of ``z``, the fill where the family rejects
+        the parameters or any |residual| reaches the cap (NaN included)."""
+        cols = self.decode(z).T[:, :, None]
+        with np.errstate(all="ignore"):
+            r = self.y - self.family.mean_formula(self.t, self.j, self.rho, *cols)
+            ok = self.family.accepts(self.j, self.rho, *cols)[:, 0]
+            ok &= (np.abs(r) < _RESIDUAL_CAP).all(axis=1)
+        r[~ok] = _RESIDUAL_CAP
         return r
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Forward differences from the residual the solver just evaluated at
-        ``z``, stepping inward at an upper bound."""
-        if self.last is not None and np.array_equal(self.last[0], z):
-            r0 = self.last[1]
-        else:
-            r0 = self.residual(z)
-        jac = np.empty((r0.size, z.size))
-        for i in range(z.size):
-            h = _FD_STEP * max(1.0, abs(z[i]))
-            zh = z.copy()
-            zh[i] = z[i] + h if z[i] + h <= self.hi[i] else z[i] - h
-            jac[:, i] = (self.residual(zh) - r0) / (zh[i] - z[i])
-        return jac
-
-    def run(self, z0: np.ndarray, budget: int) -> tuple[np.ndarray, float, bool]:
-        res = minimize(
-            self.residual,
-            np.clip(_encode(_decode(z0, self.start_dims), self.dims), self.lo, self.hi),
-            "trf",
-            jac=self.jacobian,
-            bounds=(self.lo, self.hi),
-            x_scale="jac",
-            max_nfev=max(1, budget // (len(self.dims) + 1)),
-            ftol=_FTOL,
-            xtol=_XTOL,
-            gtol=_GTOL,
-        )
-        if not np.all(np.abs(res.fun) < _RESIDUAL_CAP):
-            return res.x, math.inf, False
-        return res.x, float(np.mean(res.fun * res.fun)), bool(res.success)
+    def run(self, starts: list[np.ndarray], budget: int) -> list[_Restart]:
+        z0 = [_encode(_decode(s, self.start_dims), self.dims) for s in starts]
+        res = minimize(self.residuals, z0, "lm", lower=self.lo, upper=self.hi, budget=budget)
+        filled = res.fun[:, 0] == _RESIDUAL_CAP
+        values = np.where(filled, math.inf, np.mean(res.fun * res.fun, axis=1))
+        return [
+            _Restart(z, float(v), bool(st != _BUDGET and not f), int(e))
+            for z, v, st, f, e in zip(res.x, values, res.status, filled, res.nfev)
+        ]
 
 
 class _NelderMead:
@@ -488,7 +623,6 @@ class _NelderMead:
     def __init__(self, name, dims, dataset, kind, j, rho, estimate_j):
         self.name, self.dims, self.dataset, self.kind = name, dims, dataset, kind
         self.j, self.rho, self.estimate_j = j, rho, estimate_j
-        self.evals = 0
 
     def params(self, z: np.ndarray) -> tuple[tuple[float, ...], int]:
         decoded = _decode(z, self.dims)
@@ -497,7 +631,6 @@ class _NelderMead:
         return decoded, self.j
 
     def score(self, z: np.ndarray) -> float:
-        self.evals += 1
         if not _in_box(_decode(z, self.dims), self.dims):
             return math.inf
         params, j = self.params(z)
@@ -507,14 +640,13 @@ class _NelderMead:
             return math.inf
         return objective(curve, self.dataset, self.kind)
 
-    def run(self, z0: np.ndarray, budget: int) -> tuple[np.ndarray, float, bool]:
-        res = minimize(
-            self.score,
-            z0,
-            "Nelder-Mead",
-            options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True},
-        )
-        return np.asarray(res.x), float(res.fun), bool(res.success)
+    def run(self, starts: list[np.ndarray], budget: int) -> list[_Restart]:
+        options = {"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True}
+        rows = []
+        for z0 in starts:
+            res = minimize(self.score, z0, "Nelder-Mead", options=options)
+            rows.append(_Restart(np.asarray(res.x), float(res.fun), bool(res.success), res.nfev))
+        return rows
 
 
 def select_model(

@@ -16,7 +16,11 @@ stochastic model.
 Each family's mean (``mean_array``, also ``mean``), induced ``M`` and induced
 ``mu`` is one numpy implementation that takes a time or an array of times: an
 array is one vector evaluation, and a float gives a Python float from the same
-code, bit for bit an array element's.  Floating-point warnings are off inside
+code, bit for bit an array element's.  The mean is written once, as the
+family's ``mean_formula``, whose parameters may also be columns that broadcast
+against the times: a fit evaluates many parameter rows in one call, bit for bit
+the ``mean_array`` of each row's curve.  ``accepts`` is the constructor's
+checks as a vector mask over such rows.  Floating-point warnings are off inside
 (overflow to inf is part of the contract).  The bound of ``mu`` over a window
 (``induced_mu_sup``) is no longer read by any sampler.
 
@@ -53,19 +57,48 @@ def _check_common(j: int, rho: float) -> None:
         raise DomainError(f"curve families require a rate ratio rho > 1, got {rho}")
 
 
+def _common_ok(j, rho) -> bool:
+    """What :func:`_check_common` accepts."""
+    int_j = isinstance(j, int) and not isinstance(j, bool)
+    return int_j and j >= 1 and rho > 1.0 and math.isfinite(rho)
+
+
+def _positive(*values):
+    """What :func:`~rumorbd.errors.check_positive` accepts, elementwise."""
+    ok = True
+    for v in values:
+        ok = ok & (v > 0.0) & np.isfinite(v)
+    return ok
+
+
 class GrowthCurve:
     """What the eight families share.
 
-    Each family writes ``mean_array``, ``induced_big_m`` and ``induced_mu`` as
-    numpy code on an array of times; defining the class wraps each of them in
+    Each family writes its mean as the static ``mean_formula(t, j, rho,
+    *params)`` and ``induced_big_m`` and ``induced_mu`` as numpy code on an
+    array of times.  Defining the class gives it ``mean_array``, the formula at
+    the curve's own ``params``, and wraps it and the two induced functions in
     :func:`~rumorbd._kernels.elementwise`, which gives them the float-or-array
-    contract of the module docstring.
+    contract of the module docstring.  The static ``accepts(j, rho, *params)``
+    is True exactly where the constructor accepts the parameters, elementwise
+    over parameter columns.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        for name in ("mean_array", "induced_big_m", "induced_mu"):
+        formula = cls.mean_formula
+
+        def mean_array(self, t):
+            return formula(t, self.j, self.rho, *self.params)
+
+        cls.mean_array = elementwise(mean_array)
+        for name in ("induced_big_m", "induced_mu"):
             setattr(cls, name, elementwise(cls.__dict__[name]))
+
+    @property
+    def params(self) -> tuple[float, ...]:
+        """The curve's parameters, in ``param_names`` order."""
+        return tuple(getattr(self, name) for name in self.param_names)
 
     def mean(self, t):
         """The curve's mean at ``t``, a time or an array of times."""
@@ -102,8 +135,13 @@ class Gompertz(GrowthCurve):
         check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
-    def mean_array(self, t):
-        return self.j * np.exp(self.alpha * -np.expm1(-self.beta * t))
+    @staticmethod
+    def mean_formula(t, j, rho, alpha, beta):
+        return j * np.exp(alpha * -np.expm1(-beta * t))
+
+    @staticmethod
+    def accepts(j, rho, alpha, beta):
+        return _common_ok(j, rho) & _positive(alpha, beta)
 
     def induced_big_m(self, t):
         return self.alpha * -np.expm1(-self.beta * t) / (self.rho - 1.0)
@@ -139,8 +177,13 @@ class GenGompertz(GrowthCurve):
         check_positive("b", self.b)
         _check_common(self.j, self.rho)
 
-    def mean_array(self, t):
-        return self.j * np.exp(self.a * self.b * t / (t + self.b))
+    @staticmethod
+    def mean_formula(t, j, rho, a, b):
+        return j * np.exp(a * b * t / (t + b))
+
+    @staticmethod
+    def accepts(j, rho, a, b):
+        return _common_ok(j, rho) & _positive(a, b)
 
     def induced_big_m(self, t):
         return self.a * self.b * t / ((self.rho - 1.0) * (t + self.b))
@@ -180,8 +223,13 @@ class Logistic(GrowthCurve):
                 f"carrying capacity must exceed the initial count, got c={self.c} <= j={self.j}"
             )
 
-    def mean_array(self, t):
-        return self.c * self.j / (self.j + (self.c - self.j) * np.exp(-self.r * t))
+    @staticmethod
+    def mean_formula(t, j, rho, c, r):
+        return c * j / (j + (c - j) * np.exp(-r * t))
+
+    @staticmethod
+    def accepts(j, rho, c, r):
+        return _common_ok(j, rho) & _positive(c, r) & (c > j)
 
     def induced_big_m(self, t):
         # table form (r t + log C - log(C + j(e^{rt} - 1)))/(rho - 1), evaluated
@@ -233,27 +281,33 @@ class ExtLogistic(GrowthCurve):
         if not (-1.0 < self.eps < 1.0):
             raise DomainError(f"asymmetry eps must lie in (-1, 1), got {self.eps}")
 
-    def _coeffs(self) -> tuple[float, float, float, float]:
-        n, j, e = self.n, float(self.j), self.eps
+    @staticmethod
+    def _coeffs(n, e, j):
+        j = float(j)
         a = (e - 1.0) * n * (n - j)
         b = n * (2.0 * e * j + n - e * n)
         d = 2.0 * e * (n - j)
         ee = 2.0 * e * j + n - e * n
         return a, b, d, ee
 
-    def mean_array(self, t):
-        a, b, d, ee = self._coeffs()
-        wbar = np.exp(-(1.0 + self.eps) * t)
+    @staticmethod
+    def mean_formula(t, j, rho, n, eps):
+        a, b, d, ee = ExtLogistic._coeffs(n, eps, j)
+        wbar = np.exp(-(1.0 + eps) * t)
         return (a * wbar + b) / (d * wbar + ee)
 
+    @staticmethod
+    def accepts(j, rho, n, eps):
+        return _common_ok(j, rho) & _positive(n) & (n > j) & (-1.0 < eps) & (eps < 1.0)
+
     def induced_big_m(self, t):
-        a, b, d, ee = self._coeffs()
+        a, b, d, ee = self._coeffs(self.n, self.eps, self.j)
         wbar = np.exp(-(1.0 + self.eps) * t)
         num = np.log(a * wbar + b) - math.log(self.j) - np.log(d * wbar + ee)
         return _nonneg(num / (self.rho - 1.0))
 
     def induced_mu(self, t):
-        a, b, d, ee = self._coeffs()
+        a, b, d, ee = self._coeffs(self.n, self.eps, self.j)
         n, j = self.n, float(self.j)
         one_eps = 1.0 + self.eps
         wbar = np.exp(-one_eps * t)
@@ -262,7 +316,7 @@ class ExtLogistic(GrowthCurve):
 
     def _mu_peak_time(self) -> float:
         """Interior maximum of the induced mu, or 0 when mu is decreasing."""
-        a, b, d, ee = self._coeffs()
+        a, b, d, ee = self._coeffs(self.n, self.eps, self.j)
         ad = a * d
         if ad <= 0.0:  # eps >= 0: decreasing everywhere
             return 0.0
@@ -313,22 +367,34 @@ class MultisigLogistic(GrowthCurve):
                 f"carrying capacity must exceed the initial count, got c={self.c} <= j={self.j}"
             )
 
-    def q(self, t):
-        b1, b2, b3, b4 = self.betas
+    @property
+    def params(self) -> tuple[float, ...]:
+        return (self.c, *self.betas)
+
+    @staticmethod
+    def _q(t, b1, b2, b3, b4):
         return t * (b1 + t * (b2 + t * (b3 + t * b4)))
+
+    def q(self, t):
+        return self._q(t, *self.betas)
 
     def q_prime(self, t):
         b1, b2, b3, b4 = self.betas
         return b1 + t * (2.0 * b2 + t * (3.0 * b3 + t * 4.0 * b4))
 
-    def mean_array(self, t):
-        qv = self.q(t)
-        cj = self.c - self.j
+    @staticmethod
+    def mean_formula(t, j, rho, c, b1, b2, b3, b4):
+        qv = MultisigLogistic._q(t, b1, b2, b3, b4)
+        cj = c - j
         # e^{-Q} overflows where Q << 0: there the form in e^{Q} is used
-        pos = self.c * self.j / (self.j + cj * np.exp(-qv))
+        pos = c * j / (j + cj * np.exp(-qv))
         eq = np.exp(np.minimum(qv, 0.0))
-        neg = self.c * self.j * eq / (self.j * eq + cj)
+        neg = c * j * eq / (j * eq + cj)
         return np.where(qv >= 0.0, pos, neg)
+
+    @staticmethod
+    def accepts(j, rho, c, b1, b2, b3, b4):
+        return _common_ok(j, rho) & _positive(c) & (b4 < 0.0) & (c > j)
 
     def induced_big_m(self, t):
         qv = self.q(t)
@@ -401,15 +467,21 @@ class ModKorf(GrowthCurve):
         check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
-    def _u(self, t):
+    @staticmethod
+    def _u(t, beta):
         # 1 - (1+t)^{-beta}, evaluated without cancellation
-        return -np.expm1(-self.beta * np.log1p(t))
+        return -np.expm1(-beta * np.log1p(t))
 
-    def mean_array(self, t):
-        return self.j * np.exp(self.alpha / self.beta * self._u(t))
+    @staticmethod
+    def mean_formula(t, j, rho, alpha, beta):
+        return j * np.exp(alpha / beta * ModKorf._u(t, beta))
+
+    @staticmethod
+    def accepts(j, rho, alpha, beta):
+        return _common_ok(j, rho) & _positive(alpha, beta)
 
     def induced_big_m(self, t):
-        return self.alpha / self.beta * self._u(t) / (self.rho - 1.0)
+        return self.alpha / self.beta * self._u(t, self.beta) / (self.rho - 1.0)
 
     def induced_mu(self, t):
         return self.alpha * np.exp(-(self.beta + 1.0) * np.log1p(t)) / (self.rho - 1.0)
@@ -445,23 +517,30 @@ class Korf(GrowthCurve):
         check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
-    def _w(self, t):
+    @staticmethod
+    def _w(t, alpha, beta):
         # exp(-(alpha/beta) t^{-beta}); t^{-beta} is inf at t = 0, giving exactly 0
-        return np.exp(-(self.alpha / self.beta) * np.power(t, -self.beta))
+        return np.exp(-(alpha / beta) * np.power(t, -beta))
 
     def _envelope(self, t):
         # dominating bound alpha t^{-beta-1} w(t) / (rho-1) >= mu(t), 0 at t = 0
-        env = self.alpha * np.power(t, -(self.beta + 1.0)) * self._w(t) / (self.rho - 1.0)
+        w = self._w(t, self.alpha, self.beta)
+        env = self.alpha * np.power(t, -(self.beta + 1.0)) * w / (self.rho - 1.0)
         return np.where(t > 0.0, env, 0.0)
 
-    def mean_array(self, t):
-        return self.j / (self.rho - 1.0) * self._w(t)
+    @staticmethod
+    def mean_formula(t, j, rho, alpha, beta):
+        return j / (rho - 1.0) * Korf._w(t, alpha, beta)
+
+    @staticmethod
+    def accepts(j, rho, alpha, beta):
+        return _common_ok(j, rho) & _positive(alpha, beta)
 
     def induced_big_m(self, t):
-        return np.log1p(self._w(t)) / (self.rho - 1.0)
+        return np.log1p(self._w(t, self.alpha, self.beta)) / (self.rho - 1.0)
 
     def induced_mu(self, t):
-        return self._envelope(t) / (1.0 + self._w(t))
+        return self._envelope(t) / (1.0 + self._w(t, self.alpha, self.beta))
 
     def induced_mu_sup(self, t0: float, t1: float) -> float:
         t_star = (self.alpha / (self.beta + 1.0)) ** (1.0 / self.beta)
@@ -492,20 +571,22 @@ class Mitscherlich(GrowthCurve):
         check_positive("beta", self.beta)
         _check_common(self.j, self.rho)
 
-    def _m(self, t):
-        return self.beta * -np.expm1(-self.alpha * t)
+    @staticmethod
+    def mean_formula(t, j, rho, alpha, beta):
+        return beta * -np.expm1(-alpha * t)
 
-    def mean_array(self, t):
-        return self._m(t)
+    @staticmethod
+    def accepts(j, rho, alpha, beta):
+        return _common_ok(j, rho) & _positive(alpha, beta)
 
     def induced_big_m(self, t):
         a = self.rho - 1.0
-        return np.log1p(a * self._m(t) / self.j) / a
+        return np.log1p(a * self.mean_formula(t, self.j, self.rho, *self.params) / self.j) / a
 
     def induced_mu(self, t):
         a = self.rho - 1.0
         num = self.alpha * self.beta * np.exp(-self.alpha * t)
-        return num / (self.j + a * self._m(t))
+        return num / (self.j + a * self.mean_formula(t, self.j, self.rho, *self.params))
 
     def induced_mu_sup(self, t0: float, t1: float) -> float:
         return self.induced_mu(t0)  # decreasing

@@ -499,18 +499,30 @@ def test_cli_import_does_not_load_scipy_solvers():
     assert res.stdout.strip() == "[]"
 
 
-def test_cli_fit_does_not_load_scipy_stats(tmp_path):
-    """The fit's Latin hypercube is drawn with numpy: scipy.stats stays unloaded."""
+def _fit_probe(tmp_path, *options):
+    """Exit code of an in-process CLI fit, then whether it loaded
+    scipy.optimize and scipy.stats."""
     data = tmp_path / "cascade.csv"
     _write_logistic_csv(data, n_points=20, horizon=6.0)
+    argv = ["fit", "--data", str(data), "--families", "logistic,gompertz", "--budget", "200",
+            "--restarts", "2", *options, "--out", str(tmp_path / "fitout")]
     probe = (
-        "import sys; from rumorbd.cli import main; "
-        f"rc = main(['fit', '--data', {str(data)!r}, '--families', 'logistic,gompertz', "
-        f"'--budget', '200', '--restarts', '2', '--out', {str(tmp_path / 'fitout')!r}]); "
+        f"import sys; from rumorbd.cli import main; rc = main({argv!r}); "
         "print(rc, 'scipy.optimize' in sys.modules, 'scipy.stats' in sys.modules)"
     )
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_checkout_env()
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "0 True False"
+    return res.stdout.strip()
+
+
+def test_cli_fit_does_not_load_scipy_stats(tmp_path):
+    """An MSE fit runs its own least squares and draws its Latin hypercube
+    with numpy: it loads neither scipy.optimize nor scipy.stats."""
+    assert _fit_probe(tmp_path) == "0 False False"
+
+
+def test_cli_rae_fit_loads_scipy_optimize(tmp_path):
+    """RAE keeps scipy's Nelder-Mead, imported on first use."""
+    assert _fit_probe(tmp_path, "--objective", "rae") == "0 True False"

@@ -1,23 +1,27 @@
 """Curve fitting: objectives, multi-start optimization, model selection,
 and inactive-mean reconstruction."""
 
+import itertools
 import math
 import statistics
 import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 from rumorbd import DataError, DomainError
 from rumorbd import growth
 from rumorbd.fit import (
     Dataset,
     FitResult,
+    _build_curve,
+    _decode,
     _dims_for,
     _in_box,
     _latin_hypercube,
     _LeastSquares,
+    _starts,
     dataset_from_csv,
     fit_one,
     objective,
@@ -342,16 +346,112 @@ def test_select_model_survives_overflowing_curves_without_warnings():
 
 
 def test_least_squares_restart_caps_finite_overflowing_residuals():
-    """exp(491) ~ 1e213 is finite, but its square overflows the solver's cost."""
+    """exp(491) ~ 1e213 is finite, but its square overflows the cost r.r; the
+    capped row leaves the rows beside it in its batch bit for bit unchanged."""
     ds = _count_series(1)
-    search = _LeastSquares("gen_gompertz", _dims_for("gen_gompertz", ds), ds, 1, 2.0)
+    dims = _dims_for("gen_gompertz", ds)
+    search = _LeastSquares("gen_gompertz", dims, ds, 1, 2.0)
     z0 = np.log([40.0, 100.0])  # a = 40, b = 100: m(14) = e^491
+    others = _starts(dims, 4, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = search.residual(z0)
-        z, value, converged = search.run(z0, 400)
+        r = search.residuals(z0[None])[0]
+        (capped,) = search.run([z0], 400)
+        mixed = search.run([others[0], z0, *others[1:]], 400)
+        alone = [search.run([z], 400)[0] for z in others]
     assert np.all(r == r[0]) and math.isfinite(float(r @ r))
-    assert value == math.inf and not converged
+    assert capped.value == math.inf and not capped.converged
+    assert mixed[1].value == math.inf and not mixed[1].converged
+    beside = [mixed[0], *mixed[2:]]
+    assert all(row.converged and math.isfinite(row.value) for row in beside)
+    for a, b in zip(alone, beside):
+        assert np.array_equal(a.z, b.z) and a.value == b.value and a.evals == b.evals
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_rows_are_bit_identical_alone_and_in_the_batch(seed):
+    ds = _count_series(seed)
+    for family in growth.FAMILIES:
+        dims = _dims_for(family, ds)
+        search = _LeastSquares(family, dims, ds, 1, 2.0)
+        starts = _starts(dims, 6, seed)
+        batch = search.run(starts, 400)
+        for z0, row in zip(starts, batch):
+            (alone,) = search.run([z0], 400)
+            assert np.array_equal(alone.z, row.z), family
+            assert alone.value == row.value and alone.evals == row.evals, family
+
+
+@pytest.mark.parametrize("family", list(growth.FAMILIES))
+def test_validity_mask_equals_the_constructor_on_box_edges(family):
+    """Every corner of the fit's box on a flat series (where c = j), which
+    takes in eps = +-0.99 and beta4 = -1e-12, and rows with one value out."""
+    flat = Dataset(name="flat", times=tuple(range(7)), counts=(2.0,) * 7)
+    dims = _dims_for(family, flat)
+    mid = tuple(0.5 * (d.lo + d.hi) for d in dims)
+    rows = list(itertools.product(*[(d.lo, d.hi) for d in dims])) + [mid]
+    for i, bad in itertools.product(range(len(dims)), (0.0, -1.0, 1.0, 2.0, -0.99, 0.99,
+                                                       -1e-12, math.inf, math.nan)):
+        rows.append(mid[:i] + (bad,) + mid[i + 1:])
+    cls = growth.FAMILIES[family]
+    cols = np.array(rows).T[:, :, None]
+
+    def constructs(row, rho):
+        try:
+            _build_curve(family, row, 2, rho)
+        except DomainError:
+            return False
+        return True
+
+    for rho in (2.0, 1.0):
+        got = cls.accepts(2, rho, *cols)[:, 0]
+        assert got.tolist() == [constructs(row, rho) for row in rows]
+    if dims[0].name in ("c", "n"):  # the all-lower corner has c = j
+        assert not constructs(rows[0], 2.0)
+
+
+def _trf_best(family, ds, starts, budget):
+    """Independent route: scipy's trust-region reflective least squares from
+    each start, its own 2-point Jacobian, on the residuals of the constructed
+    curves (beta4 searched as itself, positive parameters in log scale);
+    budget // (d + 1) iterations.  Returns the best MSE."""
+    dims = _dims_for(family, ds)
+    log = [d.log and not d.negate for d in dims]
+    lo = np.array([math.log(d.lo) if lg else d.lo for d, lg in zip(dims, log)])
+    hi = np.array([math.log(d.hi) if lg else d.hi for d, lg in zip(dims, log)])
+    y = np.asarray(ds.counts)
+
+    def residual(z):
+        params = tuple(min(max(math.exp(v) if lg else v, d.lo), d.hi)
+                       for v, lg, d in zip(z, log, dims))
+        try:
+            r = y - _build_curve(family, params, 1, 2.0).mean_array(np.asarray(ds.times))
+        except DomainError:
+            return np.full(y.size, 1e50)
+        return r if np.all(np.abs(r) < 1e50) else np.full(y.size, 1e50)
+
+    best = math.inf
+    for s in starts:
+        x0 = np.array([math.log(abs(v)) if lg else v for v, lg in zip(_decode(s, dims), log)])
+        res = least_squares(residual, np.clip(x0, lo, hi), method="trf", bounds=(lo, hi),
+                            x_scale="jac", max_nfev=budget // (len(dims) + 1),
+                            ftol=1e-12, xtol=1e-10, gtol=1e-12)
+        if np.all(np.abs(res.fun) < 1e50):
+            best = min(best, float(np.mean(res.fun * res.fun)))
+    return best
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_fits_are_no_worse_than_trust_region_reflective(seed):
+    ds = _count_series(seed)
+    logistic = fit_one("logistic", ds, "mse", 400, restarts=4, seed=seed)
+    for family in growth.FAMILIES:
+        dims = _dims_for(family, ds)
+        nested = logistic if family == "multisig_logistic" else None
+        fit = logistic if family == "logistic" else fit_one(
+            family, ds, "mse", 400, restarts=4, seed=seed, logistic=nested)
+        trf = _trf_best(family, ds, _starts(dims, 4, seed, nested), 400)
+        assert fit.value <= trf * (1.0 + 1e-9), (family, fit.value, trf)
 
 
 def test_select_model_all_covers_the_registry():

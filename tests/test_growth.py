@@ -111,6 +111,42 @@ def test_mean_array_matches_scalar(curve):
         assert arr[i] == pytest.approx(curve.mean(t), rel=1e-13)
 
 
+# parameter rows per family, in param_names order: a canonical curve, fitted
+# optima, box edges, and a row whose mean overflows to inf
+BROADCAST_ROWS = {
+    "gompertz": [(3.0, 2.0), (0.5, 1e-3), (100.0, 100.0)],
+    "gen_gompertz": [(2.0, 1.5), (40.0, 100.0), (100.0, 100.0), (1e-3, 0.3)],
+    "logistic": [(10.0, 1.2), (107.0, 0.87), (10700.0, 100.0)],
+    "ext_logistic": [(8.0, 0.4), (8.0, -0.6), (107.0, -0.99), (107.0, 0.99)],
+    "multisig_logistic": [(20.0, 2.0, -1.2, 0.3, -0.012), (110.0, 0.84, 0.02, -0.0027, -1e-12),
+                          (108.0, -2.6, 10.0, 10.0, -0.36), (108.0, 6.6, -8.0, 1.9, -10.0)],
+    "mod_korf": [(2.0, 1.5), (3.7, 0.62), (100.0, 1e-3)],
+    "korf": [(1.0, 0.8), (1e-3, 4.5), (1e-3, 100.0)],
+    "mitscherlich": [(1.0, 5.0), (0.047, 256.0), (100.0, 1e-3)],
+}
+
+
+def _with_params(cls, params, j, rho):
+    if cls is MultisigLogistic:
+        return cls(c=params[0], betas=params[1:], j=j, rho=rho)
+    return cls(j=j, rho=rho, **dict(zip(cls.param_names, params)))
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("j, rho", [(1, 2.0), (3, 1.4)])
+def test_mean_formula_on_parameter_rows_is_each_curves_mean_array(family, j, rho):
+    cls = FAMILIES[family]
+    rows = np.array(BROADCAST_ROWS[family])
+    t = np.linspace(0.0, 14.0, 40)
+    with np.errstate(all="ignore"):
+        m = cls.mean_formula(t, j, rho, *rows.T[:, :, None])
+    assert m.shape == (len(rows), t.size)
+    for params, got in zip(rows.tolist(), m):
+        curve = _with_params(cls, tuple(params), j, rho)
+        assert curve.params == tuple(params)
+        assert np.array_equal(got, curve.mean_array(t))
+
+
 def test_multisig_mean_array_negative_exponent_branch():
     c = MultisigLogistic(c=5.0, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=2.0)
     ts = np.array([0.5, 1.0, 3.0, 6.0])  # Q < 0 from t ~ 2.15 on
