@@ -5,15 +5,15 @@ Fitting minimizes MSE or RAE over each family's parameter box from
 Latin-hypercube starts (positive parameters are searched in log scale).  MSE
 is a smooth sum of squares, so it is minimized as bounded least squares on
 the residual vector y - m(t): a Levenberg-Marquardt written in numpy
-(:func:`_lockstep_lm`) runs all restarts of a family in lockstep, the hard
-box as bounds and a forward-difference Jacobian, and evaluates the family's
-broadcast mean formula once per iteration on the parameter rows of every
-restart.  ``budget`` caps the residual evaluations per restart, Jacobian
-columns included.  RAE is not smooth, and with ``estimate_j`` the rounded j
-makes the residual piecewise constant in its coordinate (a zero Jacobian
-column), so both keep scipy's Nelder-Mead, one restart after another, where
-``budget`` caps objective evaluations per restart; only they import
-scipy.optimize.  The initial spreader count j is pinned to the first
+(:func:`_lockstep_lm`) runs all restarts of a family in lockstep, through
+points strictly inside the hard box with a forward-difference Jacobian, and
+evaluates the family's broadcast mean formula once per iteration on the
+parameter rows of every restart.  ``budget`` caps the residual evaluations
+per restart, Jacobian columns included.  RAE is not smooth, and with
+``estimate_j`` the rounded j makes the residual piecewise constant in its
+coordinate (a zero Jacobian column), so both keep scipy's Nelder-Mead, one
+restart after another, where ``budget`` caps objective evaluations per
+restart; only they import scipy.optimize.  The initial spreader count j is pinned to the first
 observation by default — the model requires X(0) = j and the series starts at
 the first post — and the rate ratio rho is never estimated: it is a fixed
 input (Y-family mean levels depend on it, X-family means do not).
@@ -390,14 +390,14 @@ def fit_one(
 _FTOL = 1e-12
 _XTOL = 1e-10
 _GTOL = 1e-12
-_MU0 = 0.1  # initial damping, relative to the largest eigenvalue of the scaled Gram matrix
-# A residual row with any |entry| at or above this cap, NaN, or parameters the
-# family rejects is replaced by a constant finite fill: curves near overflow
-# give finite residuals near 1e200, whose squares overflow the cost r.r.
+_MU0 = 10.0  # initial damping, relative to the largest eigenvalue of the scaled model
+_THETA = 0.995  # least share of the way to its bound a truncated coordinate goes
+# A residual row with any |entry| at or above this cap, NaN, or a carrying
+# capacity not above j is replaced by a constant finite fill: curves near
+# overflow give finite residuals near 1e200, whose squares overflow r.r.
 _RESIDUAL_CAP = 1e50
 _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS**0.5
-_BUDGET, _GTOL_MET, _FTOL_MET, _XTOL_MET = 0, 1, 2, 3  # how a row stopped
 
 
 def _bound_message(params: tuple[float, ...], dims: list[_Dim]) -> str:
@@ -426,8 +426,8 @@ class _Lockstep(NamedTuple):
     x: np.ndarray  # (n, d) final points
     fun: np.ndarray  # (n, m) residuals there
     nfev: np.ndarray  # (n,) residual evaluations, Jacobian columns included
-    status: np.ndarray  # (n,) _BUDGET, _GTOL_MET, _FTOL_MET or _XTOL_MET
-    success: bool  # every row stopped on a tolerance test
+    exhausted: np.ndarray  # (n,) the row ended on its budget
+    success: bool  # no row ended on its budget
 
 
 @np.errstate(over="ignore")  # a damping that overflows gives a zero step
@@ -436,34 +436,38 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
 
     ``residuals`` maps an (N, d) matrix of points to the (N, m) matrix of their
     residual vectors; each row minimises its own cost F = r.r over the box
-    [lower, upper].  A row alternates two kinds of evaluation: the d
-    forward-difference columns of its Jacobian J at its point z (step
-    h = sqrt(eps) max(1, |z_i|), taken inward at an upper bound), and one trial
-    point.  Each iteration is one ``residuals`` call on the trial points and
-    Jacobian columns of all running rows, so the rows advance in lockstep.
-    Each row's arithmetic is its own: a row ends bit for bit the same alone as
-    in any batch.
+    [lower, upper], through points strictly inside it.  A row alternates two
+    kinds of evaluation: the d forward-difference columns of its Jacobian J at
+    its point z (step h = sqrt(eps) max(1, |z_i|), taken inward where z + h
+    reaches the upper bound), and one trial point.  Each iteration is one
+    ``residuals`` call on the trial points and Jacobian columns of all running
+    rows, so the rows advance in lockstep.  Each row's arithmetic is its own:
+    a row ends bit for bit the same alone as in any batch.
 
-    After each Jacobian, coordinate i is held fixed where z sits on a bound and
-    the gradient g = J^T r points out of the box.  The free columns are scaled
-    by D_i, the largest norm of column i seen so far (scipy's
-    ``x_scale="jac"``; a zero norm counts as 1), and the scaled Gram matrix
-    (J D^-1)^T (J D^-1) is diagonalised once.  The step p minimises
-    |r + J p|^2 + mu e_max |D p|^2, e_max the largest eigenvalue of that
-    matrix, so the damping follows the scale of the residuals; the trial
-    point is z + p clipped onto the box.  The initial damping is mu = 0.1.
-    With rho = (actual reduction)/(predicted reduction) of the clipped step, a
-    trial that lowers F is accepted and mu is multiplied by
+    The model is that of scipy's trust-region reflective method with
+    ``x_scale="jac"`` (Coleman and Li's scaling for bounds).  After each
+    Jacobian, with g = J^T r, N_i the largest norm of column i seen so far (a
+    zero norm counts as 1) and v_i = N_i times the distance from z_i to the
+    bound that -g_i heads for (v_i = 1 where g_i = 0), the step p = S q is
+    taken in the variables q scaled by s_i = sqrt(v_i)/N_i, where the model
+    matrix is B = (J S)^T (J S) + diag(|g|/N).  A coordinate close to the
+    bound its gradient pushes it to thus moves little.  S is then divided by
+    the square root of B's diagonal (Marquardt's scaling), B is diagonalised
+    once, and q solves (B + mu e_max I) q = -S g, e_max the largest eigenvalue
+    of B.  A coordinate of z + p that would reach its bound stops
+    theta = max(0.995, 1 - |g v|_inf) of the way there, and one that rounds
+    onto it one ulp inside.  The start is moved 1e-10 max(1, |bound|) inside a
+    bound it sits on or outside.  The initial damping is mu = 10.  With
+    rho = (actual reduction)/(predicted reduction) of the step taken, a trial
+    that lowers F is accepted and mu is multiplied by
     max(1/3, 1 - (2 min(rho, 1) - 1)^3), but not below the machine epsilon; a
     rejected trial multiplies mu by nu, then doubles nu (Nielsen 1999; nu
-    restarts at 2 on acceptance).  A
-    rejected trial costs one evaluation: the next step reuses the
-    diagonalisation.
+    restarts at 2 on acceptance).  A rejected trial costs one evaluation: the
+    next step reuses the diagonalisation.
 
     A row stops on the first of:
 
-    * gtol: max |g_i| over the free coordinates < 1e-12, tested after each
-      Jacobian;
+    * gtol: |g v|_inf < 1e-12, tested after each Jacobian;
     * ftol: an accepted trial lowered F by less than 1e-12 F with rho > 0.25;
     * xtol: its next step has |p| < 1e-10 (1e-10 + |z|); that step is not
       evaluated;
@@ -474,76 +478,94 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
 
     A damping that overflows gives a zero step, which ends the row on xtol.
     """
-    z = np.clip(np.array(x0, dtype=float), lower, upper)
+    inset = 1e-10 * np.maximum(1.0, np.abs([lower, upper]))
+    z = np.clip(np.array(x0, dtype=float), lower + inset[0], upper - inset[1])
+    inside = np.nextafter([lower, upper], [upper, lower])
     n, d = z.shape
     add = np.add.reduce
     r = residuals(z)
     m = r.shape[1]
     cost = add(r * r, axis=1)
     nfev = np.ones(n, dtype=int)
-    status = np.full(n, -1)
+    done = np.zeros(n, dtype=bool)
+    exhausted = np.zeros(n, dtype=bool)
     need_jac = np.ones(n, dtype=bool)
-    # per row, from its last Jacobian: J; the scaling D; the eigenvalues e of
-    # the scaled Gram matrix, its eigenvectors V divided by D (zero on the
-    # fixed coordinates) and V^T D^-1 g
+    # per row, from its last Jacobian: J; the column norms N; the scaling s;
+    # the term diag(|g|/N) of B, in the units of q; theta; the eigenvalues e
+    # of B, its eigenvectors V times s, and V^T S g
     jac = np.empty((n, d, m))
-    scale = np.zeros((n, d))
+    norm = np.zeros((n, d))
+    scale = np.empty((n, d))
+    extra = np.empty((n, d))
+    theta = np.empty(n)
     eig = np.empty((n, d))
     basis = np.empty((n, d, d))
     vg = np.empty((n, d))
     mu = np.full(n, _MU0)
     nu = np.full(n, 2.0)
     step = np.zeros((n, d))
-    eye = np.eye(d, dtype=bool)
+    diag = np.eye(d, dtype=bool)
     while True:
-        running = status < 0
-        over = running & (nfev + np.where(need_jac, d + 1, 1) > budget)
-        status[over] = _BUDGET
-        running ^= over
-        ji = np.flatnonzero(running & need_jac)
-        ti = np.flatnonzero(running & ~need_jac)
+        over = ~done & (nfev + np.where(need_jac, d + 1, 1) > budget)
+        exhausted |= over
+        done |= over
+        ji = np.flatnonzero(~done & need_jac)
+        ti = np.flatnonzero(~done & ~need_jac)
         nt = ti.size
         if not (nt or ji.size):
             break
         zt = z[ti]
-        trial = np.minimum(np.maximum(zt + step[ti], lower), upper)
-        zj = z[ji]
-        h = _FD_STEP * np.maximum(1.0, np.abs(zj))
-        zh = zj + h
-        zh = np.where(zh <= upper, zh, zj - h)
-        columns = np.where(eye, zh[:, None, :], zj[:, None, :])
-        out = residuals(np.concatenate([trial, columns.reshape(-1, d)]))
+        trial = zt + step[ti]
+        points = trial
+        if ji.size:
+            zj = z[ji]
+            h = _FD_STEP * np.maximum(1.0, np.abs(zj))
+            zh = zj + h
+            zh = np.where(zh < upper, zh, zj - h)
+            columns = np.where(diag, zh[:, None, :], zj[:, None, :])
+            points = np.concatenate([trial, columns.reshape(-1, d)])
+        out = residuals(points)
 
         if ji.size:
             nfev[ji] += d
             rj = r[ji]
             jj = (out[nt:].reshape(-1, d, m) - rj[:, None, :]) / (zh - zj)[:, :, None]
             g = add(jj * rj[:, None, :], axis=2)
-            fixed = np.where(g > 0.0, zj <= lower, (g < 0.0) & (zj >= upper))
-            gfree = np.abs(np.where(fixed, 0.0, g))
-            status[ji[np.maximum.reduce(gfree, axis=1) < _GTOL]] = _GTOL_MET
-            sj = np.maximum(scale[ji], np.sqrt(add(jj * jj, axis=2)))
-            sj[sj == 0.0] = 1.0
-            scale[ji] = sj
-            js = np.where(fixed[:, :, None], 0.0, jj / sj[:, :, None])
-            e, v = np.linalg.eigh(add(js[:, :, None, :] * js[:, None, :, :], axis=3))
-            jac[ji] = jj
+            nj = np.maximum(norm[ji], np.sqrt(add(jj * jj, axis=2)))
+            nj[nj == 0.0] = 1.0
+            v = np.where(g < 0.0, upper - zj, zj - lower) * nj
+            v[g == 0.0] = 1.0
+            gv = np.maximum.reduce(np.abs(g * v), axis=1)
+            done[ji[gv < _GTOL]] = True
+            sj = np.sqrt(v) / nj
+            cj = np.abs(g) / nj
+            js = jj * sj[:, :, None]
+            b = add(js[:, :, None, :] * js[:, None, :, :], axis=3)
+            b[:, diag] += cj
+            unit = np.sqrt(b[:, diag])
+            unit[unit == 0.0] = 1.0
+            e, vec = np.linalg.eigh(b / (unit[:, :, None] * unit[:, None, :]))
+            sj /= unit
+            jac[ji], norm[ji], scale[ji], extra[ji] = jj, nj, sj, cj / (unit * unit)
+            theta[ji] = np.maximum(_THETA, 1.0 - gv)
             eig[ji] = np.maximum(e, 0.0)
-            basis[ji] = np.where(fixed[:, :, None], 0.0, v / sj[:, :, None])
-            vg[ji] = add(v * (g / sj)[:, :, None], axis=1)
+            basis[ji] = vec * sj[:, :, None]
+            vg[ji] = add(vec * (g * sj)[:, :, None], axis=1)
             need_jac[ji] = False
 
         if nt:
             nfev[ti] += 1
             rt = out[:nt]
-            p = trial - zt
+            p = step[ti]
             jp = add(jac[ti] * p[:, :, None], axis=1)
-            pred = -(2.0 * add(r[ti] * jp, axis=1) + add(jp * jp, axis=1))
+            q = p / scale[ti]
+            pred = -(2.0 * add(r[ti] * jp, axis=1) + add(jp * jp, axis=1)
+                     + add(extra[ti] * q * q, axis=1))
             ct = add(rt * rt, axis=1)
             actual = cost[ti] - ct
             rho = np.divide(actual, pred, out=np.zeros(nt), where=pred > 0.0)
             ok = actual > 0.0
-            status[ti[ok & (actual < _FTOL * cost[ti]) & (rho > 0.25)]] = _FTOL_MET
+            done[ti[ok & (actual < _FTOL * cost[ti]) & (rho > 0.25)]] = True
             factor = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
             mu[ti] = np.where(ok, np.maximum(mu[ti] * factor, _EPS), mu[ti] * nu[ti])
             nu[ti] = np.where(ok, 2.0, 2.0 * nu[ti])
@@ -551,14 +573,19 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
             z[ai], r[ai], cost[ai] = trial[ok], rt[ok], ct[ok]
             need_jac[ai] = True
 
-        si = np.flatnonzero((status < 0) & ~need_jac)
+        si = np.flatnonzero(~done & ~need_jac)
+        if not si.size:
+            continue
         w = vg[si] / (eig[si] + (mu[si] * eig[si, -1])[:, None])
-        new = -add(basis[si] * w[:, None, :], axis=2)
+        p = -add(basis[si] * w[:, None, :], axis=2)
         zs = z[si]
-        small = np.sqrt(add(new * new, axis=1)) < _XTOL * (_XTOL + np.sqrt(add(zs * zs, axis=1)))
-        status[si[small]] = _XTOL_MET
-        step[si] = new
-    return _Lockstep(z, r, nfev, status, bool(np.all(status != _BUDGET)))
+        wall = np.where(p > 0.0, upper - zs, lower - zs)
+        p = np.where(np.abs(p) < np.abs(wall), p, theta[si, None] * wall)
+        p = np.minimum(np.maximum(zs + p, inside[0]), inside[1]) - zs
+        small = np.sqrt(add(p * p, axis=1)) < _XTOL * (_XTOL + np.sqrt(add(zs * zs, axis=1)))
+        done[si[small]] = True
+        step[si] = p
+    return _Lockstep(z, r, nfev, exhausted, not exhausted.any())
 
 
 class _LeastSquares:
@@ -583,6 +610,10 @@ class _LeastSquares:
         self.p_hi = np.array([d.hi for d in dims])
         self.lo = np.array([math.log(d.lo) if d.log else d.lo for d in dims])
         self.hi = np.array([math.log(d.hi) if d.log else d.hi for d in dims])
+        # the box holds every parameter where its constructor wants it, but for
+        # a carrying capacity c or n > j (its lower bound max(y) may equal j)
+        self.amp = [i for i, d in enumerate(dims) if d.name in ("c", "n")]
+        _build_curve(name, tuple(self.p_hi), j, rho)  # raises on a bad j or rho
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Parameter rows of the rows of ``z``; exp(log(lo)) can round just
@@ -593,13 +624,16 @@ class _LeastSquares:
         return tuple(self.decode(z).tolist()), self.j
 
     def residuals(self, z: np.ndarray) -> np.ndarray:
-        """Residual rows at the rows of ``z``, the fill where the family rejects
-        the parameters or any |residual| reaches the cap (NaN included)."""
-        cols = self.decode(z).T[:, :, None]
+        """Residual rows at the rows of ``z``, the fill where the carrying
+        capacity is not above j or any |residual| reaches the cap (NaN
+        included)."""
+        params = self.decode(z)
+        cols = params.T[:, :, None]
         with np.errstate(all="ignore"):
             r = self.y - self.family.mean_formula(self.t, self.j, self.rho, *cols)
-            ok = self.family.accepts(self.j, self.rho, *cols)[:, 0]
-            ok &= (np.abs(r) < _RESIDUAL_CAP).all(axis=1)
+            ok = (np.abs(r) < _RESIDUAL_CAP).all(axis=1)
+        for i in self.amp:
+            ok &= params[:, i] > self.j
         r[~ok] = _RESIDUAL_CAP
         return r
 
@@ -609,8 +643,8 @@ class _LeastSquares:
         filled = res.fun[:, 0] == _RESIDUAL_CAP
         values = np.where(filled, math.inf, np.mean(res.fun * res.fun, axis=1))
         return [
-            _Restart(z, float(v), bool(st != _BUDGET and not f), int(e))
-            for z, v, st, f, e in zip(res.x, values, res.status, filled, res.nfev)
+            _Restart(z, float(v), not (x or f), int(e))
+            for z, v, x, f, e in zip(res.x, values, res.exhausted, filled, res.nfev)
         ]
 
 

@@ -19,8 +19,7 @@ array is one vector evaluation, and a float gives a Python float from the same
 code, bit for bit an array element's.  The mean is written once, as the
 family's ``mean_formula``, whose parameters may also be columns that broadcast
 against the times: a fit evaluates many parameter rows in one call, bit for bit
-the ``mean_array`` of each row's curve.  ``accepts`` is the constructor's
-checks as a vector mask over such rows.  Floating-point warnings are off inside
+the ``mean_array`` of each row's curve.  Floating-point warnings are off inside
 (overflow to inf is part of the contract).  The bound of ``mu`` over a window
 (``induced_mu_sup``) is no longer read by any sampler.
 
@@ -57,20 +56,6 @@ def _check_common(j: int, rho: float) -> None:
         raise DomainError(f"curve families require a rate ratio rho > 1, got {rho}")
 
 
-def _common_ok(j, rho) -> bool:
-    """What :func:`_check_common` accepts."""
-    int_j = isinstance(j, int) and not isinstance(j, bool)
-    return int_j and j >= 1 and rho > 1.0 and math.isfinite(rho)
-
-
-def _positive(*values):
-    """What :func:`~rumorbd.errors.check_positive` accepts, elementwise."""
-    ok = True
-    for v in values:
-        ok = ok & (v > 0.0) & np.isfinite(v)
-    return ok
-
-
 class GrowthCurve:
     """What the eight families share.
 
@@ -79,9 +64,7 @@ class GrowthCurve:
     array of times.  Defining the class gives it ``mean_array``, the formula at
     the curve's own ``params``, and wraps it and the two induced functions in
     :func:`~rumorbd._kernels.elementwise`, which gives them the float-or-array
-    contract of the module docstring.  The static ``accepts(j, rho, *params)``
-    is True exactly where the constructor accepts the parameters, elementwise
-    over parameter columns.
+    contract of the module docstring.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -139,10 +122,6 @@ class Gompertz(GrowthCurve):
     def mean_formula(t, j, rho, alpha, beta):
         return j * np.exp(alpha * -np.expm1(-beta * t))
 
-    @staticmethod
-    def accepts(j, rho, alpha, beta):
-        return _common_ok(j, rho) & _positive(alpha, beta)
-
     def induced_big_m(self, t):
         return self.alpha * -np.expm1(-self.beta * t) / (self.rho - 1.0)
 
@@ -180,10 +159,6 @@ class GenGompertz(GrowthCurve):
     @staticmethod
     def mean_formula(t, j, rho, a, b):
         return j * np.exp(a * b * t / (t + b))
-
-    @staticmethod
-    def accepts(j, rho, a, b):
-        return _common_ok(j, rho) & _positive(a, b)
 
     def induced_big_m(self, t):
         return self.a * self.b * t / ((self.rho - 1.0) * (t + self.b))
@@ -226,10 +201,6 @@ class Logistic(GrowthCurve):
     @staticmethod
     def mean_formula(t, j, rho, c, r):
         return c * j / (j + (c - j) * np.exp(-r * t))
-
-    @staticmethod
-    def accepts(j, rho, c, r):
-        return _common_ok(j, rho) & _positive(c, r) & (c > j)
 
     def induced_big_m(self, t):
         # table form (r t + log C - log(C + j(e^{rt} - 1)))/(rho - 1), evaluated
@@ -295,10 +266,6 @@ class ExtLogistic(GrowthCurve):
         a, b, d, ee = ExtLogistic._coeffs(n, eps, j)
         wbar = np.exp(-(1.0 + eps) * t)
         return (a * wbar + b) / (d * wbar + ee)
-
-    @staticmethod
-    def accepts(j, rho, n, eps):
-        return _common_ok(j, rho) & _positive(n) & (n > j) & (-1.0 < eps) & (eps < 1.0)
 
     def induced_big_m(self, t):
         a, b, d, ee = self._coeffs(self.n, self.eps, self.j)
@@ -392,10 +359,6 @@ class MultisigLogistic(GrowthCurve):
         neg = c * j * eq / (j * eq + cj)
         return np.where(qv >= 0.0, pos, neg)
 
-    @staticmethod
-    def accepts(j, rho, c, b1, b2, b3, b4):
-        return _common_ok(j, rho) & _positive(c) & (b4 < 0.0) & (c > j)
-
     def induced_big_m(self, t):
         qv = self.q(t)
         num = qv + math.log(self.c) - np.logaddexp(math.log(self.c - self.j), math.log(self.j) + qv)
@@ -476,10 +439,6 @@ class ModKorf(GrowthCurve):
     def mean_formula(t, j, rho, alpha, beta):
         return j * np.exp(alpha / beta * ModKorf._u(t, beta))
 
-    @staticmethod
-    def accepts(j, rho, alpha, beta):
-        return _common_ok(j, rho) & _positive(alpha, beta)
-
     def induced_big_m(self, t):
         return self.alpha / self.beta * self._u(t, self.beta) / (self.rho - 1.0)
 
@@ -532,10 +491,6 @@ class Korf(GrowthCurve):
     def mean_formula(t, j, rho, alpha, beta):
         return j / (rho - 1.0) * Korf._w(t, alpha, beta)
 
-    @staticmethod
-    def accepts(j, rho, alpha, beta):
-        return _common_ok(j, rho) & _positive(alpha, beta)
-
     def induced_big_m(self, t):
         return np.log1p(self._w(t, self.alpha, self.beta)) / (self.rho - 1.0)
 
@@ -574,10 +529,6 @@ class Mitscherlich(GrowthCurve):
     @staticmethod
     def mean_formula(t, j, rho, alpha, beta):
         return beta * -np.expm1(-alpha * t)
-
-    @staticmethod
-    def accepts(j, rho, alpha, beta):
-        return _common_ok(j, rho) & _positive(alpha, beta)
 
     def induced_big_m(self, t):
         a = self.rho - 1.0

@@ -383,31 +383,49 @@ def test_lockstep_rows_are_bit_identical_alone_and_in_the_batch(seed):
 
 
 @pytest.mark.parametrize("family", list(growth.FAMILIES))
-def test_validity_mask_equals_the_constructor_on_box_edges(family):
+def test_residual_fill_equals_the_constructor_on_box_edges(family):
     """Every corner of the fit's box on a flat series (where c = j), which
-    takes in eps = +-0.99 and beta4 = -1e-12, and rows with one value out."""
+    takes in eps = +-0.99 and beta4 = -1e-12: the residual rows are filled
+    exactly where the constructor rejects the parameters or the curve
+    overflows the cap."""
     flat = Dataset(name="flat", times=tuple(range(7)), counts=(2.0,) * 7)
     dims = _dims_for(family, flat)
-    mid = tuple(0.5 * (d.lo + d.hi) for d in dims)
-    rows = list(itertools.product(*[(d.lo, d.hi) for d in dims])) + [mid]
-    for i, bad in itertools.product(range(len(dims)), (0.0, -1.0, 1.0, 2.0, -0.99, 0.99,
-                                                       -1e-12, math.inf, math.nan)):
-        rows.append(mid[:i] + (bad,) + mid[i + 1:])
-    cls = growth.FAMILIES[family]
-    cols = np.array(rows).T[:, :, None]
+    search = _LeastSquares(family, dims, flat, 2, 2.0)
+    corners = np.array(list(itertools.product(*zip(search.lo, search.hi))))
+    rows = np.concatenate([corners, [0.5 * (search.lo + search.hi)]])
 
-    def constructs(row, rho):
+    def fits(z):
         try:
-            _build_curve(family, row, 2, rho)
+            curve = _build_curve(family, search.params(z)[0], 2, 2.0)
         except DomainError:
             return False
-        return True
+        with np.errstate(over="ignore"):
+            return bool(np.all(np.abs(2.0 - curve.mean_array(np.arange(7.0))) < 1e50))
 
-    for rho in (2.0, 1.0):
-        got = cls.accepts(2, rho, *cols)[:, 0]
-        assert got.tolist() == [constructs(row, rho) for row in rows]
+    filled = np.all(search.residuals(rows) == 1e50, axis=1)
+    assert (~filled).tolist() == [fits(z) for z in rows]
     if dims[0].name in ("c", "n"):  # the all-lower corner has c = j
-        assert not constructs(rows[0], 2.0)
+        assert filled[0]
+    with pytest.raises(DomainError, match="rho"):
+        _LeastSquares(family, dims, flat, 2, 1.0)
+
+
+@pytest.mark.parametrize("seed, family", [(1, "logistic"), (6, "korf"),
+                                          (6, "multisig_logistic")])
+def test_lockstep_evaluates_only_points_strictly_inside_the_box(seed, family):
+    """Also where the optimum is on a bound (c of series 1), where a long step
+    heads for a flat corner (Korf) and where a start is on a bound (the
+    nested multisigmoidal start has beta4 = -1e-12)."""
+    ds = _count_series(seed)
+    dims = _dims_for(family, ds)
+    logistic = fit_one("logistic", ds, "mse", 400, restarts=4, seed=seed)
+    search = _LeastSquares(family, dims, ds, 1, 2.0)
+    seen = []
+    residuals = search.residuals
+    search.residuals = lambda z: seen.append(z) or residuals(z)
+    search.run(_starts(dims, 4, seed, logistic if family == "multisig_logistic" else None), 400)
+    points = np.concatenate(seen)
+    assert np.all((search.lo < points) & (points < search.hi))
 
 
 def _trf_best(family, ds, starts, budget):
@@ -441,8 +459,11 @@ def _trf_best(family, ds, starts, budget):
     return best
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, 6, 11])
 def test_lockstep_fits_are_no_worse_than_trust_region_reflective(seed):
+    """Series 6 and 11 have Korf starts whose first long step heads for the
+    flat corner alpha = 1e-3, beta = 100 of the box, where the Jacobian
+    vanishes: a step must stop short of the bounds."""
     ds = _count_series(seed)
     logistic = fit_one("logistic", ds, "mse", 400, restarts=4, seed=seed)
     for family in growth.FAMILIES:
