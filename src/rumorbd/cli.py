@@ -367,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", help="'all' or comma-separated family names")
     p.add_argument(
         "--budget", type=int,
-        help="evaluations per restart: residual vectors, Jacobian columns included, "
-        "for MSE; objective values for RAE or --estimate-j",
+        help="evaluations per restart, and per j tried with --estimate-j: residual "
+        "vectors, Jacobian columns included, for MSE; objective values for RAE",
     )
     p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=int)

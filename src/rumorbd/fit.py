@@ -2,21 +2,18 @@
 model selection, and inactive-mean reconstruction.
 
 Fitting minimizes MSE or RAE over each family's parameter box from
-Latin-hypercube starts (positive parameters are searched in log scale).  MSE
-is a smooth sum of squares, so it is minimized as bounded least squares on
-the residual vector y - m(t): a Levenberg-Marquardt written in numpy
-(:func:`_lockstep_lm`) runs all restarts of a family in lockstep, through
-points strictly inside the hard box with a forward-difference Jacobian, and
-evaluates the family's broadcast mean formula once per iteration on the
-parameter rows of every restart.  ``budget`` caps the residual evaluations
-per restart, Jacobian columns included.  RAE is not smooth, and with
-``estimate_j`` the rounded j makes the residual piecewise constant in its
-coordinate (a zero Jacobian column), so both keep scipy's Nelder-Mead, one
-restart after another, where ``budget`` caps objective evaluations per
-restart; only they import scipy.optimize.  The initial spreader count j is pinned to the first
-observation by default — the model requires X(0) = j and the series starts at
-the first post — and the rate ratio rho is never estimated: it is a fixed
-input (Y-family mean levels depend on it, X-family means do not).
+Latin-hypercube starts, on one fit problem (:class:`_Problem`): one box in
+one set of search coordinates, positive parameters in log scale, and one
+batched evaluator of the residuals y - m(t).  MSE is minimized as bounded
+least squares by a Levenberg-Marquardt written in numpy
+(:func:`_lockstep_lm`) that runs all restarts of a family in lockstep; RAE
+is not smooth, so it keeps scipy's Nelder-Mead, one restart after another,
+and only RAE fits import scipy.optimize.  The initial spreader count j is
+pinned to the first observation by default — the model requires X(0) = j
+and the series starts at the first post — or, with ``estimate_j``, profiled
+over the integers (:func:`_profile_argmin`).  The rate ratio rho is never
+estimated: it is a fixed input (Y-family mean levels depend on it, X-family
+means do not).
 
 Reconstruction composes a fitted spreader-mean curve with the proportional
 inactive-mean formula for user-chosen rho values.  For an X-family fit this
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -134,12 +131,16 @@ def objective(curve, dataset: Dataset, kind: str) -> float:
     m = curve.mean_array(t)
     if not np.all(np.isfinite(m)):
         return math.inf
-    res = y - m
-    if k == "mse":
-        val = float(np.mean(res * res))
-    else:
-        val = float(np.sum(np.abs(res)) / np.sum(np.abs(y)))
+    val = float(_value(y - m, y, k))
     return val if math.isfinite(val) else math.inf
+
+
+def _value(r: np.ndarray, y: np.ndarray, kind: str):
+    """MSE or RAE of the residuals ``r`` along their last axis."""
+    if kind == "mse":
+        return np.mean(r * r, axis=-1)
+    add = np.add.reduce  # np.sum without its per-call overhead: Nelder-Mead calls this per point
+    return add(np.abs(r), axis=-1) / add(np.abs(y))
 
 
 # ===== Parameter boxes =========================================================
@@ -147,10 +148,9 @@ def objective(curve, dataset: Dataset, kind: str) -> float:
 
 class _Dim(NamedTuple):
     name: str
-    lo: float  # bounds in natural (signed) space
+    lo: float  # hard bounds of the parameter's value
     hi: float
-    log: bool  # search/draw in log of |value|
-    negate: bool = False  # value = -exp(z) (used for beta4 < 0)
+    log: bool  # a positive parameter: searched, and drawn, in log scale
 
 
 def _dims_for(family: str, dataset: Dataset) -> list[_Dim]:
@@ -167,8 +167,7 @@ def _dims_for(family: str, dataset: Dataset) -> list[_Dim]:
         return [amp._replace(name="n"), _Dim("eps", -0.99, 0.99, log=False)]
     if family == "multisig_logistic":
         poly = [_Dim(f"beta{i}", -_POLY_BOUND, _POLY_BOUND, log=False) for i in (1, 2, 3)]
-        b4 = _Dim("beta4", -_POLY_BOUND, _B4_EDGE, log=True, negate=True)
-        return [amp._replace(name="c"), *poly, b4]
+        return [amp._replace(name="c"), *poly, _Dim("beta4", -_POLY_BOUND, _B4_EDGE, log=False)]
     if family == "mod_korf":
         return [rate("alpha"), rate("beta")]
     if family == "korf":
@@ -176,39 +175,6 @@ def _dims_for(family: str, dataset: Dataset) -> list[_Dim]:
     if family == "mitscherlich":
         return [rate("alpha"), amp._replace(name="beta")]
     raise DataError(f"unknown curve family {family!r}")
-
-
-def _z_box(dim: _Dim) -> tuple[float, float]:
-    """Sampling range in internal coordinates (narrower than the hard box)."""
-    if dim.negate:  # |beta4| drawn log-uniform on [1e-4, 10]
-        return math.log(1e-4), math.log(_POLY_BOUND)
-    if dim.log:
-        return math.log(dim.lo), math.log(dim.hi)
-    return dim.lo, dim.hi
-
-
-def _decode(z: np.ndarray, dims: list[_Dim]) -> tuple[float, ...]:
-    out = []
-    for zi, dim in zip(z, dims):
-        if dim.log:
-            v = math.exp(zi) if zi < 705.0 else math.inf
-            if dim.negate:
-                v = -v
-        else:
-            v = float(zi)
-        out.append(v)
-    return tuple(out)
-
-
-def _encode(params: tuple[float, ...], dims: list[_Dim]) -> np.ndarray:
-    z = []
-    for v, dim in zip(params, dims):
-        z.append(math.log(abs(v)) if dim.log else float(v))
-    return np.asarray(z)
-
-
-def _in_box(params: tuple[float, ...], dims: list[_Dim]) -> bool:
-    return all(dim.lo <= v <= dim.hi for v, dim in zip(params, dims))
 
 
 def _build_curve(family: str, params: tuple[float, ...], j: int, rho: float):
@@ -252,7 +218,7 @@ def minimize(fun, x0, method: str, **kwargs):
     ``fun`` mapping a matrix of points to a matrix of residual rows.  Any other
     method is one ``scipy.optimize.minimize`` run from ``x0``, imported on first
     use: scipy.optimize takes longer to import than all of rumorbd, and only
-    RAE and ``estimate_j`` fits need it.
+    RAE fits need it.
     """
     if method == "lm":
         return _lockstep_lm(fun, x0, **kwargs)
@@ -269,17 +235,24 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 
 
 def _starts(dims: list[_Dim], restarts: int, seed: int,
-            logistic: FitResult | None = None) -> list[np.ndarray]:
-    """Latin-hypercube starts in internal coordinates, plus for the
-    multisigmoidal family one start nested at the ``logistic`` optimum: with
-    beta = (r, 0, 0, 0-) the quartic exponent reduces to r t, so the optimum
-    can only improve on the logistic one."""
+            logistic: FitResult | None = None) -> np.ndarray:
+    """Latin-hypercube starts as rows of parameter values: a positive
+    parameter log-uniform on its box, beta4 = -|beta4| with |beta4|
+    log-uniform on [1e-4, 10], any other parameter uniform on its box.  The
+    multisigmoidal family gets one more start, nested at the ``logistic``
+    optimum: with beta = (r, 0, 0, 0-) the quartic exponent reduces to r t,
+    so the optimum can only improve on the logistic one."""
     unit = _latin_hypercube(restarts, len(dims), seed)
-    lows, highs = np.array([_z_box(d) for d in dims]).T
-    starts = list(lows + unit * (highs - lows))
+    draws = [(1e-4, -d.lo, True) if d.name == "beta4" else (d.lo, d.hi, d.log) for d in dims]
+    logs = [log for _, _, log in draws]
+    sign = [-1.0 if d.name == "beta4" else 1.0 for d in dims]
+    lows, highs = np.array([(math.log(lo), math.log(hi)) if log else (lo, hi)
+                            for lo, hi, log in draws]).T
+    z = lows + unit * (highs - lows)
+    # the math module's exp, as in _Problem.encode
+    starts = np.array([[math.exp(v) if log else v for v, log in zip(row, logs)] for row in z]) * sign
     if logistic is not None and logistic.curve is not None:
-        c_hat, r_hat = logistic.params
-        starts.append(_encode((c_hat, r_hat, 0.0, 0.0, _B4_EDGE), dims))
+        starts = np.vstack([starts, (*logistic.params, 0.0, 0.0, _B4_EDGE)])
     return starts
 
 
@@ -311,13 +284,19 @@ def fit_one(
 ) -> FitResult:
     """Multi-start fit of one family; ``budget`` caps the evaluations per restart.
 
-    MSE restarts run bounded least squares, all of them in lockstep
-    (:class:`_LeastSquares`); RAE and ``estimate_j`` restarts run Nelder-Mead
-    one after another (:class:`_NelderMead`).  The
-    multisigmoidal family gets one extra restart at the plain-logistic
+    MSE restarts run bounded least squares, all of them in lockstep; RAE
+    restarts run Nelder-Mead one after another (:meth:`_Problem.fit`).
+    The multisigmoidal family gets one extra restart at the plain-logistic
     optimum: ``logistic`` when given (as :func:`select_model` does), else a
     logistic fit with the same settings.  ``message`` names the parameters
     that ended on a hard box bound.
+
+    j is pinned to the first count, rounded.  With ``estimate_j`` every j
+    tried is such a pinned-j fit, and the result is the one at the j
+    :func:`_profile_argmin` picks from round(first count) over [1, round(max
+    count)]; ``n_evals`` and ``restarts`` then sum over every j tried.  The
+    nested multisigmoidal restart is then the same at every j, and the
+    logistic fit it comes from estimates j too.
 
     Deterministic: identical (dataset, kind, seed, budget) give a bit-identical
     result.  When every restart fails to find a finite objective, an explicit
@@ -329,61 +308,62 @@ def fit_one(
     if budget < 1 or restarts < 1:
         raise DomainError(f"budget and restarts must be >= 1, got {budget}, {restarts}")
     dims = _dims_for(name, dataset)
-    j = max(1, int(round(dataset.counts[0])))
-    if estimate_j:
-        dims = dims + [_Dim("j", 1.0, max(dataset.counts), log=True)]
-    if len(dataset) < len(dims) + 1:
+    n_params = len(dims) + estimate_j
+    if len(dataset) < n_params + 1:
         raise DataError(
-            f"{name} needs at least {len(dims) + 1} points to fit "
-            f"{len(dims)} parameters, dataset {dataset.name!r} has {len(dataset)}"
+            f"{name} needs at least {n_params + 1} points to fit "
+            f"{n_params} parameters, dataset {dataset.name!r} has {len(dataset)}"
         )
 
-    nested = name == "multisig_logistic" and not estimate_j
+    nested = name == "multisig_logistic"
     if nested and logistic is None:
-        logistic = fit_one("logistic", dataset, k, budget, restarts=restarts, seed=seed, rho=rho)
+        logistic = fit_one("logistic", dataset, k, budget, restarts=restarts, seed=seed,
+                           rho=rho, estimate_j=estimate_j)
     starts = _starts(dims, restarts, seed, logistic if nested else None)
+    j0 = max(1, int(round(dataset.counts[0])))
+    if not estimate_j:
+        return _Problem(name, dims, dataset, j0, rho).fit(k, starts, budget)
 
-    if k == "mse" and not estimate_j:
-        search = _LeastSquares(name, dims, dataset, j, rho)
-    else:
-        search = _NelderMead(name, dims, dataset, k, j, rho, estimate_j)
+    fits: dict[int, FitResult] = {}
 
-    rows = search.run(starts, budget)
-    n_evals = sum(row.evals for row in rows)
-    finite = [row for row in rows if row.value < math.inf]
-    best = min(finite, key=lambda row: row.value, default=None)  # ties: the first restart
+    def profile(j: int) -> float:
+        if j not in fits:
+            fits[j] = _Problem(name, dims, dataset, j, rho).fit(k, starts, budget)
+        return fits[j].value
 
-    if best is None:
-        return FitResult(
-            family=name,
-            params=(),
-            kind=k,
-            value=math.inf,
-            converged=False,
-            n_evals=n_evals,
-            restarts=len(starts),
-            j=j,
-            rho=rho,
-            curve=None,
-            message="all restarts diverged or left the parameter box",
-        )
+    j = _profile_argmin(profile, j0, int(round(max(dataset.counts))))
+    return replace(fits[j], n_evals=sum(f.n_evals for f in fits.values()),
+                   restarts=sum(f.restarts for f in fits.values()))
 
-    params, j_fin = search.params(best.z)
-    curve = _build_curve(name, params, j_fin, rho)
-    value = objective(curve, dataset, k)  # re-evaluated at the stored parameters
-    return FitResult(
-        family=name,
-        params=params,
-        kind=k,
-        value=value,
-        converged=best.converged,
-        n_evals=n_evals,
-        restarts=len(starts),
-        j=j_fin,
-        rho=rho,
-        curve=curve,
-        message=_bound_message(params, dims),
-    )
+
+def _profile_argmin(value, j0: int, hi: int) -> int:
+    """A local minimum of ``value`` over the integers 1..``hi``, searched from
+    ``j0``; each j is evaluated at most once by the caller's memo.
+
+    In each direction the scan gallops: from j0 it steps 1, 2, 4, ... (clipped
+    at 1 and ``hi``) while each step lowers the best value of that direction,
+    and after a step that does not, it steps by 1 again from there.  A
+    direction stops at its end of the range or after two steps in a row that
+    do not lower its best.  From the best j of both directions a walk then
+    moves to the best of j - 1, j, j + 1 until j itself is best.  Everywhere,
+    ties go to the j nearer j0, then to the smaller j.
+    """
+    key = lambda j: (value(j), abs(j - j0), j)  # noqa: E731
+    best = j0
+    for step in (1, -1):
+        at, lead, stride, misses = j0, j0, 1, 0
+        while misses < 2 and at != (hi if step > 0 else 1):
+            at = min(max(at + step * stride, 1), hi)
+            if value(at) < value(lead):
+                lead, stride, misses = at, 2 * stride, 0
+            else:
+                stride, misses = 1, misses + 1
+        best = min(best, lead, key=key)
+    while True:
+        walk = min((j for j in (best - 1, best, best + 1) if 1 <= j <= hi), key=key)
+        if walk == best:
+            return best
+        best = walk
 
 
 # Stopping tolerances of the lockstep least squares (see _lockstep_lm).
@@ -394,7 +374,8 @@ _MU0 = 10.0  # initial damping, relative to the largest eigenvalue of the scaled
 _THETA = 0.995  # least share of the way to its bound a truncated coordinate goes
 # A residual row with any |entry| at or above this cap, NaN, or a carrying
 # capacity not above j is replaced by a constant finite fill: curves near
-# overflow give finite residuals near 1e200, whose squares overflow r.r.
+# overflow give finite residuals near 1e200, whose squares overflow r.r, and
+# Nelder-Mead meets a finite plateau there, not inf - inf in its stopping test.
 _RESIDUAL_CAP = 1e50
 _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS**0.5
@@ -414,7 +395,7 @@ def _bound_message(params: tuple[float, ...], dims: list[_Dim]) -> str:
 class _Restart(NamedTuple):
     """Where one restart ended."""
 
-    z: np.ndarray  # internal coordinates
+    z: np.ndarray  # search coordinates
     value: float  # objective there; inf when the curve is invalid or overflows
     converged: bool  # stopped on a tolerance test, not on its budget
     evals: int
@@ -588,45 +569,51 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     return _Lockstep(z, r, nfev, exhausted, not exhausted.any())
 
 
-class _LeastSquares:
-    """MSE restarts: :func:`_lockstep_lm` on the residual rows y - m(t) of
-    every start at once, in the internal coordinates, the hard box as bounds.
+class _Problem:
+    """One family's fit at a fixed j and rho: its box, in the one set of
+    search coordinates of both searches, and the residuals there.
 
-    ``budget`` caps residual evaluations per restart, Jacobian columns
-    included.  Each evaluation is one call of the family's broadcast
-    ``mean_formula`` on a matrix of parameter rows.
+    A positive parameter is searched as its log, any other as itself, beta4
+    included: its optimum is often the bound 0-, where a log coordinate runs
+    to -inf and the residual's slope in it vanishes.
     """
 
-    def __init__(self, name, dims, dataset, j, rho):
-        # beta4 = -e^z is searched as beta4 itself: its optimum is often the
-        # bound 0-, where z -> -inf and the residual's slope in z vanishes
-        self.start_dims = dims
-        dims = [d._replace(log=False, negate=False) if d.negate else d for d in dims]
-        self.family, self.dims, self.j, self.rho = growth.FAMILIES[name], dims, j, rho
+    def __init__(self, name: str, dims: list[_Dim], dataset: Dataset, j: int, rho: float):
+        _build_curve(name, tuple(d.hi for d in dims), j, rho)  # raises on a bad j or rho
+        self.family, self.dims, self.dataset, self.j, self.rho = (
+            growth.FAMILIES[name], dims, dataset, j, rho)
         self.t = np.asarray(dataset.times)
         self.y = np.asarray(dataset.counts)
         self.log = np.array([d.log for d in dims])
         self.p_lo = np.array([d.lo for d in dims])
         self.p_hi = np.array([d.hi for d in dims])
-        self.lo = np.array([math.log(d.lo) if d.log else d.lo for d in dims])
-        self.hi = np.array([math.log(d.hi) if d.log else d.hi for d in dims])
+        self.lo, self.hi = self.encode(self.p_lo), self.encode(self.p_hi)
         # the box holds every parameter where its constructor wants it, but for
         # a carrying capacity c or n > j (its lower bound max(y) may equal j)
         self.amp = [i for i, d in enumerate(dims) if d.name in ("c", "n")]
-        _build_curve(name, tuple(self.p_hi), j, rho)  # raises on a bad j or rho
+
+    def encode(self, params) -> np.ndarray:
+        """Search coordinates of a parameter row, or of a matrix of rows.  The
+        logs are the math module's, like the exps of :func:`_starts`, so the
+        start points are those of earlier releases bit for bit; numpy's
+        differ from them in the last ulp."""
+        z = np.array(params, dtype=float)
+        z[..., self.log] = np.vectorize(math.log, otypes=[float])(z[..., self.log])
+        return z
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Parameter rows of the rows of ``z``; exp(log(lo)) can round just
         outside the box, so they are clipped onto it."""
         return np.minimum(np.maximum(np.where(self.log, np.exp(z), z), self.p_lo), self.p_hi)
 
-    def params(self, z: np.ndarray) -> tuple[tuple[float, ...], int]:
-        return tuple(self.decode(z).tolist()), self.j
+    def params(self, z: np.ndarray) -> tuple[float, ...]:
+        return tuple(self.decode(z).tolist())
 
     def residuals(self, z: np.ndarray) -> np.ndarray:
-        """Residual rows at the rows of ``z``, the fill where the carrying
-        capacity is not above j or any |residual| reaches the cap (NaN
-        included)."""
+        """Residual rows y - m(t) at the rows of ``z``: one call of the family's
+        broadcast ``mean_formula``.  A row is the constant fill where the
+        carrying capacity is not above j or any |residual| reaches the cap
+        (NaN included)."""
         params = self.decode(z)
         cols = params.T[:, :, None]
         with np.errstate(all="ignore"):
@@ -637,50 +624,59 @@ class _LeastSquares:
         r[~ok] = _RESIDUAL_CAP
         return r
 
-    def run(self, starts: list[np.ndarray], budget: int) -> list[_Restart]:
-        z0 = [_encode(_decode(s, self.start_dims), self.dims) for s in starts]
-        res = minimize(self.residuals, z0, "lm", lower=self.lo, upper=self.hi, budget=budget)
-        filled = res.fun[:, 0] == _RESIDUAL_CAP
-        values = np.where(filled, math.inf, np.mean(res.fun * res.fun, axis=1))
+    def rae(self, z: np.ndarray) -> float:
+        """RAE at the point ``z``: +inf off the box, and on a filled row the
+        fill's RAE, a finite plateau."""
+        if not ((self.lo <= z) & (z <= self.hi)).all():
+            return math.inf
+        return float(_value(self.residuals(z[None])[0], self.y, "rae"))
+
+    def search(self, kind: str, starts: np.ndarray, budget: int) -> list[_Restart]:
+        """Every start (a row of parameter values) run to its end.
+
+        MSE: :func:`_lockstep_lm` on ``residuals`` from all starts at once, the
+        box as bounds; ``budget`` caps residual evaluations per restart,
+        Jacobian columns included.  RAE: Nelder-Mead on :meth:`rae` from one
+        start after another; ``budget`` caps objective evaluations per
+        restart.  A restart that ends on a filled row scores inf.
+        """
+        z0 = self.encode(starts)
+        if kind == "mse":
+            res = minimize(self.residuals, z0, "lm", lower=self.lo, upper=self.hi, budget=budget)
+            ends, fun, nfev, converged = res.x, res.fun, res.nfev, ~res.exhausted
+        else:
+            options = {"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True}
+            runs = [minimize(self.rae, z, "Nelder-Mead", options=options) for z in z0]
+            ends = np.array([run.x for run in runs])
+            fun = self.residuals(ends)
+            nfev = [run.nfev for run in runs]
+            converged = [run.success for run in runs]
+        filled = fun[:, 0] == _RESIDUAL_CAP
+        values = np.where(filled, math.inf, _value(fun, self.y, kind))
         return [
-            _Restart(z, float(v), not (x or f), int(e))
-            for z, v, x, f, e in zip(res.x, values, res.exhausted, filled, res.nfev)
+            _Restart(z, float(v), bool(c and not f), int(e))
+            for z, v, c, f, e in zip(ends, values, converged, filled, nfev)
         ]
 
-
-class _NelderMead:
-    """RAE and ``estimate_j`` restarts: Nelder-Mead on the objective, +inf
-    outside the hard box.  RAE is not smooth, and a rounded j makes the
-    residual piecewise constant in its coordinate (a zero Jacobian column),
-    so neither suits least squares."""
-
-    def __init__(self, name, dims, dataset, kind, j, rho, estimate_j):
-        self.name, self.dims, self.dataset, self.kind = name, dims, dataset, kind
-        self.j, self.rho, self.estimate_j = j, rho, estimate_j
-
-    def params(self, z: np.ndarray) -> tuple[tuple[float, ...], int]:
-        decoded = _decode(z, self.dims)
-        if self.estimate_j:
-            return decoded[:-1], max(1, int(round(decoded[-1])))
-        return decoded, self.j
-
-    def score(self, z: np.ndarray) -> float:
-        if not _in_box(_decode(z, self.dims), self.dims):
-            return math.inf
-        params, j = self.params(z)
-        try:
-            curve = _build_curve(self.name, params, j, self.rho)
-        except DomainError:
-            return math.inf
-        return objective(curve, self.dataset, self.kind)
-
-    def run(self, starts: list[np.ndarray], budget: int) -> list[_Restart]:
-        options = {"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True}
-        rows = []
-        for z0 in starts:
-            res = minimize(self.score, z0, "Nelder-Mead", options=options)
-            rows.append(_Restart(np.asarray(res.x), float(res.fun), bool(res.success), res.nfev))
-        return rows
+    def fit(self, kind: str, starts: np.ndarray, budget: int) -> FitResult:
+        """The best restart of :meth:`search`, its objective re-evaluated on
+        the constructed curve; the failure result when every restart scores
+        inf.  Ties go to the first restart."""
+        rows = self.search(kind, starts, budget)
+        best = min((row for row in rows if row.value < math.inf),
+                   key=lambda row: row.value, default=None)
+        failed = FitResult(
+            family=self.family.family, params=(), kind=kind, value=math.inf, converged=False,
+            n_evals=sum(row.evals for row in rows), restarts=len(starts), j=self.j,
+            rho=self.rho, curve=None, message="all restarts diverged or left the parameter box",
+        )
+        if best is None:
+            return failed
+        params = self.params(best.z)
+        curve = _build_curve(failed.family, params, self.j, self.rho)
+        return replace(failed, params=params, value=objective(curve, self.dataset, kind),
+                       converged=best.converged, curve=curve,
+                       message=_bound_message(params, self.dims))
 
 
 def select_model(

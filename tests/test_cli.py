@@ -519,8 +519,10 @@ def _fit_probe(tmp_path, *options):
 
 def test_cli_fit_does_not_load_scipy_stats(tmp_path):
     """An MSE fit runs its own least squares and draws its Latin hypercube
-    with numpy: it loads neither scipy.optimize nor scipy.stats."""
+    with numpy, also when it profiles j: it loads neither scipy.optimize nor
+    scipy.stats."""
     assert _fit_probe(tmp_path) == "0 False False"
+    assert _fit_probe(tmp_path, "--estimate-j") == "0 False False"
 
 
 def test_cli_rae_fit_loads_scipy_optimize(tmp_path):

@@ -16,11 +16,9 @@ from rumorbd.fit import (
     Dataset,
     FitResult,
     _build_curve,
-    _decode,
     _dims_for,
-    _in_box,
     _latin_hypercube,
-    _LeastSquares,
+    _Problem,
     _starts,
     dataset_from_csv,
     fit_one,
@@ -228,7 +226,7 @@ def _polished(family, ds, params):
 
     def mse(p):
         p = tuple(p)
-        if not _in_box(p, dims):
+        if not all(d.lo <= v <= d.hi for v, d in zip(p, dims)):
             return math.inf
         try:
             if cls is growth.MultisigLogistic:
@@ -275,6 +273,100 @@ def test_estimate_j_recovers_the_initial_count():
     c_hat, r_hat = fit.params
     assert c_hat == pytest.approx(12.0, rel=1e-6)
     assert r_hat == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["mse", "rae"])
+@pytest.mark.parametrize("c, r, n, horizon", [(12.0, 1.0, 25, 6.0), (50.0, 0.8, 40, 12.0)])
+def test_estimate_j_does_not_depend_on_the_starts(c, r, n, horizon, kind):
+    """Exact logistic series with j = 3, at the 8 restarts x 4000 where a
+    search over a rounded j coordinate ended at j = 2 or 4 for some seeds."""
+    ds = _sampled(growth.Logistic(c=c, r=r, j=3, rho=2.0), np.linspace(0.0, horizon, n))
+    for seed in range(3):
+        fit = fit_one("logistic", ds, kind, 4000, restarts=8, seed=seed, estimate_j=True)
+        assert fit.j == 3, seed
+
+
+@pytest.mark.parametrize("kind", ["mse", "rae"])
+@pytest.mark.parametrize("family, truth", [
+    ("logistic", growth.Logistic(c=20.0, r=1.0, j=4, rho=2.0)),
+    ("gompertz", growth.Gompertz(alpha=1.2, beta=0.8, j=4, rho=2.0)),
+    ("gen_gompertz", growth.GenGompertz(a=1.2, b=0.5, j=4, rho=2.0)),
+    ("ext_logistic", growth.ExtLogistic(n=20.0, eps=0.3, j=4, rho=2.0)),
+    ("mod_korf", growth.ModKorf(alpha=1.0, beta=0.8, j=4, rho=2.0)),
+])
+def test_estimate_j_profile_equals_the_exhaustive_argmin(family, truth, kind):
+    """Independent route: the pinned-j fit at every j in [1, max count], the
+    minimum taken with ties to the j nearer the first count, then the
+    smaller.  The noise is on the first count too, so the minimum is not
+    always at the first count."""
+    t = np.linspace(0.0, 6.0, 12)
+    rng = np.random.default_rng(3)
+    y = truth.mean_array(t) * (1.0 + 0.15 * rng.standard_normal(12))
+    y = np.maximum.accumulate(np.maximum(y, 1.0))
+    ds = Dataset(name="noisy", times=tuple(t), counts=tuple(y))
+    fit = fit_one(family, ds, kind, 300, restarts=3, seed=3, estimate_j=True)
+    dims = _dims_for(family, ds)
+    starts = _starts(dims, 3, 3)
+    j0 = round(ds.counts[0])
+    profile = {j: _Problem(family, dims, ds, j, 2.0).fit(kind, starts, 300)
+               for j in range(1, round(max(ds.counts)) + 1)}
+    best = min(profile, key=lambda j: (profile[j].value, abs(j - j0), j))
+    assert fit.j == best
+    assert fit.value == profile[best].value and fit.params == profile[best].params
+    assert fit.restarts < 3 * len(profile)
+
+
+def test_estimate_j_gallops_to_the_end_of_the_range():
+    """Korf's profile falls all the way to j = max count: the scan doubles its
+    stride there instead of stepping through every j."""
+    ds = _count_series(1)
+    fit = fit_one("korf", ds, "mse", 400, restarts=4, seed=1, estimate_j=True)
+    assert fit.j == max(ds.counts) == 107
+    assert fit.restarts <= 12 * 4
+    assert 0 < fit.n_evals <= fit.restarts * 400
+
+
+@pytest.mark.parametrize("kind", ["mse", "rae"])
+def test_rho_not_above_one_fails_before_any_evaluation(kind):
+    ds = _count_series(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = select_model(ds, ["logistic", "korf"], kind, budget=2000, restarts=4,
+                              seed=0, rho=1.0)
+    assert report.winner is None
+    for fr in report.results:
+        assert fr.value == math.inf and fr.n_evals == 0
+        assert fr.message == "curve families require a rate ratio rho > 1, got 1.0"
+
+
+@pytest.mark.parametrize("family", list(growth.FAMILIES))
+def test_rae_evaluator_equals_the_objective_of_the_constructed_curve(family):
+    """At in-box points where the constructor accepts the parameters and the
+    residuals stay under the cap, the search's RAE is the objective of the
+    constructed curve; off the box it is +inf."""
+    ds = _count_series(1)
+    dims = _dims_for(family, ds)
+    problem = _Problem(family, dims, ds, 1, 2.0)
+    corners = np.array(list(itertools.product(*zip(problem.lo, problem.hi))))
+    points = np.concatenate([problem.encode(_starts(dims, 32, seed=5)), corners])
+    checked = 0
+    for z in points:
+        try:
+            curve = _build_curve(family, problem.params(z), 1, 2.0)
+        except DomainError:
+            continue
+        with np.errstate(over="ignore"):
+            if not np.all(np.abs(ds.counts - curve.mean_array(np.asarray(ds.times))) < 1e50):
+                continue
+        assert problem.rae(z) == pytest.approx(objective(curve, ds, "rae"), rel=1e-15, abs=0.0)
+        checked += 1
+    assert checked >= 32
+    span = problem.hi - problem.lo
+    for i in range(len(dims)):
+        for side, bound in ((-1.0, problem.lo), (1.0, problem.hi)):
+            z = 0.5 * (problem.lo + problem.hi)
+            z[i] = bound[i] + side * 1e-9 * span[i]
+            assert problem.rae(z) == math.inf
 
 
 def test_fit_accepts_class_and_rejects_unknown_family():
@@ -326,13 +418,16 @@ def test_select_model_ranks_families_and_records_failures():
 
 
 def test_select_model_multisig_is_no_worse_than_its_logistic():
+    """Also when j is profiled: the nested start is then the same at every j."""
     truth = growth.Logistic(c=9.0, r=1.1, j=1, rho=2.0)
     ds = _noisy(truth, np.linspace(0.0, 8.0, 40), rel=0.02, seed=1)
-    report = select_model(
-        ds, ["logistic", "multisig_logistic"], "mse", budget=2000, restarts=6, seed=0
-    )
-    logi, multi = report.results
-    assert multi.value <= logi.value
+    for estimate_j in (False, True):
+        report = select_model(
+            ds, ["logistic", "multisig_logistic"], "mse", budget=2000, restarts=6, seed=0,
+            estimate_j=estimate_j,
+        )
+        logi, multi = report.results
+        assert multi.value <= logi.value, estimate_j
 
 
 def test_select_model_survives_overflowing_curves_without_warnings():
@@ -350,15 +445,15 @@ def test_least_squares_restart_caps_finite_overflowing_residuals():
     capped row leaves the rows beside it in its batch bit for bit unchanged."""
     ds = _count_series(1)
     dims = _dims_for("gen_gompertz", ds)
-    search = _LeastSquares("gen_gompertz", dims, ds, 1, 2.0)
-    z0 = np.log([40.0, 100.0])  # a = 40, b = 100: m(14) = e^491
+    problem = _Problem("gen_gompertz", dims, ds, 1, 2.0)
+    p0 = np.array([40.0, 100.0])  # a = 40, b = 100: m(14) = e^491
     others = _starts(dims, 4, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = search.residuals(z0[None])[0]
-        (capped,) = search.run([z0], 400)
-        mixed = search.run([others[0], z0, *others[1:]], 400)
-        alone = [search.run([z], 400)[0] for z in others]
+        r = problem.residuals(problem.encode(p0)[None])[0]
+        (capped,) = problem.search("mse", p0[None], 400)
+        mixed = problem.search("mse", np.vstack([others[0], p0, others[1:]]), 400)
+        alone = [problem.search("mse", p[None], 400)[0] for p in others]
     assert np.all(r == r[0]) and math.isfinite(float(r @ r))
     assert capped.value == math.inf and not capped.converged
     assert mixed[1].value == math.inf and not mixed[1].converged
@@ -373,11 +468,11 @@ def test_lockstep_rows_are_bit_identical_alone_and_in_the_batch(seed):
     ds = _count_series(seed)
     for family in growth.FAMILIES:
         dims = _dims_for(family, ds)
-        search = _LeastSquares(family, dims, ds, 1, 2.0)
+        problem = _Problem(family, dims, ds, 1, 2.0)
         starts = _starts(dims, 6, seed)
-        batch = search.run(starts, 400)
-        for z0, row in zip(starts, batch):
-            (alone,) = search.run([z0], 400)
+        batch = problem.search("mse", starts, 400)
+        for p0, row in zip(starts, batch):
+            (alone,) = problem.search("mse", p0[None], 400)
             assert np.array_equal(alone.z, row.z), family
             assert alone.value == row.value and alone.evals == row.evals, family
 
@@ -390,24 +485,24 @@ def test_residual_fill_equals_the_constructor_on_box_edges(family):
     overflows the cap."""
     flat = Dataset(name="flat", times=tuple(range(7)), counts=(2.0,) * 7)
     dims = _dims_for(family, flat)
-    search = _LeastSquares(family, dims, flat, 2, 2.0)
-    corners = np.array(list(itertools.product(*zip(search.lo, search.hi))))
-    rows = np.concatenate([corners, [0.5 * (search.lo + search.hi)]])
+    problem = _Problem(family, dims, flat, 2, 2.0)
+    corners = np.array(list(itertools.product(*zip(problem.lo, problem.hi))))
+    rows = np.concatenate([corners, [0.5 * (problem.lo + problem.hi)]])
 
     def fits(z):
         try:
-            curve = _build_curve(family, search.params(z)[0], 2, 2.0)
+            curve = _build_curve(family, problem.params(z), 2, 2.0)
         except DomainError:
             return False
         with np.errstate(over="ignore"):
             return bool(np.all(np.abs(2.0 - curve.mean_array(np.arange(7.0))) < 1e50))
 
-    filled = np.all(search.residuals(rows) == 1e50, axis=1)
+    filled = np.all(problem.residuals(rows) == 1e50, axis=1)
     assert (~filled).tolist() == [fits(z) for z in rows]
     if dims[0].name in ("c", "n"):  # the all-lower corner has c = j
         assert filled[0]
     with pytest.raises(DomainError, match="rho"):
-        _LeastSquares(family, dims, flat, 2, 1.0)
+        _Problem(family, dims, flat, 2, 1.0)
 
 
 @pytest.mark.parametrize("seed, family", [(1, "logistic"), (6, "korf"),
@@ -419,22 +514,23 @@ def test_lockstep_evaluates_only_points_strictly_inside_the_box(seed, family):
     ds = _count_series(seed)
     dims = _dims_for(family, ds)
     logistic = fit_one("logistic", ds, "mse", 400, restarts=4, seed=seed)
-    search = _LeastSquares(family, dims, ds, 1, 2.0)
+    problem = _Problem(family, dims, ds, 1, 2.0)
     seen = []
-    residuals = search.residuals
-    search.residuals = lambda z: seen.append(z) or residuals(z)
-    search.run(_starts(dims, 4, seed, logistic if family == "multisig_logistic" else None), 400)
+    residuals = problem.residuals
+    problem.residuals = lambda z: seen.append(z) or residuals(z)
+    nested = logistic if family == "multisig_logistic" else None
+    problem.search("mse", _starts(dims, 4, seed, nested), 400)
     points = np.concatenate(seen)
-    assert np.all((search.lo < points) & (points < search.hi))
+    assert np.all((problem.lo < points) & (points < problem.hi))
 
 
 def _trf_best(family, ds, starts, budget):
     """Independent route: scipy's trust-region reflective least squares from
-    each start, its own 2-point Jacobian, on the residuals of the constructed
-    curves (beta4 searched as itself, positive parameters in log scale);
+    each start (a row of parameter values), its own 2-point Jacobian, on the
+    residuals of the constructed curves (positive parameters in log scale);
     budget // (d + 1) iterations.  Returns the best MSE."""
     dims = _dims_for(family, ds)
-    log = [d.log and not d.negate for d in dims]
+    log = [d.log for d in dims]
     lo = np.array([math.log(d.lo) if lg else d.lo for d, lg in zip(dims, log)])
     hi = np.array([math.log(d.hi) if lg else d.hi for d, lg in zip(dims, log)])
     y = np.asarray(ds.counts)
@@ -450,7 +546,7 @@ def _trf_best(family, ds, starts, budget):
 
     best = math.inf
     for s in starts:
-        x0 = np.array([math.log(abs(v)) if lg else v for v, lg in zip(_decode(s, dims), log)])
+        x0 = np.array([math.log(v) if lg else v for v, lg in zip(s, log)])
         res = least_squares(residual, np.clip(x0, lo, hi), method="trf", bounds=(lo, hi),
                             x_scale="jac", max_nfev=budget // (len(dims) + 1),
                             ftol=1e-12, xtol=1e-10, gtol=1e-12)
