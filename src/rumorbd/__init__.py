@@ -32,28 +32,14 @@ from .growth import (
     Mitscherlich,
     ModKorf,
     MultisigLogistic,
-    crossing_time_curve,
     curve_from_config,
     curve_to_config,
-    derived_report,
     eval_curve,
     induced_m,
     proportional_from_curve,
 )
 from .homogeneous import absorption_limit, absorption_prob, p01, p0k_limit, pgf
-from .moments import (
-    MomentReport,
-    cov_corr,
-    crossing_time,
-    fano_cv,
-    mean_x,
-    mean_y,
-    mixed_moment,
-    moment_report,
-    r_index,
-    second_moment_y,
-    var_x,
-)
+from .moments import MomentReport, crossing_time, moment_report
 from .oracle import GridMoments, StepControl, TruncatedGrid, moments_from_grid, solve_forward
 from .process import EnsembleStats, Event, Trajectory, ensemble, simulate
 from .proportional import (
@@ -103,13 +89,11 @@ __all__ = [
     "mean_x_prop", "var_x_prop", "mean_y_prop", "m2_y_prop", "var_y_prop",
     "gamma_prop", "mixed_moment_prop", "cov_prop", "corr_prop", "r_index_prop",
     "crossing_m_threshold", "moments_prop", "PropMoments",
-    "MomentReport", "mean_x", "var_x", "mean_y", "second_moment_y",
-    "mixed_moment", "cov_corr", "r_index", "fano_cv", "moment_report",
-    "crossing_time",
+    "MomentReport", "moment_report", "crossing_time",
     "Gompertz", "GenGompertz", "Logistic", "ExtLogistic", "MultisigLogistic",
     "ModKorf", "Korf", "Mitscherlich", "FAMILIES", "CurveInducedMu",
-    "eval_curve", "induced_m", "derived_report", "crossing_time_curve",
-    "proportional_from_curve", "curve_from_config", "curve_to_config",
+    "eval_curve", "induced_m", "proportional_from_curve", "curve_from_config",
+    "curve_to_config",
     "TruncatedGrid", "StepControl", "GridMoments", "solve_forward",
     "moments_from_grid",
     "Event", "Trajectory", "EnsembleStats", "simulate", "ensemble",

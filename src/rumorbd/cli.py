@@ -128,8 +128,8 @@ def _parse_grid(value) -> list[float]:
         raise DataError(f"bad grid numbers in {value!r}") from exc
     if n < 2:
         raise DataError(f"grid needs at least 2 steps, got {n}")
-    if not (b > a >= 0.0):
-        raise DataError(f"grid needs END > START >= 0, got {value!r}")
+    if not (b > a >= 0.0 and math.isfinite(b)):
+        raise DataError(f"grid needs finite END > START >= 0, got {value!r}")
     step = (b - a) / n
     return [a + i * step for i in range(n)]
 
@@ -189,6 +189,7 @@ def _cmd_absorb(ns: argparse.Namespace) -> int:
         raise DomainError(
             "absorption probabilities need constant or proportional rates"
         )
+    rates.validate_horizon(grid[-1])
     rho, base_mu = view
     p_abs = proportional.absorption_prop(rho, base_mu.big_m(grid), j)
     _write_csv(out, "absorb", ["t", "absorption_prob"], zip(grid, p_abs.tolist()))

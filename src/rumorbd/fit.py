@@ -60,6 +60,8 @@ class Dataset:
                 f"dataset {self.name!r}: {len(self.times)} times vs "
                 f"{len(self.counts)} counts"
             )
+        if not all(map(math.isfinite, self.times + self.counts)):
+            raise DataError(f"dataset {self.name!r}: times and counts must be finite")
         if self.times[0] != 0.0:
             raise DataError(
                 f"dataset {self.name!r}: first time must be 0, got {self.times[0]}"

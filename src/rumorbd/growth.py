@@ -26,7 +26,9 @@ the ``mean_array`` of each row's curve.  Floating-point warnings are off inside
 The quartic-exponent multisigmoidal family is the one member whose induced
 ``mu`` can become negative (its polynomial exponent ``Q`` eventually
 decreases); its validity window ``{t : Q'(t) >= 0}`` is computed exactly,
-enforced before simulation and bounds the crossing-time search.
+enforced by every entry that takes a time of the induced rates (samplers,
+moments, transforms, the oracle and the CLI ``absorb``) and bounds the
+crossing-time search.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from ._kernels import elementwise, float_or_array
 from .errors import (
     DataError, DomainError, check_j, check_positive, check_time, config_field, converted,
 )
-from .moments import MomentReport, crossing_time, report_from_prop
 from .rates import MuBase, Proportional
 
 
@@ -583,24 +584,6 @@ def induced_m(curve: GrowthCurve, t):
             f"t={np.asarray(t, dtype=float)[bad][0]} (outside the validity window)"
         )
     return m
-
-
-def derived_report(curve: GrowthCurve, t) -> MomentReport:
-    """Full moment report of the process the curve induces: floats for one
-    time, columns over a sequence of times."""
-    return report_from_prop(curve.rho, induced_m(curve, t), curve.j, t)
-
-
-def crossing_time_curve(curve: GrowthCurve) -> float:
-    """First time with m_X = m_Y under the induced model; 0.0 when none exists.
-
-    :func:`~rumorbd.moments.crossing_time` of the induced rates: the crossing
-    needs ``M(t) = -log(2-rho)/(rho-1)``, met only for 1 < rho < 2 and only
-    when the intensity reaches it inside the validity window; otherwise the
-    spreaders dominate throughout and the convention is to report 0.
-    """
-    t = crossing_time(proportional_from_curve(curve), curve.j)
-    return 0.0 if t is None else t
 
 
 # ===== Curve-induced forgetting profile =======================================

@@ -15,9 +15,9 @@ Two independent computation routes are provided and cross-checked in tests:
       m_XY'  = (lam - mu) m_XY + mu (m2_X - m_X)
       m2_Y'  = mu (2 m_XY + m_X)
 
-  and derives the dispersion index as ``r = m_XY / (m_X m_Y)``.  A scalar
-  accessor solves to its own ``t``; :func:`moment_report` over a grid makes
-  one solve for the whole grid.  Nothing is cached between calls.
+  and derives the dispersion index as ``r = m_XY / (m_X m_Y)``.
+  :func:`moment_report` makes one solve to the last time of its grid.
+  Nothing is cached between calls.
 
 On the closed route a grid is one vector evaluation: ``M`` at every time,
 then each closed form once over the whole ``M`` array.  One vectorized
@@ -83,82 +83,6 @@ def _corr_zero_limit(rates: RateFamily) -> float:
     return -math.sqrt(mu0 / tot) if tot > 0.0 else math.nan
 
 
-# ===== Individual moments =====================================================
-# On the closed route an accessor is the one ``prop`` function it needs, at
-# M(t); on the ODE route it reads one field of the report.  Either way it runs
-# the code of the grid columns, so accessors and grid reports agree bit for bit.
-
-
-def _field(prop_fn, name: str, rates, j: int, t: float, method: str, at_zero=None) -> float:
-    """``prop_fn(rho, M(t), j)`` on the closed route, ``at_zero`` instead where
-    M(t) = 0 if one is given; the report's ``name`` on the ODE route."""
-    check_j(j)
-    if resolve_method(rates, method) == "ode":
-        return getattr(moment_report(rates, j, t, method), name)
-    rho, base = rates.proportional_view()
-    m = base.big_m(t)
-    return at_zero if m == 0.0 and at_zero is not None else prop_fn(rho, m, j)
-
-
-def mean_x(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
-    """E[X(t)] = j * eta(t)."""
-    return _field(prop.mean_x_prop, "m_x", rates, j, t, method)
-
-
-def var_x(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
-    """Var X(t)."""
-    return _field(prop.var_x_prop, "var_x", rates, j, t, method)
-
-
-def mean_y(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
-    """E[Y(t)] = j * (phi_y - eta + 1)."""
-    return _field(prop.mean_y_prop, "m_y", rates, j, t, method)
-
-
-def second_moment_y(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
-    """E[Y(t)^2]."""
-    return _field(prop.m2_y_prop, "m2_y", rates, j, t, method)
-
-
-def mixed_moment(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
-    """E[X(t) Y(t)] = m_X(t) * gamma(t; j)."""
-    return _field(prop.mixed_moment_prop, "m_xy", rates, j, t, method)
-
-
-def cov_corr(
-    rates: RateFamily, j: int, t: float, method: str = "auto"
-) -> tuple[float, float]:
-    """(Cov, Corr) of ``(X(t), Y(t))``.
-
-    At ``t = 0`` both variances vanish; the covariance is 0 and the
-    correlation is reported as its analytic limit
-    ``-sqrt(mu(0)/(lam(0)+mu(0)))``.
-    """
-    if resolve_method(rates, method) == "ode":
-        rep = moment_report(rates, j, t, method)
-        return rep.cov, rep.corr
-    corr = _field(prop.corr_prop, "corr", rates, j, t, method, _corr_zero_limit(rates))
-    return _field(prop.cov_prop, "cov", rates, j, t, method), corr
-
-
-def r_index(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
-    """Dispersion index ``gamma(t; j) / m_Y(t)``; limit ``1 - 1/j`` at t = 0."""
-    check_j(j)
-    return _field(prop.r_index_prop, "r_index", rates, j, t, method, 1.0 - 1.0 / j)
-
-
-def fano_cv(
-    rates: RateFamily, j: int, t: float, method: str = "auto"
-) -> tuple[float, float, float, float]:
-    """(Fano_X, CV_X, Fano_Y, CV_Y).
-
-    At ``t = 0`` the X-pair is exactly 0 and the Y-pair is reported as its
-    ``t -> 0+`` limits (Fano_Y -> 1, CV_Y -> oo).
-    """
-    rep = moment_report(rates, j, t, method)
-    return rep.fano_x, rep.cv_x, rep.fano_y, rep.cv_y
-
-
 # ===== Bundled report =========================================================
 
 
@@ -217,10 +141,14 @@ def moment_report(rates: RateFamily, j: int, t, method: str = "auto") -> MomentR
 
     ``t`` is one time, giving floats, or a nondecreasing sequence of times,
     giving columns over it.  On the closed route a sequence is one vector
-    evaluation; on the ODE route, one solve to its last time.
+    evaluation; on the ODE route, one solve to its last time.  A last time
+    past the family's validity window raises :class:`DomainError`.
     """
     check_j(j)
-    check_times(np.atleast_1d(t))
+    times = np.atleast_1d(t)
+    check_times(times)
+    if times.size:
+        rates.validate_horizon(float(times[-1]))
     if resolve_method(rates, method) == "ode":
         return _ode_report(rates, j, t)
     rho, base = rates.proportional_view()

@@ -307,10 +307,17 @@ def resolve_method(rates: RateFamily, method: str) -> str:
 # ===== Transforms =============================================================
 
 
+def _closed(rates: RateFamily, t: float, method: str) -> bool:
+    """Check ``t``, also against the family's validity window; True when the
+    transform takes the closed route."""
+    check_time(t)
+    rates.validate_horizon(t)
+    return resolve_method(rates, method) == "closed"
+
+
 def big_m(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Cumulative forgetting intensity ``M(t) = int_0^t mu``."""
-    check_time(t)
-    if resolve_method(rates, method) == "closed":
+    if _closed(rates, t, method):
         _, base = rates.proportional_view()
         return base.big_m(t)
     return moment_state(rates, 1, t)[5]
@@ -318,8 +325,7 @@ def big_m(rates: RateFamily, t: float, method: str = "auto") -> float:
 
 def eta(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Growth factor ``eta(t) = exp(int_0^t (lam - mu))``."""
-    check_time(t)
-    if resolve_method(rates, method) == "closed":
+    if _closed(rates, t, method):
         rho, base = rates.proportional_view()
         return prop.mean_x_prop(rho, base.big_m(t), 1)
     return moment_state(rates, 1, t)[0]
@@ -327,8 +333,7 @@ def eta(rates: RateFamily, t: float, method: str = "auto") -> float:
 
 def phi_x(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Discounted spreading integral ``int_0^t lam / eta``."""
-    check_time(t)
-    if resolve_method(rates, method) == "closed":
+    if _closed(rates, t, method):
         rho, base = rates.proportional_view()
         m = base.big_m(t)
         return rho * m * f1(-(rho - 1.0) * m)
@@ -337,8 +342,7 @@ def phi_x(rates: RateFamily, t: float, method: str = "auto") -> float:
 
 def phi_y(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Amplified spreading integral ``int_0^t lam * eta``."""
-    check_time(t)
-    if resolve_method(rates, method) == "closed":
+    if _closed(rates, t, method):
         rho, base = rates.proportional_view()
         m = base.big_m(t)
         return rho * m * f1((rho - 1.0) * m)
@@ -348,9 +352,8 @@ def phi_y(rates: RateFamily, t: float, method: str = "auto") -> float:
 
 def gamma(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Mixed-moment integrand ``int_0^t mu eta (2 phi_x + j - 1)``."""
-    check_time(t)
     check_j(j)
-    if resolve_method(rates, method) == "closed":
+    if _closed(rates, t, method):
         rho, base = rates.proportional_view()
         return prop.gamma_prop(rho, base.big_m(t), j)
     mx, _, _, mxy, *_ = moment_state(rates, j, t)

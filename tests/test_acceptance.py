@@ -304,10 +304,9 @@ def test_criterion_08_r_index_routes_and_small_time_limit():
     # same identity through the general rate-family interface
     rates = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
     for t in (0.3, 1.0, 4.0):
-        r_direct = moments.r_index(rates, 2, t)
         rep = moments.moment_report(rates, 2, t)
         r_manual = rep.m_xy / (rep.m_x * rep.m_y)
-        worst = max(worst, abs(r_direct - r_manual) / abs(r_manual))
+        worst = max(worst, abs(rep.r_index - r_manual) / abs(r_manual))
 
     worst_lim = max(
         abs(proportional.r_index_prop(1.5, 1e-12, j) - (1.0 - 1.0 / j))

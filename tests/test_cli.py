@@ -351,6 +351,7 @@ def test_csv_template_writes_the_bytes_of_per_cell_formatting(tmp_path):
         (["moments", "--rates", "constant:1", "--j", "1", "--grid", "0:1:4"], 4),
         (["simulate", "--rates", "constant:1,1", "--j", "1", "--horizon", "-2",
           "--grid", "0:1:4"], 2),
+        (["moments", "--rates", "constant:1,1", "--j", "1", "--grid", "0:inf:4"], 4),
     ],
 )
 def test_exit_codes_for_bad_usage(capsys, argv, code):

@@ -84,6 +84,9 @@ def test_dataset_accepts_valid_input_and_reports_length():
         ((0, 1, 1), (1, 2, 3)),  # times not strictly increasing
         ((0, 1, 2), (1, 3, 2)),  # counts decrease
         ((0, 1), (0.5, 2)),  # first count below one
+        ((0, 1, 2), (1, math.nan, 3)),  # a NaN count
+        ((0, 1, 2), (1, 2, math.inf)),  # an infinite count
+        ((0, 1, math.inf), (1, 2, 3)),  # an infinite time
     ],
 )
 def test_dataset_rejects_malformed_input(times, counts):

@@ -23,10 +23,8 @@ from rumorbd.growth import (
     Mitscherlich,
     ModKorf,
     MultisigLogistic,
-    crossing_time_curve,
     curve_from_config,
     curve_to_config,
-    derived_report,
     eval_curve,
     induced_m,
     proportional_from_curve,
@@ -47,6 +45,16 @@ CANON = [
 ]
 
 TIMES = [0.0, 0.3, 1.0, 2.5, 6.0]
+
+
+def _report(curve, t):
+    """Moment report of the process the curve induces."""
+    return moment_report(proportional_from_curve(curve), curve.j, t)
+
+
+def _crossing(curve):
+    """Crossing time of the rates the curve induces, None when there is none."""
+    return crossing_time(proportional_from_curve(curve), curve.j)
 
 
 def _naive_m(curve, t):
@@ -235,11 +243,7 @@ def test_closed_report_grid_equals_scalar_reports(curve):
         scalar = moment_report(rates, curve.j, t)
         for name in names:  # bit for bit
             assert repr(getattr(scalar, name)) == repr(getattr(reports, name)[i].item())
-    derived = derived_report(curve, grid)
-    assert derived.j == reports.j
-    for name in names:
-        column = getattr(reports, name)
-        assert getattr(derived, name).tobytes() == column.tobytes() and column.shape == (33,)
+    assert all(getattr(reports, name).shape == (33,) for name in names)
 
 
 def test_check_times_keeps_its_message_on_arrays():
@@ -267,7 +271,7 @@ def test_induced_m_matches_naive_forms(curve, t):
 @pytest.mark.parametrize("t", TIMES)
 def test_round_trip_recovers_the_curve(curve, t):
     """The mean the induced process assigns must equal the curve itself."""
-    rep = derived_report(curve, t)
+    rep = _report(curve, t)
     got = rep.m_x if curve.kind == "x" else rep.m_y
     assert got == pytest.approx(eval_curve(curve, t), rel=1e-10, abs=1e-12)
 
@@ -281,7 +285,7 @@ def test_round_trip_recovers_the_curve(curve, t):
 )
 def test_round_trip_gompertz_property(alpha, beta, j, rho, t):
     curve = Gompertz(alpha=alpha, beta=beta, j=j, rho=rho)
-    assert derived_report(curve, t).m_x == pytest.approx(curve.mean(t), rel=1e-10)
+    assert _report(curve, t).m_x == pytest.approx(curve.mean(t), rel=1e-10)
 
 
 @given(
@@ -293,7 +297,7 @@ def test_round_trip_gompertz_property(alpha, beta, j, rho, t):
 )
 def test_round_trip_logistic_property(gap, r, j, rho, t):
     curve = Logistic(c=j + gap, r=r, j=j, rho=rho)
-    assert derived_report(curve, t).m_x == pytest.approx(curve.mean(t), rel=1e-10)
+    assert _report(curve, t).m_x == pytest.approx(curve.mean(t), rel=1e-10)
 
 
 @given(
@@ -305,7 +309,7 @@ def test_round_trip_logistic_property(gap, r, j, rho, t):
 )
 def test_round_trip_mitscherlich_property(alpha, beta, j, rho, t):
     curve = Mitscherlich(alpha=alpha, beta=beta, j=j, rho=rho)
-    assert derived_report(curve, t).m_y == pytest.approx(
+    assert _report(curve, t).m_y == pytest.approx(
         curve.mean(t), rel=1e-10, abs=1e-12
     )
 
@@ -467,30 +471,30 @@ def test_limit_anchor_values():
 
 def test_crossing_closed_forms_match_naive_displays():
     g = Gompertz(alpha=3.0, beta=2.0, j=1, rho=1.5)
-    assert crossing_time_curve(g) == pytest.approx(
+    assert _crossing(g) == pytest.approx(
         cf.crossing_gompertz(3.0, 2.0, 1.5), rel=1e-12
     )
     lo = Logistic(c=10.0, r=1.2, j=1, rho=1.5)
-    assert crossing_time_curve(lo) == pytest.approx(
+    assert _crossing(lo) == pytest.approx(
         cf.crossing_logistic(10.0, 1.2, 1, 1.5), rel=1e-12
     )
     mk = ModKorf(alpha=2.0, beta=1.5, j=1, rho=1.5)
-    assert crossing_time_curve(mk) == pytest.approx(
+    assert _crossing(mk) == pytest.approx(
         cf.crossing_mod_korf(2.0, 1.5, 1.5), rel=1e-12
     )
     ko = Korf(alpha=1.0, beta=0.8, j=1, rho=1.3)
-    assert crossing_time_curve(ko) == pytest.approx(
+    assert _crossing(ko) == pytest.approx(
         cf.crossing_korf(1.0, 0.8, 1.3), rel=1e-12
     )
     mi = Mitscherlich(alpha=1.0, beta=5.0, j=2, rho=1.5)
-    assert crossing_time_curve(mi) == pytest.approx(
+    assert _crossing(mi) == pytest.approx(
         cf.crossing_mitscherlich(1.0, 5.0, 2, 1.5), rel=1e-12
     )
 
 
 def test_crossing_numeric_families_match_naive_displays():
     gg = GenGompertz(a=2.0, b=1.5, j=2, rho=1.5)
-    assert crossing_time_curve(gg) == pytest.approx(
+    assert _crossing(gg) == pytest.approx(
         cf.crossing_gen_gompertz(2.0, 1.5, 1.5), rel=1e-9
     )
 
@@ -510,27 +514,22 @@ def test_crossing_numeric_families_match_naive_displays():
     ids=lambda c: c.family,
 )
 def test_crossing_is_where_the_means_meet(curve):
-    t_star = crossing_time_curve(curve)
+    t_star = _crossing(curve)
     assert t_star > 0.0
-    rep = derived_report(curve, t_star)
+    rep = _report(curve, t_star)
     assert rep.m_x == pytest.approx(rep.m_y, rel=1e-9)
 
 
-def test_crossing_reports_zero_when_none_exists():
+def test_crossing_is_none_when_none_exists():
     # rho >= 2: spreaders dominate forever
-    assert crossing_time_curve(Gompertz(alpha=3.0, beta=2.0, j=1, rho=2.0)) == 0.0
-    assert crossing_time_curve(Logistic(c=10.0, r=1.2, j=1, rho=2.5)) == 0.0
+    assert _crossing(Gompertz(alpha=3.0, beta=2.0, j=1, rho=2.0)) is None
+    assert _crossing(Logistic(c=10.0, r=1.2, j=1, rho=2.5)) is None
     # intensity saturates below the threshold
-    assert crossing_time_curve(Gompertz(alpha=0.3, beta=1.0, j=1, rho=1.5)) == 0.0
-    assert crossing_time_curve(Logistic(c=1.5, r=1.0, j=1, rho=1.9)) == 0.0
-    assert (
-        crossing_time_curve(
-            MultisigLogistic(c=1.5, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=1.9)
-        )
-        == 0.0
-    )
+    assert _crossing(Gompertz(alpha=0.3, beta=1.0, j=1, rho=1.5)) is None
+    assert _crossing(Logistic(c=1.5, r=1.0, j=1, rho=1.9)) is None
+    assert _crossing(MultisigLogistic(c=1.5, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=1.9)) is None
     # the Korf intensity tops out at log(2)/(rho-1): crossing needs rho < 1.5
-    assert crossing_time_curve(Korf(alpha=1.0, beta=0.8, j=1, rho=1.7)) == 0.0
+    assert _crossing(Korf(alpha=1.0, beta=0.8, j=1, rho=1.7)) is None
 
 
 NO_CROSSING = [
@@ -545,26 +544,33 @@ NO_CROSSING = [
 
 @pytest.mark.parametrize("curve", CANON + NO_CROSSING, ids=lambda c: c.family + str(c.rho))
 def test_crossing_time_curve_is_the_rates_crossing_time(curve):
-    t = crossing_time(proportional_from_curve(curve), curve.j)
-    assert crossing_time_curve(curve) == (0.0 if t is None else t)
+    """The rates' crossing is the first time the curve itself reaches
+    j/(2 - rho): on the proportional route m_Y = (m_X - j)/(rho - 1), so
+    m_X = m_Y there, for an X curve and a Y curve alike."""
+    t = _crossing(curve)
+    level = curve.j / (2.0 - curve.rho) if curve.rho < 2.0 else math.inf
+    end = min(curve.induced_validity_end(), 1e3)
+    before = np.linspace(0.0, end if t is None else t, 2001)[:-1]
+    assert np.all(curve.mean(before) < level)
+    if t is not None:
+        assert t <= end and curve.mean(t) == pytest.approx(level, rel=1e-9)
 
 
 def test_crossing_search_stops_at_the_validity_end():
     # M peaks below the threshold inside the window and turns negative past it
     curve = MultisigLogistic(c=1.6, betas=(1.0, 0.0, 0.0, -0.5), j=1, rho=1.5)
-    assert crossing_time(proportional_from_curve(curve), 1) is None
-    assert crossing_time_curve(curve) == 0.0
+    assert _crossing(curve) is None
 
 
 def test_crossing_time_is_j_free_for_x_kind():
-    a = crossing_time_curve(Gompertz(alpha=3.0, beta=2.0, j=1, rho=1.5))
-    b = crossing_time_curve(Gompertz(alpha=3.0, beta=2.0, j=3, rho=1.5))
+    a = _crossing(Gompertz(alpha=3.0, beta=2.0, j=1, rho=1.5))
+    b = _crossing(Gompertz(alpha=3.0, beta=2.0, j=3, rho=1.5))
     assert a == b
 
 
 def test_multisig_crossing_stays_inside_validity():
     curve = MultisigLogistic(c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=1.5)
-    t_star = crossing_time_curve(curve)
+    t_star = _crossing(curve)
     assert 0.0 < t_star < curve.induced_validity_end()
 
 
@@ -602,17 +608,12 @@ def test_curve_induced_profile_validates_horizon_for_multisig():
 
 
 def test_proportional_from_curve_matches_moment_machinery():
-    from rumorbd.moments import mean_x, mean_y
-
     curve = Gompertz(alpha=3.0, beta=2.0, j=2, rho=1.5)
     rates = proportional_from_curve(curve)
     assert rates.rho == 1.5
     for t in (0.3, 1.0, 4.0):
         assert rates.lam_at(t) == pytest.approx(1.5 * curve.induced_mu(t), rel=1e-14)
-        rep = derived_report(curve, t)
-        assert mean_x(rates, 2, t) == pytest.approx(rep.m_x, rel=1e-12)
-        assert mean_y(rates, 2, t) == pytest.approx(rep.m_y, rel=1e-12)
-        assert mean_x(rates, 2, t) == pytest.approx(curve.mean(t), rel=1e-10)
+        assert moment_report(rates, 2, t).m_x == pytest.approx(curve.mean(t), rel=1e-10)
 
 
 # ===== configs ================================================================

@@ -12,21 +12,7 @@ from hypothesis import strategies as st
 
 import _closed_forms as cf
 from rumorbd import DomainError
-from rumorbd.moments import (
-    MomentReport,
-    cov_corr,
-    crossing_time,
-    fano_cv,
-    mean_x,
-    mean_y,
-    mixed_moment,
-    moment_report,
-    r_index,
-    report_from_prop,
-    second_moment_y,
-    var_x,
-)
-from rumorbd.moments import var_x as var_x_fn
+from rumorbd.moments import MomentReport, crossing_time, moment_report, report_from_prop
 from rumorbd.rates import Constant, CosineMu, Explicit, Proportional
 
 CONSTANT_CASES = [(2.0, 1.0), (1.0, 2.0), (1.0, 1.0), (0.7, 1.3)]
@@ -45,18 +31,15 @@ def _explicit_copy(lam, mu):
 @pytest.mark.parametrize("j", [1, 2, 5])
 @pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
 def test_closed_moments_match_naive_forms(lam, mu, j, t):
-    r = Constant(lam=lam, mu=mu)
-    assert mean_x(r, j, t) == pytest.approx(cf.mean_x(lam, mu, j, t), rel=1e-12)
-    assert var_x(r, j, t) == pytest.approx(cf.var_x(lam, mu, j, t), rel=1e-11)
-    assert mean_y(r, j, t) == pytest.approx(cf.mean_y(lam, mu, j, t), rel=1e-12)
-    assert second_moment_y(r, j, t) == pytest.approx(cf.m2_y(lam, mu, j, t), rel=1e-10)
-    assert mixed_moment(r, j, t) == pytest.approx(
-        cf.mixed_moment(lam, mu, j, t), rel=1e-10
-    )
-    c, rr = cov_corr(r, j, t)
-    assert c == pytest.approx(cf.cov(lam, mu, j, t), rel=1e-9, abs=1e-12)
-    assert rr == pytest.approx(cf.corr(lam, mu, j, t), rel=1e-8)
-    assert r_index(r, j, t) == pytest.approx(cf.r_index(lam, mu, j, t), rel=1e-10)
+    rep = moment_report(Constant(lam=lam, mu=mu), j, t)
+    assert rep.m_x == pytest.approx(cf.mean_x(lam, mu, j, t), rel=1e-12)
+    assert rep.var_x == pytest.approx(cf.var_x(lam, mu, j, t), rel=1e-11)
+    assert rep.m_y == pytest.approx(cf.mean_y(lam, mu, j, t), rel=1e-12)
+    assert rep.m2_y == pytest.approx(cf.m2_y(lam, mu, j, t), rel=1e-10)
+    assert rep.m_xy == pytest.approx(cf.mixed_moment(lam, mu, j, t), rel=1e-10)
+    assert rep.cov == pytest.approx(cf.cov(lam, mu, j, t), rel=1e-9, abs=1e-12)
+    assert rep.corr == pytest.approx(cf.corr(lam, mu, j, t), rel=1e-8)
+    assert rep.r_index == pytest.approx(cf.r_index(lam, mu, j, t), rel=1e-10)
 
 
 # ===== ODE route vs closed route (same family, both methods) ==================
@@ -67,10 +50,12 @@ def test_ode_route_matches_closed_route_constant(lam, mu):
     r = Constant(lam=lam, mu=mu)
     j = 2
     for t in (0.3, 1.0, 2.7):
-        for fn in (mean_x, var_x, mean_y, second_moment_y, mixed_moment):
-            a = fn(r, j, t, method="closed")
-            b = fn(r, j, t, method="ode")
-            assert b == pytest.approx(a, rel=1e-9, abs=1e-12), fn.__name__
+        a = moment_report(r, j, t, method="closed")
+        b = moment_report(r, j, t, method="ode")
+        for name in ("m_x", "var_x", "m_y", "m2_y", "m_xy"):
+            assert getattr(b, name) == pytest.approx(
+                getattr(a, name), rel=1e-9, abs=1e-12
+            ), name
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 1.5, 2.5])
@@ -78,14 +63,13 @@ def test_ode_route_matches_closed_route_seasonal(rho):
     r = Proportional(rho=rho, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
     j = 3
     for t in (0.5, 2.0, 6.0):
-        for fn in (mean_x, var_x, mean_y, second_moment_y, mixed_moment, r_index):
-            a = fn(r, j, t, method="closed")
-            b = fn(r, j, t, method="ode")
-            assert b == pytest.approx(a, rel=1e-8, abs=1e-10), (fn.__name__, t)
-        ca, ra = cov_corr(r, j, t, method="closed")
-        cb, rb = cov_corr(r, j, t, method="ode")
-        assert cb == pytest.approx(ca, rel=1e-8, abs=1e-10)
-        assert rb == pytest.approx(ra, rel=1e-7)
+        a = moment_report(r, j, t, method="closed")
+        b = moment_report(r, j, t, method="ode")
+        for name in ("m_x", "var_x", "m_y", "m2_y", "m_xy", "r_index", "cov"):
+            assert getattr(b, name) == pytest.approx(
+                getattr(a, name), rel=1e-8, abs=1e-10
+            ), (name, t)
+        assert b.corr == pytest.approx(a.corr, rel=1e-7)
 
 
 def test_explicit_family_goes_through_ode_and_agrees():
@@ -123,22 +107,22 @@ def test_time_zero_report():
 def test_corr_zero_limit_matches_naive_and_small_t():
     for lam, mu in CONSTANT_CASES:
         r = Constant(lam=lam, mu=mu)
-        _, c0 = cov_corr(r, 1, 0.0)
+        c0 = moment_report(r, 1, 0.0).corr
         assert c0 == pytest.approx(cf.corr_zero_limit(lam, mu), rel=1e-13)
-        _, c_small = cov_corr(r, 1, 1e-7)
+        c_small = moment_report(r, 1, 1e-7).corr
         assert c_small == pytest.approx(c0, rel=1e-3)
 
 
 def test_corr_zero_limit_ode_route_uses_initial_rates():
     e = _explicit_copy(3.0, 1.0)
-    _, c0 = cov_corr(e, 2, 0.0)
+    c0 = moment_report(e, 2, 0.0).corr
     assert c0 == pytest.approx(-0.5, rel=1e-14)  # -sqrt(1/4)
 
 
 def test_r_index_zero_time_limit():
     r = Constant(lam=1.0, mu=1.0)
     for j in (1, 2, 5):
-        assert r_index(r, j, 0.0) == pytest.approx(1.0 - 1.0 / j, abs=1e-15)
+        assert moment_report(r, j, 0.0).r_index == pytest.approx(1.0 - 1.0 / j, abs=1e-15)
 
 
 # ===== dispersion anchors =====================================================
@@ -146,20 +130,19 @@ def test_r_index_zero_time_limit():
 
 def test_fano_x_balanced_anchor():
     # lam = mu = 1, t = 1: Fano_X = 2 mu t = 2 exactly
-    fx, cvx, fy, cvy = fano_cv(Constant(lam=1.0, mu=1.0), 1, 1.0)
-    assert fx == pytest.approx(2.0, rel=1e-12)
-    assert cvx == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert fy > 0.0 and cvy > 0.0
+    rep = moment_report(Constant(lam=1.0, mu=1.0), 1, 1.0)
+    assert rep.fano_x == pytest.approx(2.0, rel=1e-12)
+    assert rep.cv_x == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert rep.fano_y > 0.0 and rep.cv_y > 0.0
 
 
 def test_fano_x_crosses_one_at_underdispersion_root():
     lam, mu = 2.0, 1.0
     root = cf.underdispersion_root(lam, mu)
     r = Constant(lam=lam, mu=mu)
-    fx_at, *_ = fano_cv(r, 1, root)
-    assert fx_at == pytest.approx(1.0, rel=1e-10)
-    fx_before, *_ = fano_cv(r, 1, root * 0.5)
-    fx_after, *_ = fano_cv(r, 1, root * 2.0)
+    assert moment_report(r, 1, root).fano_x == pytest.approx(1.0, rel=1e-10)
+    fx_before = moment_report(r, 1, root * 0.5).fano_x
+    fx_after = moment_report(r, 1, root * 2.0).fano_x
     assert fx_before < 1.0 < fx_after
 
 
@@ -209,9 +192,9 @@ def test_ode_cache_is_order_independent():
 
     ts = [2.3, 0.5, 1.7, 0.2, 3.0]
     a = make()
-    ordered = {t: second_moment_y(a, 2, t) for t in sorted(ts)}
+    ordered = {t: moment_report(a, 2, t).m2_y for t in sorted(ts)}
     b = make()
-    mixed = {t: second_moment_y(b, 2, t) for t in ts}
+    mixed = {t: moment_report(b, 2, t).m2_y for t in ts}
     for t in ts:
         assert mixed[t] == ordered[t]  # no hidden state: bit-identical
 
@@ -295,15 +278,10 @@ def test_closed_grid_rows_equal_scalar_calls_bit_for_bit(rates_args, x_per_t):
         assert _bits(dataclasses.astuple(moment_report(r, j, t))) == _bits(
             dataclasses.astuple(rep)
         )
-        accessors = (
-            mean_x(r, j, t), var_x(r, j, t), mean_y(r, j, t), second_moment_y(r, j, t),
-            mixed_moment(r, j, t), *cov_corr(r, j, t), r_index(r, j, t), *fano_cv(r, j, t),
-        )
         fields = (
             rep.m_x, rep.var_x, rep.m_y, rep.m2_y, rep.m_xy, rep.cov, rep.corr,
             rep.r_index, rep.fano_x, rep.cv_x, rep.fano_y, rep.cv_y,
         )
-        assert _bits(accessors) == _bits(fields)
         assert rep.corr_is_limit == (t == 0.0)
         if t == 0.0 or not all(math.isfinite(v) for v in fields):
             continue
@@ -360,8 +338,7 @@ def test_queries_attach_nothing_to_the_rates_object():
               Proportional(rho=2.0, base_mu=CosineMu(mu=1.0, alpha=0.3, period=1.7))):
         before = dict(vars(r))
         moment_report(r, 2, [0.5, 1.0], method="ode")
-        r_index(r, 2, 1.0, method="ode")
-        second_moment_y(r, 2, 1.0, method="ode")
+        moment_report(r, 2, 1.0, method="ode")
         assert vars(r) == before
 
 
@@ -385,15 +362,16 @@ def test_crossing_time_none_when_spreading_dominates():
 def test_crossing_time_is_the_mean_crossing():
     for lam, mu in ((1.0, 1.0), (1.5, 1.0), (0.5, 1.0), (1.0, 2.0)):
         r = Constant(lam=lam, mu=mu)
-        t_star = crossing_time(r, 2)
-        assert mean_x(r, 2, t_star) == pytest.approx(mean_y(r, 2, t_star), rel=1e-10)
+        rep = moment_report(r, 2, crossing_time(r, 2))
+        assert rep.m_x == pytest.approx(rep.m_y, rel=1e-10)
 
 
 def test_crossing_time_seasonal_bracketing():
     r = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
     t_star = crossing_time(r, 1)
     assert t_star > 0.0
-    assert mean_x(r, 1, t_star) == pytest.approx(mean_y(r, 1, t_star), rel=1e-9)
+    rep = moment_report(r, 1, t_star)
+    assert rep.m_x == pytest.approx(rep.m_y, rel=1e-9)
 
 
 def test_crossing_time_none_when_intensity_saturates():
@@ -416,12 +394,12 @@ def test_crossing_time_requires_proportional_family():
 def test_method_and_argument_validation():
     r = Constant(lam=1.0, mu=1.0)
     with pytest.raises(DomainError):
-        mean_x(r, 1, 1.0, method="magic")
+        moment_report(r, 1, 1.0, method="magic")
     with pytest.raises(DomainError):
-        mean_x(_explicit_copy(1.0, 1.0), 1, 1.0, method="closed")
+        moment_report(_explicit_copy(1.0, 1.0), 1, 1.0, method="closed")
     with pytest.raises(DomainError):
-        mean_x(r, 0, 1.0)
+        moment_report(r, 0, 1.0)
     with pytest.raises(DomainError):
-        mean_x(r, 1, -1.0)
+        moment_report(r, 1, -1.0)
     with pytest.raises(DomainError):
-        var_x_fn(r, 2.0, 1.0)
+        moment_report(r, 2.0, 1.0)

@@ -108,15 +108,16 @@ def test_grid_moments_match_naive_forms_subcritical(t):
 
 
 def test_grid_moments_match_closed_route_seasonal():
-    from rumorbd.moments import cov_corr, mean_x, mean_y, var_x
+    from rumorbd.moments import moment_report
 
     rates = Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
     j, t = 1, 1.0
     mom = moments_from_grid(solve_forward(rates, j, t, 70, 70))
-    assert mom.m_x == pytest.approx(mean_x(rates, j, t), abs=1e-7)
-    assert mom.m_y == pytest.approx(mean_y(rates, j, t), abs=1e-7)
-    assert mom.var_x == pytest.approx(var_x(rates, j, t), abs=1e-6)
-    assert mom.cov == pytest.approx(cov_corr(rates, j, t)[0], abs=1e-6)
+    rep = moment_report(rates, j, t)
+    assert mom.m_x == pytest.approx(rep.m_x, abs=1e-7)
+    assert mom.m_y == pytest.approx(rep.m_y, abs=1e-7)
+    assert mom.var_x == pytest.approx(rep.var_x, abs=1e-6)
+    assert mom.cov == pytest.approx(rep.cov, abs=1e-6)
 
 
 def test_constant_and_proportional_constant_rates_share_a_route():

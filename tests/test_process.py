@@ -373,7 +373,12 @@ def test_ensemble_rejects_a_non_finite_grid_time(rates, grid):
 
 
 def test_horizon_validation_consults_the_rate_family():
-    from rumorbd.growth import MultisigLogistic, proportional_from_curve
+    import json
+
+    from rumorbd import cli
+    from rumorbd import rates as rates_mod
+    from rumorbd.growth import MultisigLogistic, curve_to_config, proportional_from_curve
+    from rumorbd.moments import moment_report
 
     curve = MultisigLogistic(c=5.0, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=2.0)
     rates = proportional_from_curve(curve)
@@ -383,3 +388,19 @@ def test_horizon_validation_consults_the_rate_family():
         simulate(rates, 1, end + 1.0, 0)
     with pytest.raises(DomainError):
         ensemble(rates, 1, end + 1.0, [0.1], 10, 0)
+    # past the window, where M is falling but still positive: only the window
+    # check tells these entries that the numbers are not the process's
+    past = 1.2 * end
+    for method in ("closed", "ode"):
+        with pytest.raises(DomainError):
+            moment_report(rates, 1, [0.1, past], method=method)
+    for transform in (rates_mod.big_m, rates_mod.eta, rates_mod.phi_x, rates_mod.phi_y):
+        with pytest.raises(DomainError):
+            transform(rates, past)
+    with pytest.raises(DomainError):
+        rates_mod.gamma(rates, 1, past)
+    spec = json.dumps({"kind": "proportional", "rho": 2.0,
+                       "base": {"kind": "curve", "curve": curve_to_config(curve)}})
+    assert cli.main(["absorb", "--rates", spec, "--j", "1", "--grid", f"0:{past}:4"]) == 0
+    assert cli.main(["absorb", "--rates", spec, "--j", "1",
+                     "--grid", f"{past}:{past + 0.1}:2"]) == 2
