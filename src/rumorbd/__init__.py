@@ -46,20 +46,10 @@ from .proportional import (
     PropMoments,
     absorption_prop,
     absorption_prop_limit,
-    corr_prop,
-    cov_prop,
     crossing_m_threshold,
-    gamma_prop,
-    mean_x_prop,
-    mean_y_prop,
-    mixed_moment_prop,
     moments_prop,
-    m2_y_prop,
     p0k_limit_prop,
     pgf_prop,
-    r_index_prop,
-    var_x_prop,
-    var_y_prop,
 )
 from .rates import (
     Constant,
@@ -86,8 +76,6 @@ __all__ = [
     "big_m", "eta", "phi_x", "phi_y", "gamma",
     "pgf", "absorption_prob", "absorption_limit", "p0k_limit", "p01",
     "pgf_prop", "absorption_prop", "absorption_prop_limit", "p0k_limit_prop",
-    "mean_x_prop", "var_x_prop", "mean_y_prop", "m2_y_prop", "var_y_prop",
-    "gamma_prop", "mixed_moment_prop", "cov_prop", "corr_prop", "r_index_prop",
     "crossing_m_threshold", "moments_prop", "PropMoments",
     "MomentReport", "moment_report", "crossing_time",
     "Gompertz", "GenGompertz", "Logistic", "ExtLogistic", "MultisigLogistic",

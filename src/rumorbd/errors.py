@@ -36,9 +36,14 @@ class DataError(RumorBDError, ValueError):
     """User-supplied data is malformed or inconsistent."""
 
 
+def check_int(name: str, value, lo: int) -> None:
+    """``value`` an integer (a bool is not one) and ``>= lo``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < lo:
+        raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 def check_j(j: int) -> None:
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise DomainError(f"initial spreader count must be an integer >= 1, got {j!r}")
+    check_int("initial spreader count", j, 1)
 
 
 def check_time(t, name: str = "time") -> None:
@@ -75,8 +80,7 @@ def check_z(name: str, z: float) -> None:
 
 
 def check_final_count(j: int, k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError(f"inactive count k must be an integer, got {k!r}")
+    check_int("inactive count k", k, 0)
     if k < j:
         raise DomainError(
             f"final inactive count k={k} is unreachable from j={j} (needs k >= j)"

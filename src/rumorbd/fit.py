@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import growth
-from .errors import DataError, DomainError, check_time
+from .errors import DataError, DomainError, check_int, check_positive, check_time
 
 _KINDS = ("mse", "rae")
 _RATE_LO, _RATE_HI = 1e-3, 1e2
@@ -307,8 +307,8 @@ def fit_one(
     """
     name = _resolve_family(family)
     k = _check_kind(kind)
-    if budget < 1 or restarts < 1:
-        raise DomainError(f"budget and restarts must be >= 1, got {budget}, {restarts}")
+    check_int("budget", budget, 1)
+    check_int("restarts", restarts, 1)
     dims = _dims_for(name, dataset)
     n_params = len(dims) + estimate_j
     if len(dataset) < n_params + 1:
@@ -699,6 +699,8 @@ def select_model(
     listed first.
     """
     k = _check_kind(kind)
+    check_int("budget", budget, 1)
+    check_int("restarts", restarts, 1)
     if families == "all":
         names = list(growth.FAMILIES)
     else:
@@ -755,7 +757,8 @@ def reconstruct_y(fit: FitResult, rho_values, grid) -> YReconstruction:
     X-family fits: m_Y(t) = (m_hat(t) - j)/(rho - 1) exactly (rho = 1 makes
     the fitted X mean constant and is rejected).  Y-family fits: composing the
     induced intensity with the inactive-mean formula returns the fitted curve
-    unchanged for every rho.
+    unchanged for every rho.  A grid past the curve's validity window raises
+    :class:`DomainError`.
     """
     if fit.curve is None:
         raise DomainError(f"cannot reconstruct from a failed {fit.family} fit")
@@ -766,13 +769,13 @@ def reconstruct_y(fit: FitResult, rho_values, grid) -> YReconstruction:
     if t.size == 0:
         raise DomainError("grid must contain at least one time point")
     check_time(t)
-
     curve = fit.curve
+    curve.validate_horizon(float(t.max()))
+
     m_hat = curve.mean_array(t)
     out = np.empty((len(rhos), t.size))
     for i, rho in enumerate(rhos):
-        if not (rho > 0.0 and math.isfinite(rho)):
-            raise DomainError(f"rho must be positive and finite, got {rho}")
+        check_positive("rho", rho)
         if curve.kind == "x":
             if rho == 1.0:
                 raise DomainError(

@@ -86,18 +86,20 @@ def _corr_zero_limit(rates: RateFamily) -> float:
 # ===== Bundled report =========================================================
 
 
-def _assemble(t, j: int, cols: dict, corr_is_limit) -> MomentReport:
-    """The report from ``prop.REPORT_COLUMNS``, adding fano and cv: floats
-    for one time ``t``, the columns themselves for a sequence of times."""
-    m_x, m_y, var_x_, var_y_ = (np.asarray(cols[k]) for k in ("m_x", "m_y", "var_x", "var_y"))
+def _assemble(
+    t, j: int, corr_is_limit, m_x, m_y, var_x, var_y, m2_y, m_xy, cov, corr, r_index
+) -> MomentReport:
+    """The report from its columns, adding fano and cv: floats for one time
+    ``t``, the columns themselves for a sequence of times."""
+    m_x, m_y, var_x, var_y = map(np.asarray, (m_x, m_y, var_x, var_y))
     with np.errstate(all="ignore"):
-        fano_x = np.where(m_x > 0.0, var_x_ / m_x, 0.0)
-        cv_x = np.where(m_x > 0.0, np.sqrt(var_x_) / m_x, 0.0)
-        fano_y = np.where(m_y > 0.0, var_y_ / m_y, 1.0)
-        cv_y = np.where(m_y > 0.0, np.sqrt(var_y_) / m_y, math.inf)
+        fano_x = np.where(m_x > 0.0, var_x / m_x, 0.0)
+        cv_x = np.where(m_x > 0.0, np.sqrt(var_x) / m_x, 0.0)
+        fano_y = np.where(m_y > 0.0, var_y / m_y, 1.0)
+        cv_y = np.where(m_y > 0.0, np.sqrt(var_y) / m_y, math.inf)
     columns = (
-        m_x, m_y, var_x_, var_y_, cols["m2_y"], cols["m_xy"], cols["cov"], cols["corr"],
-        fano_x, fano_y, cv_x, cv_y, cols["r_index"], corr_is_limit,
+        m_x, m_y, var_x, var_y, m2_y, m_xy, cov, corr,
+        fano_x, fano_y, cv_x, cv_y, r_index, corr_is_limit,
     )
     if np.ndim(t) == 0:
         return MomentReport(t, j, *(np.asarray(c).item() for c in columns))
@@ -112,12 +114,14 @@ def report_from_prop(rho: float, big_m_value, j: int, t) -> MomentReport:
     M = 0 the moments are exact, the correlation is reported as its limit
     ``-1/sqrt(1 + rho)`` and ``r`` as ``1 - 1/j``.
     """
-    check_j(j)
-    cols = prop.report_columns_prop(rho, big_m_value, j)
-    at_zero = np.asarray(big_m_value) == 0.0
-    cols["corr"] = np.where(at_zero, -1.0 / math.sqrt(1.0 + rho), cols["corr"])
-    cols["r_index"] = np.where(at_zero, 1.0 - 1.0 / j, cols["r_index"])
-    return _assemble(t, j, cols, at_zero)
+    f = prop._forms(rho, big_m_value, j)
+    at_zero = f.m == 0.0
+    with np.errstate(all="ignore"):
+        return _assemble(
+            t, j, at_zero, f.m_x, f.m_y, f.var_x, f.var_y, f.m2_y, f.m_xy, f.cov,
+            np.where(at_zero, -1.0 / math.sqrt(1.0 + rho), f.corr),
+            np.where(at_zero, 1.0 - 1.0 / j, f.r_index),
+        )
 
 
 def _ode_report(rates: RateFamily, j: int, t) -> MomentReport:
@@ -131,9 +135,7 @@ def _ode_report(rates: RateFamily, j: int, t) -> MomentReport:
         r = np.where(my > 0.0, mxy / (mx * my), 1.0 - 1.0 / j)
     if limit.any():
         corr = np.where(limit, _corr_zero_limit(rates), corr)
-    cols = dict(m_x=mx, m_y=my, var_x=vx, var_y=vy, m2_y=m2y, m_xy=mxy, cov=cov, corr=corr,
-                r_index=r)
-    return _assemble(t, j, cols, limit)
+    return _assemble(t, j, limit, mx, my, vx, vy, m2y, mxy, cov, corr, r)
 
 
 def moment_report(rates: RateFamily, j: int, t, method: str = "auto") -> MomentReport:

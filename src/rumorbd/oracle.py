@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, check_j, check_time
+from .errors import DomainError, NumericsError, check_int, check_j, check_positive, check_time
 from .rates import RateFamily
 
 _CHUNK_MAX = 400.0  # cap on Lam * Delta per chunk: exp(-400) ~ 1.9e-174
@@ -59,10 +59,8 @@ class StepControl:
     rate_budget: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (self.max_step > 0.0 and math.isfinite(self.max_step)):
-            raise DomainError(f"max_step must be positive, got {self.max_step}")
-        if not (self.rate_budget > 0.0 and math.isfinite(self.rate_budget)):
-            raise DomainError(f"rate_budget must be positive, got {self.rate_budget}")
+        check_positive("max_step", self.max_step)
+        check_positive("rate_budget", self.rate_budget)
 
 
 @dataclass(eq=False)
@@ -216,9 +214,8 @@ def solve_forward(
     """
     check_j(j)
     check_time(t)
-    for name, v in (("n_max", n_max), ("k_max", k_max)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < j + 5:
-            raise DomainError(f"{name} must be an integer >= j+5 = {j + 5}, got {v!r}")
+    check_int("n_max", n_max, j + 5)
+    check_int("k_max", k_max, j + 5)
     rates.validate_horizon(t)
     view = rates.proportional_view()
     if view is not None and step_control is not None:

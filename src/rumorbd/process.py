@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, check_j, check_positive, check_times
+from .errors import DomainError, check_int, check_j, check_positive, check_times
 from .rates import RateFamily, first_passage
 
 _BUF = 256
@@ -106,10 +106,8 @@ def _gen_for(seed: int, key: int) -> np.random.Generator:
 def _check_sim_args(j: int, horizon: float, seed: int, cap: int) -> None:
     check_j(j)
     check_positive("horizon", horizon)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < j:
-        raise DomainError(f"population cap must be an integer >= j={j}, got {cap!r}")
+    check_int("seed", seed, 0)
+    check_int("population cap", cap, j)
 
 
 def _thin(
@@ -322,8 +320,7 @@ def ensemble(
     bit-identical on every run.
     """
     _check_sim_args(j, horizon, seed, cap)
-    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
-        raise DomainError(f"replicates must be an integer >= 1, got {replicates!r}")
+    check_int("replicates", replicates, 1)
     grid_f = [float(g) for g in grid]
     if not grid_f:
         raise DomainError("grid must contain at least one time point")

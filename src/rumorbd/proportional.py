@@ -13,6 +13,7 @@ the kernels of :mod:`rumorbd._kernels`::
     m_XY   = m_X * gamma
     Cov    = m_X * (gamma - m_Y)
     r      = gamma / m_Y = 1 - 1/j + (2 rho M / j) * (1 - x/(e^x - 1))/x
+    phi_x  = rho M f1(-x),    phi_y = rho M f1(x)
 
 with ``G1 = M f1(x)``, ``G2 = rho M^2 f2(x)``, ``G3 = rho M^3 h3(x)``,
 ``G4 = M^2 g4(x)``.  The balanced case ``rho = 1`` is the point ``x = 0`` of
@@ -23,8 +24,12 @@ substitution ``lam t -> rho M``, ``mu t -> M``; they are implemented here
 independently in ``(rho, M)`` variables (the constant-rate module serves as a
 cross-check, not as a backend).
 
-The moment functions and :func:`absorption_prop` take ``M`` as a float or an
-array; a float gives a float, computed by the same code as an array element.
+One evaluator, ``_ClosedForms``, computes each of these forms once over a
+float or an array of ``M``: :func:`rumorbd.moments.report_from_prop` reads the
+moments from it, and the closed route of the :mod:`rumorbd.rates` transforms
+reads ``eta``, ``phi_x``, ``phi_y`` and ``gamma``.  :func:`absorption_prop`
+takes ``M`` as a float or an array; a float gives a float, computed by the
+same code as an array element.
 """
 
 from __future__ import annotations
@@ -58,10 +63,6 @@ _LINEAR_LIMIT = 1e300
 _check_rho = partial(check_positive, "rate ratio rho")
 # M(t) is operational time, checked as a time is
 _check_big_m = partial(check_time, name="cumulative forgetting intensity M")
-
-
-def _exp_guarded(x):
-    return np.where(x < 709.0, np.exp(x), np.inf)
 
 
 # ===== Probability generating function ========================================
@@ -150,8 +151,10 @@ class _ClosedForms:
     def __init__(self, rho: float, m: np.ndarray, j: int) -> None:
         self.rho, self.m, self.j, self.x = rho, m, j, (rho - 1.0) * m
 
-    eta = cached_property(lambda s: _exp_guarded(s.x))
+    eta = cached_property(lambda s: np.where(s.x < 709.0, np.exp(s.x), np.inf))
     k1 = cached_property(lambda s: f1(s.x))
+    phi_x = cached_property(lambda s: s.rho * s.m * f1(-s.x))
+    phi_y = cached_property(lambda s: s.rho * s.m * s.k1)
     G1 = cached_property(lambda s: s.m * s.k1)
     G2 = cached_property(lambda s: s.rho * s.m * s.m * f2(s.x))
     G3 = cached_property(lambda s: s.rho * s.m * s.m * s.m * h3(s.x))
@@ -208,48 +211,10 @@ def _forms(rho: float, big_m_value, j: int) -> _ClosedForms:
     return _ClosedForms(rho, np.asarray(big_m_value, dtype=float), j)
 
 
-def _closed_form(name: str, attr: str, doc: str):
-    """The public function ``name(rho, big_m_value, j)`` returning ``attr``."""
-
-    def public(rho: float, big_m_value, j: int):
-        return float_or_array(getattr, _forms(rho, big_m_value, j), attr)
-
-    public.__name__ = public.__qualname__ = name
-    public.__doc__ = doc + "\n\n``big_m_value`` is a float or an array; a float gives a float."
-    return public
-
-
-mean_x_prop = _closed_form("mean_x_prop", "m_x", "E[X] = j e^x.")
-var_x_prop = _closed_form("var_x_prop", "var_x", "Var X = j (rho + 1) e^x M f1(x).")
-mean_y_prop = _closed_form("mean_y_prop", "m_y", "E[Y] = j M f1(x).")
-m2_y_prop = _closed_form("m2_y_prop", "m2_y", "E[Y^2] = j (G1 + 4 G3 + 2 (j - 1) G4).")
-var_y_prop = _closed_form(
-    "var_y_prop", "var_y",
-    "Var Y = m2_Y - m_Y^2; roundoff-negative values near M = 0 are clamped to 0,\n"
-    "and NumericsError is raised where the subtraction lost all precision.",
-)
-gamma_prop = _closed_form("gamma_prop", "gamma", "gamma = (j - 1) G1 + 2 G2.")
-mixed_moment_prop = _closed_form("mixed_moment_prop", "m_xy", "E[XY] = m_X gamma.")
-cov_prop = _closed_form("cov_prop", "cov", "Cov(X, Y) = m_X (gamma - m_Y).")
-corr_prop = _closed_form(
-    "corr_prop", "corr", "Correlation of (X, Y); NaN at M = 0 where both variances vanish."
-)
-r_index_prop = _closed_form(
-    "r_index_prop", "r_index", "Dispersion index gamma/m_Y in the cancellation-free ratio form."
-)
-absorption_prop = _closed_form(
-    "absorption_prop", "absorption", "P(absorbed by the time M(t) reaches ``big_m_value``)."
-)
-
-REPORT_COLUMNS = ("m_x", "m_y", "var_x", "var_y", "m2_y", "m_xy", "cov", "corr", "r_index")
-
-
-def report_columns_prop(rho: float, big_m_value, j: int) -> dict:
-    """The :data:`REPORT_COLUMNS` at ``(rho, M, j)`` from one evaluation of
-    each kernel, as numpy values shaped like ``big_m_value``."""
-    forms = _forms(rho, big_m_value, j)
-    with np.errstate(all="ignore"):
-        return {name: getattr(forms, name) for name in REPORT_COLUMNS}
+def absorption_prop(rho: float, big_m_value, j: int):
+    """P(absorbed by the time M(t) reaches ``big_m_value``); a float gives a
+    float, an array an array."""
+    return float_or_array(getattr, _forms(rho, big_m_value, j), "absorption")
 
 
 def crossing_m_threshold(rho: float) -> float:

@@ -19,8 +19,9 @@ The integral transforms underlying every closed-form moment are::
     gamma(t) = int_0^t mu * eta * (2 phi_x + j - 1)
 
 For Constant/Proportional rates all five reduce to closed kernel expressions
-in ``(rho, M)``.  For any family the ``"ode"`` route reads them off the
-moment engine of :mod:`rumorbd._ode`, one solve to ``t``::
+in ``(rho, M)``, read from the closed-form evaluator of
+:mod:`rumorbd.proportional`.  For any family the ``"ode"`` route reads them
+off the moment engine of :mod:`rumorbd._ode`, one solve to ``t``::
 
     M = M,   eta = m_X / j,   phi_x = phi_x,
     phi_y = m_Y / j + eta - 1,   gamma = m_XY / m_X
@@ -41,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import proportional as prop
-from ._kernels import elementwise, f1
+from ._kernels import elementwise, float_or_array
 from ._ode import moment_state
 from .errors import DataError, DomainError, check_j, check_positive, check_time, config_field
 
@@ -315,6 +316,12 @@ def _closed(rates: RateFamily, t: float, method: str) -> bool:
     return resolve_method(rates, method) == "closed"
 
 
+def _closed_value(rates: RateFamily, t: float, name: str, j: int = 1) -> float:
+    """The closed form ``name`` of a constant or proportional family at ``t``."""
+    rho, base = rates.proportional_view()
+    return float_or_array(getattr, prop._forms(rho, base.big_m(t), j), name)
+
+
 def big_m(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Cumulative forgetting intensity ``M(t) = int_0^t mu``."""
     if _closed(rates, t, method):
@@ -326,26 +333,21 @@ def big_m(rates: RateFamily, t: float, method: str = "auto") -> float:
 def eta(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Growth factor ``eta(t) = exp(int_0^t (lam - mu))``."""
     if _closed(rates, t, method):
-        rho, base = rates.proportional_view()
-        return prop.mean_x_prop(rho, base.big_m(t), 1)
+        return _closed_value(rates, t, "eta")
     return moment_state(rates, 1, t)[0]
 
 
 def phi_x(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Discounted spreading integral ``int_0^t lam / eta``."""
     if _closed(rates, t, method):
-        rho, base = rates.proportional_view()
-        m = base.big_m(t)
-        return rho * m * f1(-(rho - 1.0) * m)
+        return _closed_value(rates, t, "phi_x")
     return moment_state(rates, 1, t)[6]
 
 
 def phi_y(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Amplified spreading integral ``int_0^t lam * eta``."""
     if _closed(rates, t, method):
-        rho, base = rates.proportional_view()
-        m = base.big_m(t)
-        return rho * m * f1((rho - 1.0) * m)
+        return _closed_value(rates, t, "phi_y")
     mx, _, my, *_ = moment_state(rates, 1, t)
     return my + mx - 1.0
 
@@ -354,8 +356,7 @@ def gamma(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     """Mixed-moment integrand ``int_0^t mu eta (2 phi_x + j - 1)``."""
     check_j(j)
     if _closed(rates, t, method):
-        rho, base = rates.proportional_view()
-        return prop.gamma_prop(rho, base.big_m(t), j)
+        return _closed_value(rates, t, "gamma", j)
     mx, _, _, mxy, *_ = moment_state(rates, j, t)
     return mxy / mx
 

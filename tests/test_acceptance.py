@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import brentq
 
 import _closed_forms as cf
-from rumorbd import growth, homogeneous, moments, oracle, proportional
+from rumorbd import growth, homogeneous, moments, oracle
 from rumorbd.fit import Dataset, fit_one, select_model
 from rumorbd.process import ensemble
 from rumorbd.rates import Constant, CosineMu, Proportional
@@ -110,14 +110,8 @@ def test_criterion_04_oracle_matches_closed_moments():
         grid = oracle.solve_forward(Constant(lam=lam, mu=mu), j, t, 60, 60)
         worst_leak = max(worst_leak, grid.leaked_mass)
         gm = oracle.moments_from_grid(grid)
-        big_m = mu * t
-        closed = {
-            "m_x": proportional.mean_x_prop(rho, big_m, j),
-            "m_y": proportional.mean_y_prop(rho, big_m, j),
-            "var_x": proportional.var_x_prop(rho, big_m, j),
-            "m2_y": proportional.m2_y_prop(rho, big_m, j),
-            "m_xy": proportional.mixed_moment_prop(rho, big_m, j),
-        }
+        rep = moments.report_from_prop(rho, mu * t, j, t)
+        closed = {key: getattr(rep, key) for key in ("m_x", "m_y", "var_x", "m2_y", "m_xy")}
         got = {
             "m_x": gm.m_x,
             "m_y": gm.m_y,
@@ -265,18 +259,17 @@ def test_criterion_07_growth_round_trip_and_gompertz_positive_corr():
             curve = _draw_curve(family, rng)
             for t in grid:
                 m_true = curve.mean(float(t))
-                big_m = curve.induced_big_m(float(t))
-                if curve.kind == "x":
-                    m_back = proportional.mean_x_prop(curve.rho, big_m, curve.j)
-                else:
-                    m_back = proportional.mean_y_prop(curve.rho, big_m, curve.j)
+                rep = moments.report_from_prop(
+                    curve.rho, curve.induced_big_m(float(t)), curve.j, float(t)
+                )
+                m_back = rep.m_x if curve.kind == "x" else rep.m_y
                 scale = max(abs(m_true), abs(m_back), 1e-300)
                 if m_true != m_back:
                     worst = max(worst, abs(m_true - m_back) / scale)
 
     g = growth.Gompertz(alpha=3.0, beta=2.0, j=1, rho=1.5)
     corr_min = min(
-        proportional.corr_prop(1.5, g.induced_big_m(float(t)), 1)
+        moments.report_from_prop(1.5, g.induced_big_m(float(t)), 1, float(t)).corr
         for t in np.linspace(0.1, 20.0, 80)
     )
     ok = worst <= 1e-10 and corr_min > 0.0
@@ -294,11 +287,9 @@ def test_criterion_08_r_index_routes_and_small_time_limit():
     for rho in (0.5, 1.0, 1.5, 2.5):
         for big_m in (0.1, 0.7, 2.0, 5.0):
             for j in (1, 2, 5):
-                via_gamma = proportional.r_index_prop(rho, big_m, j)
-                m_xy = proportional.mixed_moment_prop(rho, big_m, j)
-                m_x = proportional.mean_x_prop(rho, big_m, j)
-                m_y = proportional.mean_y_prop(rho, big_m, j)
-                via_moments = m_xy / (m_x * m_y)
+                rep = moments.report_from_prop(rho, big_m, j, big_m)
+                via_gamma = rep.r_index
+                via_moments = rep.m_xy / (rep.m_x * rep.m_y)
                 worst = max(worst, abs(via_gamma - via_moments)
                             / max(abs(via_gamma), abs(via_moments)))
     # same identity through the general rate-family interface
@@ -309,7 +300,7 @@ def test_criterion_08_r_index_routes_and_small_time_limit():
         worst = max(worst, abs(rep.r_index - r_manual) / abs(r_manual))
 
     worst_lim = max(
-        abs(proportional.r_index_prop(1.5, 1e-12, j) - (1.0 - 1.0 / j))
+        abs(moments.report_from_prop(1.5, 1e-12, j, 1e-12).r_index - (1.0 - 1.0 / j))
         for j in (1, 2, 5)
     )
     ok = worst <= 1e-10 and worst_lim <= 1e-8

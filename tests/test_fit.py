@@ -383,6 +383,11 @@ def test_fit_accepts_class_and_rejects_unknown_family():
         fit_one("logistic", ds, "mse", budget=0)
     with pytest.raises(DomainError):
         fit_one("logistic", ds, "mse", restarts=0)
+    for effort in ({"budget": 2.5}, {"budget": True}, {"restarts": 2.5}, {"restarts": True}):
+        with pytest.raises(DomainError):
+            fit_one("logistic", ds, "mse", **effort)
+        with pytest.raises(DomainError):
+            select_model(ds, ["logistic"], "mse", **effort)
 
 
 def test_fit_pins_j_to_the_initial_count():
@@ -649,6 +654,10 @@ def test_reconstruct_argument_validation():
         reconstruct_y(fit, [2.0], [-1.0, 0.0])
     with pytest.raises(DomainError):
         reconstruct_y(fit, [0.0], [0.0, 1.0])
+    # the induced rate of this curve turns negative at t ~ 2.924
+    multisig = growth.MultisigLogistic(c=50.0, betas=(1.0, 0.0, 0.0, -0.01), j=1, rho=2.0)
+    with pytest.raises(DomainError, match="validity window"):
+        reconstruct_y(_manual_fit(multisig, j=1), [1.5], [3.0, 3.5, 4.0, 4.5])
     failed = FitResult(
         family="gompertz", params=(), kind="mse", value=math.inf, converged=False,
         n_evals=0, restarts=0, j=1, rho=2.0, curve=None,

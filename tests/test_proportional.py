@@ -18,25 +18,36 @@ from hypothesis import strategies as st
 import _closed_forms as cf
 from rumorbd import DomainError, NumericsError, proportional
 from rumorbd.homogeneous import p0k_limit, pgf
+from rumorbd.moments import report_from_prop
 from rumorbd.proportional import (
     PropMoments,
     absorption_prop,
     absorption_prop_limit,
-    corr_prop,
-    cov_prop,
     crossing_m_threshold,
-    gamma_prop,
-    m2_y_prop,
-    mean_x_prop,
-    mean_y_prop,
-    mixed_moment_prop,
     moments_prop,
     p0k_limit_prop,
     pgf_prop,
-    r_index_prop,
-    var_x_prop,
-    var_y_prop,
 )
+from rumorbd.rates import ConstantMu, Proportional, gamma
+
+
+def _report(rho, m, j):
+    """The closed-form report at intensity(ies) ``m``, on the unit clock t = M."""
+    return report_from_prop(rho, m, j, m)
+
+
+def _column(name):
+    return lambda rho, m, j: getattr(_report(rho, m, j), name)
+
+
+def _gamma(rho, m, j):
+    """gamma(M): the transform on the unit clock for a float, the evaluator's
+    column for an array."""
+    if np.ndim(m):
+        with np.errstate(all="ignore"):
+            return proportional._forms(rho, m, j).gamma
+    return gamma(Proportional(rho, ConstantMu(1.0)), j, m)
+
 
 GRID = [
     (rho, m, j)
@@ -51,17 +62,16 @@ GRID = [
 
 @pytest.mark.parametrize("rho,m,j", GRID)
 def test_moments_match_constant_rate_clock_change(rho, m, j):
-    assert mean_x_prop(rho, m, j) == pytest.approx(cf.mean_x(rho, 1.0, j, m), rel=1e-12)
-    assert var_x_prop(rho, m, j) == pytest.approx(cf.var_x(rho, 1.0, j, m), rel=1e-11)
-    assert mean_y_prop(rho, m, j) == pytest.approx(cf.mean_y(rho, 1.0, j, m), rel=1e-12)
-    assert m2_y_prop(rho, m, j) == pytest.approx(cf.m2_y(rho, 1.0, j, m), rel=1e-10)
-    assert var_y_prop(rho, m, j) == pytest.approx(cf.var_y(rho, 1.0, j, m), rel=1e-9)
-    assert mixed_moment_prop(rho, m, j) == pytest.approx(
-        cf.mixed_moment(rho, 1.0, j, m), rel=1e-10
-    )
-    assert cov_prop(rho, m, j) == pytest.approx(cf.cov(rho, 1.0, j, m), rel=1e-9)
-    assert corr_prop(rho, m, j) == pytest.approx(cf.corr(rho, 1.0, j, m), rel=1e-8)
-    assert r_index_prop(rho, m, j) == pytest.approx(cf.r_index(rho, 1.0, j, m), rel=1e-10)
+    rep = _report(rho, m, j)
+    assert rep.m_x == pytest.approx(cf.mean_x(rho, 1.0, j, m), rel=1e-12)
+    assert rep.var_x == pytest.approx(cf.var_x(rho, 1.0, j, m), rel=1e-11)
+    assert rep.m_y == pytest.approx(cf.mean_y(rho, 1.0, j, m), rel=1e-12)
+    assert rep.m2_y == pytest.approx(cf.m2_y(rho, 1.0, j, m), rel=1e-10)
+    assert rep.var_y == pytest.approx(cf.var_y(rho, 1.0, j, m), rel=1e-9)
+    assert rep.m_xy == pytest.approx(cf.mixed_moment(rho, 1.0, j, m), rel=1e-10)
+    assert rep.cov == pytest.approx(cf.cov(rho, 1.0, j, m), rel=1e-9)
+    assert rep.corr == pytest.approx(cf.corr(rho, 1.0, j, m), rel=1e-8)
+    assert rep.r_index == pytest.approx(cf.r_index(rho, 1.0, j, m), rel=1e-10)
 
 
 @pytest.mark.parametrize("rho,m,j", GRID)
@@ -98,29 +108,23 @@ def test_pgf_prop_confluent_branch():
 
 def test_rho_one_is_continuous_limit():
     m, j = 2.0, 3
-    for fn in (
-        mean_x_prop,
-        var_x_prop,
-        mean_y_prop,
-        m2_y_prop,
-        gamma_prop,
-        mixed_moment_prop,
-        r_index_prop,
-    ):
+    for name in ("m_x", "var_x", "m_y", "m2_y", "gamma", "m_xy", "r_index"):
+        fn = _gamma if name == "gamma" else _column(name)
         at = fn(1.0, m, j)
         below = fn(1.0 - 1e-9, m, j)
         above = fn(1.0 + 1e-9, m, j)
-        assert at == pytest.approx(below, rel=1e-7), fn.__name__
-        assert at == pytest.approx(above, rel=1e-7), fn.__name__
+        assert at == pytest.approx(below, rel=1e-7), name
+        assert at == pytest.approx(above, rel=1e-7), name
 
 
 def test_balanced_anchor_values():
     # rho = 1: m_X = j, m_Y = j M, Var_X = 2 j M
-    assert mean_x_prop(1.0, 3.0, 2) == 2.0
-    assert mean_y_prop(1.0, 3.0, 2) == pytest.approx(6.0, rel=1e-14)
-    assert var_x_prop(1.0, 3.0, 2) == pytest.approx(12.0, rel=1e-14)
+    rep = _report(1.0, 3.0, 2)
+    assert rep.m_x == 2.0
+    assert rep.m_y == pytest.approx(6.0, rel=1e-14)
+    assert rep.var_x == pytest.approx(12.0, rel=1e-14)
     # m2_Y = j (M + 2 M^3 / 3 + (j-1) M^2)
-    assert m2_y_prop(1.0, 3.0, 2) == pytest.approx(2 * (3 + 18 + 9), rel=1e-13)
+    assert rep.m2_y == pytest.approx(2 * (3 + 18 + 9), rel=1e-13)
 
 
 # ===== variance guard =========================================================
@@ -129,7 +133,7 @@ def test_balanced_anchor_values():
 def test_var_y_clamps_roundoff_negative_to_zero():
     # near M = 0 the subtraction can dip an ulp below zero; must clamp, not raise
     for m in (1e-12, 1e-9, 1e-6):
-        v = var_y_prop(1.5, m, 1)
+        v = _report(1.5, m, 1).var_y
         assert v >= 0.0
 
 
@@ -139,7 +143,7 @@ def test_var_y_clamps_roundoff_negative_to_zero():
     st.integers(min_value=1, max_value=10),
 )
 def test_var_y_nonnegative_property(rho, m, j):
-    assert var_y_prop(rho, m, j) >= 0.0
+    assert _report(rho, m, j).var_y >= 0.0
 
 
 # ===== dispersion index =======================================================
@@ -147,7 +151,8 @@ def test_var_y_nonnegative_property(rho, m, j):
 
 def test_r_index_at_zero_intensity():
     for j, want in ((1, 0.0), (2, 0.5), (5, 0.8)):
-        assert r_index_prop(1.7, 0.0, j) == pytest.approx(want, abs=1e-15)
+        assert _report(1.7, 0.0, j).r_index == pytest.approx(want, abs=1e-15)
+        assert moments_prop(1.7, 0.0, j).r_index == pytest.approx(want, abs=1e-15)
 
 
 def test_r_index_supercritical_asymptote():
@@ -155,12 +160,12 @@ def test_r_index_supercritical_asymptote():
     for rho in (1.5, 2.0, 3.0):
         for j in (1, 2, 5):
             want = 1.0 + (rho + 1.0) / (j * (rho - 1.0))
-            assert r_index_prop(rho, 100.0, j) == pytest.approx(want, rel=1e-12)
+            assert _report(rho, 100.0, j).r_index == pytest.approx(want, rel=1e-12)
 
 
 def test_r_index_stays_exact_at_huge_intensity():
     want = 1.0 + 3.0 / (2.0 * 1.0)
-    assert r_index_prop(2.0, 1e6, 2) == pytest.approx(want, rel=1e-12)
+    assert _report(2.0, 1e6, 2).r_index == pytest.approx(want, rel=1e-12)
 
 
 # ===== mean-crossing threshold ================================================
@@ -180,9 +185,8 @@ def test_crossing_threshold_is_the_mean_crossing(rho):
     m_thr = crossing_m_threshold(rho)
     assert m_thr > 0.0
     j = 3
-    mx = mean_x_prop(rho, m_thr, j)
-    my = mean_y_prop(rho, m_thr, j)
-    assert mx == pytest.approx(my, rel=1e-10)
+    rep = _report(rho, m_thr, j)
+    assert rep.m_x == pytest.approx(rep.m_y, rel=1e-10)
 
 
 def test_crossing_threshold_rejects_bad_rho():
@@ -233,10 +237,21 @@ def test_p0k_limit_prop_matches_the_constant_rate_law_across_the_lgamma_switch()
 
 # ===== array intensities ======================================================
 
-ARRAY_FUNCTIONS = [
-    mean_x_prop, var_x_prop, mean_y_prop, m2_y_prop, var_y_prop, gamma_prop,
-    mixed_moment_prop, cov_prop, corr_prop, r_index_prop, absorption_prop,
-]
+# every report column, gamma and absorption, each under the name of the
+# (rho, M, j) quantity it carries
+ARRAY_FUNCTIONS = {
+    "mean_x_prop": _column("m_x"),
+    "var_x_prop": _column("var_x"),
+    "mean_y_prop": _column("m_y"),
+    "m2_y_prop": _column("m2_y"),
+    "var_y_prop": _column("var_y"),
+    "gamma_prop": _gamma,
+    "mixed_moment_prop": _column("m_xy"),
+    "cov_prop": _column("cov"),
+    "corr_prop": _column("corr"),
+    "r_index_prop": _column("r_index"),
+    "absorption_prop": absorption_prop,
+}
 
 
 def _bits(values) -> list[bytes]:
@@ -254,7 +269,7 @@ def _edge_intensities(rho: float) -> np.ndarray:
     return np.array(sorted(m))
 
 
-@pytest.mark.parametrize("fn", ARRAY_FUNCTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fn", ARRAY_FUNCTIONS.values(), ids=list(ARRAY_FUNCTIONS))
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
 def test_array_intensities_match_scalar_calls_bit_for_bit(fn, rho):
     ms = _edge_intensities(rho)
@@ -267,35 +282,24 @@ def test_array_intensities_match_scalar_calls_bit_for_bit(fn, rho):
 
 def test_array_intensities_are_validated_once_with_the_scalar_message():
     with pytest.raises(DomainError, match="got -0.5"):
-        mean_x_prop(2.0, np.array([1.0, -0.5, 2.0]), 1)
+        _report(2.0, np.array([1.0, -0.5, 2.0]), 1)
     with pytest.raises(DomainError, match="got inf"):
         absorption_prop(2.0, np.array([0.0, math.inf]), 1)
     with pytest.raises(DomainError, match="rho"):
-        var_y_prop(-1.0, np.array([1.0]), 1)
+        _report(-1.0, np.array([1.0]), 1)
 
 
 def test_var_y_raises_when_any_element_loses_precision(monkeypatch):
     ms = np.array([0.5, 1.0, 2.0])
     exact = proportional._ClosedForms.m2_y.func
-    assert var_y_prop(2.0, ms, 2).min() > 0.0
+    assert _report(2.0, ms, 2).var_y.min() > 0.0
     # damage the second moment of the middle element only
     monkeypatch.setattr(proportional._ClosedForms, "m2_y", property(
         lambda forms: exact(forms) * np.where(forms.m == 1.0, 0.5, 1.0)
     ))
     with pytest.raises(NumericsError):
-        var_y_prop(2.0, ms, 2)
-    assert var_y_prop(2.0, 0.5, 2) > 0.0
-
-
-def test_report_columns_are_the_individual_functions():
-    ms = _edge_intensities(2.0)
-    cols = proportional.report_columns_prop(2.0, ms, 3)
-    for name, fn in zip(proportional.REPORT_COLUMNS, (
-        mean_x_prop, mean_y_prop, var_x_prop, var_y_prop, m2_y_prop, mixed_moment_prop,
-        cov_prop, corr_prop, r_index_prop,
-    )):
-        assert _bits(cols[name]) == _bits(fn(2.0, ms, 3)), name
-    assert proportional.report_columns_prop(2.0, 1.5, 3)["m_x"] == mean_x_prop(2.0, 1.5, 3)
+        _report(2.0, ms, 2)
+    assert _report(2.0, 0.5, 2).var_y > 0.0
 
 
 # ===== bundled report =========================================================
@@ -309,12 +313,14 @@ def test_report_columns_are_the_individual_functions():
 def test_moments_report_linear_fields_match_functions(rho, m, j):
     rep = moments_prop(rho, m, j)
     assert not rep.log_scale
-    assert rep.m_x == mean_x_prop(rho, m, j)
-    assert rep.var_x == var_x_prop(rho, m, j)
-    assert rep.m_y == mean_y_prop(rho, m, j)
-    assert rep.m2_y == m2_y_prop(rho, m, j)
-    assert rep.m_xy == mixed_moment_prop(rho, m, j)
-    assert rep.r_index == r_index_prop(rho, m, j)
+    report = _report(rho, m, j)
+    assert rep.m_x == report.m_x
+    assert rep.var_x == report.var_x
+    assert rep.m_y == report.m_y
+    assert rep.m2_y == report.m2_y
+    assert rep.m_xy == report.m_xy
+    # at M = 0 the report states the limit as 1 - 1/j, the ratio form (j - 1)/j
+    assert rep.r_index == (report.r_index if m > 0.0 else (j - 1.0) / j)
     assert (rep.rho, rep.big_m, rep.j) == (rho, m, j)
 
 
@@ -369,12 +375,16 @@ def test_moments_report_polynomial_overflow_without_growth_raises():
 
 
 def test_corr_nan_at_zero_intensity():
-    assert math.isnan(corr_prop(2.0, 0.0, 3))
+    # both variances vanish: the closed form is NaN, the report gives the limit
+    with np.errstate(all="ignore"):
+        assert math.isnan(proportional._forms(2.0, 0.0, 3).corr)
+    rep = _report(2.0, 0.0, 3)
+    assert rep.corr_is_limit and rep.corr == -1.0 / math.sqrt(3.0)
 
 
 def test_corr_matches_independent_form():
-    assert corr_prop(1.0, 0.01, 1) < 0.0  # early correlation is negative
-    assert corr_prop(2.5, 3.0, 2) == pytest.approx(cf.corr(2.5, 1.0, 2, 3.0), rel=1e-9)
+    assert _report(1.0, 0.01, 1).corr < 0.0  # early correlation is negative
+    assert _report(2.5, 3.0, 2).corr == pytest.approx(cf.corr(2.5, 1.0, 2, 3.0), rel=1e-9)
 
 
 # ===== validation =============================================================
@@ -382,13 +392,13 @@ def test_corr_matches_independent_form():
 
 def test_domain_checks():
     with pytest.raises(DomainError):
-        mean_x_prop(0.0, 1.0, 1)
+        _report(0.0, 1.0, 1)
     with pytest.raises(DomainError):
-        mean_x_prop(2.0, -0.5, 1)
+        _report(2.0, -0.5, 1)
     with pytest.raises(DomainError):
-        mean_x_prop(2.0, math.inf, 1)
+        _report(2.0, math.inf, 1)
     with pytest.raises(DomainError):
-        mean_x_prop(2.0, 1.0, 0)
+        _report(2.0, 1.0, 0)
     with pytest.raises(DomainError):
         pgf_prop(2.0, 1.0, 1, 1.2, 0.5)
     with pytest.raises(DomainError):

@@ -40,3 +40,15 @@ def test_every_private_module_level_name_is_used_elsewhere_in_src():
         and total[name] == _references(node)[name]
     ]
     assert not unused
+
+
+def test_public_names_resolve_once_and_star_import_binds_exactly_them():
+    import rumorbd
+
+    missing = [name for name in rumorbd.__all__ if not hasattr(rumorbd, name)]
+    assert not missing
+    repeated = [name for name, n in Counter(rumorbd.__all__).items() if n > 1]
+    assert not repeated
+    namespace: dict = {}
+    exec("from rumorbd import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(rumorbd.__all__)
