@@ -7,7 +7,7 @@ Two independent computation routes are provided and cross-checked in tests:
   ``M = int_0^t mu``;
 * the **ode** route reads the moment engine of :mod:`rumorbd._ode`, which
   integrates the moment differential system implied by the master equation
-  directly (valid for any rate family)::
+  directly (valid for any rate family) with LSODA::
 
       m_X'   = (lam - mu) m_X
       m2_X'  = (lam + mu) m_X + 2 (lam - mu) m2_X
@@ -16,8 +16,8 @@ Two independent computation routes are provided and cross-checked in tests:
       m2_Y'  = mu (2 m_XY + m_X)
 
   and derives the dispersion index as ``r = m_XY / (m_X m_Y)``.
-  :func:`moment_report` makes one solve to the last time of its grid.
-  Nothing is cached between calls.
+  :func:`moment_report` makes one solve to the last time of its grid and
+  evaluates no rate past that time.  Nothing is cached between calls.
 
 On the closed route a grid is one vector evaluation: ``M`` at every time,
 then each closed form once over the whole ``M`` array.  One vectorized
@@ -28,7 +28,8 @@ code, so column ``i`` of a closed grid report equals the scalar report at
 
 At ``t = 0`` both variances vanish, so the correlation is reported as its
 analytic ``t -> 0+`` limit ``-sqrt(mu(0)/(lam(0) + mu(0)))`` with the
-``corr_is_limit`` flag set, and the dispersion index as its limit ``1 - 1/j``.
+``corr_is_limit`` flag set, and the dispersion index as its limit
+``(j - 1)/j``, correctly rounded on both routes.
 """
 
 from __future__ import annotations
@@ -112,15 +113,14 @@ def report_from_prop(rho: float, big_m_value, j: int, t) -> MomentReport:
     ``big_m_value`` is one cumulative intensity at time ``t``, or an array
     of them paired with the sequence of times ``t``, giving columns.  Where
     M = 0 the moments are exact, the correlation is reported as its limit
-    ``-1/sqrt(1 + rho)`` and ``r`` as ``1 - 1/j``.
+    ``-1/sqrt(1 + rho)`` and ``r`` is the evaluator's ``(j - 1)/j``.
     """
     f = prop._forms(rho, big_m_value, j)
     at_zero = f.m == 0.0
     with np.errstate(all="ignore"):
         return _assemble(
             t, j, at_zero, f.m_x, f.m_y, f.var_x, f.var_y, f.m2_y, f.m_xy, f.cov,
-            np.where(at_zero, -1.0 / math.sqrt(1.0 + rho), f.corr),
-            np.where(at_zero, 1.0 - 1.0 / j, f.r_index),
+            np.where(at_zero, -1.0 / math.sqrt(1.0 + rho), f.corr), f.r_index,
         )
 
 
@@ -132,7 +132,7 @@ def _ode_report(rates: RateFamily, j: int, t) -> MomentReport:
     limit = ~((vx > 0.0) & (vy > 0.0))
     with np.errstate(all="ignore"):
         corr = cov / (np.sqrt(vx) * np.sqrt(vy))
-        r = np.where(my > 0.0, mxy / (mx * my), 1.0 - 1.0 / j)
+        r = np.where(my > 0.0, mxy / (mx * my), (j - 1) / j)
     if limit.any():
         corr = np.where(limit, _corr_zero_limit(rates), corr)
     return _assemble(t, j, limit, mx, my, vx, vy, m2y, mxy, cov, corr, r)

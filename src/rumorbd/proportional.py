@@ -184,7 +184,7 @@ class _ClosedForms:
 
     @cached_property
     def r_index(self):
-        # gamma/m_Y in the cancellation-free ratio form: 1 - 1/j at M = 0
+        # gamma/m_Y in the cancellation-free ratio form: (j - 1)/j at M = 0
         # (the kernel's 1/2 meets M = 0) and exact for M as large as 1e3
         second = (2.0 * self.rho * self.m / self.j) * one_minus_q_over_x(self.x)
         return (self.j - 1.0) / self.j + second

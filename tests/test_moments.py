@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import _closed_forms as cf
 from rumorbd import DomainError
+from rumorbd import proportional as prop
 from rumorbd.moments import MomentReport, crossing_time, moment_report, report_from_prop
+from rumorbd.proportional import moments_prop
 from rumorbd.rates import Constant, CosineMu, Explicit, Proportional
 
 CONSTANT_CASES = [(2.0, 1.0), (1.0, 2.0), (1.0, 1.0), (0.7, 1.3)]
@@ -72,6 +74,36 @@ def test_ode_route_matches_closed_route_seasonal(rho):
         assert b.corr == pytest.approx(a.corr, rel=1e-7)
 
 
+# every column but cov and corr, which subtract near-equal moments
+_ACCURATE_COLUMNS = (
+    "m_x", "m_y", "var_x", "var_y", "m2_y", "m_xy", "r_index", "fano_x", "fano_y", "cv_x", "cv_y",
+)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("seasonal", [True, False], ids=["cosine", "constant"])
+def test_ode_grid_accuracy_against_closed_route(rho, seasonal):
+    # the CLI grid 0:20:1000; on it the worst column of the engine is about
+    # 1e-11 relative, and cov and corr about 2e-10
+    if seasonal:
+        r = Proportional(rho=rho, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5))
+    else:
+        r = Constant(lam=rho, mu=1.0)
+    grid = [20.0 * i / 1000 for i in range(1000)]
+    for j in (1, 3):
+        ode = moment_report(r, j, grid, method="ode")
+        closed = moment_report(r, j, grid, method="closed")
+        assert (ode.corr_is_limit == closed.corr_is_limit).all()
+        for name in _ACCURATE_COLUMNS:
+            np.testing.assert_allclose(
+                getattr(ode, name), getattr(closed, name), rtol=2e-11, atol=0.0, err_msg=name
+            )
+        for name in ("cov", "corr"):
+            np.testing.assert_allclose(
+                getattr(ode, name), getattr(closed, name), rtol=1e-9, atol=0.0, err_msg=name
+            )
+
+
 def test_explicit_family_goes_through_ode_and_agrees():
     lam, mu, j, t = 1.3, 0.9, 2, 1.7
     e = _explicit_copy(lam, mu)
@@ -123,6 +155,16 @@ def test_r_index_zero_time_limit():
     r = Constant(lam=1.0, mu=1.0)
     for j in (1, 2, 5):
         assert moment_report(r, j, 0.0).r_index == pytest.approx(1.0 - 1.0 / j, abs=1e-15)
+
+
+def test_r_index_zero_time_limit_is_the_same_bits_on_every_route():
+    # the correctly rounded (j - 1)/j; 1 - 1/j is one ulp above it at j = 3
+    for j in range(1, 11):
+        want = (j - 1) / j
+        assert report_from_prop(2.0, 0.0, j, 0.0).r_index == want
+        assert moments_prop(2.0, 0.0, j).r_index == want
+        assert float(prop._forms(2.0, 0.0, j).r_index) == want
+        assert moment_report(_explicit_copy(2.0, 1.0), j, 0.0).r_index == want
 
 
 # ===== dispersion anchors =====================================================
@@ -317,8 +359,26 @@ def test_ode_grid_is_one_solve():
     moment_report(one, 1, [grid[-1]])
     many, many_calls = _counting_cosine()
     moment_report(many, 1, grid)
-    # dense output adds three stages per step; a solve per point would cost ~13x
+    # LSODA interpolates every requested time from its step history without
+    # calling the rates; a solve per point would cost ~13x
     assert many_calls[0] < 1.5 * one_calls[0]
+
+
+@pytest.mark.parametrize("last", [0.7, 5.0, 20.0])
+def test_ode_evaluates_no_rate_past_the_last_time(last):
+    base = CosineMu(mu=1.0, alpha=0.5, period=2.5)
+    largest = [0.0]
+
+    def mu_fn(s):
+        largest[0] = max(largest[0], s)
+        return base.mu_at(s)
+
+    r = Explicit(lambda s: 1.5 * mu_fn(s), mu_fn, lambda a, b: 2.5 * base.mu_sup(a, b))
+    moment_report(r, 2, [last * i / 100 for i in range(101)])
+    assert 0.0 < largest[0] <= last
+    largest[0] = 0.0
+    moment_report(r, 2, last)
+    assert 0.0 < largest[0] <= last
 
 
 def test_ode_grid_leaves_no_cyclic_garbage():

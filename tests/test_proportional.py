@@ -319,8 +319,7 @@ def test_moments_report_linear_fields_match_functions(rho, m, j):
     assert rep.m_y == report.m_y
     assert rep.m2_y == report.m2_y
     assert rep.m_xy == report.m_xy
-    # at M = 0 the report states the limit as 1 - 1/j, the ratio form (j - 1)/j
-    assert rep.r_index == (report.r_index if m > 0.0 else (j - 1.0) / j)
+    assert rep.r_index == report.r_index
     assert (rep.rho, rep.big_m, rep.j) == (rho, m, j)
 
 

@@ -255,22 +255,32 @@ def test_transform_method_dispatch_errors():
         gamma(c, True, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sweep_overflow_raises_numerics_error():
-    r = Explicit(lambda_fn=lambda s: 10.0, mu_fn=lambda s: 1.0, rate_sup_fn=lambda a, b: 11.0)
-    with pytest.raises(NumericsError):
-        phi_y(r, 100.0)  # exp(9 t) overflows well before t = 100
+def test_sweep_overflow_raises_numerics_error(capfd):
+    # exp(9 t) overflows well before t = 100: the state leaves the float range
+    # near t = 39.2 after about 19,000 rate calls, and the solve must stop
+    # there, silently, not shrink its step against the overflow
+    calls = [0]
+
+    def lam_fn(s):
+        calls[0] += 1
+        return 10.0
+
+    r = Explicit(lambda_fn=lam_fn, mu_fn=lambda s: 1.0, rate_sup_fn=lambda a, b: 11.0)
+    with pytest.raises(NumericsError, match="float range"):
+        phi_y(r, 100.0)
+    assert calls[0] < 40_000
+    assert capfd.readouterr() == ("", "")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_engine_overflows_at_half_the_exponent_range():
     # the engine carries second moments ~ eta^2 = exp(2 L): with L = 9 t that
-    # is exp(540) at t = 30, while by t = 39 (exp(702)) the solve overflows
+    # is exp(540) at t = 30 and exp(702) ~ 1e305 at t = 39, both finite, while
+    # exp(720) at t = 40 exceeds the float range and the solve raises
     r = Explicit(lambda_fn=lambda s: 10.0, mu_fn=lambda s: 1.0, rate_sup_fn=lambda a, b: 11.0)
     assert math.isfinite(phi_y(r, 30.0))
     assert phi_y(r, 30.0) == pytest.approx(phi_y(Constant(lam=10.0, mu=1.0), 30.0), rel=1e-9)
     with pytest.raises(NumericsError):
-        phi_y(r, 39.0)
+        phi_y(r, 40.0)
 
 
 def test_eta_closed_overflow_is_inf():

@@ -52,3 +52,34 @@ def test_public_names_resolve_once_and_star_import_binds_exactly_them():
     namespace: dict = {}
     exec("from rumorbd import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(rumorbd.__all__)
+
+
+def _loads(tree, package):
+    """For each import in ``tree`` that loads ``package``, whether it sits
+    inside a function."""
+    in_function = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == package or name.startswith(package + ".") for name in names):
+            found.append(id(node) in in_function)
+    return found
+
+
+def test_only_the_ode_engine_imports_scipy_integrate_and_only_on_first_use():
+    """One numeric engine: ``_ode.py`` is the one module that integrates, and
+    it imports ``scipy.integrate`` inside a function so the package and CLI
+    start without it (see the cold-start test of the CLI)."""
+    loads = {path.name: _loads(ast.parse(path.read_text()), "scipy.integrate")
+             for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, found in loads.items() if found] == ["_ode.py"]
+    assert all(loads["_ode.py"])
