@@ -43,11 +43,9 @@ from .moments import MomentReport, crossing_time, moment_report
 from .oracle import GridMoments, StepControl, TruncatedGrid, moments_from_grid, solve_forward
 from .process import EnsembleStats, Event, Trajectory, ensemble, simulate
 from .proportional import (
-    PropMoments,
     absorption_prop,
     absorption_prop_limit,
     crossing_m_threshold,
-    moments_prop,
     p0k_limit_prop,
     pgf_prop,
 )
@@ -76,7 +74,7 @@ __all__ = [
     "big_m", "eta", "phi_x", "phi_y", "gamma",
     "pgf", "absorption_prob", "absorption_limit", "p0k_limit", "p01",
     "pgf_prop", "absorption_prop", "absorption_prop_limit", "p0k_limit_prop",
-    "crossing_m_threshold", "moments_prop", "PropMoments",
+    "crossing_m_threshold",
     "MomentReport", "moment_report", "crossing_time",
     "Gompertz", "GenGompertz", "Logistic", "ExtLogistic", "MultisigLogistic",
     "ModKorf", "Korf", "Mitscherlich", "FAMILIES", "CurveInducedMu",

@@ -22,9 +22,9 @@ anywhere downstream.
 The four kernels and :func:`one_minus_q_over_x` take a float or an array and
 evaluate elementwise, so a whole grid costs one call; a scalar returns a
 Python float, computed by the same code as the array elements, so scalar and
-grid values agree bit for bit.  Values past the overflow threshold are inf.
-Each kernel has a scalar log-domain companion, used when ``e^x`` would
-overflow the float range.
+grid values agree bit for bit.  Values past the overflow threshold are inf;
+ratios of kernels that stay finite where the kernels overflow are formed in
+:mod:`rumorbd.proportional`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import functools
 import math
 
 import numpy as np
-
-_LN2 = math.log(2.0)
 
 # exp overflows beyond ~709.78; every kernel reports inf from here on.
 _X_OVERFLOW = 709.0
@@ -120,47 +118,6 @@ def h3(x):
             np.inf,
             (np.expm1(2.0 * v) / (2.0 * v) - np.exp(v)) / (v * v),
         ),
-    )
-
-
-# ===== Log-domain companions ==================================================
-# Valid for x > 0; exact rearrangements, no asymptotic truncation.
-
-
-def log_f1(x: float) -> float:
-    """log f1(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError("log_f1 requires x > 0")
-    return x + math.log1p(-math.exp(-x)) - math.log(x)
-
-
-def log_f2(x: float) -> float:
-    """log f2(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError("log_f2 requires x > 0")
-    if x <= 40.0:
-        return math.log(f2(x))
-    # e^x - 1 - x = e^x (1 - (1+x) e^{-x}); the correction is < 2^-53 for x > 40
-    return x + math.log1p(-(1.0 + x) * math.exp(-x)) - 2.0 * math.log(x)
-
-
-def log_g4(x: float) -> float:
-    """log g4(x) for x > 0."""
-    return 2.0 * log_f1(x) - _LN2
-
-
-def log_h3(x: float) -> float:
-    """log h3(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError("log_h3 requires x > 0")
-    if x <= 45.0:
-        return math.log(h3(x))
-    # e^{2x} - 1 - 2x e^x = e^{2x} (1 - e^{-2x} - 2x e^{-x})
-    return (
-        2.0 * x
-        + math.log1p(-math.exp(-2.0 * x) - 2.0 * x * math.exp(-x))
-        - _LN2
-        - 3.0 * math.log(x)
     )
 
 

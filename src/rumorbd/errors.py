@@ -5,8 +5,8 @@ Three semantic classes, mapped to CLI exit codes by ``rumorbd.cli``:
 * :class:`DomainError`   -- a request outside the model's domain (bad parameters,
   preconditions violated).  CLI exit code 2.
 * :class:`NumericsError` -- a computation that cannot be completed to tolerance
-  (truncation leak too large, root bracketing failed, overflow without a
-  log-scaled escape hatch).  CLI exit code 3.
+  (truncation leak too large, root bracketing failed, an ODE state that left
+  the float range).  CLI exit code 3.
 * :class:`DataError`     -- malformed user-supplied data (CSV schema, grids,
   observation sequences).  CLI exit code 4.
 

@@ -87,21 +87,9 @@ def _corr_zero_limit(rates: RateFamily) -> float:
 # ===== Bundled report =========================================================
 
 
-def _assemble(
-    t, j: int, corr_is_limit, m_x, m_y, var_x, var_y, m2_y, m_xy, cov, corr, r_index
-) -> MomentReport:
-    """The report from its columns, adding fano and cv: floats for one time
-    ``t``, the columns themselves for a sequence of times."""
-    m_x, m_y, var_x, var_y = map(np.asarray, (m_x, m_y, var_x, var_y))
-    with np.errstate(all="ignore"):
-        fano_x = np.where(m_x > 0.0, var_x / m_x, 0.0)
-        cv_x = np.where(m_x > 0.0, np.sqrt(var_x) / m_x, 0.0)
-        fano_y = np.where(m_y > 0.0, var_y / m_y, 1.0)
-        cv_y = np.where(m_y > 0.0, np.sqrt(var_y) / m_y, math.inf)
-    columns = (
-        m_x, m_y, var_x, var_y, m2_y, m_xy, cov, corr,
-        fano_x, fano_y, cv_x, cv_y, r_index, corr_is_limit,
-    )
+def _assemble(t, j: int, *columns) -> MomentReport:
+    """The report from its columns, in field order after ``j``: floats for
+    one time ``t``, the columns themselves for a sequence of times."""
     if np.ndim(t) == 0:
         return MomentReport(t, j, *(np.asarray(c).item() for c in columns))
     return MomentReport(np.asarray(t, dtype=float), j, *map(np.asarray, columns))
@@ -111,16 +99,21 @@ def report_from_prop(rho: float, big_m_value, j: int, t) -> MomentReport:
     """Full moment report from the closed kernels.
 
     ``big_m_value`` is one cumulative intensity at time ``t``, or an array
-    of them paired with the sequence of times ``t``, giving columns.  Where
-    M = 0 the moments are exact, the correlation is reported as its limit
-    ``-1/sqrt(1 + rho)`` and ``r`` is the evaluator's ``(j - 1)/j``.
+    of them paired with the sequence of times ``t``, giving columns.  The
+    dispersion columns are the evaluator's kernel ratios (see
+    :mod:`rumorbd.proportional` for where they stay finite); a raw moment
+    past the float range reads +inf.
+    Where M = 0 the moments are exact, the correlation is reported as its
+    limit ``-1/sqrt(1 + rho)``, ``fano_y`` is 1, ``cv_y`` is inf and ``r``
+    is the evaluator's ``(j - 1)/j``.
     """
     f = prop._forms(rho, big_m_value, j)
     at_zero = f.m == 0.0
     with np.errstate(all="ignore"):
         return _assemble(
-            t, j, at_zero, f.m_x, f.m_y, f.var_x, f.var_y, f.m2_y, f.m_xy, f.cov,
-            np.where(at_zero, -1.0 / math.sqrt(1.0 + rho), f.corr), f.r_index,
+            t, j, f.m_x, f.m_y, f.var_x, f.var_y, f.m2_y, f.m_xy, f.cov,
+            np.where(at_zero, -1.0 / math.sqrt(1.0 + rho), f.corr),
+            f.fano_x, f.fano_y, f.cv_x, f.cv_y, f.r_index, at_zero,
         )
 
 
@@ -130,12 +123,20 @@ def _ode_report(rates: RateFamily, j: int, t) -> MomentReport:
     vy = prop.clamp_variance(m2y - my * my, m2y, _VAR_LOST)
     cov = mxy - mx * my
     limit = ~((vx > 0.0) & (vy > 0.0))
+    # the solve raises before its state overflows, so ratios of the raw
+    # moments are safe here
     with np.errstate(all="ignore"):
         corr = cov / (np.sqrt(vx) * np.sqrt(vy))
         r = np.where(my > 0.0, mxy / (mx * my), (j - 1) / j)
+        fano_x = np.where(mx > 0.0, vx / mx, 0.0)
+        cv_x = np.where(mx > 0.0, np.sqrt(vx) / mx, 0.0)
+        fano_y = np.where(my > 0.0, vy / my, 1.0)
+        cv_y = np.where(my > 0.0, np.sqrt(vy) / my, math.inf)
     if limit.any():
         corr = np.where(limit, _corr_zero_limit(rates), corr)
-    return _assemble(t, j, limit, mx, my, vx, vy, m2y, mxy, cov, corr, r)
+    return _assemble(
+        t, j, mx, my, vx, vy, m2y, mxy, cov, corr, fano_x, fano_y, cv_x, cv_y, r, limit
+    )
 
 
 def moment_report(rates: RateFamily, j: int, t, method: str = "auto") -> MomentReport:

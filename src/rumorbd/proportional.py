@@ -19,6 +19,20 @@ with ``G1 = M f1(x)``, ``G2 = rho M^2 f2(x)``, ``G3 = rho M^3 h3(x)``,
 ``G4 = M^2 g4(x)``.  The balanced case ``rho = 1`` is the point ``x = 0`` of
 the same formulas — no separate branch exists anywhere in this module.
 
+The dispersion columns are ratios of kernels, never ratios of raw moments,
+so ``corr`` and ``cv_*`` are finite wherever their true value is, however
+far ``e^x`` or the powers of ``M`` are past the float range (``fano_*`` up
+to x = 709, where the kernels report inf)::
+
+    fano_X = (rho + 1) M f1(x)
+    cv_X^2 = (rho + 1) M f1(-x) / j            # f1(x) e^{-x} = f1(-x)
+    fano_Y = 1 + G1 (w - 1),    cv_Y^2 = (1/G1 + w - 1) / j
+    corr   = (r - 1) / (cv_X cv_Y)             # Cov = m_X m_Y (r - 1)
+    r - 1  = (2 rho M (1 - x/(e^x - 1))/x - 1) / j
+
+with ``w = 4 G3/G1^2 = 4 rho M h3(x)/f1(x)^2``.  A raw moment past the
+float range reads +inf, never NaN.
+
 The p.g.f. and absorption functionals are the constant-rate ones under the
 substitution ``lam t -> rho M``, ``mu t -> M``; they are implemented here
 independently in ``(rho, M)`` variables (the constant-rate module serves as a
@@ -26,8 +40,9 @@ cross-check, not as a backend).
 
 One evaluator, ``_ClosedForms``, computes each of these forms once over a
 float or an array of ``M``: :func:`rumorbd.moments.report_from_prop` reads the
-moments from it, and the closed route of the :mod:`rumorbd.rates` transforms
-reads ``eta``, ``phi_x``, ``phi_y`` and ``gamma``.  :func:`absorption_prop`
+moments and the dispersion columns from it, and the closed route of the
+:mod:`rumorbd.rates` transforms reads ``eta``, ``phi_x``, ``phi_y`` and
+``gamma``.  :func:`absorption_prop`
 takes ``M`` as a float or an array; a float gives a float, computed by the
 same code as an array element.
 """
@@ -35,7 +50,6 @@ same code as an array element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -45,10 +59,6 @@ from ._kernels import (
     f2,
     g4,
     h3,
-    log_f1,
-    log_f2,
-    log_g4,
-    log_h3,
     float_or_array,
     one_minus_q_over_x,
 )
@@ -57,7 +67,6 @@ from .errors import (
 )
 
 _CONFLUENT_REL_DISC = 1e-18
-_LINEAR_LIMIT = 1e300
 
 
 _check_rho = partial(check_positive, "rate ratio rho")
@@ -151,43 +160,80 @@ class _ClosedForms:
     def __init__(self, rho: float, m: np.ndarray, j: int) -> None:
         self.rho, self.m, self.j, self.x = rho, m, j, (rho - 1.0) * m
 
-    eta = cached_property(lambda s: np.where(s.x < 709.0, np.exp(s.x), np.inf))
+    eta = cached_property(lambda s: np.exp(s.x))
     k1 = cached_property(lambda s: f1(s.x))
-    phi_x = cached_property(lambda s: s.rho * s.m * f1(-s.x))
+    k1_neg = cached_property(lambda s: f1(-s.x))
+    phi_x = cached_property(lambda s: s.rho * s.m * s.k1_neg)
     phi_y = cached_property(lambda s: s.rho * s.m * s.k1)
     G1 = cached_property(lambda s: s.m * s.k1)
     G2 = cached_property(lambda s: s.rho * s.m * s.m * f2(s.x))
-    G3 = cached_property(lambda s: s.rho * s.m * s.m * s.m * h3(s.x))
+    k3 = cached_property(lambda s: h3(s.x))
+    G3 = cached_property(lambda s: s.rho * s.m * s.m * s.m * s.k3)
     G4 = cached_property(lambda s: s.m * s.m * g4(s.x))
     m_x = cached_property(lambda s: s.j * s.eta)
     var_x = cached_property(lambda s: s.j * (s.rho + 1.0) * s.eta * s.m * s.k1)
     m_y = cached_property(lambda s: s.j * s.m * s.k1)
-    m2_y = cached_property(lambda s: s.j * (s.G1 + 4.0 * s.G3 + 2.0 * (s.j - 1) * s.G4))
-    gamma = cached_property(lambda s: (s.j - 1) * s.G1 + 2.0 * s.G2)
+    # the (j - 1) terms pair two spreaders: with one spreader they are 0,
+    # not 0 * inf = NaN where G1 or G4 overflowed
+    m2_y = cached_property(
+        lambda s: s.j * (s.G1 + 4.0 * s.G3 + 2.0 * (s.j - 1) * np.where(s.j > 1, s.G4, 0.0))
+    )
+    gamma = cached_property(lambda s: (s.j - 1) * np.where(s.j > 1, s.G1, 0.0) + 2.0 * s.G2)
     m_xy = cached_property(lambda s: s.m_x * s.gamma)
-    cov = cached_property(lambda s: s.m_x * (s.gamma - s.m_y))
 
     @cached_property
     def var_y(self):
         # m2_Y - m_Y^2 can dip a few ulp below zero near M = 0 (clamped);
-        # below -1e-12 relative to m2_Y the assembly has genuinely failed
-        return clamp_variance(
+        # below -1e-12 relative to m2_Y the assembly has genuinely failed.
+        # Where m2_Y overflowed, m_Y^2 cv_Y^2 instead of inf - inf.
+        v = clamp_variance(
             self.m2_y - self.m_y * self.m_y, self.m2_y,
             "second-moment assembly lost all precision (Var_Y = {})",
         )
+        return np.where(np.isfinite(self.m2_y), v, self.m_y * (self.m_y * self.cv2_y))
 
     @cached_property
-    def corr(self):
-        vx, vy = self.var_x, self.var_y
-        corr = self.cov / (np.sqrt(vx) * np.sqrt(vy))
-        return np.where((vx > 0.0) & (vy > 0.0), corr, np.nan)
+    def cov(self):
+        # m_X m_Y (r - 1) where m_X (gamma - m_Y) overflowed, or met inf - inf
+        c = self.m_x * (self.gamma - self.m_y)
+        return np.where(np.isfinite(c), c, self.m_x * (self.m_y * self.r_excess))
+
+    @cached_property
+    def w(self):
+        # 4 G3/G1^2 = 4 rho M h3/f1^2; past x = 350, where h3 nears overflow,
+        # h3/f1^2 = (1 - e^{-2x} - 2x e^{-x}) / (2x (1 - e^{-x})^2) is 1/(2x)
+        # to within 2x e^{-x}
+        ratio = np.where(self.x > 350.0, 0.5 / self.x, self.k3 / (self.k1 * self.k1))
+        return 4.0 * self.rho * self.m * ratio
+
+    fano_x = cached_property(lambda s: (s.rho + 1.0) * s.m * s.k1)
+    fano_y = cached_property(lambda s: 1.0 + s.G1 * (s.w - 1.0))
+    cv2_y = cached_property(lambda s: (1.0 / s.G1 + s.w - 1.0) / s.j)
+    cv_y = cached_property(lambda s: np.sqrt(s.cv2_y))
+
+    @cached_property
+    def cv_x(self):
+        # below x = 0, f1(-x) grows like e^{-x} and overflows long before
+        # cv_X does: there the root is taken before the exponential,
+        # cv_X = e^{-x/4} sqrt(fano_X/j) e^{-x/4}
+        quarter = np.exp(-0.25 * self.x)
+        return np.where(
+            self.x < 0.0,
+            quarter * np.sqrt(self.fano_x / self.j) * quarter,
+            np.sqrt((self.rho + 1.0) * self.m * self.k1_neg / self.j),
+        )
+
+    corr = cached_property(lambda s: s.r_excess / s.cv_y / s.cv_x)
+
+    q = cached_property(lambda s: one_minus_q_over_x(s.x))
+    # r - 1 = (2 rho M q - 1)/j, without the rounding of r near its crossing of 1
+    r_excess = cached_property(lambda s: (2.0 * s.rho * s.m * s.q - 1.0) / s.j)
 
     @cached_property
     def r_index(self):
         # gamma/m_Y in the cancellation-free ratio form: (j - 1)/j at M = 0
         # (the kernel's 1/2 meets M = 0) and exact for M as large as 1e3
-        second = (2.0 * self.rho * self.m / self.j) * one_minus_q_over_x(self.x)
-        return (self.j - 1.0) / self.j + second
+        return (self.j - 1.0) / self.j + (2.0 * self.rho * self.m / self.j) * self.q
 
     @cached_property
     def absorption(self):
@@ -230,79 +276,3 @@ def crossing_m_threshold(rho: float) -> float:
     if rho == 1.0:
         return 1.0
     return -math.log1p(1.0 - rho) / (rho - 1.0)
-
-
-# ===== Bundled reports ========================================================
-
-
-@dataclass(frozen=True)
-class PropMoments:
-    """Moment bundle for the proportional family at one cumulative intensity.
-
-    When ``log_scale`` is True every field except ``r_index`` carries the
-    natural logarithm of the quantity (triggered when any value would exceed
-    1e300 in linear scale).
-    """
-
-    rho: float
-    big_m: float
-    j: int
-    m_x: float
-    var_x: float
-    m_y: float
-    m2_y: float
-    m_xy: float
-    r_index: float
-    log_scale: bool
-
-
-def _logsumexp(terms: list[float]) -> float:
-    top = max(terms)
-    if math.isinf(top):
-        return top
-    return top + math.log(sum(math.exp(v - top) for v in terms))
-
-
-def moments_prop(rho: float, big_m_value: float, j: int) -> PropMoments:
-    """Closed-form moments at cumulative intensity M, overflow-safe.
-
-    Linear-scale values are returned whenever they all fit below 1e300;
-    otherwise the computation is redone in the log domain and the report is
-    flagged ``log_scale=True``.
-    """
-    forms = _forms(rho, big_m_value, j)
-    r_val = float_or_array(getattr, forms, "r_index")
-
-    x = (rho - 1.0) * big_m_value
-    if x < 650.0:  # linear attempt is safe to evaluate (no inf intermediates)
-        names = ("m_x", "var_x", "m_y", "m2_y", "m_xy")
-        vals = tuple(float_or_array(getattr, forms, name) for name in names)
-        if all(math.isfinite(v) and abs(v) <= _LINEAR_LIMIT for v in vals):
-            return PropMoments(rho, big_m_value, j, *vals, r_val, False)
-
-    # Log-domain assembly (requires x > 0, which is how overflow arises).
-    if x <= 0.0:
-        raise NumericsError(
-            "moment overflow without growth: inconsistent inputs "
-            f"(rho={rho}, M={big_m_value})"
-        )
-    lj = math.log(j)
-    lm = math.log(big_m_value)
-    log_m_x = lj + x
-    log_var_x = lj + math.log(rho + 1.0) + x + lm + log_f1(x)
-    log_m_y = lj + lm + log_f1(x)
-    m2_terms = [
-        lj + lm + log_f1(x),
-        math.log(4.0) + lj + math.log(rho) + 3.0 * lm + log_h3(x),
-    ]
-    if j > 1:
-        m2_terms.append(math.log(2.0) + lj + math.log(j - 1.0) + 2.0 * lm + log_g4(x))
-    log_m2_y = _logsumexp(m2_terms)
-    gamma_terms = [math.log(2.0) + math.log(rho) + 2.0 * lm + log_f2(x)]
-    if j > 1:
-        gamma_terms.append(math.log(j - 1.0) + lm + log_f1(x))
-    log_m_xy = log_m_x + _logsumexp(gamma_terms)
-    return PropMoments(
-        rho, big_m_value, j, log_m_x, log_var_x, log_m_y, log_m2_y, log_m_xy,
-        r_val, True,
-    )

@@ -14,6 +14,7 @@ an independent route to every proportional-case moment.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 
 # ===== Time-homogeneous moment displays =======================================
@@ -238,3 +239,38 @@ def crossing_korf(alpha, beta, rho):
 
 def crossing_mitscherlich(alpha, beta, j, rho):
     return math.log(beta * (2.0 - rho) / (beta * (2.0 - rho) - j)) / alpha
+
+
+# ===== Dispersion columns in 60-digit decimal =================================
+
+
+def dispersion_decimal(rho: float, m: float, j: int) -> dict:
+    """The raw moments and ``fano_*``, ``cv_*``, ``corr`` of the chain at rates
+    (lam, mu) = (rho, 1) and time M > 0: the displays above in 60-digit
+    decimal arithmetic, whose exponent range holds e^x for any x used here,
+    each rounded once to a float (+inf past the float range)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam, t, one = Decimal(rho), Decimal(m), Decimal(1)
+        if rho == 1.0:
+            mx, vx, my = Decimal(j), 2 * j * t, j * t
+            vy = j * t * (1 - t + 2 * t * t / 3)
+            mxy = j * t * (j + t - 1)
+        else:
+            d = lam - one
+            e = (d * t).exp()
+            e2 = e * e
+            mx = j * e
+            vx = j * (lam + 1) / d * e * (e - 1)
+            my = j * (e - 1) / d
+            vy = j / d**3 * (
+                -lam * (lam + 1) + e2 * (lam + 1) + e * (1 - lam) * (lam * (4 * t - 1) - 1)
+            )
+            mxy = j * e / (1 - lam) * (2 * lam * t - (e - 1) * (lam + j * lam + 1 - j) / d)
+        cov = mxy - mx * my
+        exact = {
+            "m_x": mx, "var_x": vx, "m_y": my, "var_y": vy, "m2_y": vy + my * my,
+            "m_xy": mxy, "cov": cov, "corr": cov / (vx * vy).sqrt(),
+            "fano_x": vx / mx, "fano_y": vy / my, "cv_x": vx.sqrt() / mx, "cv_y": vy.sqrt() / my,
+        }
+        return {name: float(value) for name, value in exact.items()}

@@ -439,6 +439,26 @@ _MOMENT_HEADER = [
 ]
 
 
+def test_moments_csv_has_no_nan_past_the_float_range(capsys):
+    # rows at t = 480 and 640 put Var_Y and the second moments past the
+    # float range; the ratio columns stay at their finite values
+    rc, out, err = _run(capsys, ["moments", "--rates", "constant:2,1", "--j", "1",
+                                 "--grid", "0:800:5"])
+    assert rc == 0 and err == ""
+    _, header, rows = _rows(out)
+    assert [row[0] for row in rows] == ["0", "160", "320", "480", "640"]
+    assert not any(cell == "nan" for row in rows for cell in row)
+    for row in rows[1:]:
+        assert row[header.index("cv_x")] == row[header.index("cv_y")] == "1.73205080757"
+    # subcritical: m_X underflows at t = 1600, Fano_X is still 3
+    rc, out, err = _run(capsys, ["moments", "--rates", "constant:0.5,1", "--j", "2",
+                                 "--grid", "0:3200:2"])
+    assert rc == 0 and err == ""
+    _, header, rows = _rows(out)
+    assert rows[1][0] == "1600" and rows[1][header.index("fano_x")] == "3"
+    assert not any(cell == "nan" for row in rows for cell in row)
+
+
 @pytest.mark.parametrize("method", ["closed", "ode"])
 def test_moments_csv_is_the_report_to_12_digits(capsys, method):
     spec = json.dumps({"kind": "proportional", "rho": 1.5,

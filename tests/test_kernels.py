@@ -1,4 +1,4 @@
-"""Stable exponential kernels: series/direct agreement, limits, log companions."""
+"""Stable exponential kernels: series/direct agreement, limits."""
 
 import math
 import struct
@@ -14,10 +14,6 @@ from rumorbd._kernels import (
     f2,
     g4,
     h3,
-    log_f1,
-    log_f2,
-    log_g4,
-    log_h3,
     one_minus_q_over_x,
 )
 
@@ -76,24 +72,6 @@ def test_series_region_accuracy_f2(x):
         pw *= x
         fact *= m + 3
     assert f2(x) == pytest.approx(acc, rel=1e-14, abs=1e-300)
-
-
-@given(st.floats(min_value=1e-3, max_value=700.0, allow_nan=False))
-def test_log_companions_match_linear(x):
-    assert log_f1(x) == pytest.approx(math.log(f1(x)), rel=1e-12)
-    assert log_f2(x) == pytest.approx(math.log(f2(x)), rel=1e-12)
-    if x < 350.0:  # the squared/doubled linear forms overflow beyond here
-        assert log_g4(x) == pytest.approx(math.log(g4(x)), rel=1e-12)
-        assert log_h3(x) == pytest.approx(math.log(h3(x)), rel=1e-12)
-
-
-def test_log_companions_huge_argument():
-    # far beyond exp overflow the log forms must still be finite and ordered
-    x = 5000.0
-    assert log_f1(x) == pytest.approx(x - math.log(x), rel=1e-12)
-    assert log_f2(x) == pytest.approx(x - 2.0 * math.log(x), rel=1e-12)
-    assert log_g4(x) == pytest.approx(2.0 * log_f1(x) - math.log(2.0), rel=1e-15)
-    assert log_h3(x) == pytest.approx(2.0 * x - math.log(2.0) - 3.0 * math.log(x), rel=1e-12)
 
 
 def test_g4_is_half_f1_squared():

@@ -18,13 +18,11 @@ from hypothesis import strategies as st
 import _closed_forms as cf
 from rumorbd import DomainError, NumericsError, proportional
 from rumorbd.homogeneous import p0k_limit, pgf
-from rumorbd.moments import report_from_prop
+from rumorbd.moments import MomentReport, report_from_prop
 from rumorbd.proportional import (
-    PropMoments,
     absorption_prop,
     absorption_prop_limit,
     crossing_m_threshold,
-    moments_prop,
     p0k_limit_prop,
     pgf_prop,
 )
@@ -152,7 +150,7 @@ def test_var_y_nonnegative_property(rho, m, j):
 def test_r_index_at_zero_intensity():
     for j, want in ((1, 0.0), (2, 0.5), (5, 0.8)):
         assert _report(1.7, 0.0, j).r_index == pytest.approx(want, abs=1e-15)
-        assert moments_prop(1.7, 0.0, j).r_index == pytest.approx(want, abs=1e-15)
+        assert _report(1.7, np.zeros(1), j).r_index[0] == pytest.approx(want, abs=1e-15)
 
 
 def test_r_index_supercritical_asymptote():
@@ -302,75 +300,68 @@ def test_var_y_raises_when_any_element_loses_precision(monkeypatch):
     assert _report(2.0, 0.5, 2).var_y > 0.0
 
 
-# ===== bundled report =========================================================
+# ===== report columns against a 60-digit transcription =======================
+
+_RAW_COLUMNS = ("m_x", "var_x", "m_y", "var_y", "m2_y", "m_xy", "cov")
+_RATIO_COLUMNS = ("corr", "fano_x", "fano_y", "cv_x", "cv_y")
+# M > 0 up to 1e4, across every overflow point of rho = 2 (x = M: the second
+# moments near 355, e^x near 710) and of rho = 0.5 (x = -M/2: e^{-x} near
+# M = 1420, cv_X near M = 2840)
+_DECIMAL_MS = [
+    1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 354.0, 354.6, 356.0,
+    360.0, 700.0, 709.5, 712.0, 720.0, 1000.0, 1419.0, 1440.0, 2838.0, 2845.0, 3000.0, 1e4,
+]
 
 
-@given(
-    st.floats(min_value=0.2, max_value=3.0),
-    st.floats(min_value=0.0, max_value=20.0),
-    st.integers(min_value=1, max_value=6),
-)
-def test_moments_report_linear_fields_match_functions(rho, m, j):
-    rep = moments_prop(rho, m, j)
-    assert not rep.log_scale
-    report = _report(rho, m, j)
-    assert rep.m_x == report.m_x
-    assert rep.var_x == report.var_x
-    assert rep.m_y == report.m_y
-    assert rep.m2_y == report.m2_y
-    assert rep.m_xy == report.m_xy
-    assert rep.r_index == report.r_index
-    assert (rep.rho, rep.big_m, rep.j) == (rho, m, j)
+def _assert_matches_decimal(rep, rho, m, j):
+    """Each column within 1e-12 of the 60-digit value rounded once; a value
+    below 1e-300 may underflow.  A ratio column reads inf exactly where that
+    value is past the float range.  A raw moment reads inf there too; on
+    this grid it may also read inf within a factor 20 below the float
+    maximum, since the kernels report inf from x = 709 on, short of e^x's
+    own limit near 709.78."""
+    want = cf.dispersion_decimal(rho, m, j)
+    for name in _RAW_COLUMNS + _RATIO_COLUMNS:
+        got, close = getattr(rep, name), pytest.approx(want[name], rel=1e-12, abs=1e-300)
+        early_inf = name in _RAW_COLUMNS and got == math.inf and want[name] > 1e307
+        assert got == close or early_inf, (rho, m, j, name)
 
 
-def test_moments_report_log_scale_against_transcribed_log_forms():
-    """Huge-intensity report vs the naive formulas taken to the log domain."""
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("j", [1, 3])
+def test_report_columns_against_60_digit_decimal(rho, j):
+    for m in _DECIMAL_MS:
+        _assert_matches_decimal(_report(rho, m, j), rho, m, j)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("j", [1, 3])
+def test_closed_report_has_no_nan_and_documented_zero_limits(rho, j):
+    ms = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 400)))
+    rep = _report(rho, ms, j)
+    for name in MomentReport.__slots__:
+        assert not np.isnan(np.asarray(getattr(rep, name), dtype=float)).any(), name
+    assert rep.corr[0] == -1.0 / math.sqrt(1.0 + rho) and rep.corr_is_limit[0]
+    assert not rep.corr_is_limit[1:].any()
+    assert (rep.fano_y[0], rep.cv_y[0], rep.fano_x[0], rep.cv_x[0]) == (1.0, math.inf, 0.0, 0.0)
+
+
+def test_moments_report_at_huge_intensity_against_decimal():
+    """Past e^{2x} overflow the dispersion columns stay finite: rho = 2.5, x = 700."""
     rho, m, j = 2.5, 700.0 / 1.5, 3
-    x = (rho - 1.0) * m
-    rep = moments_prop(rho, m, j)
-    assert rep.log_scale
-
-    lr1 = math.log(rho - 1.0)
-    # m_X = j e^x
-    assert rep.m_x == pytest.approx(math.log(j) + x, rel=1e-13)
-    # m_Y = j (e^x - 1)/(rho - 1)
-    log_m_y = math.log(j) + x + math.log1p(-math.exp(-x)) - lr1
-    assert rep.m_y == pytest.approx(log_m_y, rel=1e-13)
-    # Var_X = j (rho + 1) e^x (e^x - 1)/(rho - 1)
-    log_var_x = math.log(j * (rho + 1.0)) + 2.0 * x + math.log1p(-math.exp(-x)) - lr1
-    assert rep.var_x == pytest.approx(log_var_x, rel=1e-13)
-    # G-blocks in the log domain, naive algebra
-    log_g1 = x + math.log1p(-math.exp(-x)) - lr1
-    log_g2 = math.log(rho) + x + math.log1p(-(1.0 + x) * math.exp(-x)) - 2.0 * lr1
-    log_g3 = (
-        math.log(rho)
-        + 2.0 * x
-        + math.log1p(-math.exp(-2.0 * x) - 2.0 * x * math.exp(-x))
-        - math.log(2.0)
-        - 3.0 * lr1
-    )
-    log_g4 = 2.0 * x + 2.0 * math.log1p(-math.exp(-x)) - math.log(2.0) - 2.0 * lr1
-
-    def lse(terms):
-        top = max(terms)
-        return top + math.log(sum(math.exp(v - top) for v in terms))
-
-    log_m2_y = math.log(j) + lse(
-        [log_g1, math.log(4.0) + log_g3, math.log(2.0 * (j - 1)) + log_g4]
-    )
-    assert rep.m2_y == pytest.approx(log_m2_y, rel=1e-13)
-    log_m_xy = (math.log(j) + x) + lse(
-        [math.log(j - 1.0) + log_g1, math.log(2.0) + log_g2]
-    )
-    assert rep.m_xy == pytest.approx(log_m_xy, rel=1e-13)
-    # the dispersion index never leaves linear scale
+    rep = _report(rho, m, j)
+    _assert_matches_decimal(rep, rho, m, j)
+    assert rep.var_x == rep.var_y == rep.m2_y == rep.cov == math.inf
+    assert math.isfinite(rep.fano_x) and math.isfinite(rep.fano_y)
     assert rep.r_index == pytest.approx(1.0 + (rho + 1.0) / (j * (rho - 1.0)), rel=1e-12)
 
 
-def test_moments_report_polynomial_overflow_without_growth_raises():
-    # rho = 1 keeps x = 0 while M^3 overflows the linear budget: no log rescue
-    with pytest.raises(NumericsError):
-        moments_prop(1.0, 1e101, 1)
+def test_moments_report_balanced_huge_intensity_corr_is_sqrt3_over_2():
+    # rho = 1 keeps x = 0 while M^3 overflows: Var_Y is inf, the ratios are not
+    rep = _report(1.0, 1e103, 1)
+    _assert_matches_decimal(rep, 1.0, 1e103, 1)
+    assert rep.corr == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
+    assert rep.var_y == math.inf and not rep.corr_is_limit
 
 
 def test_corr_nan_at_zero_intensity():
@@ -401,11 +392,11 @@ def test_domain_checks():
     with pytest.raises(DomainError):
         pgf_prop(2.0, 1.0, 1, 1.2, 0.5)
     with pytest.raises(DomainError):
-        moments_prop(math.nan, 1.0, 1)
+        _report(math.nan, 1.0, 1)
 
 
 def test_report_is_frozen():
-    rep = moments_prop(2.0, 1.0, 1)
-    assert isinstance(rep, PropMoments)
+    rep = _report(2.0, 1.0, 1)
+    assert isinstance(rep, MomentReport)
     with pytest.raises(Exception):
         rep.m_x = 0.0

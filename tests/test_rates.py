@@ -1,6 +1,7 @@
 """Rate families, their integral transforms, and config parsing."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rumorbd import DataError, DomainError, NumericsError
+from rumorbd.moments import moment_report
 from rumorbd.rates import (
     Constant,
     ConstantMu,
@@ -236,6 +238,17 @@ def test_transforms_at_time_zero():
     assert phi_x(r, 0.0) == 0.0
     assert phi_y(r, 0.0) == 0.0
     assert gamma(r, 3, 0.0) == 0.0
+
+
+def test_single_spreader_pair_terms_overflow_to_inf_not_nan():
+    # the (j - 1) terms of gamma and m2_Y vanish at j = 1 even where G1
+    # (x > 709) or G4 (x > ~355) overflowed: 0 * inf would be NaN
+    r = Constant(lam=2.0, mu=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma(r, 1, 720.0) == gamma(r, 2, 720.0) == math.inf
+        for t in (360.0, 720.0):
+            assert moment_report(r, 1, t).m2_y == math.inf
 
 
 def test_transform_method_dispatch_errors():

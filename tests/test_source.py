@@ -26,9 +26,10 @@ def _references(tree):
 
 
 def test_every_private_module_level_name_is_used_elsewhere_in_src():
-    """A private function, class or constant of a module must be named
-    somewhere in ``src/`` besides its own definition: one that is not is a
-    leftover."""
+    """A private function, class or constant of a module, and every
+    module-level name of a private module (``_kernels``, ``_ode``), must be
+    named somewhere in ``src/`` besides its own definition: one that is not
+    is a leftover."""
     trees = [(path.name, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
     total = sum((_references(tree) for _, tree in trees), Counter())
     unused = [
@@ -36,7 +37,7 @@ def test_every_private_module_level_name_is_used_elsewhere_in_src():
         for module, tree in trees
         for node in tree.body
         for name in _defined(node)
-        if name.startswith("_") and not name.endswith("__")
+        if (name.startswith("_") or module.startswith("_")) and not name.endswith("__")
         and total[name] == _references(node)[name]
     ]
     assert not unused
