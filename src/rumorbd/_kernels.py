@@ -22,9 +22,10 @@ anywhere downstream.
 The four kernels and :func:`one_minus_q_over_x` take a float or an array and
 evaluate elementwise, so a whole grid costs one call; a scalar returns a
 Python float, computed by the same code as the array elements, so scalar and
-grid values agree bit for bit.  Values past the overflow threshold are inf;
-ratios of kernels that stay finite where the kernels overflow are formed in
-:mod:`rumorbd.proportional`.
+grid values agree bit for bit.  Past x = 709 e^x is split into finite
+factors, dropping terms below 1e-150 relative, so a kernel reads inf only past
+the float range (f1 from x ~ 716, f2 ~ 723, h3 ~ 364).  Ratios of kernels that
+stay finite where the kernels overflow are formed in :mod:`rumorbd.proportional`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 
 import numpy as np
 
-# exp overflows beyond ~709.78; every kernel reports inf from here on.
+# exp overflows beyond ~709.78; from here on the kernels split e^x in two.
 _X_OVERFLOW = 709.0
 
 # Maclaurin series are used inside this radius; ~30 terms reach machine
@@ -86,7 +87,8 @@ def _split(x: np.ndarray, near, far) -> np.ndarray:
 @elementwise
 def f1(x):
     """(e^x - 1)/x with the removable singularity filled in."""
-    out = np.where(x > _X_OVERFLOW, np.inf, np.expm1(x) / x)
+    half = np.exp(0.5 * x)
+    out = np.where(x > _X_OVERFLOW, half / x * half, np.expm1(x) / x)
     return np.where(x == 0.0, 1.0, out)
 
 
@@ -96,7 +98,8 @@ def f2(x):
     return _split(
         x,
         functools.partial(np.polyval, _F2_SERIES),
-        lambda v: np.where(v > _X_OVERFLOW, np.inf, (np.expm1(v) - v) / (v * v)),
+        lambda v: np.where(v > _X_OVERFLOW, np.square(np.exp(0.5 * v) / v),
+                           (np.expm1(v) - v) / (v * v)),
     )
 
 
@@ -115,7 +118,7 @@ def h3(x):
         functools.partial(np.polyval, _H3_SERIES),
         lambda v: np.where(
             2.0 * v > _X_OVERFLOW,
-            np.inf,
+            np.exp(v) / v * (np.exp(v) / (2.0 * v * v)),  # (e^x/x)^2/(2x), no early overflow
             (np.expm1(2.0 * v) / (2.0 * v) - np.exp(v)) / (v * v),
         ),
     )

@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=int,
         help="evaluations per restart, and per j tried with --estimate-j: residual "
-        "vectors, Jacobian columns included, for MSE; objective values for RAE",
+        "vectors, Jacobian columns included; RAE gives the restarts half and "
+        "its Nelder-Mead polish what they leave",
     )
     p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=int)

@@ -4,11 +4,12 @@ model selection, and inactive-mean reconstruction.
 Fitting minimizes MSE or RAE over each family's parameter box from
 Latin-hypercube starts, on one fit problem (:class:`_Problem`): one box in
 one set of search coordinates, positive parameters in log scale, and one
-batched evaluator of the residuals y - m(t).  MSE is minimized as bounded
-least squares by a Levenberg-Marquardt written in numpy
-(:func:`_lockstep_lm`) that runs all restarts of a family in lockstep; RAE
-is not smooth, so it keeps scipy's Nelder-Mead, one restart after another,
-and only RAE fits import scipy.optimize.  The initial spreader count j is
+batched evaluator of the residuals y - m(t).  Both criteria run one
+multi-start search, bounded least squares by a Levenberg-Marquardt written
+in numpy (:func:`_lockstep_lm`) that runs all restarts of a family in
+lockstep.  MSE is that search; RAE is not smooth, so it then runs one scipy
+Nelder-Mead from the best point the search met, and only RAE fits import
+scipy.optimize.  The initial spreader count j is
 pinned to the first observation by default — the model requires X(0) = j
 and the series starts at the first post — or, with ``estimate_j``, profiled
 over the integers (:func:`_profile_argmin`).  The rate ratio rho is never
@@ -218,9 +219,9 @@ def minimize(fun, x0, method: str, **kwargs):
 
     ``method="lm"`` runs :func:`_lockstep_lm` on every row of ``x0`` at once,
     ``fun`` mapping a matrix of points to a matrix of residual rows.  Any other
-    method is one ``scipy.optimize.minimize`` run from ``x0``, imported on first
-    use: scipy.optimize takes longer to import than all of rumorbd, and only
-    RAE fits need it.
+    method is one ``scipy.optimize.minimize`` run from ``x0`` (the RAE
+    polish), imported on first use: scipy.optimize takes longer to import
+    than all of rumorbd, and only RAE fits need it.
     """
     if method == "lm":
         return _lockstep_lm(fun, x0, **kwargs)
@@ -286,8 +287,9 @@ def fit_one(
 ) -> FitResult:
     """Multi-start fit of one family; ``budget`` caps the evaluations per restart.
 
-    MSE restarts run bounded least squares, all of them in lockstep; RAE
-    restarts run Nelder-Mead one after another (:meth:`_Problem.fit`).
+    The restarts run bounded least squares, all of them in lockstep; an RAE
+    fit gives them half its budget and polishes the best point with one
+    Nelder-Mead run on the rest (:meth:`_Problem.search`).
     The multisigmoidal family gets one extra restart at the plain-logistic
     optimum: ``logistic`` when given (as :func:`select_model` does), else a
     logistic fit with the same settings.  ``message`` names the parameters
@@ -377,7 +379,7 @@ _THETA = 0.995  # least share of the way to its bound a truncated coordinate goe
 # A residual row with any |entry| at or above this cap, NaN, or a carrying
 # capacity not above j is replaced by a constant finite fill: curves near
 # overflow give finite residuals near 1e200, whose squares overflow r.r, and
-# Nelder-Mead meets a finite plateau there, not inf - inf in its stopping test.
+# the RAE polish meets a finite plateau there, not inf - inf.
 _RESIDUAL_CAP = 1e50
 _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS**0.5
@@ -406,6 +408,8 @@ class _Restart(NamedTuple):
 class _Lockstep(NamedTuple):
     """What :func:`_lockstep_lm` returns: one row per start."""
 
+    x0: np.ndarray  # (n, d) the starts as evaluated, moved inside the box
+    fun0: np.ndarray  # (n, m) residuals there
     x: np.ndarray  # (n, d) final points
     fun: np.ndarray  # (n, m) residuals there
     nfev: np.ndarray  # (n,) residual evaluations, Jacobian columns included
@@ -462,11 +466,12 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     A damping that overflows gives a zero step, which ends the row on xtol.
     """
     inset = 1e-10 * np.maximum(1.0, np.abs([lower, upper]))
-    z = np.clip(np.array(x0, dtype=float), lower + inset[0], upper - inset[1])
+    z0 = np.clip(np.array(x0, dtype=float), lower + inset[0], upper - inset[1])
     inside = np.nextafter([lower, upper], [upper, lower])
-    n, d = z.shape
+    n, d = z0.shape
     add = np.add.reduce
-    r = residuals(z)
+    r0 = residuals(z0)
+    z, r = z0.copy(), r0.copy()
     m = r.shape[1]
     cost = add(r * r, axis=1)
     nfev = np.ones(n, dtype=int)
@@ -568,12 +573,12 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
         small = np.sqrt(add(p * p, axis=1)) < _XTOL * (_XTOL + np.sqrt(add(zs * zs, axis=1)))
         done[si[small]] = True
         step[si] = p
-    return _Lockstep(z, r, nfev, exhausted, not exhausted.any())
+    return _Lockstep(z0, r0, z, r, nfev, exhausted, not exhausted.any())
 
 
 class _Problem:
     """One family's fit at a fixed j and rho: its box, in the one set of
-    search coordinates of both searches, and the residuals there.
+    search coordinates, and the residuals there.
 
     A positive parameter is searched as its log, any other as itself, beta4
     included: its optimum is often the bound 0-, where a log coordinate runs
@@ -611,54 +616,55 @@ class _Problem:
     def params(self, z: np.ndarray) -> tuple[float, ...]:
         return tuple(self.decode(z).tolist())
 
+    @np.errstate(all="ignore")
     def residuals(self, z: np.ndarray) -> np.ndarray:
-        """Residual rows y - m(t) at the rows of ``z``: one call of the family's
-        broadcast ``mean_formula``.  A row is the constant fill where the
+        """Residual rows y - m(t) at the rows of ``z``, or the one row at a
+        point ``z``: one call of the family's broadcast ``mean_formula``, on
+        numpy scalars for a point.  A row is the constant fill where the
         carrying capacity is not above j or any |residual| reaches the cap
         (NaN included)."""
         params = self.decode(z)
-        cols = params.T[:, :, None]
-        with np.errstate(all="ignore"):
-            r = self.y - self.family.mean_formula(self.t, self.j, self.rho, *cols)
-            ok = (np.abs(r) < _RESIDUAL_CAP).all(axis=1)
-        for i in self.amp:
-            ok &= params[:, i] > self.j
-        r[~ok] = _RESIDUAL_CAP
-        return r
+        cols = params.T[:, :, None] if params.ndim == 2 else params
+        r = self.y - self.family.mean_formula(self.t, self.j, self.rho, *cols)
+        ok = (np.abs(r) < _RESIDUAL_CAP).all(axis=-1) & (params[..., self.amp] > self.j).all(axis=-1)
+        return np.where(ok[..., None], r, _RESIDUAL_CAP)
 
     def rae(self, z: np.ndarray) -> float:
         """RAE at the point ``z``: +inf off the box, and on a filled row the
         fill's RAE, a finite plateau."""
         if not ((self.lo <= z) & (z <= self.hi)).all():
             return math.inf
-        return float(_value(self.residuals(z[None])[0], self.y, "rae"))
+        return float(_value(self.residuals(z), self.y, "rae"))
 
     def search(self, kind: str, starts: np.ndarray, budget: int) -> list[_Restart]:
-        """Every start (a row of parameter values) run to its end.
+        """Every start (a row of parameter values) run to its end by
+        :func:`_lockstep_lm` on ``residuals``, all at once, the box as bounds;
+        ``budget`` caps residual evaluations per restart, Jacobian columns
+        included.  A restart that ends on a filled row scores inf.
 
-        MSE: :func:`_lockstep_lm` on ``residuals`` from all starts at once, the
-        box as bounds; ``budget`` caps residual evaluations per restart,
-        Jacobian columns included.  RAE: Nelder-Mead on :meth:`rae` from one
-        start after another; ``budget`` caps objective evaluations per
-        restart.  A restart that ends on a filled row scores inf.
+        RAE gives the restarts ``budget // 2`` each, then adds one row: a
+        Nelder-Mead run on :meth:`rae` from the point of least RAE among the
+        starts and the ends, allowed the evaluations the restarts left unused,
+        so the fit's evaluations stay within ``restarts * budget``.
         """
-        z0 = self.encode(starts)
-        if kind == "mse":
-            res = minimize(self.residuals, z0, "lm", lower=self.lo, upper=self.hi, budget=budget)
-            ends, fun, nfev, converged = res.x, res.fun, res.nfev, ~res.exhausted
-        else:
-            options = {"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True}
-            runs = [minimize(self.rae, z, "Nelder-Mead", options=options) for z in z0]
-            ends = np.array([run.x for run in runs])
-            fun = self.residuals(ends)
-            nfev = [run.nfev for run in runs]
-            converged = [run.success for run in runs]
-        filled = fun[:, 0] == _RESIDUAL_CAP
-        values = np.where(filled, math.inf, _value(fun, self.y, kind))
-        return [
-            _Restart(z, float(v), bool(c and not f), int(e))
-            for z, v, c, f, e in zip(ends, values, converged, filled, nfev)
-        ]
+        n = len(starts)
+        res = minimize(self.residuals, self.encode(starts), "lm", lower=self.lo, upper=self.hi,
+                       budget=budget if kind == "mse" else budget // 2)
+        fun = np.concatenate([res.fun0, res.fun])  # the starts, then the ends
+        values = np.where(fun[:, 0] == _RESIDUAL_CAP, math.inf, _value(fun, self.y, kind))
+        ends = values[n:]
+        converged = ~res.exhausted & (ends < math.inf)
+        rows = list(map(_Restart, res.x, ends.tolist(), converged.tolist(), res.nfev.tolist()))
+        best = int(np.argmin(values))
+        if kind == "mse" or values[best] == math.inf:
+            return rows
+        options = {"maxfev": budget * n - int(res.nfev.sum()), "xatol": 1e-10, "fatol": 1e-14,
+                   "adaptive": True}
+        polish = minimize(self.rae, np.concatenate([res.x0, res.x])[best], "Nelder-Mead",
+                          options=options)
+        # with no evaluation left the run returns its start at value inf
+        return [*rows, _Restart(polish.x, min(polish.fun, values[best]), polish.success,
+                                polish.nfev)]
 
     def fit(self, kind: str, starts: np.ndarray, budget: int) -> FitResult:
         """The best restart of :meth:`search`, its objective re-evaluated on

@@ -591,29 +591,18 @@ def induced_m(curve: GrowthCurve, t):
 
 @dataclass(frozen=True)
 class CurveInducedMu(MuBase):
-    """Forgetting-rate profile read off a growth curve.
-
-    ``j`` and ``rho`` default to the values carried by the curve itself;
-    passing them explicitly is allowed but must agree with the curve.
-    """
+    """Forgetting-rate profile read off a growth curve, whose ``j`` and
+    ``rho`` it carries."""
 
     curve: GrowthCurve
-    j: int | None = None
-    rho: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.j is None:
-            object.__setattr__(self, "j", self.curve.j)
-        elif self.j != self.curve.j:
-            raise DomainError(
-                f"initial count {self.j} disagrees with the curve's j={self.curve.j}"
-            )
-        if self.rho is None:
-            object.__setattr__(self, "rho", self.curve.rho)
-        elif not math.isclose(self.rho, self.curve.rho, rel_tol=1e-12):
-            raise DomainError(
-                f"rate ratio {self.rho} disagrees with the curve's rho={self.curve.rho}"
-            )
+    @property
+    def j(self) -> int:
+        return self.curve.j
+
+    @property
+    def rho(self) -> float:
+        return self.curve.rho
 
     def mu_at(self, t: float) -> float:
         return self.curve.induced_mu(t)

@@ -21,8 +21,8 @@ the same formulas — no separate branch exists anywhere in this module.
 
 The dispersion columns are ratios of kernels, never ratios of raw moments,
 so ``corr`` and ``cv_*`` are finite wherever their true value is, however
-far ``e^x`` or the powers of ``M`` are past the float range (``fano_*`` up
-to x = 709, where the kernels report inf)::
+far ``e^x`` or the powers of ``M`` are past the float range; ``fano_*`` are
+finite wherever theirs is, as are the kernels they are made of::
 
     fano_X = (rho + 1) M f1(x)
     cv_X^2 = (rho + 1) M f1(-x) / j            # f1(x) e^{-x} = f1(-x)

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import least_squares, minimize
 
 from rumorbd import DataError, DomainError
+from rumorbd import fit as fit_module
 from rumorbd import growth
 from rumorbd.fit import (
     Dataset,
@@ -436,6 +437,39 @@ def test_select_model_multisig_is_no_worse_than_its_logistic():
         )
         logi, multi = report.results
         assert multi.value <= logi.value, estimate_j
+
+
+def test_rae_multisig_is_no_worse_than_its_logistic_on_every_count_series():
+    """The polish starts from the least RAE among the starts, the nested one
+    included, so the richer family keeps its bound.  On series 4 it is
+    strictly better: a polish starved of evaluations by the least-squares
+    stage would stay near the logistic start."""
+    for seed in range(1, 15):
+        report = select_model(_count_series(seed), ["logistic", "multisig_logistic"], "rae",
+                              400, restarts=4, seed=seed)
+        logi, multi = report.results
+        assert multi.value <= logi.value, seed
+        if seed == 4:
+            assert multi.value < 0.031 < 0.033 < logi.value
+
+
+def test_rae_fit_is_one_lockstep_search_and_one_polish(monkeypatch):
+    """Per pinned-j RAE fit: one least-squares batch at half the budget per
+    restart, then one Nelder-Mead run on what the batch left."""
+    calls = []
+    inner = fit_module.minimize
+
+    def spy(fun, x0, method, **kwargs):
+        res = inner(fun, x0, method, **kwargs)
+        calls.append((method, kwargs, int(np.sum(res.nfev))))
+        return res
+
+    monkeypatch.setattr(fit_module, "minimize", spy)
+    fr = fit_one("gompertz", _count_series(2), "rae", 400, restarts=4, seed=2)
+    (lm, lm_kwargs, lm_evals), (nm, nm_kwargs, nm_evals) = calls
+    assert (lm, lm_kwargs["budget"], nm) == ("lm", 200, "Nelder-Mead")
+    assert nm_kwargs["options"]["maxfev"] == 4 * 400 - lm_evals >= nm_evals
+    assert fr.n_evals == lm_evals + nm_evals <= fr.restarts * 400
 
 
 def test_select_model_survives_overflowing_curves_without_warnings():

@@ -577,16 +577,11 @@ def test_multisig_crossing_stays_inside_validity():
 # ===== curve-induced rate family ==============================================
 
 
-def test_curve_induced_profile_defaults_and_mismatch():
+def test_curve_induced_profile_reads_j_and_rho_from_the_curve():
     curve = Gompertz(alpha=3.0, beta=2.0, j=2, rho=1.5)
     prof = CurveInducedMu(curve)
     assert prof.j == 2
     assert prof.rho == 1.5
-    assert CurveInducedMu(curve, j=2, rho=1.5).j == 2
-    with pytest.raises(DomainError):
-        CurveInducedMu(curve, j=3)
-    with pytest.raises(DomainError):
-        CurveInducedMu(curve, rho=2.0)
 
 
 def test_curve_induced_profile_delegates():

@@ -148,12 +148,30 @@ def test_kernels_take_arrays_bit_for_bit(fn):
     assert fn(np.array([])).shape == (0,)
 
 
+def _exact(fn, x: float) -> float:
+    """f1, f2 or h3 at x in 60-digit decimal arithmetic, rounded once (+inf
+    past the float range)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(x)
+        e = d.exp()
+        value = {f1: (e - 1) / d, f2: (e - 1 - d) / d**2, h3: (e * e - 1 - 2 * d * e) / (2 * d**3)}
+        return float(value[fn])
+
+
+# the largest x at which each kernel's value is below the float maximum: a
+# bisection of the 60-digit values to adjacent floats
+TRUE_OVERFLOW = {f1: 716.3568913878178, f2: 722.9493913364986, h3: 364.0840069811002}
+
+
 def test_kernels_overflow_to_inf_past_the_threshold():
-    over = np.nextafter(709.0, math.inf)
-    for fn in (f1, f2):
-        assert math.isfinite(fn(709.0))
-        assert fn(over) == math.inf
-    assert g4(over) == math.inf
-    assert math.isfinite(h3(354.5))  # h3 grows like e^{2x}
-    assert h3(np.nextafter(354.5, math.inf)) == math.inf
+    """Past x = 709 (h3: 354.5) the kernels split e^x into finite factors, so
+    each reads inf exactly from the float after its value passes the maximum."""
+    for fn, edge in TRUE_OVERFLOW.items():
+        split = 354.5 if fn is h3 else 709.0
+        for x in (np.nextafter(split, math.inf), 0.5 * (split + edge), edge):
+            assert fn(x) == pytest.approx(_exact(fn, x), rel=1e-13), (fn.__name__, x)
+        over = np.nextafter(edge, math.inf)
+        assert fn(over) == _exact(fn, over) == math.inf
+    assert g4(np.nextafter(709.0, math.inf)) == math.inf  # f1^2/2 is past the maximum there
     assert one_minus_q_over_x(1e4) > 0.0

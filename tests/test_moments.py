@@ -290,7 +290,7 @@ def _bits(values) -> tuple:
 
 def _edge_times(x_per_t: float) -> list[float]:
     """Times whose x = (rho - 1) M lands on the kernels' branch edges: 0, +-1e-3,
-    the series radius +-0.5 and its neighbours, and around the overflow at 709."""
+    the series radius +-0.5 and its neighbours, and around the split of e^x at 709."""
     if x_per_t == 0.0:
         return [0.0, 1e-3, 0.5, 3.0]
     xs = [0.0, 1e-3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 3.0]

@@ -315,16 +315,12 @@ _DECIMAL_MS = [
 
 def _assert_matches_decimal(rep, rho, m, j):
     """Each column within 1e-12 of the 60-digit value rounded once; a value
-    below 1e-300 may underflow.  A ratio column reads inf exactly where that
-    value is past the float range.  A raw moment reads inf there too; on
-    this grid it may also read inf within a factor 20 below the float
-    maximum, since the kernels report inf from x = 709 on, short of e^x's
-    own limit near 709.78."""
+    below 1e-300 may underflow.  A column reads inf exactly where that value
+    is past the float range."""
     want = cf.dispersion_decimal(rho, m, j)
     for name in _RAW_COLUMNS + _RATIO_COLUMNS:
-        got, close = getattr(rep, name), pytest.approx(want[name], rel=1e-12, abs=1e-300)
-        early_inf = name in _RAW_COLUMNS and got == math.inf and want[name] > 1e307
-        assert got == close or early_inf, (rho, m, j, name)
+        got = getattr(rep, name)
+        assert got == pytest.approx(want[name], rel=1e-12, abs=1e-300), (rho, m, j, name)
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
@@ -344,6 +340,16 @@ def test_closed_report_has_no_nan_and_documented_zero_limits(rho, j):
     assert rep.corr[0] == -1.0 / math.sqrt(1.0 + rho) and rep.corr_is_limit[0]
     assert not rep.corr_is_limit[1:].any()
     assert (rep.fano_y[0], rep.cv_y[0], rep.fano_x[0], rep.cv_x[0]) == (1.0, math.inf, 0.0, 0.0)
+
+
+def test_report_just_past_the_kernel_split_is_finite_where_the_value_is():
+    """x = 709.5 at rho = 11: f1 is 1.91e305 there, so m_Y = 1.35e307 and
+    fano_X = 1.63e308 are finite; Var_X and the second moments are not."""
+    rho, m, j = 11.0, 70.95, 1
+    rep = _report(rho, m, j)
+    _assert_matches_decimal(rep, rho, m, j)
+    assert max(rep.m_y, rep.fano_x, rep.fano_y) < math.inf
+    assert rep.var_x == rep.m2_y == math.inf
 
 
 def test_moments_report_at_huge_intensity_against_decimal():
