@@ -4,9 +4,10 @@ The pair (X(t), Y(t)) counts active spreaders and inactives: from (n, k) the
 chain jumps to (n+1, k) at rate n*lam(t) and to (n-1, k+1) at rate n*mu(t),
 with {n = 0} absorbing.  The package provides exact simulation, transient
 moments (closed forms and an ODE route), absorption and generating-function
-formulas for constant and proportional rates, a brute-force master-equation
-oracle, eight growth-curve families with their induced rate profiles, and
-curve fitting with inactive-mean reconstruction.
+formulas for proportional rates, which serve constant rates at
+(rho, M) = (lam/mu, mu t), a brute-force master-equation oracle, eight
+growth-curve families with their induced rate profiles, and curve fitting
+with inactive-mean reconstruction.
 """
 
 from .errors import DataError, DomainError, NumericsError, RumorBDError
@@ -38,7 +39,7 @@ from .growth import (
     induced_m,
     proportional_from_curve,
 )
-from .homogeneous import absorption_limit, absorption_prob, p01, p0k_limit, pgf
+from .homogeneous import absorption_prob
 from .moments import MomentReport, crossing_time, moment_report
 from .oracle import GridMoments, StepControl, TruncatedGrid, moments_from_grid, solve_forward
 from .process import EnsembleStats, Event, Trajectory, ensemble, simulate
@@ -72,9 +73,8 @@ __all__ = [
     "MuBase", "ConstantMu", "CosineMu", "RateFamily", "Constant",
     "Proportional", "Explicit", "rates_from_config",
     "big_m", "eta", "phi_x", "phi_y", "gamma",
-    "pgf", "absorption_prob", "absorption_limit", "p0k_limit", "p01",
-    "pgf_prop", "absorption_prop", "absorption_prop_limit", "p0k_limit_prop",
-    "crossing_m_threshold",
+    "absorption_prob", "pgf_prop", "absorption_prop", "absorption_prop_limit",
+    "p0k_limit_prop", "crossing_m_threshold",
     "MomentReport", "moment_report", "crossing_time",
     "Gompertz", "GenGompertz", "Logistic", "ExtLogistic", "MultisigLogistic",
     "ModKorf", "Korf", "Mitscherlich", "FAMILIES", "CurveInducedMu",

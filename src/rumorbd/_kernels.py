@@ -1,25 +1,24 @@
 """Stable array-native kernels for the closed-form moment machinery.
 
 Every closed-form moment of the time-changed process can be written in terms of
-``x = (rho - 1) * M`` and four entire functions of ``x``::
+``x = (rho - 1) * M`` and three entire functions of ``x``::
 
     f1(x) = (e^x - 1) / x                 = sum_{m>=0} x^m / (m+1)!
     f2(x) = (e^x - 1 - x) / x^2           = sum_{m>=0} x^m / (m+2)!
-    g4(x) = (e^x - 1)^2 / (2 x^2)         = sum_{m>=0} (2^{m+1}-1) x^m / (m+2)!
     h3(x) = (e^{2x} - 1 - 2x e^x)/(2 x^3) = sum_{m>=0} [2^{m+2}/(m+3)! - 1/(m+2)!] x^m
 
-with removable singularities at 0: ``f1(0)=1``, ``f2(0)=1/2``, ``g4(0)=1/2``,
-``h3(0)=1/6``.  The integrated building blocks are then::
+with removable singularities at 0: ``f1(0)=1``, ``f2(0)=1/2``, ``h3(0)=1/6``.
+The integrated building blocks are then::
 
     G1 = M f1(x)        # int mu eta
     G2 = rho M^2 f2(x)  # int mu eta phi_x
     G3 = rho M^3 h3(x)  # int mu eta G2
-    G4 = M^2 g4(x)      # int mu eta G1
+    G4 = M^2 f1(x)^2/2  # int mu eta G1
 
 so the critical balance point ``rho = 1`` (``x = 0``) needs no special-casing
 anywhere downstream.
 
-The four kernels and :func:`one_minus_q_over_x` take a float or an array and
+The three kernels and :func:`one_minus_q_over_x` take a float or an array and
 evaluate elementwise, so a whole grid costs one call; a scalar returns a
 Python float, computed by the same code as the array elements, so scalar and
 grid values agree bit for bit.  Past x = 709 e^x is split into finite
@@ -101,13 +100,6 @@ def f2(x):
         lambda v: np.where(v > _X_OVERFLOW, np.square(np.exp(0.5 * v) / v),
                            (np.expm1(v) - v) / (v * v)),
     )
-
-
-@elementwise
-def g4(x):
-    """(e^x - 1)^2 / (2 x^2) == f1(x)^2 / 2."""
-    v = f1(x)
-    return 0.5 * v * v
 
 
 @elementwise

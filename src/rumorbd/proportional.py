@@ -16,8 +16,9 @@ the kernels of :mod:`rumorbd._kernels`::
     phi_x  = rho M f1(-x),    phi_y = rho M f1(x)
 
 with ``G1 = M f1(x)``, ``G2 = rho M^2 f2(x)``, ``G3 = rho M^3 h3(x)``,
-``G4 = M^2 g4(x)``.  The balanced case ``rho = 1`` is the point ``x = 0`` of
-the same formulas — no separate branch exists anywhere in this module.
+``G4 = M^2 f1(x)^2 / 2``.  The balanced case ``rho = 1`` is the point
+``x = 0`` of the same formulas — no separate branch exists anywhere in this
+module.
 
 The dispersion columns are ratios of kernels, never ratios of raw moments,
 so ``corr`` and ``cv_*`` are finite wherever their true value is, however
@@ -34,9 +35,11 @@ with ``w = 4 G3/G1^2 = 4 rho M h3(x)/f1(x)^2``.  A raw moment past the
 float range reads +inf, never NaN.
 
 The p.g.f. and absorption functionals are the constant-rate ones under the
-substitution ``lam t -> rho M``, ``mu t -> M``; they are implemented here
-independently in ``(rho, M)`` variables (the constant-rate module serves as a
-cross-check, not as a backend).
+substitution ``lam t -> rho M``, ``mu t -> M``.  Constant rates are the case
+``(rho, M) = (lam/mu, mu t)``, so these are the package's one set of them;
+the independent transcriptions they are checked against live in the tests.
+At ``z2 = 1`` the p.g.f. is the X-marginal
+``(1 - (1 - z1)/(e^{-x} + rho (1 - z1) M f1(-x)))^j``, exactly 1 at ``z1 = 1``.
 
 One evaluator, ``_ClosedForms``, computes each of these forms once over a
 float or an array of ``M``: :func:`rumorbd.moments.report_from_prop` reads the
@@ -54,20 +57,10 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._kernels import (
-    f1,
-    f2,
-    g4,
-    h3,
-    float_or_array,
-    one_minus_q_over_x,
-)
+from ._kernels import f1, f2, float_or_array, h3, one_minus_q_over_x
 from .errors import (
     DomainError, NumericsError, check_final_count, check_j, check_positive, check_time, check_z,
 )
-
-_CONFLUENT_REL_DISC = 1e-18
-
 
 _check_rho = partial(check_positive, "rate ratio rho")
 # M(t) is operational time, checked as a time is
@@ -87,18 +80,26 @@ def pgf_prop(rho: float, big_m_value: float, j: int, z1: float, z2: float) -> fl
     if big_m_value == 0.0:
         return z1**j
 
-    tot = rho + 1.0
-    disc = tot * tot - 4.0 * z2 * rho
-    if disc / (tot * tot) <= _CONFLUENT_REL_DISC:
-        xi = tot / (2.0 * rho)
-        g = xi + (z1 - xi) / (1.0 - rho * big_m_value * (z1 - xi))
-        return g**j
+    if z2 == 1.0:
+        # the X-marginal, written without the root xi = 1 that roundoff
+        # moves off 1; its denominator stays positive
+        if z1 == 1.0:
+            return 1.0
+        x = (rho - 1.0) * big_m_value
+        em = math.exp(-x) if x > -709.0 else math.inf
+        return (1.0 - (1.0 - z1) / (em + rho * (1.0 - z1) * big_m_value * f1(-x))) ** j
 
-    s = math.sqrt(disc)
-    xi1 = (tot - s) / (2.0 * rho)
+    # the roots of rho xi^2 - (rho + 1) xi + z2, both without cancellation;
+    # the discriminant (rho + 1)^2 - 4 z2 rho is positive for z2 < 1
+    s = math.sqrt((rho - 1.0) ** 2 + 4.0 * rho * (1.0 - z2))
+    tot = rho + 1.0
+    xi1 = 2.0 * z2 / (tot + s)
     xi2 = (tot + s) / (2.0 * rho)
-    # rho * (xi2 - xi1) = s, so the exponential factor is exp(s M); scale it out.
-    em = math.exp(-s * big_m_value) if s * big_m_value < 745.0 else 0.0
+    # rho * (xi2 - xi1) = s, so the exponential factor is exp(s M); scale it
+    # out.  Past e^{-745} = 0 the p.g.f. is its limit xi1^j, not 0/0.
+    if s * big_m_value >= 745.0:
+        return xi1**j
+    em = math.exp(-s * big_m_value)
     num = xi2 * (z1 - xi1) * em - xi1 * (z1 - xi2)
     den = (z1 - xi1) * em - (z1 - xi2)
     return (num / den) ** j
@@ -121,24 +122,24 @@ def absorption_prop_limit(rho: float, m_limit: float, j: int) -> float:
 def p0k_limit_prop(rho: float, j: int, k: int) -> float:
     """Limiting final-inactive-count distribution, assuming ``M(t) -> oo``.
 
-    The ratio-only law ``(j/(2k-j)) C(2k-j, k) (rho/(rho+1)^2)^k
-    ((rho+1)/rho)^j`` for ``k >= j``, with the ballot number exact in integers
-    up to k = 300 and through ``lgamma`` beyond.  The caller is responsible
-    for the premise that the cumulative intensity actually diverges.
+    The ratio-only law ``(j/(2k-j)) C(2k-j, k) rho^(k-j) (1+rho)^(j-2k)`` for
+    ``k >= j``, summed in logs so no power overflows or underflows on its own;
+    the ballot number is an exact integer up to k = 300 and goes through
+    ``lgamma`` beyond.  The caller is responsible for the premise that the
+    cumulative intensity actually diverges.
     """
     _check_rho(rho)
     check_j(j)
     check_final_count(j, k)
-    tot = rho + 1.0
-    c = rho / (tot * tot)
     n = 2 * k - j
     if k <= 300:
-        return j * math.comb(n, k) // n * c**k * (tot / rho) ** j
-    log_ballot = (
-        math.log(j) - math.log(n) + math.lgamma(n + 1) - math.lgamma(k + 1)
-        - math.lgamma(k - j + 1)
-    )
-    return math.exp(log_ballot + k * math.log(c) + j * math.log(tot / rho))
+        log_ballot = math.log(j * math.comb(n, k) // n)
+    else:
+        log_ballot = (
+            math.log(j) - math.log(n) + math.lgamma(n + 1) - math.lgamma(k + 1)
+            - math.lgamma(k - j + 1)
+        )
+    return math.exp(log_ballot + (k - j) * math.log(rho) - n * math.log1p(rho))
 
 
 # ===== Moments and absorption over an array of M ==============================
@@ -169,7 +170,7 @@ class _ClosedForms:
     G2 = cached_property(lambda s: s.rho * s.m * s.m * f2(s.x))
     k3 = cached_property(lambda s: h3(s.x))
     G3 = cached_property(lambda s: s.rho * s.m * s.m * s.m * s.k3)
-    G4 = cached_property(lambda s: s.m * s.m * g4(s.x))
+    G4 = cached_property(lambda s: s.m * s.m * (0.5 * s.k1 * s.k1))
     m_x = cached_property(lambda s: s.j * s.eta)
     var_x = cached_property(lambda s: s.j * (s.rho + 1.0) * s.eta * s.m * s.k1)
     m_y = cached_property(lambda s: s.j * s.m * s.k1)

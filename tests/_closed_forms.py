@@ -10,11 +10,13 @@ numerically fine.
 The proportional-intensity process is a deterministic time change of the
 homogeneous one: (rho, M(t)) plays the role of (lam/mu, mu*t).  The
 homogeneous forms below evaluated at (lam=rho, mu=1, t=M) therefore provide
-an independent route to every proportional-case moment.
+an independent route to every proportional-case moment, and to the p.g.f.
+and the final-size law, which the package writes in (rho, M) alone.
 """
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 
 # ===== Time-homogeneous moment displays =======================================
@@ -126,6 +128,32 @@ def absorption(lam: float, mu: float, j: int, t: float) -> float:
 
 def p01(lam: float, mu: float, t: float) -> float:
     return mu * (1.0 - math.exp(-(lam + mu) * t)) / (lam + mu)
+
+
+def pgf(lam: float, mu: float, j: int, z1: float, z2: float, t: float) -> float:
+    """Kendall's joint p.g.f. E[z1^X z2^Y] from (j, 0): g^j, with xi1 <= xi2
+    the roots of lam xi^2 - (lam + mu) xi + z2 mu and E = exp(lam t (xi2 - xi1)),
+    or their double root xi where the discriminant vanishes."""
+    disc = (lam + mu) ** 2 - 4.0 * z2 * lam * mu
+    if disc == 0.0:
+        xi = (lam + mu) / (2.0 * lam)
+        return (xi + (z1 - xi) / (1.0 - lam * t * (z1 - xi))) ** j
+    xi1 = (lam + mu - math.sqrt(disc)) / (2.0 * lam)
+    xi2 = (lam + mu + math.sqrt(disc)) / (2.0 * lam)
+    e = math.exp(lam * t * (xi2 - xi1))
+    return ((xi2 * (z1 - xi1) - xi1 * (z1 - xi2) * e) / ((z1 - xi1) - (z1 - xi2) * e)) ** j
+
+
+def p0k_limit(lam: float, mu: float, j: int, k: int) -> Fraction:
+    """The final-size law p_{0,k} (k >= j) in exact rational arithmetic on the
+    values of the floats ``lam`` and ``mu``, in its binomial-difference form:
+
+        (lam mu/(lam+mu)^2)^k ((lam+mu)/lam)^j [C(2k-j-1, k-1) - C(2k-j-1, k)].
+    """
+    lam, mu = Fraction(lam), Fraction(mu)
+    n = 2 * k - j - 1
+    bracket = math.comb(n, k - 1) - math.comb(n, k)
+    return (lam * mu / (lam + mu) ** 2) ** k * ((lam + mu) / lam) ** j * bracket
 
 
 # ===== Growth-table curve means (direct algebra) ==============================

@@ -15,9 +15,10 @@ import pytest
 from scipy.optimize import brentq
 
 import _closed_forms as cf
-from rumorbd import growth, homogeneous, moments, oracle
+from rumorbd import growth, moments, oracle
 from rumorbd.fit import Dataset, fit_one, select_model
 from rumorbd.process import ensemble
+from rumorbd.proportional import absorption_prop_limit, p0k_limit_prop, pgf_prop
 from rumorbd.rates import Constant, CosineMu, Proportional
 
 
@@ -138,7 +139,7 @@ def _partial_sums(lam, mu, j, ks):
     it = iter(target)
     nxt = next(it)
     while True:
-        total += homogeneous.p0k_limit(lam, mu, j, k)
+        total += p0k_limit_prop(lam / mu, j, k)
         if k == nxt:
             out.append(total)
             try:
@@ -149,6 +150,8 @@ def _partial_sums(lam, mu, j, ks):
 
 
 def test_criterion_05_pgf_cross_checks():
+    # constant rates (lam, mu) at time t read the proportional forms at
+    # (rho, M) = (lam/mu, mu t)
     # (a) one-sided second-order stencil for d pgf / d z2 at (0, 0) vs p01
     tuples = [(l, m, t)
               for (l, m) in ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (3.0, 2.0))
@@ -156,19 +159,19 @@ def test_criterion_05_pgf_cross_checks():
     h = 1e-4
     worst_a = 0.0
     for lam, mu, t in tuples:
-        f0 = homogeneous.pgf(lam, mu, 1, 0.0, 0.0, t)
-        f1 = homogeneous.pgf(lam, mu, 1, 0.0, h, t)
-        f2 = homogeneous.pgf(lam, mu, 1, 0.0, 2 * h, t)
+        f0 = pgf_prop(lam / mu, mu * t, 1, 0.0, 0.0)
+        f1 = pgf_prop(lam / mu, mu * t, 1, 0.0, h)
+        f2 = pgf_prop(lam / mu, mu * t, 1, 0.0, 2 * h)
         deriv = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        worst_a = max(worst_a, abs(deriv - homogeneous.p01(lam, mu, t)))
+        worst_a = max(worst_a, abs(deriv - cf.p01(lam, mu, t)))
 
     # (b) branching property: starting from j spreaders multiplies the pgf
     worst_b = 0.0
     for lam, mu, t in ((1.5, 1.0, 0.7), (1.0, 1.0, 2.0), (0.5, 2.0, 1.3)):
         for z1, z2 in ((0.3, 0.9), (0.7, 0.2), (1.0, 0.5)):
-            g1 = homogeneous.pgf(lam, mu, 1, z1, z2, t)
+            g1 = pgf_prop(lam / mu, mu * t, 1, z1, z2)
             for j in (2, 3, 5):
-                gj = homogeneous.pgf(lam, mu, j, z1, z2, t)
+                gj = pgf_prop(lam / mu, mu * t, j, z1, z2)
                 worst_b = max(worst_b, abs(gj - g1**j))
 
     # (c) final-size law sums to the absorption limit; the critical case has a
@@ -184,7 +187,7 @@ def test_criterion_05_pgf_cross_checks():
                 s_inf = float(np.linalg.solve(mat, np.array(sums))[0])
             else:
                 s_inf = sums[-1]  # geometric tail: already converged
-            worst_c = max(worst_c, abs(s_inf - homogeneous.absorption_limit(lam, mu, j)))
+            worst_c = max(worst_c, abs(s_inf - absorption_prop_limit(lam / mu, math.inf, j)))
 
     ok = worst_a <= 1e-6 and worst_b <= 1e-12 and worst_c <= 1e-6
     _line(5, ok, f"d/dz2 vs p01: {worst_a:.2e} <= 1e-6 (20 tuples); "

@@ -9,13 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rumorbd._kernels import (
-    f1,
-    f2,
-    g4,
-    h3,
-    one_minus_q_over_x,
-)
+from rumorbd._kernels import f1, f2, float_or_array, h3, one_minus_q_over_x
+from rumorbd.proportional import _ClosedForms
 
 # mpmath-free reference: direct formulas in float are exact enough away from 0
 def _f1_naive(x):
@@ -32,6 +27,12 @@ def _g4_naive(x):
 
 def _h3_naive(x):
     return (math.exp(2.0 * x) - 1.0 - 2.0 * x * math.exp(x)) / (2.0 * x**3)
+
+
+def g4(x):
+    """G4/M^2 = f1(x)^2/2 as the closed-form evaluator forms it, read at M = 1
+    (rho = 1 + x); G4 has no kernel of its own, so its kernel checks run here."""
+    return float_or_array(getattr, _ClosedForms(1.0 + x, np.float64(1.0), 1), "G4")
 
 
 VALUES_AT_ZERO = [(f1, 1.0), (f2, 0.5), (g4, 0.5), (h3, 1.0 / 6.0)]

@@ -7,8 +7,8 @@ import pytest
 
 import _closed_forms as cf
 from rumorbd import DomainError, NumericsError
-from rumorbd.homogeneous import p0k_limit
 from rumorbd.oracle import StepControl, TruncatedGrid, moments_from_grid, solve_forward
+from rumorbd.proportional import p0k_limit_prop
 from rumorbd.rates import Constant, ConstantMu, CosineMu, Explicit, Proportional
 
 
@@ -69,8 +69,8 @@ def test_small_state_probabilities_survive_large_leak():
         Constant(lam=1.0, mu=1.0), 1, 15.0, 40, 40, max_leak=1.0
     )
     assert grid.leaked_mass > 0.01  # the run genuinely leaks
-    assert grid.prob(0, 2) == pytest.approx(p0k_limit(1.0, 1.0, 1, 2), abs=1e-9)
-    assert grid.prob(0, 1) == pytest.approx(p0k_limit(1.0, 1.0, 1, 1), abs=1e-9)
+    assert grid.prob(0, 2) == pytest.approx(p0k_limit_prop(1.0, 1, 2), abs=1e-9)
+    assert grid.prob(0, 1) == pytest.approx(p0k_limit_prop(1.0, 1, 1), abs=1e-9)
 
 
 def test_absorbed_mass_matches_absorption_probability():
@@ -85,9 +85,9 @@ def test_supercritical_terminal_absorption():
     # tail, which for lam = 2 mu decays only like (8/9)^k.
     grid = solve_forward(Constant(lam=2.0, mu=1.0), 3, 15.0, 45, 45, max_leak=1.0)
     for k in range(3, 21):
-        assert grid.prob(0, k) == pytest.approx(p0k_limit(2.0, 1.0, 3, k), abs=1e-8)
+        assert grid.prob(0, k) == pytest.approx(p0k_limit_prop(2.0, 3, k), abs=1e-8)
     absorbed = sum(grid.prob(0, k) for k in range(46))
-    truncated_limit = sum(p0k_limit(2.0, 1.0, 3, k) for k in range(3, 46))
+    truncated_limit = sum(p0k_limit_prop(2.0, 3, k) for k in range(3, 46))
     assert absorbed == pytest.approx(truncated_limit, abs=1e-7)
     assert absorbed == pytest.approx(0.125, abs=1e-4)
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import _closed_forms as cf
 from rumorbd import DomainError, NumericsError, proportional
-from rumorbd.homogeneous import p0k_limit, pgf
 from rumorbd.moments import MomentReport, report_from_prop
 from rumorbd.proportional import (
     absorption_prop,
@@ -79,13 +78,15 @@ def test_absorption_matches_constant_rate_clock_change(rho, m, j):
     )
 
 
-@pytest.mark.parametrize("z1,z2", [(0.0, 0.0), (0.3, 0.8), (0.9, 0.2), (1.0, 1.0)])
+@pytest.mark.parametrize(
+    "z1,z2", [(0.0, 0.0), (0.3, 0.8), (0.9, 0.2), (1.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (0.5, 1.0)]
+)
 def test_pgf_matches_constant_rate_clock_change(z1, z2):
     for rho in (0.5, 1.0, 2.5):
         for m in (0.4, 2.0):
             for j in (1, 3):
                 assert pgf_prop(rho, m, j, z1, z2) == pytest.approx(
-                    pgf(rho, 1.0, j, z1, z2, m), rel=1e-10, abs=1e-300
+                    cf.pgf(rho, 1.0, j, z1, z2, m), rel=1e-10, abs=1e-300
                 )
 
 
@@ -98,7 +99,38 @@ def test_pgf_prop_confluent_branch():
     g = pgf_prop(1.0, 2.0, 2, 0.5, 1.0)
     g_near = pgf_prop(1.0, 2.0, 2, 0.5, 1.0 - 1e-10)
     assert g == pytest.approx(g_near, rel=1e-7)
-    assert g == pytest.approx(pgf(1.0, 1.0, 2, 0.5, 1.0, 2.0), rel=1e-12)
+    assert g == pytest.approx(cf.pgf(1.0, 1.0, 2, 0.5, 1.0, 2.0), rel=1e-12)
+
+
+# rho in linspace(0.2, 9, 300) x M in logspace(-2, 3, 40): it takes e^{-s M}
+# far below the few-ulp error that a root 1 of the z2 = 1 characteristic
+# equation carries when taken from the discriminant, and s M past 745
+MASS_GRID = [(float(rho), float(m)) for rho in np.linspace(0.2, 9.0, 300)
+             for m in np.logspace(-2.0, 3.0, 40)]
+
+
+def test_pgf_prop_total_mass_is_one():
+    for j in (1, 3):
+        assert all(pgf_prop(rho, m, j, 1.0, 1.0) == 1.0 for rho, m in MASS_GRID)
+    assert pgf_prop(1.1, 400.0, 1, 1.0, 1.0) == 1.0
+    assert pgf_prop(2.0, 800.0, 1, 1.0, 1.0) == 1.0
+    assert pgf_prop(1.0 + 1e-10, 2e10, 1, 1.0, 1.0) == 1.0
+
+
+def test_pgf_prop_far_past_the_exponential_is_its_limit():
+    # past s M = 745, e^{-s M} is 0; in the first case xi2 also rounds to
+    # z1 = 1, so the two-root form would read 0/0
+    z2 = float(np.nextafter(1.0, 0.0))
+    assert pgf_prop(3.0, 400.0, 1, 1.0, z2) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    for z1, z2 in ((0.5, 0.5), (-1.0, 0.9), (1.0, -1.0)):
+        limit = pgf_prop(3.0, 400.0, 2, z1, z2)
+        assert limit == pytest.approx(pgf_prop(3.0, 20.0, 2, z1, z2), rel=1e-15)
+
+
+@pytest.mark.parametrize("z1", [0.0, 0.5, 0.999])
+def test_pgf_prop_x_marginal_is_a_probability(z1):
+    values = [pgf_prop(rho, m, 1, z1, 1.0) for rho, m in MASS_GRID]
+    assert all(0.0 <= v <= 1.0 for v in values)
 
 
 # ===== balanced case is the x = 0 point, not a separate branch ================
@@ -217,20 +249,40 @@ def test_absorption_limit_rejects_negative_infinity():
 def test_p0k_limit_prop_delegates_to_ratio_law():
     for rho in (0.7, 1.0, 2.0):
         for j, k in ((1, 1), (1, 4), (2, 3)):
-            assert p0k_limit_prop(rho, j, k) == p0k_limit(rho, 1.0, j, k)
+            want = float(cf.p0k_limit(rho, 1.0, j, k))
+            assert p0k_limit_prop(rho, j, k) == pytest.approx(want, rel=1e-14)
     assert p0k_limit_prop(2.0, 1, 1) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_p0k_limit_prop_matches_the_constant_rate_law_across_the_lgamma_switch():
+    # against exact rationals: the sum of logs carries an absolute error of a
+    # few ulp of its largest term (~1e-13 relative at k = 300), and past
+    # k = 300 the lgamma terms near 1e4 carry ~1e-12
     for rho in (0.5, 1.0, 3.0):
         for j in (1, 3):
             for k in (j, j + 1, 7, 299, 300, 301, 302, 800):
-                want = p0k_limit(rho, 1.0, j, k)
-                assert p0k_limit_prop(rho, j, k) == pytest.approx(want, rel=1e-13, abs=0.0)
+                want = float(cf.p0k_limit(rho, 1.0, j, k))
+                rel = 1e-12 if k <= 300 else 3e-12
+                assert p0k_limit_prop(rho, j, k) == pytest.approx(want, rel=rel, abs=0.0)
     with pytest.raises(DomainError):
         p0k_limit_prop(2.0, 3, 2)
     with pytest.raises(DomainError):
         p0k_limit_prop(2.0, 1, 2.0)
+
+
+def test_p0k_limit_prop_never_overflows_and_matches_exact_rationals():
+    # the exact branch (k <= 300), where ((rho + 1)/rho)^j alone overflows and
+    # (rho/(rho + 1)^2)^k alone underflows: at (1e-3, 200, 200) and
+    # (0.1, 250, 300), whose values are 0.8188 and 3.09e-4
+    for rho in (1e-3, 0.01, 0.05, 0.1, 0.5, 2.0, 50.0, 1e3):
+        for j in (1, 10, 50, 100, 150, 200, 250, 300):
+            for k in sorted(k for k in {j, j + 1, j + 20, 300} if k <= 300):
+                got = p0k_limit_prop(rho, j, k)
+                want = float(cf.p0k_limit(rho, 1.0, j, k))
+                if want >= 1e-300:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (rho, j, k)
+                else:
+                    assert 0.0 <= got < 1e-299, (rho, j, k)
 
 
 # ===== array intensities ======================================================

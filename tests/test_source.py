@@ -84,3 +84,24 @@ def test_only_the_ode_engine_imports_scipy_integrate_and_only_on_first_use():
              for path in sorted(SRC.glob("*.py"))}
     assert [name for name, found in loads.items() if found] == ["_ode.py"]
     assert all(loads["_ode.py"])
+
+
+def _imported(tree):
+    """Every dotted name an import statement of ``tree`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_constant_rate_forms_are_the_proportional_ones():
+    """Constant rates are the proportional forms at (rho, M) = (lam/mu, mu t):
+    ``homogeneous.py`` defines ``absorption_prob`` alone, which the package
+    re-exports and no other module reads."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    importers = [module for module, tree in trees.items()
+                 if any("homogeneous" in name.split(".") for name in _imported(tree))]
+    assert importers == ["__init__.py"]
+    defined = [name for node in trees["homogeneous.py"].body for name in _defined(node)]
+    assert defined == ["absorption_prob"]
