@@ -182,10 +182,7 @@ def _dims_for(family: str, dataset: Dataset) -> list[_Dim]:
 
 def _build_curve(family: str, params: tuple[float, ...], j: int, rho: float):
     cls = growth.FAMILIES[family]
-    if cls is growth.MultisigLogistic:
-        return growth.MultisigLogistic(c=params[0], betas=tuple(params[1:]), j=j, rho=rho)
-    kwargs = dict(zip(cls.param_names, params))
-    return cls(j=j, rho=rho, **kwargs)
+    return cls(j=j, rho=rho, **dict(zip(cls.param_names, params)))
 
 
 # ===== Fitting =================================================================
@@ -596,8 +593,8 @@ class _Problem:
         self.p_hi = np.array([d.hi for d in dims])
         self.lo, self.hi = self.encode(self.p_lo), self.encode(self.p_hi)
         # the box holds every parameter where its constructor wants it, but for
-        # a carrying capacity c or n > j (its lower bound max(y) may equal j)
-        self.amp = [i for i, d in enumerate(dims) if d.name in ("c", "n")]
+        # the carrying capacity > j (its lower bound max(y) may equal j)
+        self.amp = [i for i, d in enumerate(dims) if d.name == self.family.capacity]
 
     def encode(self, params) -> np.ndarray:
         """Search coordinates of a parameter row, or of a matrix of rows.  The

@@ -1,9 +1,12 @@
 """Growth-curve families and the time-varying rates they induce.
 
 Six spreader-mean (X) families and two inactive-mean (Y) families are
-supported.  Every curve carries its initial spreader count ``j`` and rate
-ratio ``rho > 1``; postulating that the curve equals the corresponding
-proportional-family mean defines a cumulative forgetting intensity::
+supported.  A family is declared once, as a frozen dataclass whose own fields
+are its parameters (``param_names``, in order); every curve also carries its
+initial spreader count ``j`` and rate ratio ``rho > 1``, keyword-only fields
+of the shared base, which checks them and the parameters.  Postulating that
+the curve equals the corresponding proportional-family mean defines a
+cumulative forgetting intensity::
 
     X family:  m(t) = j exp((rho-1) M(t))   =>  M(t) = log(m(t)/j) / (rho-1)
     Y family:  m(t) = j (e^{(rho-1)M} - 1)/(rho-1)
@@ -23,25 +26,23 @@ the ``mean_array`` of each row's curve.  Floating-point warnings are off inside
 (overflow to inf is part of the contract).  The bound of ``mu`` over a window
 (``induced_mu_sup``) is no longer read by any sampler.
 
-The quartic-exponent multisigmoidal family is the one member whose induced
-``mu`` can become negative (its polynomial exponent ``Q`` eventually
-decreases); its validity window ``{t : Q'(t) >= 0}`` is computed exactly,
-enforced by every entry that takes a time of the induced rates (samplers,
-moments, transforms, the oracle and the CLI ``absorb``) and bounds the
-crossing-time search.
+The quartic-exponent multisigmoidal family, with fields ``c, beta1, ...,
+beta4``, is the one member whose induced ``mu`` can become negative (its
+polynomial exponent ``Q`` eventually decreases); its validity window
+``{t : Q'(t) >= 0}`` is computed exactly, enforced by every entry that takes a
+time of the induced rates (samplers, moments, transforms, the oracle and the
+CLI ``absorb``) and bounds the crossing-time search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._kernels import elementwise, float_or_array
-from .errors import (
-    DataError, DomainError, check_j, check_positive, check_time, config_field, converted,
-)
+from .errors import DataError, DomainError, check_j, check_positive, check_time, config_field
 from .rates import MuBase, Proportional
 
 
@@ -51,14 +52,15 @@ def _nonneg(big_m_value):
     return np.where((big_m_value < 0.0) & (big_m_value > -1e-12), 0.0, big_m_value)
 
 
-def _check_common(j: int, rho: float) -> None:
-    check_j(j)
-    if not (rho > 1.0 and math.isfinite(rho)):
-        raise DomainError(f"curve families require a rate ratio rho > 1, got {rho}")
-
-
+@dataclass(frozen=True, kw_only=True)
 class GrowthCurve:
     """What the eight families share.
+
+    A family is one frozen dataclass whose own fields are its parameters
+    (``param_names``, read off them by :data:`FAMILIES`); ``j`` and ``rho``
+    are this base's keyword-only fields.  ``__post_init__`` checks every
+    parameter finite and, but for the family's ``signed`` ones, positive;
+    then ``j`` and ``rho > 1``; then that the ``capacity`` field exceeds ``j``.
 
     Each family writes its mean as the static ``mean_formula(t, j, rho,
     *params)`` and ``induced_big_m`` and ``induced_mu`` as numpy code on an
@@ -67,6 +69,12 @@ class GrowthCurve:
     :func:`~rumorbd._kernels.elementwise`, which gives them the float-or-array
     contract of the module docstring.
     """
+
+    j: int = 1
+    rho: float = 2.0
+
+    signed = ()  # parameters of either sign
+    capacity = None  # the carrying capacity, which must exceed j
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -78,6 +86,21 @@ class GrowthCurve:
         cls.mean_array = elementwise(mean_array)
         for name in ("induced_big_m", "induced_mu"):
             setattr(cls, name, elementwise(cls.__dict__[name]))
+
+    def __post_init__(self) -> None:
+        for name, value in zip(self.param_names, self.params):
+            if name not in self.signed:
+                check_positive(name, value)
+            elif not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        check_j(self.j)
+        if not (self.rho > 1.0 and math.isfinite(self.rho)):
+            raise DomainError(f"curve families require a rate ratio rho > 1, got {self.rho}")
+        if self.capacity is not None and not getattr(self, self.capacity) > self.j:
+            raise DomainError(
+                f"carrying capacity must exceed the initial count, "
+                f"got {self.capacity}={getattr(self, self.capacity)} <= j={self.j}"
+            )
 
     @property
     def params(self) -> tuple[float, ...]:
@@ -107,17 +130,9 @@ class Gompertz(GrowthCurve):
 
     alpha: float
     beta: float
-    j: int = 1
-    rho: float = 2.0
 
     family = "gompertz"
     kind = "x"
-    param_names = ("alpha", "beta")
-
-    def __post_init__(self) -> None:
-        check_positive("alpha", self.alpha)
-        check_positive("beta", self.beta)
-        _check_common(self.j, self.rho)
 
     @staticmethod
     def mean_formula(t, j, rho, alpha, beta):
@@ -145,17 +160,9 @@ class GenGompertz(GrowthCurve):
 
     a: float
     b: float
-    j: int = 1
-    rho: float = 2.0
 
     family = "gen_gompertz"
     kind = "x"
-    param_names = ("a", "b")
-
-    def __post_init__(self) -> None:
-        check_positive("a", self.a)
-        check_positive("b", self.b)
-        _check_common(self.j, self.rho)
 
     @staticmethod
     def mean_formula(t, j, rho, a, b):
@@ -183,21 +190,10 @@ class Logistic(GrowthCurve):
 
     c: float
     r: float
-    j: int = 1
-    rho: float = 2.0
 
     family = "logistic"
     kind = "x"
-    param_names = ("c", "r")
-
-    def __post_init__(self) -> None:
-        check_positive("c", self.c)
-        check_positive("r", self.r)
-        _check_common(self.j, self.rho)
-        if not self.c > self.j:
-            raise DomainError(
-                f"carrying capacity must exceed the initial count, got c={self.c} <= j={self.j}"
-            )
+    capacity = "c"
 
     @staticmethod
     def mean_formula(t, j, rho, c, r):
@@ -236,20 +232,14 @@ class ExtLogistic(GrowthCurve):
 
     n: float
     eps: float
-    j: int = 1
-    rho: float = 2.0
 
     family = "ext_logistic"
     kind = "x"
-    param_names = ("n", "eps")
+    signed = ("eps",)
+    capacity = "n"
 
     def __post_init__(self) -> None:
-        check_positive("n", self.n)
-        _check_common(self.j, self.rho)
-        if not self.n > self.j:
-            raise DomainError(
-                f"carrying capacity must exceed the initial count, got n={self.n} <= j={self.j}"
-            )
+        super().__post_init__()
         if not (-1.0 < self.eps < 1.0):
             raise DomainError(f"asymmetry eps must lie in (-1, 1), got {self.eps}")
 
@@ -314,30 +304,25 @@ class MultisigLogistic(GrowthCurve):
     """
 
     c: float
-    betas: tuple[float, float, float, float]
-    j: int = 1
-    rho: float = 2.0
+    beta1: float
+    beta2: float
+    beta3: float
+    beta4: float
 
     family = "multisig_logistic"
     kind = "x"
-    param_names = ("c", "beta1", "beta2", "beta3", "beta4")
+    signed = ("beta1", "beta2", "beta3", "beta4")
+    capacity = "c"
 
     def __post_init__(self) -> None:
-        check_positive("c", self.c)
-        _check_common(self.j, self.rho)
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        if len(self.betas) != 4:
-            raise DomainError(f"exponent needs exactly 4 coefficients, got {len(self.betas)}")
-        if not self.betas[3] < 0.0:
-            raise DomainError(f"leading exponent coefficient must be negative, got {self.betas[3]}")
-        if not self.c > self.j:
-            raise DomainError(
-                f"carrying capacity must exceed the initial count, got c={self.c} <= j={self.j}"
-            )
+        super().__post_init__()
+        if not self.beta4 < 0.0:
+            raise DomainError(f"leading exponent coefficient must be negative, got {self.beta4}")
 
     @property
-    def params(self) -> tuple[float, ...]:
-        return (self.c, *self.betas)
+    def betas(self) -> tuple[float, float, float, float]:
+        """The exponent's coefficients (b1, b2, b3, b4)."""
+        return (self.beta1, self.beta2, self.beta3, self.beta4)
 
     @staticmethod
     def _q(t, b1, b2, b3, b4):
@@ -419,17 +404,9 @@ class ModKorf(GrowthCurve):
 
     alpha: float
     beta: float
-    j: int = 1
-    rho: float = 2.0
 
     family = "mod_korf"
     kind = "x"
-    param_names = ("alpha", "beta")
-
-    def __post_init__(self) -> None:
-        check_positive("alpha", self.alpha)
-        check_positive("beta", self.beta)
-        _check_common(self.j, self.rho)
 
     @staticmethod
     def _u(t, beta):
@@ -465,17 +442,9 @@ class Korf(GrowthCurve):
 
     alpha: float
     beta: float
-    j: int = 1
-    rho: float = 2.0
 
     family = "korf"
     kind = "y"
-    param_names = ("alpha", "beta")
-
-    def __post_init__(self) -> None:
-        check_positive("alpha", self.alpha)
-        check_positive("beta", self.beta)
-        _check_common(self.j, self.rho)
 
     @staticmethod
     def _w(t, alpha, beta):
@@ -515,17 +484,9 @@ class Mitscherlich(GrowthCurve):
 
     alpha: float
     beta: float
-    j: int = 1
-    rho: float = 2.0
 
     family = "mitscherlich"
     kind = "y"
-    param_names = ("alpha", "beta")
-
-    def __post_init__(self) -> None:
-        check_positive("alpha", self.alpha)
-        check_positive("beta", self.beta)
-        _check_common(self.j, self.rho)
 
     @staticmethod
     def mean_formula(t, j, rho, alpha, beta):
@@ -553,13 +514,18 @@ class Mitscherlich(GrowthCurve):
 
 # ===== Registry and module-level operations ===================================
 
-FAMILIES: dict[str, type] = {
-    cls.family: cls
-    for cls in (
-        Gompertz, GenGompertz, Logistic, ExtLogistic, MultisigLogistic,
-        ModKorf, Korf, Mitscherlich,
-    )
-}
+def _registry(*classes: type) -> dict[str, type]:
+    """The families by name, each given its ``param_names``: its own fields,
+    not the base's keyword-only ``j`` and ``rho``."""
+    for cls in classes:
+        cls.param_names = tuple(f.name for f in fields(cls) if not f.kw_only)
+    return {cls.family: cls for cls in classes}
+
+
+FAMILIES: dict[str, type] = _registry(
+    Gompertz, GenGompertz, Logistic, ExtLogistic, MultisigLogistic, ModKorf, Korf, Mitscherlich,
+)
+
 
 def eval_curve(curve: GrowthCurve, t):
     """The curve's mean value at ``t``, a time or an array of times."""
@@ -638,24 +604,18 @@ def curve_from_config(cfg: dict) -> GrowthCurve:
     what = f"curve family {name!r}"
     j = config_field(cfg, "j", what, int, 1)
     rho = config_field(cfg, "rho", what, float, 2.0)
-    if cls is MultisigLogistic:
-        if "betas" in cfg:
-            if not isinstance(cfg["betas"], (list, tuple)):
-                raise DataError(f"{what}: 'betas' must be a list, got {cfg['betas']!r}")
-            betas = tuple(converted(b, float, f"{what}: 'betas'") for b in cfg["betas"])
-        else:
-            betas = tuple(config_field(cfg, f"beta{i}", what) for i in range(1, 5))
-        return MultisigLogistic(c=config_field(cfg, "c", what), betas=betas, j=j, rho=rho)
+    if cls is MultisigLogistic and "betas" in cfg:
+        # configs written by earlier releases hold the exponent as one list
+        betas = cfg["betas"]
+        if not isinstance(betas, (list, tuple)):
+            raise DataError(f"{what}: 'betas' must be a list, got {betas!r}")
+        if len(betas) != 4:
+            raise DomainError(f"exponent needs exactly 4 coefficients, got {len(betas)}")
+        cfg = {**cfg, **{f"beta{i}": b for i, b in enumerate(betas, 1)}}
     return cls(j=j, rho=rho, **{key: config_field(cfg, key, what) for key in cls.param_names})
 
 
 def curve_to_config(curve: GrowthCurve) -> dict:
     """JSON-style mapping for a curve (inverse of :func:`curve_from_config`)."""
-    out: dict = {"family": curve.family, "j": curve.j, "rho": curve.rho}
-    if isinstance(curve, MultisigLogistic):
-        out["c"] = curve.c
-        out["betas"] = list(curve.betas)
-    else:
-        for name in curve.param_names:
-            out[name] = getattr(curve, name)
-    return out
+    return {"family": curve.family, "j": curve.j, "rho": curve.rho,
+            **dict(zip(curve.param_names, curve.params))}

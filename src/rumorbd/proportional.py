@@ -91,7 +91,8 @@ def pgf_prop(rho: float, big_m_value: float, j: int, z1: float, z2: float) -> fl
 
     # the roots of rho xi^2 - (rho + 1) xi + z2, both without cancellation;
     # the discriminant (rho + 1)^2 - 4 z2 rho is positive for z2 < 1
-    s = math.sqrt((rho - 1.0) ** 2 + 4.0 * rho * (1.0 - z2))
+    a = abs(rho - 1.0)
+    s = math.sqrt(a * a + 4.0 * rho * (1.0 - z2))
     tot = rho + 1.0
     xi1 = 2.0 * z2 / (tot + s)
     xi2 = (tot + s) / (2.0 * rho)
@@ -99,10 +100,16 @@ def pgf_prop(rho: float, big_m_value: float, j: int, z1: float, z2: float) -> fl
     # out.  Past e^{-745} = 0 the p.g.f. is its limit xi1^j, not 0/0.
     if s * big_m_value >= 745.0:
         return xi1**j
+    # the root that tends to 1 as z2 -> 1 (xi2 for rho >= 1, xi1 below) is
+    # within ulps of 1 near there, so z1 - xi is (z1 - 1) + (1 - xi), with
+    # 1 - xi from d = s - |rho - 1| written without cancellation
+    d = 4.0 * rho * (1.0 - z2) / (s + a)
+    if rho >= 1.0:
+        u1, u2 = z1 - xi1, (z1 - 1.0) - d / (2.0 * rho)
+    else:
+        u1, u2 = (z1 - 1.0) + (d + 2.0 * (1.0 - z2)) / (tot + s), z1 - xi2
     em = math.exp(-s * big_m_value)
-    num = xi2 * (z1 - xi1) * em - xi1 * (z1 - xi2)
-    den = (z1 - xi1) * em - (z1 - xi2)
-    return (num / den) ** j
+    return ((xi2 * u1 * em - xi1 * u2) / (u1 * em - u2)) ** j
 
 
 # ===== Absorption =============================================================

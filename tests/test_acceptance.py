@@ -240,7 +240,7 @@ def _draw_curve(family: str, rng: np.random.Generator):
         for _ in range(200):
             betas = (float(rng.uniform(0.5, 3.0)), float(rng.uniform(-0.3, 0.3)),
                      float(rng.uniform(-0.05, 0.05)), -float(10 ** rng.uniform(-6, -4)))
-            curve = growth.MultisigLogistic(c=amp(), betas=betas, j=j, rho=rho)
+            curve = growth.MultisigLogistic(amp(), *betas, j=j, rho=rho)
             if curve.induced_validity_end() > 20.0:
                 return curve
         raise AssertionError("no valid multisigmoidal draw found")
@@ -330,7 +330,7 @@ def test_criterion_09_fit_round_trips_and_model_selection():
     err_g = max(abs(fit_g.params[0] - 3.0) / 3.0, abs(fit_g.params[1] - 2.0) / 2.0)
 
     multi = growth.MultisigLogistic(
-        c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=2.0
+        c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=2.0
     )
     t80 = np.linspace(0.0, 10.0, 80)
     ds = Dataset("multi", tuple(t80), tuple(multi.mean_array(t80)))

@@ -361,6 +361,27 @@ def test_exit_codes_for_bad_usage(capsys, argv, code):
 
 
 @pytest.mark.parametrize(
+    "curve,name",
+    [
+        ({"family": "multisig_logistic", "c": 5, "betas": [math.nan, 0, 0, -0.1]}, "beta1"),
+        ({"family": "multisig_logistic", "c": 5, "betas": [1, 0, 0, -math.inf]}, "beta4"),
+        ({"family": "ext_logistic", "n": 8, "eps": math.nan}, "eps"),
+        ({"family": "logistic", "c": math.inf, "r": 1}, "c"),
+    ],
+    ids=["nan-beta1", "minus-inf-beta4", "nan-eps", "inf-capacity"],
+)
+def test_non_finite_curve_parameters_exit_2_naming_the_parameter(capsys, curve, name):
+    # JSON as Python writes and reads it carries NaN and Infinity
+    rates = {"kind": "proportional", "rho": 2,
+             "base": {"kind": "curve", "curve": {**curve, "rho": 2}}}
+    rc, out, err = _run(
+        capsys, ["moments", "--rates", json.dumps(rates), "--j", "1", "--grid", "0:2:4"]
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{name} must be" in err
+
+
+@pytest.mark.parametrize(
     "rates,key",
     [
         ({"kind": "proportional", "rho": 1.5, "base": {"kind": "cosine", "mu": 1}}, "alpha"),

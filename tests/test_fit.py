@@ -233,10 +233,7 @@ def _polished(family, ds, params):
         if not all(d.lo <= v <= d.hi for v, d in zip(p, dims)):
             return math.inf
         try:
-            if cls is growth.MultisigLogistic:
-                curve = cls(c=p[0], betas=p[1:], j=1, rho=2.0)
-            else:
-                curve = cls(j=1, rho=2.0, **dict(zip(cls.param_names, p)))
+            curve = cls(j=1, rho=2.0, **dict(zip(cls.param_names, p)))
         except DomainError:
             return math.inf
         return objective(curve, ds, "mse")
@@ -689,7 +686,7 @@ def test_reconstruct_argument_validation():
     with pytest.raises(DomainError):
         reconstruct_y(fit, [0.0], [0.0, 1.0])
     # the induced rate of this curve turns negative at t ~ 2.924
-    multisig = growth.MultisigLogistic(c=50.0, betas=(1.0, 0.0, 0.0, -0.01), j=1, rho=2.0)
+    multisig = growth.MultisigLogistic(50.0, 1.0, 0.0, 0.0, -0.01, j=1, rho=2.0)
     with pytest.raises(DomainError, match="validity window"):
         reconstruct_y(_manual_fit(multisig, j=1), [1.5], [3.0, 3.5, 4.0, 4.5])
     failed = FitResult(

@@ -38,7 +38,7 @@ CANON = [
     Logistic(c=10.0, r=1.2, j=1, rho=2.0),
     ExtLogistic(n=8.0, eps=0.4, j=1, rho=1.8),
     ExtLogistic(n=8.0, eps=-0.6, j=1, rho=1.8),
-    MultisigLogistic(c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=2.0),
+    MultisigLogistic(c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=2.0),
     ModKorf(alpha=2.0, beta=1.5, j=1, rho=2.0),
     Korf(alpha=1.0, beta=0.8, j=1, rho=1.3),
     Mitscherlich(alpha=1.0, beta=5.0, j=2, rho=1.5),
@@ -135,8 +135,6 @@ BROADCAST_ROWS = {
 
 
 def _with_params(cls, params, j, rho):
-    if cls is MultisigLogistic:
-        return cls(c=params[0], betas=params[1:], j=j, rho=rho)
     return cls(j=j, rho=rho, **dict(zip(cls.param_names, params)))
 
 
@@ -156,7 +154,7 @@ def test_mean_formula_on_parameter_rows_is_each_curves_mean_array(family, j, rho
 
 
 def test_multisig_mean_array_negative_exponent_branch():
-    c = MultisigLogistic(c=5.0, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=2.0)
+    c = MultisigLogistic(c=5.0, beta1=1.0, beta2=0.0, beta3=0.0, beta4=-0.1, j=1, rho=2.0)
     ts = np.array([0.5, 1.0, 3.0, 6.0])  # Q < 0 from t ~ 2.15 on
     assert c.q(3.0) < 0.0
     arr = c.mean_array(ts)
@@ -192,7 +190,7 @@ def test_korf_is_exactly_zero_at_time_zero():
 
 
 def test_multisig_mean_matches_naive_form_where_q_is_negative():
-    c = MultisigLogistic(c=5.0, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=2.0)
+    c = MultisigLogistic(c=5.0, beta1=1.0, beta2=0.0, beta3=0.0, beta4=-0.1, j=1, rho=2.0)
     ts = [3.0, 4.5, 6.0]  # Q < 0 from t ~ 2.15 on
     arr = c.mean_array(np.array(ts))
     for i, t in enumerate(ts):
@@ -382,7 +380,7 @@ def test_ext_logistic_rate_is_always_decreasing(n_mult, eps, j):
 
 
 def test_multisig_validity_window_canonical():
-    curve = MultisigLogistic(c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=2.0)
+    curve = MultisigLogistic(c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=2.0)
     end = curve.induced_validity_end()
     assert 15.0 < end < 16.0
     assert curve.q_prime(end) == pytest.approx(0.0, abs=1e-9)
@@ -395,7 +393,7 @@ def test_multisig_validity_window_canonical():
 
 
 def test_multisig_validity_zero_when_rate_starts_negative():
-    curve = MultisigLogistic(c=5.0, betas=(-1.0, 0.0, 0.0, -0.1), j=1, rho=2.0)
+    curve = MultisigLogistic(c=5.0, beta1=-1.0, beta2=0.0, beta3=0.0, beta4=-0.1, j=1, rho=2.0)
     assert curve.induced_validity_end() == 0.0
     with pytest.raises(DomainError):
         curve.validate_horizon(0.5)
@@ -404,19 +402,19 @@ def test_multisig_validity_zero_when_rate_starts_negative():
 def test_multisig_validity_is_always_finite():
     # the quartic exponent eventually decreases for any admissible coefficients
     for betas in ((2.0, 0.0, 0.0, -1e-9), (0.5, 1.0, 2.0, -0.01)):
-        curve = MultisigLogistic(c=5.0, betas=betas, j=1, rho=2.0)
+        curve = MultisigLogistic(5.0, *betas, j=1, rho=2.0)
         assert math.isfinite(curve.induced_validity_end())
 
 
 def test_multisig_outside_validity_intensity_rejected():
-    curve = MultisigLogistic(c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=2.0)
+    curve = MultisigLogistic(c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=2.0)
     with pytest.raises(DomainError):
         induced_m(curve, 25.0)  # implied M is negative far past the window
 
 
 def test_multisig_nests_plain_logistic():
     base = Logistic(c=12.0, r=1.5, j=2, rho=2.0)
-    nested = MultisigLogistic(c=12.0, betas=(1.5, 0.0, 0.0, -1e-12), j=2, rho=2.0)
+    nested = MultisigLogistic(c=12.0, beta1=1.5, beta2=0.0, beta3=0.0, beta4=-1e-12, j=2, rho=2.0)
     for t in (0.0, 0.7, 2.0, 5.0):
         assert nested.mean(t) == pytest.approx(base.mean(t), rel=1e-9)
         assert nested.induced_big_m(t) == pytest.approx(
@@ -425,7 +423,7 @@ def test_multisig_nests_plain_logistic():
 
 
 def test_multisig_has_no_long_run_limit():
-    curve = MultisigLogistic(c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=2.0)
+    curve = MultisigLogistic(c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=2.0)
     with pytest.raises(DomainError):
         curve.mean_limit()
 
@@ -506,7 +504,7 @@ def test_crossing_numeric_families_match_naive_displays():
         GenGompertz(a=2.0, b=1.5, j=2, rho=1.5),
         Logistic(c=10.0, r=1.2, j=1, rho=1.5),
         ExtLogistic(n=8.0, eps=-0.3, j=1, rho=1.5),
-        MultisigLogistic(c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=1.5),
+        MultisigLogistic(c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=1.5),
         ModKorf(alpha=2.0, beta=1.5, j=1, rho=1.5),
         Korf(alpha=1.0, beta=0.8, j=1, rho=1.3),
         Mitscherlich(alpha=1.0, beta=5.0, j=2, rho=1.5),
@@ -527,7 +525,7 @@ def test_crossing_is_none_when_none_exists():
     # intensity saturates below the threshold
     assert _crossing(Gompertz(alpha=0.3, beta=1.0, j=1, rho=1.5)) is None
     assert _crossing(Logistic(c=1.5, r=1.0, j=1, rho=1.9)) is None
-    assert _crossing(MultisigLogistic(c=1.5, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=1.9)) is None
+    assert _crossing(MultisigLogistic(1.5, 1.0, 0.0, 0.0, -0.1, j=1, rho=1.9)) is None
     # the Korf intensity tops out at log(2)/(rho-1): crossing needs rho < 1.5
     assert _crossing(Korf(alpha=1.0, beta=0.8, j=1, rho=1.7)) is None
 
@@ -537,7 +535,7 @@ NO_CROSSING = [
     Logistic(c=10.0, r=1.2, j=1, rho=2.5),
     Gompertz(alpha=0.3, beta=1.0, j=1, rho=1.5),
     Logistic(c=1.5, r=1.0, j=1, rho=1.9),
-    MultisigLogistic(c=1.5, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=1.9),
+    MultisigLogistic(c=1.5, beta1=1.0, beta2=0.0, beta3=0.0, beta4=-0.1, j=1, rho=1.9),
     Korf(alpha=1.0, beta=0.8, j=1, rho=1.7),
 ]
 
@@ -558,7 +556,7 @@ def test_crossing_time_curve_is_the_rates_crossing_time(curve):
 
 def test_crossing_search_stops_at_the_validity_end():
     # M peaks below the threshold inside the window and turns negative past it
-    curve = MultisigLogistic(c=1.6, betas=(1.0, 0.0, 0.0, -0.5), j=1, rho=1.5)
+    curve = MultisigLogistic(c=1.6, beta1=1.0, beta2=0.0, beta3=0.0, beta4=-0.5, j=1, rho=1.5)
     assert _crossing(curve) is None
 
 
@@ -569,7 +567,7 @@ def test_crossing_time_is_j_free_for_x_kind():
 
 
 def test_multisig_crossing_stays_inside_validity():
-    curve = MultisigLogistic(c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=1.5)
+    curve = MultisigLogistic(c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=1.5)
     t_star = _crossing(curve)
     assert 0.0 < t_star < curve.induced_validity_end()
 
@@ -594,7 +592,7 @@ def test_curve_induced_profile_delegates():
 
 
 def test_curve_induced_profile_validates_horizon_for_multisig():
-    curve = MultisigLogistic(c=5.0, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=2.0)
+    curve = MultisigLogistic(c=5.0, beta1=1.0, beta2=0.0, beta3=0.0, beta4=-0.1, j=1, rho=2.0)
     prof = CurveInducedMu(curve)
     end = curve.induced_validity_end()
     prof.validate_horizon(end * 0.9)
@@ -631,8 +629,23 @@ def test_config_multisig_accepts_numbered_keys():
         "rho": 2.0,
     }
     assert curve_from_config(cfg) == MultisigLogistic(
-        c=20.0, betas=(2.0, -1.2, 0.3, -0.012), j=1, rho=2.0
+        c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=2.0
     )
+
+
+def test_config_of_earlier_releases_with_a_betas_list_still_loads():
+    curve = MultisigLogistic(c=20.0, beta1=2.0, beta2=-1.2, beta3=0.3, beta4=-0.012, j=1, rho=2.0)
+    legacy = {"family": "multisig_logistic", "j": 1, "rho": 2.0, "c": 20.0,
+              "betas": [2.0, -1.2, 0.3, -0.012]}
+    assert curve_from_config(legacy) == curve
+    assert curve_to_config(curve) == {
+        "family": "multisig_logistic", "j": 1, "rho": 2.0, "c": 20.0,
+        "beta1": 2.0, "beta2": -1.2, "beta3": 0.3, "beta4": -0.012,
+    }
+    with pytest.raises(DomainError, match="exactly 4 coefficients"):
+        curve_from_config({**legacy, "betas": [1.0, 0.0, -0.1]})
+    with pytest.raises(DataError, match="'betas' must be a list"):
+        curve_from_config({**legacy, "betas": "1 0 0 -0.1"})
 
 
 def test_config_defaults():
@@ -693,11 +706,17 @@ def test_family_specific_validation():
     with pytest.raises(DomainError):
         ExtLogistic(n=8.0, eps=1.0, j=1, rho=2.0)
     with pytest.raises(DomainError):
-        MultisigLogistic(c=5.0, betas=(1.0, 0.0, 0.0, 0.1), j=1, rho=2.0)
-    with pytest.raises(DomainError):
-        MultisigLogistic(c=5.0, betas=(1.0, 0.0, -0.1), j=1, rho=2.0)
+        MultisigLogistic(c=5.0, beta1=1.0, beta2=0.0, beta3=0.0, beta4=0.1, j=1, rho=2.0)
     with pytest.raises(DomainError):
         Korf(alpha=1.0, beta=-0.5)
+
+
+@pytest.mark.parametrize("curve", CANON[:4] + CANON[5:], ids=lambda c: c.family)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected_by_name(curve, bad):
+    for name in curve.param_names:
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            dataclasses.replace(curve, **{name: bad})
 
 
 def test_time_validation_and_frozen_instances():

@@ -274,7 +274,7 @@ def test_prob_bounds_checking():
 def test_horizon_validation_consults_the_rate_family():
     from rumorbd.growth import MultisigLogistic, proportional_from_curve
 
-    curve = MultisigLogistic(c=5.0, betas=(1.0, 0.0, 0.0, -0.1), j=1, rho=2.0)
+    curve = MultisigLogistic(c=5.0, beta1=1.0, beta2=0.0, beta3=0.0, beta4=-0.1, j=1, rho=2.0)
     rates = proportional_from_curve(curve)
     end = curve.induced_validity_end()
     solve_forward(rates, 1, end * 0.5, 25, 25)  # inside the window: fine

@@ -133,6 +133,15 @@ def test_pgf_prop_x_marginal_is_a_probability(z1):
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
+def test_pgf_prop_just_below_z2_one_is_a_probability():
+    # the root that tends to 1 lies within ulps of it here, and z1 - xi used to
+    # be taken from that rounded root: 1.1168 at (8.0, 4.92, 1, 1, 1 - 2^-53)
+    values = [pgf_prop(rho, m, j, z1, z2) for rho, m in MASS_GRID for z1 in (0.0, 0.5, 1.0)
+              for z2 in (1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 1e-15, 1.0 - 1e-9) for j in (1, 3)]
+    assert -1e-14 <= min(values) and max(values) <= 1.0 + 1e-14
+    assert pgf_prop(7.999331103678931, 4.923882631706737, 1, 1.0, 1.0 - 2.0**-53) <= 1.0 + 1e-14
+
+
 # ===== balanced case is the x = 0 point, not a separate branch ================
 
 

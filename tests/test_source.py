@@ -105,3 +105,31 @@ def test_constant_rate_forms_are_the_proportional_ones():
     assert importers == ["__init__.py"]
     defined = [name for node in trees["homogeneous.py"].body for name in _defined(node)]
     assert defined == ["absorption_prob"]
+
+
+def _families(tree):
+    """The growth-family class definitions of ``growth.py``."""
+    return [node for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id == "GrowthCurve" for b in node.bases)]
+
+
+def test_a_growth_family_is_named_in_growth_py_alone():
+    """Other modules reach a family through ``FAMILIES`` and its declared
+    ``param_names`` and ``capacity``, never by its class; the package's
+    ``__init__.py`` only re-exports the classes."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    names = {node.name for node in _families(trees["growth.py"])}
+    assert len(names) == 8
+    naming = [f"{module}: {name}" for module, tree in trees.items()
+              if module not in ("growth.py", "__init__.py")
+              for name in names & set(_references(tree))]
+    assert not naming
+
+
+def test_a_family_declares_its_parameters_once_as_its_fields():
+    """``param_names`` is read off a family's fields, and ``j`` and ``rho``
+    are the base's, so no family class body assigns any of the three."""
+    tree = ast.parse((SRC / "growth.py").read_text())
+    assigned = [f"{node.name}.{name}" for node in _families(tree) for stmt in node.body
+                for name in _defined(stmt) if name in ("param_names", "j", "rho")]
+    assert not assigned
