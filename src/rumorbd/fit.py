@@ -3,13 +3,16 @@ model selection, and inactive-mean reconstruction.
 
 Fitting minimizes MSE or RAE over each family's parameter box from
 Latin-hypercube starts, on one fit problem (:class:`_Problem`): one box in
-one set of search coordinates, positive parameters in log scale, and one
-batched evaluator of the residuals y - m(t).  Both criteria run one
-multi-start search, bounded least squares by a Levenberg-Marquardt written
-in numpy (:func:`_lockstep_lm`) that runs all restarts of a family in
-lockstep.  MSE is that search; RAE is not smooth, so it then runs one scipy
-Nelder-Mead from the best point the search met, and only RAE fits import
-scipy.optimize.  The initial spreader count j is
+one set of search coordinates, positive parameters in log scale, declared by
+the roles of the family's parameters.  Both criteria run one multi-start
+search, bounded least squares by a Levenberg-Marquardt written in numpy
+(:func:`_lockstep_lm`) that runs restarts in lockstep, each in its own box,
+on one batched evaluator of the residuals y - m(t) (:class:`_Batch`).  A
+fit's restarts are one batch; a model selection puts the restarts of every
+family with the same number of parameters in one batch, and a restart ends
+the same whichever rows share it.  MSE is that search; RAE is not smooth, so
+it then runs one scipy Nelder-Mead per family from the best point the search
+met, and only RAE fits import scipy.optimize.  The initial spreader count j is
 pinned to the first observation by default — the model requires X(0) = j
 and the series starts at the first post — or, with ``estimate_j``, profiled
 over the integers (:func:`_profile_argmin`).  The rate ratio rho is never
@@ -27,6 +30,7 @@ exactly), which is reported as-is.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,6 +45,7 @@ _KINDS = ("mse", "rae")
 _RATE_LO, _RATE_HI = 1e-3, 1e2
 _POLY_BOUND = 10.0
 _B4_EDGE = -1e-12  # beta4 must stay strictly negative
+_NESTED = "multisig_logistic"  # the family with a start at the logistic optimum
 
 
 @dataclass(frozen=True)
@@ -157,27 +162,16 @@ class _Dim(NamedTuple):
 
 
 def _dims_for(family: str, dataset: Dataset) -> list[_Dim]:
+    """The family's search box: each parameter over the box of its role (see
+    :class:`~rumorbd.growth.GrowthCurve`); a capacity or an amplitude from
+    the largest count to 100 times it."""
     y_max = max(dataset.counts)
-    amp = _Dim("amp", y_max, 100.0 * y_max, log=True)
-    rate = lambda name: _Dim(name, _RATE_LO, _RATE_HI, log=True)  # noqa: E731
-    if family == "gompertz":
-        return [rate("alpha"), rate("beta")]
-    if family == "gen_gompertz":
-        return [rate("a"), rate("b")]
-    if family == "logistic":
-        return [amp._replace(name="c"), rate("r")]
-    if family == "ext_logistic":
-        return [amp._replace(name="n"), _Dim("eps", -0.99, 0.99, log=False)]
-    if family == "multisig_logistic":
-        poly = [_Dim(f"beta{i}", -_POLY_BOUND, _POLY_BOUND, log=False) for i in (1, 2, 3)]
-        return [amp._replace(name="c"), *poly, _Dim("beta4", -_POLY_BOUND, _B4_EDGE, log=False)]
-    if family == "mod_korf":
-        return [rate("alpha"), rate("beta")]
-    if family == "korf":
-        return [rate("alpha"), rate("beta")]
-    if family == "mitscherlich":
-        return [rate("alpha"), amp._replace(name="beta")]
-    raise DataError(f"unknown curve family {family!r}")
+    amp = (y_max, 100.0 * y_max, True)
+    boxes = {"rate": (_RATE_LO, _RATE_HI, True), "capacity": amp, "amplitude": amp,
+             "asymmetry": (-0.99, 0.99, False), "coefficient": (-_POLY_BOUND, _POLY_BOUND, False),
+             "leading": (-_POLY_BOUND, _B4_EDGE, False)}
+    roles = growth.FAMILIES[family].roles
+    return [_Dim(name, *boxes[role]) for name, role in roles.items()]
 
 
 def _build_curve(family: str, params: tuple[float, ...], j: int, rho: float):
@@ -215,7 +209,8 @@ def minimize(fun, x0, method: str, **kwargs):
     """The one optimizer entry of the fits.
 
     ``method="lm"`` runs :func:`_lockstep_lm` on every row of ``x0`` at once,
-    ``fun`` mapping a matrix of points to a matrix of residual rows.  Any other
+    ``fun`` mapping a matrix of points, and the row of ``x0`` each belongs to,
+    to a matrix of residual rows.  Any other
     method is one ``scipy.optimize.minimize`` run from ``x0`` (the RAE
     polish), imported on first use: scipy.optimize takes longer to import
     than all of rumorbd, and only RAE fits need it.
@@ -237,15 +232,15 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 def _starts(dims: list[_Dim], restarts: int, seed: int,
             logistic: FitResult | None = None) -> np.ndarray:
     """Latin-hypercube starts as rows of parameter values: a positive
-    parameter log-uniform on its box, beta4 = -|beta4| with |beta4|
+    parameter log-uniform on its box, a negative one (beta4) as -|x| with |x|
     log-uniform on [1e-4, 10], any other parameter uniform on its box.  The
     multisigmoidal family gets one more start, nested at the ``logistic``
     optimum: with beta = (r, 0, 0, 0-) the quartic exponent reduces to r t,
     so the optimum can only improve on the logistic one."""
     unit = _latin_hypercube(restarts, len(dims), seed)
-    draws = [(1e-4, -d.lo, True) if d.name == "beta4" else (d.lo, d.hi, d.log) for d in dims]
+    draws = [(1e-4, -d.lo, True) if d.hi < 0.0 else (d.lo, d.hi, d.log) for d in dims]
     logs = [log for _, _, log in draws]
-    sign = [-1.0 if d.name == "beta4" else 1.0 for d in dims]
+    sign = [-1.0 if d.hi < 0.0 else 1.0 for d in dims]
     lows, highs = np.array([(math.log(lo), math.log(hi)) if log else (lo, hi)
                             for lo, hi, log in draws]).T
     z = lows + unit * (highs - lows)
@@ -254,6 +249,24 @@ def _starts(dims: list[_Dim], restarts: int, seed: int,
     if logistic is not None and logistic.curve is not None:
         starts = np.vstack([starts, (*logistic.params, 0.0, 0.0, _B4_EDGE)])
     return starts
+
+
+def _checked_dims(name: str, dataset: Dataset, estimate_j: bool) -> list[_Dim]:
+    """The family's box, once the dataset is known to hold more points than
+    the fit has parameters (j among them with ``estimate_j``)."""
+    dims = _dims_for(name, dataset)
+    n_params = len(dims) + estimate_j
+    if len(dataset) < n_params + 1:
+        raise DataError(
+            f"{name} needs at least {n_params + 1} points to fit "
+            f"{n_params} parameters, dataset {dataset.name!r} has {len(dataset)}"
+        )
+    return dims
+
+
+def _first_j(dataset: Dataset) -> int:
+    """The initial spreader count a fit pins j to: the first count, rounded."""
+    return max(1, int(round(dataset.counts[0])))
 
 
 def _resolve_family(family) -> str:
@@ -308,20 +321,13 @@ def fit_one(
     k = _check_kind(kind)
     check_int("budget", budget, 1)
     check_int("restarts", restarts, 1)
-    dims = _dims_for(name, dataset)
-    n_params = len(dims) + estimate_j
-    if len(dataset) < n_params + 1:
-        raise DataError(
-            f"{name} needs at least {n_params + 1} points to fit "
-            f"{n_params} parameters, dataset {dataset.name!r} has {len(dataset)}"
-        )
-
-    nested = name == "multisig_logistic"
+    dims = _checked_dims(name, dataset, estimate_j)
+    nested = name == _NESTED
     if nested and logistic is None:
         logistic = fit_one("logistic", dataset, k, budget, restarts=restarts, seed=seed,
                            rho=rho, estimate_j=estimate_j)
     starts = _starts(dims, restarts, seed, logistic if nested else None)
-    j0 = max(1, int(round(dataset.counts[0])))
+    j0 = _first_j(dataset)
     if not estimate_j:
         return _Problem(name, dims, dataset, j0, rho).fit(k, starts, budget)
 
@@ -418,15 +424,18 @@ class _Lockstep(NamedTuple):
 def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     """Bounded Levenberg-Marquardt on every row of ``x0`` at once.
 
-    ``residuals`` maps an (N, d) matrix of points to the (N, m) matrix of their
-    residual vectors; each row minimises its own cost F = r.r over the box
-    [lower, upper], through points strictly inside it.  A row alternates two
-    kinds of evaluation: the d forward-difference columns of its Jacobian J at
-    its point z (step h = sqrt(eps) max(1, |z_i|), taken inward where z + h
-    reaches the upper bound), and one trial point.  Each iteration is one
-    ``residuals`` call on the trial points and Jacobian columns of all running
-    rows, so the rows advance in lockstep.  Each row's arithmetic is its own:
-    a row ends bit for bit the same alone as in any batch.
+    ``residuals(points, rows)`` maps an (N, d) matrix of points to the (N, m)
+    matrix of their residual vectors, ``rows`` being the row of ``x0`` each
+    point belongs to, so rows may be starts of different problems.  Each row
+    minimises its own cost F = r.r over its own box [lower, upper], through
+    points strictly inside it: the bounds are (n, d) matrices, or (d,) rows
+    that every row shares.  A row alternates two kinds of evaluation: the d
+    forward-difference columns of its Jacobian J at its point z (step
+    h = sqrt(eps) max(1, |z_i|), taken inward where z + h reaches the upper
+    bound), and one trial point.  Each iteration is one ``residuals`` call on
+    the trial points and Jacobian columns of all running rows, so the rows
+    advance in lockstep.  Each row's arithmetic is its own: a row ends bit for
+    bit the same alone as in any batch, whatever the other rows' problems.
 
     The model is that of scipy's trust-region reflective method with
     ``x_scale="jac"`` (Coleman and Li's scaling for bounds).  After each
@@ -462,12 +471,14 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
 
     A damping that overflows gives a zero step, which ends the row on xtol.
     """
+    x0 = np.array(x0, dtype=float)
+    n, d = x0.shape
+    lower, upper = np.broadcast_to(lower, (n, d)), np.broadcast_to(upper, (n, d))
     inset = 1e-10 * np.maximum(1.0, np.abs([lower, upper]))
-    z0 = np.clip(np.array(x0, dtype=float), lower + inset[0], upper - inset[1])
-    inside = np.nextafter([lower, upper], [upper, lower])
-    n, d = z0.shape
+    z0 = np.clip(x0, lower + inset[0], upper - inset[1])
+    in_lo, in_hi = np.nextafter([lower, upper], [upper, lower])
     add = np.add.reduce
-    r0 = residuals(z0)
+    r0 = residuals(z0, np.arange(n))
     z, r = z0.copy(), r0.copy()
     m = r.shape[1]
     cost = add(r * r, axis=1)
@@ -494,22 +505,23 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
         over = ~done & (nfev + np.where(need_jac, d + 1, 1) > budget)
         exhausted |= over
         done |= over
-        ji = np.flatnonzero(~done & need_jac)
-        ti = np.flatnonzero(~done & ~need_jac)
+        ji = (~done & need_jac).nonzero()[0]
+        ti = (~done & ~need_jac).nonzero()[0]
         nt = ti.size
         if not (nt or ji.size):
             break
         zt = z[ti]
         trial = zt + step[ti]
-        points = trial
+        points, rows = trial, ti
         if ji.size:
             zj = z[ji]
             h = _FD_STEP * np.maximum(1.0, np.abs(zj))
             zh = zj + h
-            zh = np.where(zh < upper, zh, zj - h)
+            zh = np.where(zh < upper[ji], zh, zj - h)
             columns = np.where(diag, zh[:, None, :], zj[:, None, :])
             points = np.concatenate([trial, columns.reshape(-1, d)])
-        out = residuals(points)
+            rows = np.concatenate([ti, np.repeat(ji, d)])
+        out = residuals(points, rows)
 
         if ji.size:
             nfev[ji] += d
@@ -518,7 +530,7 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
             g = add(jj * rj[:, None, :], axis=2)
             nj = np.maximum(norm[ji], np.sqrt(add(jj * jj, axis=2)))
             nj[nj == 0.0] = 1.0
-            v = np.where(g < 0.0, upper - zj, zj - lower) * nj
+            v = np.where(g < 0.0, upper[ji] - zj, zj - lower[ji]) * nj
             v[g == 0.0] = 1.0
             gv = np.maximum.reduce(np.abs(g * v), axis=1)
             done[ji[gv < _GTOL]] = True
@@ -547,26 +559,28 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
             pred = -(2.0 * add(r[ti] * jp, axis=1) + add(jp * jp, axis=1)
                      + add(extra[ti] * q * q, axis=1))
             ct = add(rt * rt, axis=1)
-            actual = cost[ti] - ct
+            cost_t, mu_t, nu_t = cost[ti], mu[ti], nu[ti]
+            actual = cost_t - ct
             rho = np.divide(actual, pred, out=np.zeros(nt), where=pred > 0.0)
             ok = actual > 0.0
-            done[ti[ok & (actual < _FTOL * cost[ti]) & (rho > 0.25)]] = True
+            done[ti[ok & (actual < _FTOL * cost_t) & (rho > 0.25)]] = True
             factor = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
-            mu[ti] = np.where(ok, np.maximum(mu[ti] * factor, _EPS), mu[ti] * nu[ti])
-            nu[ti] = np.where(ok, 2.0, 2.0 * nu[ti])
+            mu[ti] = np.where(ok, np.maximum(mu_t * factor, _EPS), mu_t * nu_t)
+            nu[ti] = np.where(ok, 2.0, 2.0 * nu_t)
             ai = ti[ok]
             z[ai], r[ai], cost[ai] = trial[ok], rt[ok], ct[ok]
             need_jac[ai] = True
 
-        si = np.flatnonzero(~done & ~need_jac)
+        si = (~done & ~need_jac).nonzero()[0]
         if not si.size:
             continue
-        w = vg[si] / (eig[si] + (mu[si] * eig[si, -1])[:, None])
+        e = eig[si]
+        w = vg[si] / (e + (mu[si] * e[:, -1])[:, None])
         p = -add(basis[si] * w[:, None, :], axis=2)
         zs = z[si]
-        wall = np.where(p > 0.0, upper - zs, lower - zs)
+        wall = np.where(p > 0.0, upper[si] - zs, lower[si] - zs)
         p = np.where(np.abs(p) < np.abs(wall), p, theta[si, None] * wall)
-        p = np.minimum(np.maximum(zs + p, inside[0]), inside[1]) - zs
+        p = np.minimum(np.maximum(zs + p, in_lo[si]), in_hi[si]) - zs
         small = np.sqrt(add(p * p, axis=1)) < _XTOL * (_XTOL + np.sqrt(add(zs * zs, axis=1)))
         done[si[small]] = True
         step[si] = p
@@ -594,7 +608,8 @@ class _Problem:
         self.lo, self.hi = self.encode(self.p_lo), self.encode(self.p_hi)
         # the box holds every parameter where its constructor wants it, but for
         # the carrying capacity > j (its lower bound max(y) may equal j)
-        self.amp = [i for i, d in enumerate(dims) if d.name == self.family.capacity]
+        self.capacity = np.array([self.family.roles[d.name] == "capacity" for d in dims])
+        self.alone = _Batch([self])
 
     def encode(self, params) -> np.ndarray:
         """Search coordinates of a parameter row, or of a matrix of rows.  The
@@ -605,26 +620,19 @@ class _Problem:
         z[..., self.log] = np.vectorize(math.log, otypes=[float])(z[..., self.log])
         return z
 
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        """Parameter rows of the rows of ``z``; exp(log(lo)) can round just
-        outside the box, so they are clipped onto it."""
-        return np.minimum(np.maximum(np.where(self.log, np.exp(z), z), self.p_lo), self.p_hi)
-
     def params(self, z: np.ndarray) -> tuple[float, ...]:
-        return tuple(self.decode(z).tolist())
+        return tuple(self.alone.decode(z, 0).tolist())
 
-    @np.errstate(all="ignore")
-    def residuals(self, z: np.ndarray) -> np.ndarray:
-        """Residual rows y - m(t) at the rows of ``z``, or the one row at a
-        point ``z``: one call of the family's broadcast ``mean_formula``, on
-        numpy scalars for a point.  A row is the constant fill where the
-        carrying capacity is not above j or any |residual| reaches the cap
-        (NaN included)."""
-        params = self.decode(z)
+    def deviation(self, params: np.ndarray) -> np.ndarray:
+        """y - m(t) at a parameter row, or at each row of a matrix: one call of
+        the family's broadcast ``mean_formula``, on numpy scalars for a row."""
         cols = params.T[:, :, None] if params.ndim == 2 else params
-        r = self.y - self.family.mean_formula(self.t, self.j, self.rho, *cols)
-        ok = (np.abs(r) < _RESIDUAL_CAP).all(axis=-1) & (params[..., self.amp] > self.j).all(axis=-1)
-        return np.where(ok[..., None], r, _RESIDUAL_CAP)
+        return self.y - self.family.mean_formula(self.t, self.j, self.rho, *cols)
+
+    def residuals(self, z: np.ndarray) -> np.ndarray:
+        """Residual rows at the rows of ``z``, or the one row at a point ``z``
+        (:meth:`_Batch.residuals`)."""
+        return self.alone.residuals(z, 0)
 
     def rae(self, z: np.ndarray) -> float:
         """RAE at the point ``z``: +inf off the box, and on a filled row the
@@ -634,19 +642,17 @@ class _Problem:
         return float(_value(self.residuals(z), self.y, "rae"))
 
     def search(self, kind: str, starts: np.ndarray, budget: int) -> list[_Restart]:
-        """Every start (a row of parameter values) run to its end by
-        :func:`_lockstep_lm` on ``residuals``, all at once, the box as bounds;
-        ``budget`` caps residual evaluations per restart, Jacobian columns
-        included.  A restart that ends on a filled row scores inf.
+        """Every start (a row of parameter values) run to its end: a batch of
+        one problem for :func:`_search`."""
+        return _search([self], [starts], kind, budget)[0]
 
-        RAE gives the restarts ``budget // 2`` each, then adds one row: a
-        Nelder-Mead run on :meth:`rae` from the point of least RAE among the
+    def settle(self, kind: str, res: _Lockstep, budget: int) -> list[_Restart]:
+        """Where the lockstep rows ``res`` of this problem's starts ended; a
+        restart that ends on a filled row scores inf.  RAE then adds one row:
+        a Nelder-Mead run on :meth:`rae` from the point of least RAE among the
         starts and the ends, allowed the evaluations the restarts left unused,
-        so the fit's evaluations stay within ``restarts * budget``.
-        """
-        n = len(starts)
-        res = minimize(self.residuals, self.encode(starts), "lm", lower=self.lo, upper=self.hi,
-                       budget=budget if kind == "mse" else budget // 2)
+        so the fit's evaluations stay within ``restarts * budget``."""
+        n = len(res.x)
         fun = np.concatenate([res.fun0, res.fun])  # the starts, then the ends
         values = np.where(fun[:, 0] == _RESIDUAL_CAP, math.inf, _value(fun, self.y, kind))
         ends = values[n:]
@@ -664,15 +670,18 @@ class _Problem:
                                 polish.nfev)]
 
     def fit(self, kind: str, starts: np.ndarray, budget: int) -> FitResult:
-        """The best restart of :meth:`search`, its objective re-evaluated on
-        the constructed curve; the failure result when every restart scores
-        inf.  Ties go to the first restart."""
-        rows = self.search(kind, starts, budget)
+        """The fit from ``starts``: a batch of one problem for :func:`_fits`."""
+        return _fits([self], [starts], kind, budget)[0]
+
+    def result(self, kind: str, rows: list[_Restart], restarts: int) -> FitResult:
+        """The best restart of ``rows``, its objective re-evaluated on the
+        constructed curve; the failure result when every restart scores inf.
+        Ties go to the first restart."""
         best = min((row for row in rows if row.value < math.inf),
                    key=lambda row: row.value, default=None)
         failed = FitResult(
             family=self.family.family, params=(), kind=kind, value=math.inf, converged=False,
-            n_evals=sum(row.evals for row in rows), restarts=len(starts), j=self.j,
+            n_evals=sum(row.evals for row in rows), restarts=restarts, j=self.j,
             rho=self.rho, curve=None, message="all restarts diverged or left the parameter box",
         )
         if best is None:
@@ -682,6 +691,75 @@ class _Problem:
         return replace(failed, params=params, value=objective(curve, self.dataset, kind),
                        converged=best.converged, curve=curve,
                        message=_bound_message(params, self.dims))
+
+
+class _Batch:
+    """Fit problems with the same number of parameters and of data points,
+    evaluated together: row k of each array is the box of ``problems[k]``."""
+
+    def __init__(self, problems: list[_Problem]):
+        self.problems = problems
+        stack = lambda name: np.array([getattr(p, name) for p in problems])  # noqa: E731
+        self.log, self.p_lo, self.p_hi, self.lo, self.hi = map(
+            stack, ("log", "p_lo", "p_hi", "lo", "hi"))
+        self.free = ~stack("capacity")  # the parameters with no floor at j
+        self.j = stack("j")[:, None]
+
+    def decode(self, z: np.ndarray, which) -> np.ndarray:
+        """Parameter rows of the rows of ``z``, row i on the box of problem
+        ``which[i]``, or all on that of the problem ``which``, an int;
+        exp(log(lo)) can round just outside the box, so they are clipped onto
+        it."""
+        return np.minimum(np.maximum(np.where(self.log[which], np.exp(z), z), self.p_lo[which]),
+                          self.p_hi[which])
+
+    @np.errstate(all="ignore")
+    def residuals(self, z: np.ndarray, which) -> np.ndarray:
+        """Residual rows y - m(t) at the rows of ``z``, as :meth:`decode`
+        assigns them to problems: decoding, the cap and the fill run once on
+        all rows, each problem's ``mean_formula`` once on its own rows.  A row
+        is the constant fill where the carrying capacity is not above j or any
+        |residual| reaches the cap (NaN included)."""
+        params = self.decode(z, which)
+        if np.ndim(which):
+            r = np.empty((len(z), len(self.problems[0].t)))
+            for k, problem in enumerate(self.problems):
+                i = (which == k).nonzero()[0]
+                if i.size:
+                    r[i] = problem.deviation(params[i])
+        else:
+            r = self.problems[which].deviation(params)
+        ok = ((np.abs(r) < _RESIDUAL_CAP).all(axis=-1)
+              & ((params > self.j[which]) | self.free[which]).all(axis=-1))
+        return np.where(ok[..., None], r, _RESIDUAL_CAP)
+
+
+def _search(problems: list[_Problem], starts: list[np.ndarray], kind: str,
+            budget: int) -> list[list[_Restart]]:
+    """Every start (a row of parameter values) of every problem run to its
+    end by one :func:`_lockstep_lm`, on the problem's residuals and box, at
+    ``budget`` residual evaluations per restart (Jacobian columns included)
+    for MSE and ``budget // 2`` for RAE; then :meth:`_Problem.settle` per
+    problem.  The problems have the same number of parameters and of data
+    points; a row ends the same whichever problems share its batch."""
+    batch = _Batch(problems)
+    counts = [len(s) for s in starts]
+    owner = np.repeat(np.arange(len(problems)), counts)
+    res = minimize(lambda z, rows: batch.residuals(z, owner[rows]),
+                   np.concatenate([p.encode(s) for p, s in zip(problems, starts)]), "lm",
+                   lower=batch.lo[owner], upper=batch.hi[owner],
+                   budget=budget if kind == "mse" else budget // 2)
+    ends = np.cumsum(counts)
+    return [p.settle(kind, _Lockstep(*(f[a:b] for f in res[:-1]), not res.exhausted[a:b].any()),
+                     budget)
+            for p, a, b in zip(problems, ends - counts, ends)]
+
+
+def _fits(problems: list[_Problem], starts: list[np.ndarray], kind: str,
+          budget: int) -> list[FitResult]:
+    """Each problem's fit from its starts, all searched in one batch."""
+    return [p.result(kind, rows, len(s))
+            for p, s, rows in zip(problems, starts, _search(problems, starts, kind, budget))]
 
 
 def select_model(
@@ -699,7 +777,11 @@ def select_model(
 
     ``families`` is an ordered list of names, or "all" for every registered
     family.  The winner attains the minimum objective; ties go to the family
-    listed first.
+    listed first.  Each result equals the family's :func:`fit_one` with the
+    same settings.  With j pinned, the restarts of every family with the same
+    number of parameters run in one lockstep batch, the multisigmoidal
+    family's after the logistic fit its nested start needs; with
+    ``estimate_j`` every family is its own profile.
     """
     k = _check_kind(kind)
     check_int("budget", budget, 1)
@@ -711,34 +793,38 @@ def select_model(
     if not names:
         raise DomainError("at least one curve family is required")
 
-    results: list[FitResult] = []
-    for name in names:
-        # the multisigmoidal fit nests at the logistic optimum fitted here
-        logistic = next((r for r in results if r.family == "logistic"), None)
+    # the multisigmoidal fit nests at the logistic optimum: logistic goes first
+    wanted = dict.fromkeys(["logistic", *names] if _NESTED in names else names)
+    fits: dict[str, FitResult] = {}
+    problems: dict[str, _Problem] = {}
+    for name in wanted:
         try:
-            results.append(
-                fit_one(
-                    name, dataset, k, budget, restarts=restarts, seed=seed,
-                    rho=rho, estimate_j=estimate_j, logistic=logistic,
-                )
-            )
+            if estimate_j:
+                fits[name] = fit_one(name, dataset, k, budget, restarts=restarts, seed=seed,
+                                     rho=rho, estimate_j=True, logistic=fits.get("logistic"))
+            else:
+                problems[name] = _Problem(name, _checked_dims(name, dataset, False), dataset,
+                                          _first_j(dataset), rho)
         except (DataError, DomainError) as exc:
-            results.append(
-                FitResult(
-                    family=name, params=(), kind=k, value=math.inf, converged=False,
-                    n_evals=0, restarts=0, j=0, rho=rho, curve=None, message=str(exc),
-                )
+            fits[name] = FitResult(
+                family=name, params=(), kind=k, value=math.inf, converged=False,
+                n_evals=0, restarts=0, j=0, rho=rho, curve=None, message=str(exc),
             )
+    batch_key = lambda name: (name == _NESTED, len(problems[name].dims))  # noqa: E731
+    for _, group in itertools.groupby(sorted(problems, key=batch_key), key=batch_key):
+        group = list(group)
+        starts = [_starts(problems[name].dims, restarts, seed,
+                          fits["logistic"] if name == _NESTED else None) for name in group]
+        fits.update(zip(group, _fits([problems[name] for name in group], starts, k, budget)))
 
+    results = tuple(fits[name] for name in names)
     winner: str | None = None
     best = math.inf
     for fr in results:
         if fr.value < best:
             best = fr.value
             winner = fr.family
-    return SelectionReport(
-        dataset_name=dataset.name, kind=k, results=tuple(results), winner=winner
-    )
+    return SelectionReport(dataset_name=dataset.name, kind=k, results=results, winner=winner)
 
 
 # ===== Inactive-mean reconstruction ===========================================

@@ -46,6 +46,9 @@ from .errors import DataError, DomainError, check_j, check_positive, check_time,
 from .rates import MuBase, Proportional
 
 
+_SIGNED = ("asymmetry", "coefficient", "leading")  # roles of parameters of either sign
+
+
 def _nonneg(big_m_value):
     # log-difference forms can round M(0) to -1 ulp; the intensity integral
     # itself is never negative, so snap boundary noise back to exact zero
@@ -58,9 +61,11 @@ class GrowthCurve:
 
     A family is one frozen dataclass whose own fields are its parameters
     (``param_names``, read off them by :data:`FAMILIES`); ``j`` and ``rho``
-    are this base's keyword-only fields.  ``__post_init__`` checks every
-    parameter finite and, but for the family's ``signed`` ones, positive;
-    then ``j`` and ``rho > 1``; then that the ``capacity`` field exceeds ``j``.
+    are this base's keyword-only fields.  Each parameter has a role, "rate"
+    unless the family's ``roles`` names another (:data:`FAMILIES` fills in
+    the rates); a fit searches each role over its own box.  ``__post_init__``
+    checks every parameter finite and, but for the signed roles, positive;
+    then ``j`` and ``rho > 1``; then that the "capacity" exceeds ``j``.
 
     Each family writes its mean as the static ``mean_formula(t, j, rho,
     *params)`` and ``induced_big_m`` and ``induced_mu`` as numpy code on an
@@ -73,8 +78,11 @@ class GrowthCurve:
     j: int = 1
     rho: float = 2.0
 
-    signed = ()  # parameters of either sign
-    capacity = None  # the carrying capacity, which must exceed j
+    # parameter -> role: a positive "rate", the carrying "capacity" (positive,
+    # above j), a positive "amplitude" that is not a capacity, or, of either
+    # sign (_SIGNED), an "asymmetry" in (-1, 1), a polynomial "coefficient"
+    # and the "leading" one, which is negative
+    roles = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -89,18 +97,19 @@ class GrowthCurve:
 
     def __post_init__(self) -> None:
         for name, value in zip(self.param_names, self.params):
-            if name not in self.signed:
+            if self.roles[name] not in _SIGNED:
                 check_positive(name, value)
             elif not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
         check_j(self.j)
         if not (self.rho > 1.0 and math.isfinite(self.rho)):
             raise DomainError(f"curve families require a rate ratio rho > 1, got {self.rho}")
-        if self.capacity is not None and not getattr(self, self.capacity) > self.j:
-            raise DomainError(
-                f"carrying capacity must exceed the initial count, "
-                f"got {self.capacity}={getattr(self, self.capacity)} <= j={self.j}"
-            )
+        for name, value in zip(self.param_names, self.params):
+            if self.roles[name] == "capacity" and not value > self.j:
+                raise DomainError(
+                    f"carrying capacity must exceed the initial count, "
+                    f"got {name}={value} <= j={self.j}"
+                )
 
     @property
     def params(self) -> tuple[float, ...]:
@@ -193,7 +202,7 @@ class Logistic(GrowthCurve):
 
     family = "logistic"
     kind = "x"
-    capacity = "c"
+    roles = {"c": "capacity"}
 
     @staticmethod
     def mean_formula(t, j, rho, c, r):
@@ -235,8 +244,7 @@ class ExtLogistic(GrowthCurve):
 
     family = "ext_logistic"
     kind = "x"
-    signed = ("eps",)
-    capacity = "n"
+    roles = {"n": "capacity", "eps": "asymmetry"}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -311,8 +319,8 @@ class MultisigLogistic(GrowthCurve):
 
     family = "multisig_logistic"
     kind = "x"
-    signed = ("beta1", "beta2", "beta3", "beta4")
-    capacity = "c"
+    roles = {"c": "capacity", "beta1": "coefficient", "beta2": "coefficient",
+             "beta3": "coefficient", "beta4": "leading"}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -487,6 +495,7 @@ class Mitscherlich(GrowthCurve):
 
     family = "mitscherlich"
     kind = "y"
+    roles = {"beta": "amplitude"}
 
     @staticmethod
     def mean_formula(t, j, rho, alpha, beta):
@@ -516,9 +525,11 @@ class Mitscherlich(GrowthCurve):
 
 def _registry(*classes: type) -> dict[str, type]:
     """The families by name, each given its ``param_names``: its own fields,
-    not the base's keyword-only ``j`` and ``rho``."""
+    not the base's keyword-only ``j`` and ``rho``; and the role of each, in
+    ``roles``."""
     for cls in classes:
         cls.param_names = tuple(f.name for f in fields(cls) if not f.kw_only)
+        cls.roles = {name: cls.roles.get(name, "rate") for name in cls.param_names}
     return {cls.family: cls for cls in classes}
 
 

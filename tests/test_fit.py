@@ -544,9 +544,27 @@ def test_residual_fill_equals_the_constructor_on_box_edges(family):
         _Problem(family, dims, flat, 2, 1.0)
 
 
+def _spy_on_points(monkeypatch):
+    """Record every point the batches evaluate with its own row's box:
+    (lower bounds, points, upper bounds)."""
+    seen = []
+    residuals = fit_module._Batch.residuals
+
+    def spy(batch, z, which):
+        seen.append((batch.lo[which], z, batch.hi[which]))
+        return residuals(batch, z, which)
+
+    monkeypatch.setattr(fit_module._Batch, "residuals", spy)
+    return seen
+
+
+def _inside(seen):
+    return all(np.all((lo < z) & (z < hi)) for lo, z, hi in seen)
+
+
 @pytest.mark.parametrize("seed, family", [(1, "logistic"), (6, "korf"),
                                           (6, "multisig_logistic")])
-def test_lockstep_evaluates_only_points_strictly_inside_the_box(seed, family):
+def test_lockstep_evaluates_only_points_strictly_inside_the_box(seed, family, monkeypatch):
     """Also where the optimum is on a bound (c of series 1), where a long step
     heads for a flat corner (Korf) and where a start is on a bound (the
     nested multisigmoidal start has beta4 = -1e-12)."""
@@ -554,13 +572,48 @@ def test_lockstep_evaluates_only_points_strictly_inside_the_box(seed, family):
     dims = _dims_for(family, ds)
     logistic = fit_one("logistic", ds, "mse", 400, restarts=4, seed=seed)
     problem = _Problem(family, dims, ds, 1, 2.0)
-    seen = []
-    residuals = problem.residuals
-    problem.residuals = lambda z: seen.append(z) or residuals(z)
+    seen = _spy_on_points(monkeypatch)
     nested = logistic if family == "multisig_logistic" else None
     problem.search("mse", _starts(dims, 4, seed, nested), 400)
-    points = np.concatenate(seen)
-    assert np.all((problem.lo < points) & (points < problem.hi))
+    assert seen and _inside(seen)
+    for lo, _, hi in seen:
+        assert np.all(lo == problem.lo) and np.all(hi == problem.hi)
+
+
+def test_a_mixed_batch_evaluates_every_point_inside_its_own_rows_box(monkeypatch):
+    """Every two-parameter family of series 6 and the logistic of series 2
+    (another capacity box) in one batch, as a model selection runs them."""
+    series6, series2 = _count_series(6), _count_series(2)
+    problems = [_Problem(family, _dims_for(family, series6), series6, 1, 2.0)
+                for family, cls in growth.FAMILIES.items() if len(cls.param_names) == 2]
+    problems.append(_Problem("logistic", _dims_for("logistic", series2), series2, 1, 2.0))
+    seen = _spy_on_points(monkeypatch)
+    fit_module._search(problems, [_starts(p.dims, 4, 6) for p in problems], "mse", 400)
+    assert len(seen) > 1 and _inside(seen)
+    boxes = {(tuple(p.lo), tuple(p.hi)) for p in problems}
+    assert len(boxes) == 5  # rates, two capacities, eps, Mitscherlich's amplitude
+    assert {(tuple(a), tuple(b)) for lo, _, hi in seen for a, b in zip(lo, hi)} == boxes
+
+
+def test_lockstep_rows_of_problems_with_different_boxes_are_bit_identical_alone():
+    """One _lockstep_lm batch of logistic rows on two series (two capacity
+    boxes) and Gompertz rows (a rate box), bounds given per row; each row
+    alone is given its problem's (d,) bounds."""
+    problems = [_Problem(family, _dims_for(family, ds), ds, 1, 2.0)
+                for family, ds in (("logistic", _count_series(1)), ("logistic", _count_series(2)),
+                                   ("gompertz", _count_series(2)))]
+    assert not np.array_equal(problems[0].hi, problems[1].hi)
+    z0 = np.concatenate([p.encode(_starts(p.dims, 3, 2)) for p in problems])
+    owner = np.repeat([0, 1, 2], 3)
+    batch = fit_module._Batch(problems)
+    res = fit_module._lockstep_lm(lambda z, rows: batch.residuals(z, owner[rows]), z0,
+                                  batch.lo[owner], batch.hi[owner], 400)
+    for i, k in enumerate(owner):
+        p = problems[k]
+        alone = fit_module._lockstep_lm(lambda z, rows: p.residuals(z), z0[i:i + 1],
+                                        p.lo, p.hi, 400)
+        assert np.array_equal(alone.x[0], res.x[i]) and np.array_equal(alone.fun[0], res.fun[i])
+        assert alone.nfev[0] == res.nfev[i] and alone.exhausted[0] == res.exhausted[i]
 
 
 def _trf_best(family, ds, starts, budget):
@@ -618,6 +671,55 @@ def test_select_model_all_covers_the_registry():
     assert report.winner is not None
     # the first family attaining the minimum objective wins
     assert min(report.results, key=lambda r: r.value).family == report.winner
+
+
+@pytest.mark.parametrize("kind", ["mse", "rae"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_select_model_equals_each_familys_fit_one(seed, kind):
+    ds = _count_series(seed)
+    report = select_model(ds, "all", kind, 400, restarts=4, seed=seed)
+    alone = tuple(fit_one(family, ds, kind, 400, restarts=4, seed=seed)
+                  for family in growth.FAMILIES)
+    assert report.results == alone
+
+
+def test_select_model_runs_one_batch_per_number_of_parameters(monkeypatch):
+    """With the multisigmoidal family listed first, logistic is still fitted
+    once: one batch of the two-parameter families, then the nested one."""
+    ds = _count_series(2)
+    calls = []
+    inner = fit_module.minimize
+
+    def spy(fun, x0, method, **kwargs):
+        calls.append((method, len(x0)))
+        return inner(fun, x0, method, **kwargs)
+
+    monkeypatch.setattr(fit_module, "minimize", spy)
+    first = select_model(ds, ["multisig_logistic", "logistic", "korf"], "mse", 400,
+                         restarts=4, seed=2)
+    assert calls == [("lm", 8), ("lm", 5)]
+    second = select_model(ds, ["logistic", "multisig_logistic", "korf"], "mse", 400,
+                          restarts=4, seed=2)
+    assert first.results == tuple(second.results[i] for i in (1, 0, 2))
+    assert [r.family for r in first.results] == ["multisig_logistic", "logistic", "korf"]
+
+
+def test_every_family_gets_one_box_dim_per_parameter():
+    ds = _count_series(1)
+    y_max = max(ds.counts)
+    rate, amp = (1e-3, 1e2, True), (y_max, 100.0 * y_max, True)
+    boxes = {
+        "gompertz": [rate, rate], "gen_gompertz": [rate, rate], "logistic": [amp, rate],
+        "ext_logistic": [amp, (-0.99, 0.99, False)],
+        "multisig_logistic": [amp, *[(-10.0, 10.0, False)] * 3, (-10.0, -1e-12, False)],
+        "mod_korf": [rate, rate], "korf": [rate, rate], "mitscherlich": [rate, amp],
+    }
+    assert set(boxes) == set(growth.FAMILIES)
+    for family, cls in growth.FAMILIES.items():
+        dims = _dims_for(family, ds)
+        assert [d.name for d in dims] == list(cls.param_names)
+        assert all(d.lo < d.hi for d in dims)
+        assert [(d.lo, d.hi, d.log) for d in dims] == boxes[family], family
 
 
 def test_select_model_requires_a_family():

@@ -115,7 +115,7 @@ def _families(tree):
 
 def test_a_growth_family_is_named_in_growth_py_alone():
     """Other modules reach a family through ``FAMILIES`` and its declared
-    ``param_names`` and ``capacity``, never by its class; the package's
+    ``param_names`` and ``roles``, never by its class; the package's
     ``__init__.py`` only re-exports the classes."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     names = {node.name for node in _families(trees["growth.py"])}

@@ -5,8 +5,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import rumorbd
-from rumorbd import growth
+from rumorbd import fit, growth
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,3 +54,22 @@ def test_tracer_installs_on_every_patched_name_and_uninstall_restores_them():
     assert (rumorbd.rates.Proportional, "total_rate_sup") in patched
     for cls in growth.FAMILIES.values():
         assert {(cls, "mean_array"), (cls, "induced_mu_sup")} <= patched
+
+
+def test_a_traced_model_selection_keeps_what_the_benchmark_reads():
+    """The benchmark's fit metrics count the kept ``fit.minimize`` results
+    and read their ``success`` and ``nfev``: a lockstep batch's and a
+    Nelder-Mead polish's alike."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    t = [0.5 * i for i in range(20)]
+    ds = fit.Dataset("logistic", t, [float(growth.Logistic(c=40.0, r=0.9).mean(s)) for s in t])
+    undo = tracing.install(tracer)
+    try:
+        fit.select_model(ds, ["logistic", "korf"], "rae", 200, restarts=2, seed=0)
+    finally:
+        tracing.uninstall(undo)
+    kept = tracer.results["fit.minimize"]
+    assert tracer.spans["fit.minimize"][0] == len(kept) == 3  # one batch, two polishes
+    for res in kept:
+        assert res.success in (True, False) and int(np.sum(res.nfev)) > 0
