@@ -8,11 +8,11 @@ the roles of the family's parameters.  Both criteria run one multi-start
 search, bounded least squares by a Levenberg-Marquardt written in numpy
 (:func:`_lockstep_lm`) that runs restarts in lockstep, each in its own box,
 on one batched evaluator of the residuals y - m(t) (:class:`_Batch`).  A
-fit's restarts are one batch; a model selection puts the restarts of every
-family with the same number of parameters in one batch, and a restart ends
-the same whichever rows share it.  MSE is that search; RAE is not smooth, so
-it then runs one scipy Nelder-Mead per family from the best point the search
-met, and only RAE fits import scipy.optimize.  The initial spreader count j is
+fit is a model selection of one family: the restarts of every family with
+the same number of parameters are one batch, and a restart ends the same
+whichever rows share it.  MSE is that search; RAE is not smooth, so it then
+runs one scipy Nelder-Mead per family from the best point the search met,
+and only RAE fits import scipy.optimize.  The initial spreader count j is
 pinned to the first observation by default — the model requires X(0) = j
 and the series starts at the first post — or, with ``estimate_j``, profiled
 over the integers (:func:`_profile_argmin`).  The rate ratio rho is never
@@ -264,11 +264,6 @@ def _checked_dims(name: str, dataset: Dataset, estimate_j: bool) -> list[_Dim]:
     return dims
 
 
-def _first_j(dataset: Dataset) -> int:
-    """The initial spreader count a fit pins j to: the first count, rounded."""
-    return max(1, int(round(dataset.counts[0])))
-
-
 def _resolve_family(family) -> str:
     if isinstance(family, str):
         name = family.lower()
@@ -293,24 +288,19 @@ def fit_one(
     seed: int = 0,
     rho: float = 2.0,
     estimate_j: bool = False,
-    logistic: FitResult | None = None,
 ) -> FitResult:
-    """Multi-start fit of one family; ``budget`` caps the evaluations per restart.
+    """Multi-start fit of one family: :func:`select_model` of that family
+    alone, raising the :class:`DataError` or :class:`DomainError` that stops
+    it.  ``budget`` caps the evaluations per restart.
 
     The restarts run bounded least squares, all of them in lockstep; an RAE
     fit gives them half its budget and polishes the best point with one
-    Nelder-Mead run on the rest (:meth:`_Problem.search`).
-    The multisigmoidal family gets one extra restart at the plain-logistic
-    optimum: ``logistic`` when given (as :func:`select_model` does), else a
-    logistic fit with the same settings.  ``message`` names the parameters
-    that ended on a hard box bound.
-
-    j is pinned to the first count, rounded.  With ``estimate_j`` every j
-    tried is such a pinned-j fit, and the result is the one at the j
-    :func:`_profile_argmin` picks from round(first count) over [1, round(max
-    count)]; ``n_evals`` and ``restarts`` then sum over every j tried.  The
-    nested multisigmoidal restart is then the same at every j, and the
-    logistic fit it comes from estimates j too.
+    Nelder-Mead run on the rest.  The multisigmoidal family gets one extra
+    restart at the optimum of a logistic fit with the same settings.  j is
+    pinned to the first count, rounded, or with ``estimate_j`` profiled over
+    the integers, ``n_evals`` and ``restarts`` then summing over every j
+    tried (:func:`_fit_families`).  ``message`` names the parameters that
+    ended on a hard box bound.
 
     Deterministic: identical (dataset, kind, seed, budget) give a bit-identical
     result.  When every restart fails to find a finite objective, an explicit
@@ -318,29 +308,67 @@ def fit_one(
     silent garbage fit.
     """
     name = _resolve_family(family)
-    k = _check_kind(kind)
+    fit = _fit_families([name], dataset, _check_kind(kind), budget, restarts, seed, rho,
+                        estimate_j)[name]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def _fit_families(names: list[str], dataset: Dataset, kind: str, budget: int, restarts: int,
+                  seed: int, rho: float, estimate_j: bool) -> dict[str, FitResult | Exception]:
+    """Each family of ``names`` fitted, or the :class:`DataError` or
+    :class:`DomainError` that stopped its fit.  Logistic is fitted first when
+    the multisigmoidal family, nested at its optimum, is asked for.  With j
+    pinned, one :func:`_fits` batch per (nested, number of parameters); with
+    ``estimate_j``, one profile per family (:func:`_profiled`)."""
     check_int("budget", budget, 1)
     check_int("restarts", restarts, 1)
-    dims = _checked_dims(name, dataset, estimate_j)
-    nested = name == _NESTED
-    if nested and logistic is None:
-        logistic = fit_one("logistic", dataset, k, budget, restarts=restarts, seed=seed,
-                           rho=rho, estimate_j=estimate_j)
-    starts = _starts(dims, restarts, seed, logistic if nested else None)
-    j0 = _first_j(dataset)
-    if not estimate_j:
-        return _Problem(name, dims, dataset, j0, rho).fit(k, starts, budget)
+    fits: dict[str, FitResult | Exception] = {}
+    problems: dict[str, _Problem] = {}
+    j0 = max(1, int(round(dataset.counts[0])))  # the first count, rounded
+    for name in dict.fromkeys(["logistic", *names] if _NESTED in names else names):
+        try:
+            problems[name] = _Problem(name, _checked_dims(name, dataset, estimate_j), dataset,
+                                      j0, rho)
+        except (DataError, DomainError) as exc:
+            fits[name] = exc
+    if _NESTED in fits and "logistic" not in names:
+        problems.pop("logistic", None)  # nothing nests at its optimum
 
-    fits: dict[int, FitResult] = {}
+    def starts(name: str) -> np.ndarray:
+        logistic = fits.get("logistic") if name == _NESTED else None
+        return _starts(problems[name].dims, restarts, seed,
+                       logistic if isinstance(logistic, FitResult) else None)
 
-    def profile(j: int) -> float:
-        if j not in fits:
-            fits[j] = _Problem(name, dims, dataset, j, rho).fit(k, starts, budget)
-        return fits[j].value
+    if estimate_j:
+        for name, first in problems.items():
+            fits[name] = _profiled(first, starts(name), kind, budget)
+        return fits
+    batch_key = lambda name: (name == _NESTED, len(problems[name].dims))  # noqa: E731
+    for _, group in itertools.groupby(sorted(problems, key=batch_key), key=batch_key):
+        group = list(group)
+        fits.update(zip(group, _fits([problems[name] for name in group],
+                                     [starts(name) for name in group], kind, budget)))
+    return fits
 
-    j = _profile_argmin(profile, j0, int(round(max(dataset.counts))))
-    return replace(fits[j], n_evals=sum(f.n_evals for f in fits.values()),
-                   restarts=sum(f.restarts for f in fits.values()))
+
+def _profiled(first: _Problem, starts: np.ndarray, kind: str, budget: int) -> FitResult:
+    """The fit from ``starts`` at the j :func:`_profile_argmin` picks from
+    ``first.j`` over [1, round(max count)], with ``n_evals`` and ``restarts``
+    summed over every j tried."""
+    tried: dict[int, FitResult] = {}
+
+    def value(j: int) -> float:
+        if j not in tried:
+            at = first if j == first.j else _Problem(first.family.family, first.dims,
+                                                     first.dataset, j, first.rho)
+            tried[j] = _fits([at], [starts], kind, budget)[0]
+        return tried[j].value
+
+    j = _profile_argmin(value, first.j, int(round(max(first.dataset.counts))))
+    return replace(tried[j], n_evals=sum(f.n_evals for f in tried.values()),
+                   restarts=sum(f.restarts for f in tried.values()))
 
 
 def _profile_argmin(value, j0: int, hi: int) -> int:
@@ -609,7 +637,6 @@ class _Problem:
         # the box holds every parameter where its constructor wants it, but for
         # the carrying capacity > j (its lower bound max(y) may equal j)
         self.capacity = np.array([self.family.roles[d.name] == "capacity" for d in dims])
-        self.alone = _Batch([self])
 
     def encode(self, params) -> np.ndarray:
         """Search coordinates of a parameter row, or of a matrix of rows.  The
@@ -620,82 +647,17 @@ class _Problem:
         z[..., self.log] = np.vectorize(math.log, otypes=[float])(z[..., self.log])
         return z
 
-    def params(self, z: np.ndarray) -> tuple[float, ...]:
-        return tuple(self.alone.decode(z, 0).tolist())
-
     def deviation(self, params: np.ndarray) -> np.ndarray:
         """y - m(t) at a parameter row, or at each row of a matrix: one call of
         the family's broadcast ``mean_formula``, on numpy scalars for a row."""
         cols = params.T[:, :, None] if params.ndim == 2 else params
         return self.y - self.family.mean_formula(self.t, self.j, self.rho, *cols)
 
-    def residuals(self, z: np.ndarray) -> np.ndarray:
-        """Residual rows at the rows of ``z``, or the one row at a point ``z``
-        (:meth:`_Batch.residuals`)."""
-        return self.alone.residuals(z, 0)
-
-    def rae(self, z: np.ndarray) -> float:
-        """RAE at the point ``z``: +inf off the box, and on a filled row the
-        fill's RAE, a finite plateau."""
-        if not ((self.lo <= z) & (z <= self.hi)).all():
-            return math.inf
-        return float(_value(self.residuals(z), self.y, "rae"))
-
-    def search(self, kind: str, starts: np.ndarray, budget: int) -> list[_Restart]:
-        """Every start (a row of parameter values) run to its end: a batch of
-        one problem for :func:`_search`."""
-        return _search([self], [starts], kind, budget)[0]
-
-    def settle(self, kind: str, res: _Lockstep, budget: int) -> list[_Restart]:
-        """Where the lockstep rows ``res`` of this problem's starts ended; a
-        restart that ends on a filled row scores inf.  RAE then adds one row:
-        a Nelder-Mead run on :meth:`rae` from the point of least RAE among the
-        starts and the ends, allowed the evaluations the restarts left unused,
-        so the fit's evaluations stay within ``restarts * budget``."""
-        n = len(res.x)
-        fun = np.concatenate([res.fun0, res.fun])  # the starts, then the ends
-        values = np.where(fun[:, 0] == _RESIDUAL_CAP, math.inf, _value(fun, self.y, kind))
-        ends = values[n:]
-        converged = ~res.exhausted & (ends < math.inf)
-        rows = list(map(_Restart, res.x, ends.tolist(), converged.tolist(), res.nfev.tolist()))
-        best = int(np.argmin(values))
-        if kind == "mse" or values[best] == math.inf:
-            return rows
-        options = {"maxfev": budget * n - int(res.nfev.sum()), "xatol": 1e-10, "fatol": 1e-14,
-                   "adaptive": True}
-        polish = minimize(self.rae, np.concatenate([res.x0, res.x])[best], "Nelder-Mead",
-                          options=options)
-        # with no evaluation left the run returns its start at value inf
-        return [*rows, _Restart(polish.x, min(polish.fun, values[best]), polish.success,
-                                polish.nfev)]
-
-    def fit(self, kind: str, starts: np.ndarray, budget: int) -> FitResult:
-        """The fit from ``starts``: a batch of one problem for :func:`_fits`."""
-        return _fits([self], [starts], kind, budget)[0]
-
-    def result(self, kind: str, rows: list[_Restart], restarts: int) -> FitResult:
-        """The best restart of ``rows``, its objective re-evaluated on the
-        constructed curve; the failure result when every restart scores inf.
-        Ties go to the first restart."""
-        best = min((row for row in rows if row.value < math.inf),
-                   key=lambda row: row.value, default=None)
-        failed = FitResult(
-            family=self.family.family, params=(), kind=kind, value=math.inf, converged=False,
-            n_evals=sum(row.evals for row in rows), restarts=restarts, j=self.j,
-            rho=self.rho, curve=None, message="all restarts diverged or left the parameter box",
-        )
-        if best is None:
-            return failed
-        params = self.params(best.z)
-        curve = _build_curve(failed.family, params, self.j, self.rho)
-        return replace(failed, params=params, value=objective(curve, self.dataset, kind),
-                       converged=best.converged, curve=curve,
-                       message=_bound_message(params, self.dims))
-
 
 class _Batch:
     """Fit problems with the same number of parameters and of data points,
-    evaluated together: row k of each array is the box of ``problems[k]``."""
+    evaluated together: row k of each array is the box of ``problems[k]``.
+    The one evaluator of every fit's residuals."""
 
     def __init__(self, problems: list[_Problem]):
         self.problems = problems
@@ -733,33 +695,83 @@ class _Batch:
               & ((params > self.j[which]) | self.free[which]).all(axis=-1))
         return np.where(ok[..., None], r, _RESIDUAL_CAP)
 
+    def rae(self, z: np.ndarray, k: int) -> float:
+        """RAE of problem ``k`` at the point ``z``: +inf off its box, and on a
+        filled row the fill's RAE, a finite plateau."""
+        if not ((self.lo[k] <= z) & (z <= self.hi[k])).all():
+            return math.inf
+        return float(_value(self.residuals(z, k), self.problems[k].y, "rae"))
 
-def _search(problems: list[_Problem], starts: list[np.ndarray], kind: str,
+    def settle(self, k: int, kind: str, res: _Lockstep, budget: int) -> list[_Restart]:
+        """Where the lockstep rows ``res`` of problem ``k``'s starts ended; a
+        restart that ends on a filled row scores inf.  RAE then adds one row:
+        a Nelder-Mead run on :meth:`rae` from the point of least RAE among the
+        starts and the ends, allowed the evaluations the restarts left unused,
+        so the fit's evaluations stay within ``restarts * budget``."""
+        n = len(res.x)
+        fun = np.concatenate([res.fun0, res.fun])  # the starts, then the ends
+        values = np.where(fun[:, 0] == _RESIDUAL_CAP, math.inf,
+                          _value(fun, self.problems[k].y, kind))
+        ends = values[n:]
+        converged = ~res.exhausted & (ends < math.inf)
+        rows = list(map(_Restart, res.x, ends.tolist(), converged.tolist(), res.nfev.tolist()))
+        best = int(np.argmin(values))
+        if kind == "mse" or values[best] == math.inf:
+            return rows
+        options = {"maxfev": budget * n - int(res.nfev.sum()), "xatol": 1e-10, "fatol": 1e-14,
+                   "adaptive": True}
+        polish = minimize(self.rae, np.concatenate([res.x0, res.x])[best], "Nelder-Mead",
+                          args=(k,), options=options)
+        # with no evaluation left the run returns its start at value inf
+        return [*rows, _Restart(polish.x, min(polish.fun, values[best]), polish.success,
+                                polish.nfev)]
+
+    def result(self, k: int, kind: str, rows: list[_Restart], restarts: int) -> FitResult:
+        """Problem ``k``'s best restart of ``rows``, its objective re-evaluated
+        on the constructed curve; the failure result when every restart scores
+        inf.  Ties go to the first restart."""
+        problem = self.problems[k]
+        best = min((row for row in rows if row.value < math.inf),
+                   key=lambda row: row.value, default=None)
+        failed = FitResult(
+            family=problem.family.family, params=(), kind=kind, value=math.inf, converged=False,
+            n_evals=sum(row.evals for row in rows), restarts=restarts, j=problem.j,
+            rho=problem.rho, curve=None, message="all restarts diverged or left the parameter box",
+        )
+        if best is None:
+            return failed
+        params = tuple(self.decode(best.z, k).tolist())
+        curve = _build_curve(failed.family, params, problem.j, problem.rho)
+        return replace(failed, params=params, value=objective(curve, problem.dataset, kind),
+                       converged=best.converged, curve=curve,
+                       message=_bound_message(params, problem.dims))
+
+
+def _search(batch: _Batch, starts: list[np.ndarray], kind: str,
             budget: int) -> list[list[_Restart]]:
-    """Every start (a row of parameter values) of every problem run to its
-    end by one :func:`_lockstep_lm`, on the problem's residuals and box, at
-    ``budget`` residual evaluations per restart (Jacobian columns included)
-    for MSE and ``budget // 2`` for RAE; then :meth:`_Problem.settle` per
-    problem.  The problems have the same number of parameters and of data
-    points; a row ends the same whichever problems share its batch."""
-    batch = _Batch(problems)
+    """Every start (a row of parameter values) of every problem of ``batch``
+    run to its end by one :func:`_lockstep_lm`, on the problem's residuals
+    and box, at ``budget`` residual evaluations per restart (Jacobian columns
+    included) for MSE and ``budget // 2`` for RAE; then :meth:`_Batch.settle`
+    per problem.  A row ends the same whichever problems share its batch."""
     counts = [len(s) for s in starts]
-    owner = np.repeat(np.arange(len(problems)), counts)
+    owner = np.repeat(np.arange(len(counts)), counts)
     res = minimize(lambda z, rows: batch.residuals(z, owner[rows]),
-                   np.concatenate([p.encode(s) for p, s in zip(problems, starts)]), "lm",
+                   np.concatenate([p.encode(s) for p, s in zip(batch.problems, starts)]), "lm",
                    lower=batch.lo[owner], upper=batch.hi[owner],
                    budget=budget if kind == "mse" else budget // 2)
     ends = np.cumsum(counts)
-    return [p.settle(kind, _Lockstep(*(f[a:b] for f in res[:-1]), not res.exhausted[a:b].any()),
-                     budget)
-            for p, a, b in zip(problems, ends - counts, ends)]
+    return [batch.settle(k, kind, _Lockstep(*(f[a:b] for f in res[:-1]),
+                                            not res.exhausted[a:b].any()), budget)
+            for k, (a, b) in enumerate(zip(ends - counts, ends))]
 
 
 def _fits(problems: list[_Problem], starts: list[np.ndarray], kind: str,
           budget: int) -> list[FitResult]:
     """Each problem's fit from its starts, all searched in one batch."""
-    return [p.result(kind, rows, len(s))
-            for p, s, rows in zip(problems, starts, _search(problems, starts, kind, budget))]
+    batch = _Batch(problems)
+    return [batch.result(k, kind, rows, len(s))
+            for k, (s, rows) in enumerate(zip(starts, _search(batch, starts, kind, budget)))]
 
 
 def select_model(
@@ -775,55 +787,30 @@ def select_model(
 ) -> SelectionReport:
     """Fit the requested families and rank by objective (failures recorded).
 
-    ``families`` is an ordered list of names, or "all" for every registered
-    family.  The winner attains the minimum objective; ties go to the family
-    listed first.  Each result equals the family's :func:`fit_one` with the
-    same settings.  With j pinned, the restarts of every family with the same
-    number of parameters run in one lockstep batch, the multisigmoidal
-    family's after the logistic fit its nested start needs; with
-    ``estimate_j`` every family is its own profile.
+    ``families`` is an ordered list of names or curve classes, or "all" for
+    every registered family.  The winner attains the minimum objective; ties
+    go to the family listed first.  Each result is the family's
+    :func:`fit_one` with the same settings; where that raises, a failure
+    result (value = inf, n_evals = 0) carries the error's message.
     """
     k = _check_kind(kind)
-    check_int("budget", budget, 1)
-    check_int("restarts", restarts, 1)
-    if families == "all":
-        names = list(growth.FAMILIES)
-    else:
-        names = [_resolve_family(f) for f in families]
+    if isinstance(families, str):
+        if families != "all":
+            raise DomainError(
+                f"families must be 'all' or a list of curve families, got {families!r}")
+        families = growth.FAMILIES
+    names = [_resolve_family(f) for f in families]
     if not names:
         raise DomainError("at least one curve family is required")
 
-    # the multisigmoidal fit nests at the logistic optimum: logistic goes first
-    wanted = dict.fromkeys(["logistic", *names] if _NESTED in names else names)
-    fits: dict[str, FitResult] = {}
-    problems: dict[str, _Problem] = {}
-    for name in wanted:
-        try:
-            if estimate_j:
-                fits[name] = fit_one(name, dataset, k, budget, restarts=restarts, seed=seed,
-                                     rho=rho, estimate_j=True, logistic=fits.get("logistic"))
-            else:
-                problems[name] = _Problem(name, _checked_dims(name, dataset, False), dataset,
-                                          _first_j(dataset), rho)
-        except (DataError, DomainError) as exc:
-            fits[name] = FitResult(
-                family=name, params=(), kind=k, value=math.inf, converged=False,
-                n_evals=0, restarts=0, j=0, rho=rho, curve=None, message=str(exc),
-            )
-    batch_key = lambda name: (name == _NESTED, len(problems[name].dims))  # noqa: E731
-    for _, group in itertools.groupby(sorted(problems, key=batch_key), key=batch_key):
-        group = list(group)
-        starts = [_starts(problems[name].dims, restarts, seed,
-                          fits["logistic"] if name == _NESTED else None) for name in group]
-        fits.update(zip(group, _fits([problems[name] for name in group], starts, k, budget)))
-
-    results = tuple(fits[name] for name in names)
-    winner: str | None = None
-    best = math.inf
-    for fr in results:
-        if fr.value < best:
-            best = fr.value
-            winner = fr.family
+    fits = _fit_families(names, dataset, k, budget, restarts, seed, rho, estimate_j)
+    results = tuple(
+        fits[name] if isinstance(fits[name], FitResult) else FitResult(
+            family=name, params=(), kind=k, value=math.inf, converged=False,
+            n_evals=0, restarts=0, j=0, rho=rho, curve=None, message=str(fits[name]))
+        for name in names)
+    best = min(results, key=lambda fr: fr.value)  # the first of the least values
+    winner = best.family if best.value < math.inf else None
     return SelectionReport(dataset_name=dataset.name, kind=k, results=results, winner=winner)
 
 

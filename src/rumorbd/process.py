@@ -16,9 +16,10 @@ samplers feed one lockstep loop, :func:`_run`, which reads paths off a grid:
   on a stream keyed by (seed, replicate), bit-identical to earlier releases.
 
 Neither introduces discretization error.  Results are bit-identical for
-fixed inputs, and :func:`simulate` replays ``ensemble(replicates=1)``.  A
-population cap (default 10**6) guards the supercritical regime: a path
-reaching it is frozen there and flagged, never truncated silently.
+fixed inputs, and :func:`simulate` replays ``ensemble(replicates=1)`` except
+at grid times within M^-1's tolerance of an event time.  A population cap
+(default 10**6) guards the supercritical regime: a path reaching it is
+frozen there and flagged, never truncated silently.
 """
 
 from __future__ import annotations
@@ -279,7 +280,10 @@ def simulate(
 
     Stops at absorption (n = 0), at the horizon, or on reaching the
     population cap (flagged via ``cap_hit``).  It replays
-    ``ensemble(replicates=1)`` for this seed: the same stream and sampler.
+    ``ensemble(replicates=1)`` for this seed, the same stream and sampler,
+    except at grid times within M^-1's tolerance of an event time: an event
+    at operational time s is reported here at M^-1(s), a rounded or 1e-12
+    root, while the ensemble compares M(g) with s.
     """
     _check_sim_args(j, horizon, seed, cap)
     rates.validate_horizon(horizon)

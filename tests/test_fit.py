@@ -16,6 +16,7 @@ from rumorbd import growth
 from rumorbd.fit import (
     Dataset,
     FitResult,
+    _Batch,
     _build_curve,
     _dims_for,
     _latin_hypercube,
@@ -54,6 +55,11 @@ def _count_series(seed):
     y[0] = 1.0
     y = np.maximum.accumulate(np.maximum(y, 1.0))
     return Dataset(name=f"series{seed}", times=tuple(t.tolist()), counts=tuple(y.tolist()))
+
+
+def _search_alone(problem, starts, budget=400):
+    """Where each MSE restart from ``starts`` ends, in a batch of ``problem`` alone."""
+    return fit_module._search(_Batch([problem]), [starts], "mse", budget)[0]
 
 
 class _ConstantStub:
@@ -309,7 +315,7 @@ def test_estimate_j_profile_equals_the_exhaustive_argmin(family, truth, kind):
     dims = _dims_for(family, ds)
     starts = _starts(dims, 3, 3)
     j0 = round(ds.counts[0])
-    profile = {j: _Problem(family, dims, ds, j, 2.0).fit(kind, starts, 300)
+    profile = {j: fit_module._fits([_Problem(family, dims, ds, j, 2.0)], [starts], kind, 300)[0]
                for j in range(1, round(max(ds.counts)) + 1)}
     best = min(profile, key=lambda j: (profile[j].value, abs(j - j0), j))
     assert fit.j == best
@@ -348,18 +354,19 @@ def test_rae_evaluator_equals_the_objective_of_the_constructed_curve(family):
     ds = _count_series(1)
     dims = _dims_for(family, ds)
     problem = _Problem(family, dims, ds, 1, 2.0)
+    batch = _Batch([problem])
     corners = np.array(list(itertools.product(*zip(problem.lo, problem.hi))))
     points = np.concatenate([problem.encode(_starts(dims, 32, seed=5)), corners])
     checked = 0
     for z in points:
         try:
-            curve = _build_curve(family, problem.params(z), 1, 2.0)
+            curve = _build_curve(family, tuple(batch.decode(z, 0).tolist()), 1, 2.0)
         except DomainError:
             continue
         with np.errstate(over="ignore"):
             if not np.all(np.abs(ds.counts - curve.mean_array(np.asarray(ds.times))) < 1e50):
                 continue
-        assert problem.rae(z) == pytest.approx(objective(curve, ds, "rae"), rel=1e-15, abs=0.0)
+        assert batch.rae(z, 0) == pytest.approx(objective(curve, ds, "rae"), rel=1e-15, abs=0.0)
         checked += 1
     assert checked >= 32
     span = problem.hi - problem.lo
@@ -367,7 +374,7 @@ def test_rae_evaluator_equals_the_objective_of_the_constructed_curve(family):
         for side, bound in ((-1.0, problem.lo), (1.0, problem.hi)):
             z = 0.5 * (problem.lo + problem.hi)
             z[i] = bound[i] + side * 1e-9 * span[i]
-            assert problem.rae(z) == math.inf
+            assert batch.rae(z, 0) == math.inf
 
 
 def test_fit_accepts_class_and_rejects_unknown_family():
@@ -489,10 +496,10 @@ def test_least_squares_restart_caps_finite_overflowing_residuals():
     others = _starts(dims, 4, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = problem.residuals(problem.encode(p0)[None])[0]
-        (capped,) = problem.search("mse", p0[None], 400)
-        mixed = problem.search("mse", np.vstack([others[0], p0, others[1:]]), 400)
-        alone = [problem.search("mse", p[None], 400)[0] for p in others]
+        r = _Batch([problem]).residuals(problem.encode(p0)[None], 0)[0]
+        (capped,) = _search_alone(problem, p0[None])
+        mixed = _search_alone(problem, np.vstack([others[0], p0, others[1:]]))
+        alone = [_search_alone(problem, p[None])[0] for p in others]
     assert np.all(r == r[0]) and math.isfinite(float(r @ r))
     assert capped.value == math.inf and not capped.converged
     assert mixed[1].value == math.inf and not mixed[1].converged
@@ -509,9 +516,9 @@ def test_lockstep_rows_are_bit_identical_alone_and_in_the_batch(seed):
         dims = _dims_for(family, ds)
         problem = _Problem(family, dims, ds, 1, 2.0)
         starts = _starts(dims, 6, seed)
-        batch = problem.search("mse", starts, 400)
+        batch = _search_alone(problem, starts)
         for p0, row in zip(starts, batch):
-            (alone,) = problem.search("mse", p0[None], 400)
+            (alone,) = _search_alone(problem, p0[None])
             assert np.array_equal(alone.z, row.z), family
             assert alone.value == row.value and alone.evals == row.evals, family
 
@@ -525,18 +532,19 @@ def test_residual_fill_equals_the_constructor_on_box_edges(family):
     flat = Dataset(name="flat", times=tuple(range(7)), counts=(2.0,) * 7)
     dims = _dims_for(family, flat)
     problem = _Problem(family, dims, flat, 2, 2.0)
+    batch = _Batch([problem])
     corners = np.array(list(itertools.product(*zip(problem.lo, problem.hi))))
     rows = np.concatenate([corners, [0.5 * (problem.lo + problem.hi)]])
 
     def fits(z):
         try:
-            curve = _build_curve(family, problem.params(z), 2, 2.0)
+            curve = _build_curve(family, tuple(batch.decode(z, 0).tolist()), 2, 2.0)
         except DomainError:
             return False
         with np.errstate(over="ignore"):
             return bool(np.all(np.abs(2.0 - curve.mean_array(np.arange(7.0))) < 1e50))
 
-    filled = np.all(problem.residuals(rows) == 1e50, axis=1)
+    filled = np.all(batch.residuals(rows, 0) == 1e50, axis=1)
     assert (~filled).tolist() == [fits(z) for z in rows]
     if dims[0].name in ("c", "n"):  # the all-lower corner has c = j
         assert filled[0]
@@ -548,13 +556,13 @@ def _spy_on_points(monkeypatch):
     """Record every point the batches evaluate with its own row's box:
     (lower bounds, points, upper bounds)."""
     seen = []
-    residuals = fit_module._Batch.residuals
+    residuals = _Batch.residuals
 
     def spy(batch, z, which):
         seen.append((batch.lo[which], z, batch.hi[which]))
         return residuals(batch, z, which)
 
-    monkeypatch.setattr(fit_module._Batch, "residuals", spy)
+    monkeypatch.setattr(_Batch, "residuals", spy)
     return seen
 
 
@@ -574,7 +582,7 @@ def test_lockstep_evaluates_only_points_strictly_inside_the_box(seed, family, mo
     problem = _Problem(family, dims, ds, 1, 2.0)
     seen = _spy_on_points(monkeypatch)
     nested = logistic if family == "multisig_logistic" else None
-    problem.search("mse", _starts(dims, 4, seed, nested), 400)
+    _search_alone(problem, _starts(dims, 4, seed, nested))
     assert seen and _inside(seen)
     for lo, _, hi in seen:
         assert np.all(lo == problem.lo) and np.all(hi == problem.hi)
@@ -588,7 +596,7 @@ def test_a_mixed_batch_evaluates_every_point_inside_its_own_rows_box(monkeypatch
                 for family, cls in growth.FAMILIES.items() if len(cls.param_names) == 2]
     problems.append(_Problem("logistic", _dims_for("logistic", series2), series2, 1, 2.0))
     seen = _spy_on_points(monkeypatch)
-    fit_module._search(problems, [_starts(p.dims, 4, 6) for p in problems], "mse", 400)
+    fit_module._search(_Batch(problems), [_starts(p.dims, 4, 6) for p in problems], "mse", 400)
     assert len(seen) > 1 and _inside(seen)
     boxes = {(tuple(p.lo), tuple(p.hi)) for p in problems}
     assert len(boxes) == 5  # rates, two capacities, eps, Mitscherlich's amplitude
@@ -605,12 +613,12 @@ def test_lockstep_rows_of_problems_with_different_boxes_are_bit_identical_alone(
     assert not np.array_equal(problems[0].hi, problems[1].hi)
     z0 = np.concatenate([p.encode(_starts(p.dims, 3, 2)) for p in problems])
     owner = np.repeat([0, 1, 2], 3)
-    batch = fit_module._Batch(problems)
+    batch = _Batch(problems)
     res = fit_module._lockstep_lm(lambda z, rows: batch.residuals(z, owner[rows]), z0,
                                   batch.lo[owner], batch.hi[owner], 400)
     for i, k in enumerate(owner):
-        p = problems[k]
-        alone = fit_module._lockstep_lm(lambda z, rows: p.residuals(z), z0[i:i + 1],
+        p, single = problems[k], _Batch([problems[k]])
+        alone = fit_module._lockstep_lm(lambda z, rows: single.residuals(z, 0), z0[i:i + 1],
                                         p.lo, p.hi, 400)
         assert np.array_equal(alone.x[0], res.x[i]) and np.array_equal(alone.fun[0], res.fun[i])
         assert alone.nfev[0] == res.nfev[i] and alone.exhausted[0] == res.exhausted[i]
@@ -653,13 +661,11 @@ def test_lockstep_fits_are_no_worse_than_trust_region_reflective(seed):
     flat corner alpha = 1e-3, beta = 100 of the box, where the Jacobian
     vanishes: a step must stop short of the bounds."""
     ds = _count_series(seed)
-    logistic = fit_one("logistic", ds, "mse", 400, restarts=4, seed=seed)
-    for family in growth.FAMILIES:
-        dims = _dims_for(family, ds)
-        nested = logistic if family == "multisig_logistic" else None
-        fit = logistic if family == "logistic" else fit_one(
-            family, ds, "mse", 400, restarts=4, seed=seed, logistic=nested)
-        trf = _trf_best(family, ds, _starts(dims, 4, seed, nested), 400)
+    report = select_model(ds, "all", "mse", 400, restarts=4, seed=seed)
+    fits = {fit.family: fit for fit in report.results}
+    for family, fit in fits.items():
+        nested = fits["logistic"] if family == "multisig_logistic" else None
+        trf = _trf_best(family, ds, _starts(_dims_for(family, ds), 4, seed, nested), 400)
         assert fit.value <= trf * (1.0 + 1e-9), (family, fit.value, trf)
 
 
@@ -726,6 +732,34 @@ def test_select_model_requires_a_family():
     ds = Dataset(name="two", times=(0.0, 1.0, 2.0), counts=(1.0, 2.0, 3.0))
     with pytest.raises(DomainError):
         select_model(ds, [], "mse")
+
+
+@pytest.mark.parametrize("families", ["logistic", "ALL"])
+def test_select_model_rejects_a_string_other_than_all(families):
+    """A bare name is not split into letters: the error names the argument."""
+    with pytest.raises(DomainError, match=f"families .*{families!r}"):
+        select_model(_count_series(1), families, "mse")
+
+
+@pytest.mark.parametrize("estimate_j", [False, True])
+@pytest.mark.parametrize("family, points, rho, error", [
+    ("multisig_logistic", 4, 2.0, DataError),
+    ("logistic", 40, 1.0, DomainError),
+    ("multisig_logistic", 40, 1.0, DomainError),  # and so would its nested logistic fit
+])
+def test_fit_one_raises_the_error_select_model_records(family, points, rho, error, estimate_j,
+                                                       monkeypatch):
+    """Before any search: the logistic fit the failed family would nest at
+    is not run either."""
+    monkeypatch.setattr(fit_module, "minimize", None)
+    ds = _count_series(1)
+    ds = Dataset(name="short", times=ds.times[:points], counts=ds.counts[:points])
+    settings = {"restarts": 2, "seed": 0, "rho": rho, "estimate_j": estimate_j}
+    with pytest.raises(error) as raised:
+        fit_one(family, ds, "mse", 200, **settings)
+    (failed,) = select_model(ds, [family], "mse", 200, **settings).results
+    assert failed.message == str(raised.value)
+    assert failed.value == math.inf and failed.n_evals == 0 and not failed.converged
 
 
 # ===== inactive-mean reconstruction ===========================================

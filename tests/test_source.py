@@ -43,6 +43,33 @@ def test_every_private_module_level_name_is_used_elsewhere_in_src():
     assert not unused
 
 
+def _names_and_strings(tree):
+    """:func:`_references`, plus each string constant that is an identifier,
+    such as a cached form read by name."""
+    return _references(tree) + Counter(
+        n.value for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier()
+    )
+
+
+def test_every_member_of_a_private_class_is_used_elsewhere_in_src():
+    """A method or class-level name of a private class must be named
+    somewhere in ``src/`` besides its own definition: one that only tests
+    call is a wrapper kept for them."""
+    trees = [(path.name, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    total = sum((_names_and_strings(tree) for _, tree in trees), Counter())
+    unused = [
+        f"{module}: {cls.name}.{name}"
+        for module, tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and (cls.name.startswith("_") or module.startswith("_"))
+        for node in cls.body
+        for name in _defined(node)
+        if not name.endswith("__") and total[name] == _names_and_strings(node)[name]
+    ]
+    assert not unused
+
+
 def test_public_names_resolve_once_and_star_import_binds_exactly_them():
     import rumorbd
 
