@@ -8,82 +8,56 @@ formulas for proportional rates, which serve constant rates at
 (rho, M) = (lam/mu, mu t), a brute-force master-equation oracle, eight
 growth-curve families with their induced rate profiles, and curve fitting
 with inactive-mean reconstruction.
+
+Importing the package loads none of its modules: reading a public name, or a
+module such as ``rumorbd.oracle``, imports its module on first access.
 """
 
-from .errors import DataError, DomainError, NumericsError, RumorBDError
-from .fit import (
-    Dataset,
-    FitResult,
-    SelectionReport,
-    YReconstruction,
-    dataset_from_csv,
-    fit_one,
-    objective,
-    reconstruct_y,
-    select_model,
-)
-from .growth import (
-    FAMILIES,
-    CurveInducedMu,
-    ExtLogistic,
-    GenGompertz,
-    Gompertz,
-    Korf,
-    Logistic,
-    Mitscherlich,
-    ModKorf,
-    MultisigLogistic,
-    curve_from_config,
-    curve_to_config,
-    eval_curve,
-    induced_m,
-    proportional_from_curve,
-)
-from .homogeneous import absorption_prob
-from .moments import MomentReport, crossing_time, moment_report
-from .oracle import GridMoments, StepControl, TruncatedGrid, moments_from_grid, solve_forward
-from .process import EnsembleStats, Event, Trajectory, ensemble, simulate
-from .proportional import (
-    absorption_prop,
-    absorption_prop_limit,
-    crossing_m_threshold,
-    p0k_limit_prop,
-    pgf_prop,
-)
-from .rates import (
-    Constant,
-    ConstantMu,
-    CosineMu,
-    Explicit,
-    MuBase,
-    Proportional,
-    RateFamily,
-    big_m,
-    eta,
-    gamma,
-    phi_x,
-    phi_y,
-    rates_from_config,
-)
+import importlib
+
+_EXPORTS = {
+    "errors": ("RumorBDError", "DomainError", "NumericsError", "DataError"),
+    "rates": (
+        "MuBase", "ConstantMu", "CosineMu", "RateFamily", "Constant", "Proportional",
+        "Explicit", "rates_from_config", "big_m", "eta", "phi_x", "phi_y", "gamma",
+    ),
+    "homogeneous": ("absorption_prob",),
+    "proportional": (
+        "pgf_prop", "absorption_prop", "absorption_prop_limit", "p0k_limit_prop",
+        "crossing_m_threshold",
+    ),
+    "moments": ("MomentReport", "moment_report", "crossing_time"),
+    "growth": (
+        "Gompertz", "GenGompertz", "Logistic", "ExtLogistic", "MultisigLogistic", "ModKorf",
+        "Korf", "Mitscherlich", "FAMILIES", "CurveInducedMu", "eval_curve", "induced_m",
+        "proportional_from_curve", "curve_from_config", "curve_to_config",
+    ),
+    "oracle": ("TruncatedGrid", "StepControl", "GridMoments", "solve_forward", "moments_from_grid"),
+    "process": ("Event", "Trajectory", "EnsembleStats", "simulate", "ensemble"),
+    "fit": (
+        "Dataset", "FitResult", "SelectionReport", "YReconstruction", "dataset_from_csv",
+        "objective", "fit_one", "select_model", "reconstruct_y",
+    ),
+    "_kernels": (),
+    "_ode": (),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "RumorBDError", "DomainError", "NumericsError", "DataError",
-    "MuBase", "ConstantMu", "CosineMu", "RateFamily", "Constant",
-    "Proportional", "Explicit", "rates_from_config",
-    "big_m", "eta", "phi_x", "phi_y", "gamma",
-    "absorption_prob", "pgf_prop", "absorption_prop", "absorption_prop_limit",
-    "p0k_limit_prop", "crossing_m_threshold",
-    "MomentReport", "moment_report", "crossing_time",
-    "Gompertz", "GenGompertz", "Logistic", "ExtLogistic", "MultisigLogistic",
-    "ModKorf", "Korf", "Mitscherlich", "FAMILIES", "CurveInducedMu",
-    "eval_curve", "induced_m", "proportional_from_curve", "curve_from_config",
-    "curve_to_config",
-    "TruncatedGrid", "StepControl", "GridMoments", "solve_forward",
-    "moments_from_grid",
-    "Event", "Trajectory", "EnsembleStats", "simulate", "ensemble",
-    "Dataset", "FitResult", "SelectionReport", "YReconstruction",
-    "dataset_from_csv", "objective", "fit_one", "select_model", "reconstruct_y",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _MODULE_OF:
+        value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

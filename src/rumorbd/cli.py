@@ -5,7 +5,8 @@ Every output is a CSV whose first line is a versioned schema comment
 (`# schema: rumorbd.<name>.v1`), so downstream plotting scripts can pin the
 column layout.  Options may come from flags or a JSON --config file; flags
 win over the file, the file wins over defaults.  Exit codes: 0 ok, 2 bad
-usage or parameter domain, 3 numeric failure, 4 malformed data.
+usage or parameter domain, 3 numeric failure, 4 malformed data.  Each
+subcommand imports the engine modules it runs, so a start loads no other.
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import fit as fit_mod
-from . import growth
-from . import moments as moments_mod
-from . import oracle as oracle_mod
-from . import process as process_mod
-from . import proportional
-from . import rates as rates_mod
 from .errors import DataError, DomainError, NumericsError, converted
 
 
@@ -92,8 +86,10 @@ def _listed(value, flag: str) -> list:
     return value
 
 
-def _parse_rates(value) -> rates_mod.RateFamily:
+def _parse_rates(value):
     """Inline rate spec: JSON object, or the shorthand 'constant:LAM,MU'."""
+    from . import rates as rates_mod
+
     if isinstance(value, dict):
         return rates_mod.rates_from_config(value)
     text = str(value).strip()
@@ -138,6 +134,8 @@ def _parse_grid(value) -> list[float]:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
+    from . import process as process_mod
+
     conf = _Conf(ns)
     rates = _parse_rates(conf.get("rates", required=True))
     j = conf.get("j", required=True, kind=int)
@@ -163,6 +161,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_moments(ns: argparse.Namespace) -> int:
+    from . import moments as moments_mod
+
     conf = _Conf(ns)
     rates = _parse_rates(conf.get("rates", required=True))
     j = conf.get("j", required=True, kind=int)
@@ -179,6 +179,8 @@ def _cmd_moments(ns: argparse.Namespace) -> int:
 
 
 def _cmd_absorb(ns: argparse.Namespace) -> int:
+    from . import proportional
+
     conf = _Conf(ns)
     rates = _parse_rates(conf.get("rates", required=True))
     j = conf.get("j", required=True, kind=int)
@@ -197,6 +199,8 @@ def _cmd_absorb(ns: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(ns: argparse.Namespace) -> int:
+    from . import oracle as oracle_mod
+
     conf = _Conf(ns)
     rates = _parse_rates(conf.get("rates", required=True))
     j = conf.get("j", required=True, kind=int)
@@ -206,23 +210,15 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
     max_leak = conf.get("max_leak", 1e-4, kind=float)
     out = conf.get("out")
     grid = oracle_mod.solve_forward(rates, j, t, n_max, k_max, max_leak=max_leak)
-    rows = (
-        (n, k, float(grid.p[n, k]))
-        for n in range(n_max + 1)
-        for k in range(k_max + 1)
-    )
+    rows = ((n, k, p) for n, row in enumerate(grid.p.tolist()) for k, p in enumerate(row))
     _write_csv(out, "oracle", ["n", "k", "p"], rows)
     return 0
 
 
-def _params_cell(fr: fit_mod.FitResult) -> str:
-    if not fr.params:
-        return ""
-    names = growth.FAMILIES[fr.family].param_names
-    return ";".join(f"{n}={format(v, '.12g')}" for n, v in zip(names, fr.params))
-
-
 def _cmd_fit(ns: argparse.Namespace) -> int:
+    from . import fit as fit_mod
+    from . import growth
+
     conf = _Conf(ns)
     dataset = fit_mod.dataset_from_csv(conf.get("data", required=True))
     kind = str(conf.get("objective", "mse"))
@@ -240,11 +236,13 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
         estimate_j=conf.get("estimate_j", False, kind=bool),
     )
     out = conf.get("out")
+    params = [dict(zip(growth.FAMILIES[fr.family].param_names, fr.params))
+              for fr in report.results]
     header = ["family", "objective", "value", "converged", "n_evals", "restarts", "params"]
     rows = [
         (fr.family, fr.kind, fr.value, fr.converged, fr.n_evals, fr.restarts,
-         _params_cell(fr))
-        for fr in report.results
+         ";".join(f"{n}={format(v, '.12g')}" for n, v in named.items()))
+        for fr, named in zip(report.results, params)
     ]
     as_json = {
         "dataset": report.dataset_name,
@@ -259,12 +257,10 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
                 "restarts": fr.restarts,
                 "j": fr.j,
                 "rho": fr.rho,
-                "params": dict(
-                    zip(growth.FAMILIES[fr.family].param_names, fr.params)
-                ),
+                "params": named,
                 "message": fr.message,
             }
-            for fr in report.results
+            for fr, named in zip(report.results, params)
         ],
     }
     if out and out != "-":
@@ -277,6 +273,8 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct_y(ns: argparse.Namespace) -> int:
+    from . import fit as fit_mod
+
     conf = _Conf(ns)
     dataset = fit_mod.dataset_from_csv(conf.get("data", required=True))
     family = str(conf.get("family", required=True))

@@ -830,10 +830,11 @@ class YReconstruction:
 def reconstruct_y(fit: FitResult, rho_values, grid) -> YReconstruction:
     """Inactive mean implied by a fitted curve for each requested rho.
 
-    X-family fits: m_Y(t) = (m_hat(t) - j)/(rho - 1) exactly (rho = 1 makes
-    the fitted X mean constant and is rejected).  Y-family fits: composing the
-    induced intensity with the inactive-mean formula returns the fitted curve
-    unchanged for every rho.  A grid past the curve's validity window raises
+    X-family fits: m_Y(t) = (m_hat(t) - j)/(rho - 1) exactly.  A fitted X
+    mean rises from j, which needs rho > 1 (rho = 1 pins it at j, and rho < 1
+    would make m_Y negative), so rho <= 1 is rejected.  Y-family fits:
+    composing the induced intensity with the inactive-mean formula returns
+    the fitted curve unchanged for every rho.  A grid past the curve's validity window raises
     :class:`DomainError`.
     """
     if fit.curve is None:
@@ -853,10 +854,9 @@ def reconstruct_y(fit: FitResult, rho_values, grid) -> YReconstruction:
     for i, rho in enumerate(rhos):
         check_positive("rho", rho)
         if curve.kind == "x":
-            if rho == 1.0:
+            if rho <= 1.0:
                 raise DomainError(
-                    "rho = 1 pins the spreader mean at j, so a spreader-mean "
-                    "curve cannot induce an intensity there; use rho != 1"
+                    f"a spreader-mean curve rises from j, which needs rho > 1, got {rho}"
                 )
             out[i] = (m_hat - float(fit.j)) / (rho - 1.0)
         else:

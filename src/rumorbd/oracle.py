@@ -206,16 +206,18 @@ def solve_forward(
     :class:`StepControl()`).
 
     Raises a numerics error when the accumulated leaked mass exceeds
-    ``max_leak`` (enlarge the grid or shorten the horizon).  Note that mass
-    which leaks at the n_max edge can never return to low-(n, k) states
-    without pushing k past the states it left behind, so probabilities of
-    individual small states remain accurate even when the total leak is
-    sizeable; callers exploiting this may raise ``max_leak`` explicitly.
+    ``max_leak``, which must be positive and finite (enlarge the grid or
+    shorten the horizon).  Note that mass which leaks at the n_max edge can
+    never return to low-(n, k) states without pushing k past the states it
+    left behind, so probabilities of individual small states remain accurate
+    even when the total leak is sizeable; callers exploiting this may raise
+    ``max_leak`` explicitly.
     """
     check_j(j)
     check_time(t)
     check_int("n_max", n_max, j + 5)
     check_int("k_max", k_max, j + 5)
+    check_positive("max_leak", max_leak)
     rates.validate_horizon(t)
     view = rates.proportional_view()
     if view is not None and step_control is not None:

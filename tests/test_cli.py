@@ -186,6 +186,16 @@ def test_oracle_leak_failure_exits_3(capsys):
     assert "numeric failure" in err
 
 
+def test_oracle_nan_max_leak_exits_2(capsys):
+    rc, out, err = _run(
+        capsys,
+        ["oracle", "--rates", "constant:2,1", "--j", "1", "--t", "1",
+         "--n-max", "20", "--k-max", "20", "--max-leak", "nan"],
+    )
+    assert rc == 2 and out == ""
+    assert "max_leak" in err
+
+
 # ===== fit and reconstruct-y ===================================================
 
 
@@ -528,35 +538,88 @@ def test_installed_script_round_trip(tmp_path):
     assert res.returncode == 2
 
 
-def test_cli_import_does_not_load_scipy_solvers():
-    """Cold start: scipy.optimize and scipy.integrate load on first use only."""
-    probe = (
-        "import sys, rumorbd.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-    )
+def _fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter, stripped."""
     res = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=_checkout_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env()
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+_LOADED = "*sorted(m for m in sys.modules if m == 'rumorbd' or m.startswith('rumorbd.'))"
+
+
+def test_cli_import_does_not_load_scipy_solvers():
+    """Cold start: ``import rumorbd.cli`` loads numpy and the error classes,
+    and no engine module; scipy.optimize and scipy.integrate load on first
+    use only."""
+    assert _fresh(
+        "import sys, rumorbd.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules), "
+        f"'numpy' in sys.modules, {_LOADED})"
+    ) == "[] True rumorbd rumorbd.cli rumorbd.errors"
+
+
+def test_the_package_root_imports_a_module_on_first_access():
+    assert _fresh(
+        f"import sys, rumorbd; print({_LOADED}, "
+        "rumorbd.oracle is sys.modules['rumorbd.oracle'], "
+        "rumorbd.Logistic is sys.modules['rumorbd.growth'].Logistic, "
+        "set(rumorbd.__all__) <= set(dir(rumorbd)))"
+    ) == "rumorbd True True True"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rumorbd.no_such_name
+
+
+def _cli_probe(argv, report: str) -> str:
+    """Exit code of ``main(argv)`` run in a fresh interpreter, then what
+    ``report`` (an expression that may read ``sys``) evaluates to there."""
+    return _fresh(f"import sys; from rumorbd.cli import main; rc = main({argv!r}); "
+                  f"print(rc, {report})")
+
+
+_RATES = ["--rates", "constant:2,1", "--j", "1"]
+_BUDGET = ["--budget", "50", "--restarts", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,used,unused",
+    [
+        (["absorb", *_RATES, "--grid", "0:2:4"], "proportional",
+         {"fit", "growth", "oracle", "process"}),
+        (["moments", *_RATES, "--grid", "0:2:4"], "moments",
+         {"fit", "growth", "oracle", "process"}),
+        (["oracle", *_RATES, "--t", "0.5", "--n-max", "20", "--k-max", "20"], "oracle",
+         {"fit", "growth", "process"}),
+        (["simulate", *_RATES, "--horizon", "1", "--replicates", "10"], "process",
+         {"fit", "growth", "oracle"}),
+        (["fit", "--families", "logistic", *_BUDGET], "fit", {"oracle", "process", "moments"}),
+        (["reconstruct-y", "--family", "logistic", "--rho-values", "2", "--grid", "0:5:4",
+          *_BUDGET], "fit", {"oracle", "process", "moments"}),
+    ],
+    ids=["absorb", "moments", "oracle", "simulate", "fit", "reconstruct-y"],
+)
+def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, used, unused):
+    """A one-shot run compiles and runs no engine module it does not use."""
+    if used == "fit":
+        data = tmp_path / "cascade.csv"
+        _write_logistic_csv(data, n_points=20, horizon=6.0)
+        argv = [*argv, "--data", str(data)]
+    rc, *loaded = _cli_probe([*argv, "--out", str(tmp_path / "out")], _LOADED).split()
+    assert rc == "0"
+    assert f"rumorbd.{used}" in loaded
+    assert not {f"rumorbd.{m}" for m in unused} & set(loaded)
 
 
 def _fit_probe(tmp_path, *options):
-    """Exit code of an in-process CLI fit, then whether it loaded
+    """Exit code of a CLI fit in a fresh interpreter, then whether it loaded
     scipy.optimize and scipy.stats."""
     data = tmp_path / "cascade.csv"
     _write_logistic_csv(data, n_points=20, horizon=6.0)
     argv = ["fit", "--data", str(data), "--families", "logistic,gompertz", "--budget", "200",
             "--restarts", "2", *options, "--out", str(tmp_path / "fitout")]
-    probe = (
-        f"import sys; from rumorbd.cli import main; rc = main({argv!r}); "
-        "print(rc, 'scipy.optimize' in sys.modules, 'scipy.stats' in sys.modules)"
-    )
-    res = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=_checkout_env()
-    )
-    assert res.returncode == 0, res.stderr
-    return res.stdout.strip()
+    return _cli_probe(argv, "'scipy.optimize' in sys.modules, 'scipy.stats' in sys.modules")
 
 
 def test_cli_fit_does_not_load_scipy_stats(tmp_path):

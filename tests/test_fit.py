@@ -797,9 +797,12 @@ def test_reconstruct_from_inactive_curve_returns_the_fit_for_every_rho():
 
 
 def test_reconstruct_rejects_rho_one_for_spreader_curves():
+    """A spreader mean rises from j, so (m_hat - j)/(rho - 1) is constant at
+    rho = 1 and negative below it."""
     curve = growth.Gompertz(alpha=3.0, beta=2.0, j=1, rho=2.0)
-    with pytest.raises(DomainError, match="rho"):
-        reconstruct_y(_manual_fit(curve, j=1), [1.0], [0.0, 1.0])
+    for rho in (1.0, 0.5):
+        with pytest.raises(DomainError, match=f"rho > 1, got {rho}"):
+            reconstruct_y(_manual_fit(curve, j=1), [2.0, rho], [0.0, 1.0])
 
 
 def test_reconstruct_flags_overflow_points_as_nan():

@@ -260,6 +260,14 @@ def test_argument_validation():
         solve_forward(r, 1, 1.0, 30.5, 30)
 
 
+@pytest.mark.parametrize("max_leak", [math.nan, -1.0, 0.0, math.inf])
+def test_max_leak_must_be_positive_and_finite(max_leak):
+    """A NaN bound would switch the leak guard off (``leak > nan`` is false):
+    this run leaks a third of its mass."""
+    with pytest.raises(DomainError, match="max_leak"):
+        solve_forward(Constant(lam=2.0, mu=1.0), 1, 3.0, 20, 20, max_leak=max_leak)
+
+
 def test_prob_bounds_checking():
     grid = solve_forward(Constant(lam=1.0, mu=1.0), 1, 0.5, 20, 20)
     assert isinstance(grid, TruncatedGrid)
