@@ -48,6 +48,7 @@ def moment_states(rates, j: int, times) -> np.ndarray:
     """
     # imported here: scipy.integrate takes longer to import than all of rumorbd
     from scipy.integrate import ODEintWarning, odeint
+    from .rates import Proportional  # imported here: rates imports this module
 
     grid, back = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     y0 = [float(j), float(j * j), 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -55,6 +56,7 @@ def moment_states(rates, j: int, times) -> np.ndarray:
         return np.tile(y0, (len(back), 1))
     # odeint reports the initial state as its first row
     out_times = grid if grid[0] == 0.0 else np.concatenate(([0.0], grid))
+    rho = rates.rho if isinstance(rates, Proportional) else None  # rho * mu is lam_at
 
     def rhs(s, y):
         # python floats, so an overflow below gives inf rather than a warning;
@@ -66,8 +68,8 @@ def moment_states(rates, j: int, times) -> np.ndarray:
             raise NumericsError(
                 f"moment integration left the float range at t={s}; use the closed route"
             )
-        lam = float(rates.lam_at(s))
         mu = float(rates.mu_at(s))
+        lam = float(rates.lam_at(s)) if rho is None else rho * mu  # one profile read
         return [
             (lam - mu) * mx,
             (lam + mu) * mx + 2.0 * (lam - mu) * m2x,

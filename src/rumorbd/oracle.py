@@ -1,11 +1,14 @@
 """Brute-force verification oracle: the truncated master equation.
 
-The forward (Kolmogorov) equations for the pair (X, Y) are solved on the
-truncated rectangle {0..n_max} x {0..k_max}.  Probability flux out of the
-rectangle — births attempted at n = n_max and forgets attempted at k = k_max —
-is routed into an absorbing ``leaked_mass`` state, so ``p.sum() + leaked_mass
-== 1`` holds to machine precision and the truncation error stays auditable
-rather than silent.
+The forward (Kolmogorov) equations for (X, Y) are solved on {0..n_max} x
+{0..k_max}, stored row by row as one flat vector over the padded
+(n_max + 2) x (k_max + 2) grid (s = k_max + 2 cells a row).  The extra row and
+column are absorbing leak cells: a spread from the top row (s cells on) and a
+forget from the last column (s - 1 cells back) reach them like any other move.
+``leaked_mass`` is their ``math.fsum`` and the table is the live block, so
+``p.sum() + leaked_mass == 1`` holds to rounding.  Both routes apply the
+generator in five contiguous passes, G q = a q + shift_s(b q) +
+shift_{s-1}(c q); b and c are n times a rate, so 0 on the leak cells.
 
 The rate family picks one of two routes, reported as ``TruncatedGrid.route``:
 
@@ -16,21 +19,23 @@ The rate family picks one of two routes, reported as ``TruncatedGrid.route``:
 
       p(M) = sum_i Poisson(Lam * M; i) P^i p(0),   P = I + Q / Lam,
 
-  with Lam = n_max * (rho + 1), the largest exit rate on the rectangle.  P is
-  nonnegative, so every table it produces is too.  Operational time is split
-  into equal chunks with Lam * Delta <= 400, so exp(-Lam * Delta) never
-  underflows.  In each chunk (a = Lam * Delta) the series stops at the first
-  i with r = a / (i + 1) < 1 and w_i * r / (1 - r) < 1e-17, an a-priori bound
-  on the Poisson mass left out; the kept weights are renormalised.  The
-  result is therefore within total variation 2e-17 per chunk of the exact
-  truncated chain, on top of floating-point rounding.  The bound is absolute:
-  a probability far below it, such as a 1e-40 leak, is not held to a
-  relative accuracy.
+  with Lam = n_max * (rho + 1), the largest exit rate on the rectangle.  P is G
+  at a = 1 - n (rho + 1) / Lam (1 on the leak cells), b = rho n / Lam and
+  c = n / Lam; in the top row n (rho + 1) is Lam bit for bit, so a is exactly
+  0, never below.  P is nonnegative, and so is every table it produces.
+  Operational time is split into equal chunks with Lam * Delta <= 400, so
+  exp(-Lam * Delta) never underflows.  In each chunk (x = Lam * Delta) the
+  series stops at the first i with r = x / (i + 1) < 1 and
+  w_i * r / (1 - r) < 1e-17, an a-priori bound on the Poisson mass left out;
+  the kept weights are renormalised.  The result is therefore within total
+  variation 2e-17 per chunk of the exact truncated chain, on top of
+  floating-point rounding.  The bound is absolute: a probability far below
+  it, such as a 1e-40 leak, is not held to a relative accuracy.
 * ``"rk4"`` for ``Explicit`` rates, which have no time change to exploit:
-  classical fixed-step RK4 with h = min(max_step, rate_budget / (n_max *
-  sup(lam + mu))) (see :class:`StepControl`), which keeps the explicit scheme
-  well inside its stability region.  Each step applies the generator four
-  times.
+  classical fixed-step RK4 on G with a = -(lam + mu) n, b = lam n, c = mu n
+  at each stage, and h = min(max_step, rate_budget / (n_max * sup(lam +
+  mu))) (see :class:`StepControl`), which keeps the explicit scheme well
+  inside its stability region.  Each step applies the generator four times.
 
 ``TruncatedGrid.applications`` counts the generator applications either
 route made.
@@ -96,21 +101,13 @@ class GridMoments(NamedTuple):
     cov: float
 
 
-def _flow(
-    p: np.ndarray, lam: float, mu: float, nvec: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Master-equation derivative and instantaneous leak rate.
-
-    Inflow to (n, k) comes from a spread at (n-1, k) and a forget at
-    (n+1, k-1); outflow is n(lam+mu).  Mass pushed past n_max (spread in the
-    top row) or past k_max (forget in the last column) is the leak.
-    """
-    ncol = nvec[:, None]
-    dp = -(lam + mu) * ncol * p
-    dp[1:, :] += lam * (ncol[:-1] * p[:-1, :])
-    dp[:-1, 1:] += mu * (ncol[1:] * p[1:, :-1])
-    leak = lam * nvec[-1] * float(p[-1, :].sum()) + mu * float(nvec[1:] @ p[1:, -1])
-    return dp, leak
+def _apply(q: np.ndarray, a, b, c, s: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out = a q + shift_s(b q) + shift_{s-1}(c q)``: G or P applied to ``q``."""
+    np.multiply(a, q, out=out)
+    np.multiply(b, q, out=tmp)
+    np.add(out[s:], tmp[:-s], out=out[s:])
+    np.multiply(c, q, out=tmp)
+    np.add(out[: 1 - s], tmp[s - 1:], out=out[: 1 - s])
 
 
 def _poisson_weights(a: float) -> list[float]:
@@ -134,33 +131,30 @@ def _poisson_weights(a: float) -> list[float]:
 
 
 def _uniformized(
-    p: np.ndarray, rho: float, big_m: float, n_max: int
-) -> tuple[np.ndarray, float, int]:
+    p: np.ndarray, n, s: int, rho: float, big_m: float, n_max: int
+) -> tuple[np.ndarray, int]:
     """Run the (rho, 1) chain over operational time ``big_m`` by uniformization."""
     lam_u = n_max * (rho + 1.0)
     chunks = max(1, math.ceil(lam_u * big_m / _CHUNK_MAX))
     weights = _poisson_weights(lam_u * big_m / chunks)
-    nvec = np.arange(n_max + 1, dtype=float)
-    leak = 0.0
+    a, b, c = 1.0 - n * (rho + 1.0) / lam_u, rho * n / lam_u, n / lam_u
+    q_next, tmp = np.empty_like(p), np.empty_like(p)
     for _ in range(chunks):
-        q, q_leak = p, leak
-        p = weights[0] * q
-        leak = weights[0] * q_leak
+        q, p = p, weights[0] * p
         for w in weights[1:]:
-            dq, dleak = _flow(q, rho, 1.0, nvec)
-            q = q + dq / lam_u
-            q_leak += dleak / lam_u
-            p += w * q
-            leak += w * q_leak
-    return p, leak, chunks * (len(weights) - 1)
+            _apply(q, a, b, c, s, q_next, tmp)
+            q, q_next = q_next, q
+            np.multiply(q, w, out=tmp)
+            np.add(p, tmp, out=p)
+    return p, chunks * (len(weights) - 1)
 
 
 def _rk4(
-    rates: RateFamily, p: np.ndarray, t: float, n_max: int, control: StepControl
-) -> tuple[np.ndarray, float, int]:
+    rates: RateFamily, p: np.ndarray, n, s: int, t: float, n_max: int, control: StepControl
+) -> tuple[np.ndarray, int]:
     """Integrate the forward equations to ``t`` with fixed-step RK4."""
     if t == 0.0:
-        return p, 0.0, 0
+        return p, 0
     sup_tot = rates.total_rate_sup(0.0, t)
     if not (math.isfinite(sup_tot) and sup_tot >= 0.0):
         raise DomainError(f"rate supremum over [0, {t}] must be finite, got {sup_tot}")
@@ -170,22 +164,21 @@ def _rk4(
         h = control.max_step
     steps = max(1, math.ceil(t / h))
     h = t / steps
-    nvec = np.arange(n_max + 1, dtype=float)
-    leak = 0.0
+    k1, k2, k3, k4, tmp = (np.empty_like(p) for _ in range(5))
+
+    def generator(at: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lam, mu = rates.lam_at(at), rates.mu_at(at)
+        return -(lam + mu) * n, lam * n, mu * n
+
     for i in range(steps):
         t0 = i * h
-        tm = t0 + 0.5 * h
-        t1 = t0 + h
-        la0, mu0 = rates.lam_at(t0), rates.mu_at(t0)
-        lam, mum = rates.lam_at(tm), rates.mu_at(tm)
-        la1, mu1 = rates.lam_at(t1), rates.mu_at(t1)
-        k1, l1 = _flow(p, la0, mu0, nvec)
-        k2, l2 = _flow(p + (0.5 * h) * k1, lam, mum, nvec)
-        k3, l3 = _flow(p + (0.5 * h) * k2, lam, mum, nvec)
-        k4, l4 = _flow(p + h * k3, la1, mu1, nvec)
+        g0, gm, g1 = generator(t0), generator(t0 + 0.5 * h), generator(t0 + h)
+        _apply(p, *g0, s, k1, tmp)
+        _apply(p + (0.5 * h) * k1, *gm, s, k2, tmp)
+        _apply(p + (0.5 * h) * k2, *gm, s, k3, tmp)
+        _apply(p + h * k3, *g1, s, k4, tmp)
         p = p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        leak += (h / 6.0) * (l1 + 2.0 * (l2 + l3) + l4)
-    return p, leak, 4 * steps
+    return p, 4 * steps
 
 
 def solve_forward(
@@ -226,32 +219,37 @@ def solve_forward(
             "proportional rates are solved by uniformization, which has no step"
         )
 
-    p = np.zeros((n_max + 1, k_max + 1), dtype=float)
-    p[j, 0] = 1.0
+    s = k_max + 2
+    p = np.zeros((n_max + 2) * s)
+    p[j * s] = 1.0
+    n = (np.arange(p.size) // s).astype(float)
+    n[s - 1::s] = n[-s:] = 0.0  # the leak cells
     if view is not None:
         rho, base_mu = view
         big_m = base_mu.big_m(t)
         if not math.isfinite(big_m):
             raise DomainError(f"cumulative intensity M({t}) must be finite, got {big_m}")
-        p, leak, applications = _uniformized(p, rho, big_m, n_max)
+        p, applications = _uniformized(p, n, s, rho, big_m, n_max)
         route = "uniformization"
     else:
         control = step_control if step_control is not None else StepControl()
-        p, leak, applications = _rk4(rates, p, t, n_max, control)
+        p, applications = _rk4(rates, p, n, s, t, n_max, control)
         route = "rk4"
 
-    if not np.all(np.isfinite(p)) or not math.isfinite(leak):
+    if not np.all(np.isfinite(p)):
         advice = "; reduce the step bounds" if route == "rk4" else ""
         raise NumericsError(
             f"the {route} route produced non-finite probabilities{advice}"
         )
+    p = p.reshape(n_max + 2, s)
+    leak = math.fsum(np.concatenate((p[-1], p[:-1, -1])))
     if leak > max_leak:
         raise NumericsError(
             f"probability leak {leak:.3e} exceeds max_leak={max_leak:.3e}; "
             "enlarge n_max/k_max or shorten the horizon"
         )
     return TruncatedGrid(
-        p=p, j=j, t=t, n_max=n_max, k_max=k_max, leaked_mass=float(leak),
+        p=p[:-1, :-1].copy(), j=j, t=t, n_max=n_max, k_max=k_max, leaked_mass=leak,
         route=route, applications=applications,
     )
 

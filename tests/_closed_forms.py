@@ -18,6 +18,8 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
+
 
 # ===== Time-homogeneous moment displays =======================================
 
@@ -142,6 +144,30 @@ def pgf(lam: float, mu: float, j: int, z1: float, z2: float, t: float) -> float:
     xi2 = (lam + mu + math.sqrt(disc)) / (2.0 * lam)
     e = math.exp(lam * t * (xi2 - xi1))
     return ((xi2 * (z1 - xi1) - xi1 * (z1 - xi2) * e) / ((z1 - xi1) - (z1 - xi2) * e)) ** j
+
+
+def pgf_complex(lam: float, mu: float, j: int, z1, z2, t: float):
+    """:func:`pgf` in numpy complex arithmetic, on arrays of z1 and z2 (which
+    broadcast).  The two roots enter symmetrically, so the principal square
+    root serves.  The double-root branch is left out: on |z2| = 1 the
+    discriminant vanishes only at lam = mu, z2 = 1."""
+    disc = (lam + mu) ** 2 - 4.0 * lam * mu * np.asarray(z2, dtype=complex)
+    if np.any(disc == 0.0):
+        raise ValueError("pgf_complex has no double-root branch")
+    xi1 = (lam + mu - np.sqrt(disc)) / (2.0 * lam)
+    xi2 = (lam + mu + np.sqrt(disc)) / (2.0 * lam)
+    e = np.exp(lam * t * (xi2 - xi1))
+    return ((xi2 * (z1 - xi1) - xi1 * (z1 - xi2) * e) / ((z1 - xi1) - (z1 - xi2) * e)) ** j
+
+
+def table_by_fft(lam: float, mu: float, j: int, t: float, size: int) -> np.ndarray:
+    """P(X = n, Y = k) for 0 <= n, k < ``size`` from (j, 0): the p.g.f. on
+    the size x size grid of roots of unity, inverted by one 2-D FFT (Cavers
+    1978; Abate & Whitt 1992).  Mass at n or k >= size aliases onto the
+    table, so ``size`` must leave that mass negligible."""
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    values = pgf_complex(lam, mu, j, z[:, None], z[None, :], t)
+    return np.fft.fft2(values).real / size**2
 
 
 def p0k_limit(lam: float, mu: float, j: int, k: int) -> Fraction:

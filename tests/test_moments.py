@@ -227,6 +227,15 @@ def test_report_from_prop_at_zero_intensity():
     assert rep.r_index == 0.75
 
 
+def test_explicit_rates_zero_at_time_zero_report_nan_limit():
+    """With lam(0) = mu(0) = 0 the correlation has no limit at t = 0: NaN,
+    flagged as the limit, not a division by zero."""
+    r = Explicit(lambda_fn=lambda s: 2.0 * s, mu_fn=lambda s: s, rate_sup_fn=lambda a, b: 3.0 * b)
+    rep = moment_report(r, 1, [0.0, 1.0])
+    assert math.isnan(rep.corr[0]) and rep.corr_is_limit[0]
+    assert math.isfinite(rep.corr[1]) and not rep.corr_is_limit[1]
+
+
 def test_ode_cache_is_order_independent():
     def make():
         return _explicit_copy(1.4, 0.8)

@@ -8,7 +8,7 @@ import pytest
 import _closed_forms as cf
 from rumorbd import DomainError, NumericsError
 from rumorbd.oracle import StepControl, TruncatedGrid, moments_from_grid, solve_forward
-from rumorbd.proportional import p0k_limit_prop
+from rumorbd.proportional import absorption_prop, p0k_limit_prop
 from rumorbd.rates import Constant, ConstantMu, CosineMu, Explicit, Proportional
 
 
@@ -90,6 +90,31 @@ def test_supercritical_terminal_absorption():
     truncated_limit = sum(p0k_limit_prop(2.0, 3, k) for k in range(3, 46))
     assert absorbed == pytest.approx(truncated_limit, abs=1e-7)
     assert absorbed == pytest.approx(0.125, abs=1e-4)
+
+
+# ===== the whole table against the p.g.f. by FFT inversion ====================
+
+
+@pytest.mark.parametrize(
+    "rates,rho,big_m,j,t,size,fft_size",
+    [
+        (Constant(lam=1.0, mu=2.0), 0.5, 2.0, 2, 1.0, 100, 256),
+        (
+            Proportional(rho=1.5, base_mu=CosineMu(mu=1.0, alpha=0.5, period=2.5)),
+            1.5, 2.0 + 0.5 * 2.5 / (2.0 * math.pi) * math.sin(2.0 * math.pi * 2.0 / 2.5),
+            1, 2.0, 200, 512,
+        ),
+    ],
+    ids=["constant", "cosine"],
+)
+def test_table_matches_pgf_inversion(rates, rho, big_m, j, t, size, fft_size):
+    # the chain at rates (rho, 1) run to operational time M(t), M transcribed
+    grid = solve_forward(rates, j, t, size, size)
+    table = cf.table_by_fft(rho, 1.0, j, big_m, fft_size)[: size + 1, : size + 1]
+    assert np.abs(grid.p - table).max() <= 1e-14
+    absorbed = absorption_prop(rho, big_m, j)
+    assert abs(table[0].sum() - absorbed) <= 1e-14
+    assert abs(grid.p[0].sum() - absorbed) <= 1e-14
 
 
 # ===== moments from the grid ==================================================

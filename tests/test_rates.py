@@ -18,6 +18,7 @@ from rumorbd.rates import (
     Proportional,
     big_m,
     eta,
+    first_passage,
     gamma,
     mu_base_from_config,
     phi_x,
@@ -65,6 +66,12 @@ def test_cosine_mu_values_and_integral():
     for t in (0.3, 1.0, 2.5, 7.8):
         ref, _ = quad(p.mu_at, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
         assert p.big_m(t) == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def test_first_passage_at_the_window_end_returns_it():
+    # M(hi) equals the level exactly: the passage is hi, not "never"
+    p = CosineMu(mu=1.0, alpha=0.5, period=2.5)
+    assert first_passage(p, p.big_m(3.0), 0.0, 3.0) == 3.0
 
 
 def test_cosine_mu_validation():
