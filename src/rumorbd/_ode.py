@@ -34,6 +34,7 @@ import warnings
 import numpy as np
 
 from .errors import NumericsError
+from .rates import Proportional
 
 # h0: a first step sized from the first requested time would make the steps,
 # and so the values, depend on the whole grid; mxstep bounds the steps
@@ -48,7 +49,6 @@ def moment_states(rates, j: int, times) -> np.ndarray:
     """
     # imported here: scipy.integrate takes longer to import than all of rumorbd
     from scipy.integrate import ODEintWarning, odeint
-    from .rates import Proportional  # imported here: rates imports this module
 
     grid, back = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     y0 = [float(j), float(j * j), 0.0, 0.0, 0.0, 0.0, 0.0]

@@ -3,50 +3,65 @@
 Subcommands: simulate | moments | absorb | oracle | fit | reconstruct-y.
 Every output is a CSV whose first line is a versioned schema comment
 (`# schema: rumorbd.<name>.v1`), so downstream plotting scripts can pin the
-column layout.  Options may come from flags or a JSON --config file; flags
-win over the file, the file wins over defaults.  Exit codes: 0 ok, 2 bad
-usage or parameter domain, 3 numeric failure, 4 malformed data.  Each
-subcommand imports the engine modules it runs, so a start loads no other.
+column layout.  A float cell is exactly ``format(v, ".12g")``; subcommands
+hand the writer columns, which :mod:`rumorbd._csvtext` encodes in numpy.
+Options may come from flags or a JSON --config file; flags win over the
+file, the file wins over defaults.  Exit codes: 0 ok, 1 stdout closed by its
+reader, 2 bad usage or parameter domain, 3 numeric failure, 4 malformed data
+or an unwritable output path.  Each subcommand imports the engine modules
+it runs, so a start loads no other.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, DomainError, NumericsError, converted
 
 
-def _spec(v) -> str:
-    if isinstance(v, float):
-        return "%.12g"
-    return "%d" if isinstance(v, int) and not isinstance(v, bool) else "%s"
+# ===== CSV output ==============================================================
 
 
-def _write_csv(path: str | None, schema: str, header: list[str], rows) -> None:
-    """Write the rows under a schema line and the header.
-
-    One ``%`` template per call, from the types of the first row's cells
-    (every column holds one type): ``%.12g`` for floats, ``%d`` for ints and
-    ``%s`` for anything else, such as strings and bools.
-    """
-    own = path is not None and path != "-"
-    f = open(path, "w", newline="") if own else sys.stdout
+@contextlib.contextmanager
+def _opened(path: str | None):
+    """Stdout for no path or "-", else the file at ``path`` opened for
+    writing; failing to open or write it is a :class:`DataError`."""
+    if path is None or path == "-":
+        yield sys.stdout
+        return
     try:
-        f.write(f"# schema: rumorbd.{schema}.v1\n")
-        f.write(",".join(header) + "\n")
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is not None:
-            line = ",".join(map(_spec, first)) + "\n"
-            f.write(line % tuple(first))
-            f.writelines(line % tuple(row) for row in rows)
-    finally:
-        if own:
-            f.close()
+        with open(path, "w", newline="") as f:
+            yield f
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_csv(path: str | None, schema: str, header: list[str], rows=(), *,
+               columns=None) -> None:
+    """Write a table under its schema line and header line.
+
+    The cells come as ``columns``, one sequence per header name (numpy
+    arrays or lists), or as ``rows``.  A float cell is exactly
+    ``format(v, ".12g")``, ``inf``, ``-inf``, ``nan`` and ``-0`` included;
+    an int is written in full; a bool, a string or anything else is its
+    ``str``.  :mod:`rumorbd._csvtext` encodes the cells, a block of rows at
+    a time.
+    """
+    from ._csvtext import blocks
+
+    if columns is None:
+        columns = list(zip(*rows)) or [()] * len(header)
+    with _opened(path) as f:
+        f.write(f"# schema: rumorbd.{schema}.v1\n" + ",".join(header) + "\n")
+        f.writelines(blocks(columns))
 
 
 class _Conf:
@@ -145,8 +160,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     out = conf.get("out")
     if conf.get("trajectory", False, kind=bool):
         traj = process_mod.simulate(rates, j, horizon, seed, cap=cap)
-        rows = [(e.time, e.kind, e.n, e.k) for e in traj.events]
-        _write_csv(out, "trajectory", ["time", "event", "n", "k"], rows)
+        _write_csv(out, "trajectory", ["time", "event", "n", "k"], traj.events)
         return 0
     replicates = conf.get("replicates", 1000, kind=int)
     grid = _parse_grid(conf.get("grid", f"0:{horizon}:50"))
@@ -156,7 +170,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         "absorbed_frac", "se_x", "se_y", "cap_frac",
     ]
     columns = [stats.grid, *(getattr(stats, h) for h in header[1:])]
-    _write_csv(out, "ensemble", header, zip(*(c.tolist() for c in columns)))
+    _write_csv(out, "ensemble", header, columns=columns)
     return 0
 
 
@@ -174,7 +188,7 @@ def _cmd_moments(ns: argparse.Namespace) -> int:
         "fano_x", "fano_y", "cv_x", "cv_y", "r_index",
     ]
     rep = moments_mod.moment_report(rates, j, grid, method=method)
-    _write_csv(out, "moments", header, zip(*(getattr(rep, h).tolist() for h in header)))
+    _write_csv(out, "moments", header, columns=[getattr(rep, h) for h in header])
     return 0
 
 
@@ -194,7 +208,7 @@ def _cmd_absorb(ns: argparse.Namespace) -> int:
     rates.validate_horizon(grid[-1])
     rho, base_mu = view
     p_abs = proportional.absorption_prop(rho, base_mu.big_m(grid), j)
-    _write_csv(out, "absorb", ["t", "absorption_prob"], zip(grid, p_abs.tolist()))
+    _write_csv(out, "absorb", ["t", "absorption_prob"], columns=[grid, p_abs])
     return 0
 
 
@@ -210,8 +224,8 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
     max_leak = conf.get("max_leak", 1e-4, kind=float)
     out = conf.get("out")
     grid = oracle_mod.solve_forward(rates, j, t, n_max, k_max, max_leak=max_leak)
-    rows = ((n, k, p) for n, row in enumerate(grid.p.tolist()) for k, p in enumerate(row))
-    _write_csv(out, "oracle", ["n", "k", "p"], rows)
+    n, k = np.indices(grid.p.shape).reshape(2, -1)
+    _write_csv(out, "oracle", ["n", "k", "p"], columns=[n, k, grid.p.ravel()])
     return 0
 
 
@@ -263,12 +277,10 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
             for fr, named in zip(report.results, params)
         ],
     }
-    if out and out != "-":
-        _write_csv(out + ".csv", "fit", header, rows)
-        Path(out + ".json").write_text(json.dumps(as_json, indent=2) + "\n")
-    else:
-        _write_csv(None, "fit", header, rows)
-        sys.stdout.write(json.dumps(as_json, indent=2) + "\n")
+    own = out and out != "-"
+    _write_csv(out + ".csv" if own else None, "fit", header, rows)
+    with _opened(out + ".json" if own else None) as f:
+        f.write(json.dumps(as_json, indent=2) + "\n")
     return 0
 
 
@@ -292,11 +304,9 @@ def _cmd_reconstruct_y(ns: argparse.Namespace) -> int:
         rho=conf.get("rho", 2.0, kind=float),
     )
     rec = fit_mod.reconstruct_y(fr, rho_values, grid)
-    rows = []
-    for i, rho in enumerate(rec.rho_values):
-        for g, v in zip(rec.grid.tolist(), rec.m_y[i].tolist()):
-            rows.append((g, rho, v))
-    _write_csv(conf.get("out"), "reconstruction", ["t", "rho", "m_y"], rows)
+    columns = [np.tile(rec.grid, len(rec.rho_values)),
+               np.repeat(rec.rho_values, rec.grid.size), rec.m_y.ravel()]
+    _write_csv(conf.get("out"), "reconstruction", ["t", "rho", "m_y"], columns=columns)
     return 0
 
 
@@ -402,7 +412,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early (`| head`): end quietly, and send
+        # what is still buffered to devnull, where the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,9 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import proportional as prop
 from ._kernels import elementwise, float_or_array
-from ._ode import moment_state
 from .errors import DataError, DomainError, check_j, check_positive, check_time, config_field
 
 _TWO_PI = 2.0 * math.pi
@@ -318,6 +316,8 @@ def _closed(rates: RateFamily, t: float, method: str) -> bool:
 
 def _closed_value(rates: RateFamily, t: float, name: str, j: int = 1) -> float:
     """The closed form ``name`` of a constant or proportional family at ``t``."""
+    from . import proportional as prop
+
     rho, base = rates.proportional_view()
     return float_or_array(getattr, prop._forms(rho, base.big_m(t), j), name)
 
@@ -327,6 +327,8 @@ def big_m(rates: RateFamily, t: float, method: str = "auto") -> float:
     if _closed(rates, t, method):
         _, base = rates.proportional_view()
         return base.big_m(t)
+    from ._ode import moment_state
+
     return moment_state(rates, 1, t)[5]
 
 
@@ -334,6 +336,8 @@ def eta(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Growth factor ``eta(t) = exp(int_0^t (lam - mu))``."""
     if _closed(rates, t, method):
         return _closed_value(rates, t, "eta")
+    from ._ode import moment_state
+
     return moment_state(rates, 1, t)[0]
 
 
@@ -341,6 +345,8 @@ def phi_x(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Discounted spreading integral ``int_0^t lam / eta``."""
     if _closed(rates, t, method):
         return _closed_value(rates, t, "phi_x")
+    from ._ode import moment_state
+
     return moment_state(rates, 1, t)[6]
 
 
@@ -348,6 +354,8 @@ def phi_y(rates: RateFamily, t: float, method: str = "auto") -> float:
     """Amplified spreading integral ``int_0^t lam * eta``."""
     if _closed(rates, t, method):
         return _closed_value(rates, t, "phi_y")
+    from ._ode import moment_state
+
     mx, _, my, *_ = moment_state(rates, 1, t)
     return my + mx - 1.0
 
@@ -357,6 +365,8 @@ def gamma(rates: RateFamily, j: int, t: float, method: str = "auto") -> float:
     check_j(j)
     if _closed(rates, t, method):
         return _closed_value(rates, t, "gamma", j)
+    from ._ode import moment_state
+
     mx, _, _, mxy, *_ = moment_state(rates, j, t)
     return mxy / mx
 

@@ -1,6 +1,8 @@
 """Command-line interface: schemas, subcommand output, config precedence,
 and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,12 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import _closed_forms as cf
 import rumorbd
 from rumorbd import cli
 from rumorbd.cli import main
-from rumorbd import growth, moments
+from rumorbd import fit, growth, moments, oracle, process, proportional
 
 
 def _run(capsys, argv):
@@ -513,6 +517,157 @@ def test_moments_csv_is_the_report_to_12_digits(capsys, method):
     assert out == expected
 
 
+# ===== every CSV cell is per-cell formatting ===================================
+
+
+def _cell(v) -> str:
+    return format(v, ".12g") if isinstance(v, float) else str(v)
+
+
+def _table(schema: str, header: list[str], rows) -> str:
+    """A CSV as ``_write_csv`` must write it, each cell formatted on its own."""
+    return f"# schema: rumorbd.{schema}.v1\n" + ",".join(header) + "\n" + "".join(
+        ",".join(map(_cell, row)) + "\n" for row in rows
+    )
+
+
+def _written(columns) -> str:
+    """The data lines that ``_write_csv`` writes for ``columns``."""
+    with contextlib.redirect_stdout(io.StringIO()) as f:
+        cli._write_csv(None, "cells", ["c"] * len(columns), columns=columns)
+    return f.getvalue().split("\n", 2)[2]
+
+
+def test_csv_floats_are_per_cell_formatting_on_a_sweep():
+    """Random bit patterns; every power of ten from 1e-300 to 1e300 and the
+    floats 1, 2, 4, ..., 2048 ulps either side of it, where log10 can round
+    across the power; values that round to the next decade; ties at the
+    12th digit; the smallest subnormal and the largest float; both signs."""
+    bits = np.random.default_rng(27).integers(0, 2**64, 10**5, dtype=np.uint64)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)]).view(np.int64)
+    ulps = 2 ** np.arange(12)
+    values = np.concatenate([
+        bits.view(np.float64),
+        (powers[:, None] + np.concatenate([-ulps, [0], ulps])).view(np.float64).ravel(),
+        [float(f"9.999999999995e{k}") for k in range(-300, 300)],
+        [99999999999.95, 123456789012.5, 5e-324, sys.float_info.max],
+    ])
+    values = np.concatenate([values, -values])
+    assert _written([values]) == "".join(_cell(v) + "\n" for v in values.tolist())
+
+
+@given(st.lists(st.tuples(st.floats(), st.integers(-2 * 10**12, 2 * 10**12)), min_size=1))
+def test_csv_cells_are_per_cell_formatting(rows):
+    assert _written(list(zip(*rows))) == "".join(
+        f"{_cell(f)},{i}\n" for f, i in rows
+    )
+
+
+def test_absorb_csv_is_the_engine_to_12_digits(capsys):
+    rc, out, err = _run(capsys, ["absorb", "--rates", "constant:2,1", "--j", "3",
+                                 "--grid", "0:20:50"])
+    assert rc == 0 and err == ""
+    grid = cli._parse_grid("0:20:50")
+    rho, base = cli._parse_rates("constant:2,1").proportional_view()
+    p_abs = proportional.absorption_prop(rho, base.big_m(grid), 3).tolist()
+    assert out == _table("absorb", ["t", "absorption_prob"], zip(grid, p_abs))
+
+
+def test_oracle_csv_is_the_engine_to_12_digits(capsys):
+    rc, out, err = _run(capsys, ["oracle", "--rates", "constant:1,2", "--j", "1", "--t", "0.5",
+                                 "--n-max", "12", "--k-max", "15"])
+    assert rc == 0 and err == ""
+    p = oracle.solve_forward(cli._parse_rates("constant:1,2"), 1, 0.5, 12, 15).p.tolist()
+    rows = [(n, k, p[n][k]) for n in range(13) for k in range(16)]
+    assert out == _table("oracle", ["n", "k", "p"], rows)
+
+
+def test_simulate_csvs_are_the_engine_to_12_digits(capsys):
+    rates = cli._parse_rates("constant:1,1")
+    rc, out, err = _run(capsys, ["simulate", "--rates", "constant:1,1", "--j", "2",
+                                 "--horizon", "1", "--replicates", "300", "--seed", "3",
+                                 "--grid", "0:1:4"])
+    assert rc == 0 and err == ""
+    stats = process.ensemble(rates, 2, 1.0, cli._parse_grid("0:1:4"), 300, 3)
+    header = out.splitlines()[1].split(",")
+    rows = zip(stats.grid.tolist(), *(getattr(stats, h).tolist() for h in header[1:]))
+    assert out == _table("ensemble", header, rows)
+    rc, out, err = _run(capsys, ["simulate", "--trajectory", "--rates", "constant:1,1",
+                                 "--j", "2", "--horizon", "3", "--seed", "5"])
+    assert rc == 0 and err == ""
+    events = process.simulate(rates, 2, 3.0, 5).events
+    assert len(events) > 3
+    assert out == _table("trajectory", ["time", "event", "n", "k"], events)
+
+
+_FIT_OPTS = ["--budget", "300", "--restarts", "2", "--seed", "1", "--rho", "2"]
+
+
+def test_fit_csv_is_the_engine_to_12_digits(tmp_path, capsys):
+    data = tmp_path / "cascade.csv"
+    _write_logistic_csv(data, n_points=25, horizon=6.0)
+    rc, out, err = _run(capsys, ["fit", "--data", str(data), "--families", "logistic,gompertz",
+                                 *_FIT_OPTS, "--out", str(tmp_path / "fitout")])
+    assert rc == 0 and out == err == ""
+    report = fit.select_model(fit.dataset_from_csv(str(data)), ["logistic", "gompertz"], "mse",
+                              budget=300, restarts=2, seed=1, rho=2.0)
+    rows = [
+        (fr.family, fr.kind, fr.value, fr.converged, fr.n_evals, fr.restarts,
+         ";".join(f"{n}={_cell(v)}"
+                  for n, v in zip(growth.FAMILIES[fr.family].param_names, fr.params)))
+        for fr in report.results
+    ]
+    header = ["family", "objective", "value", "converged", "n_evals", "restarts", "params"]
+    assert (tmp_path / "fitout.csv").read_text() == _table("fit", header, rows)
+
+
+def test_reconstruct_y_csv_is_the_engine_to_12_digits(tmp_path, capsys):
+    data = tmp_path / "cascade.csv"
+    _write_logistic_csv(data, n_points=25, horizon=6.0)
+    rc, out, err = _run(capsys, ["reconstruct-y", "--data", str(data), "--family", "logistic",
+                                 "--rho-values", "2,1.5,3", "--grid", "0:5:7", *_FIT_OPTS])
+    assert rc == 0 and err == ""
+    fr = fit.fit_one("logistic", fit.dataset_from_csv(str(data)), "mse",
+                     budget=300, restarts=2, seed=1, rho=2.0)
+    rec = fit.reconstruct_y(fr, [2.0, 1.5, 3.0], cli._parse_grid("0:5:7"))
+    rows = [(t, rho, v) for rho, m_y in zip(rec.rho_values, rec.m_y.tolist())
+            for t, v in zip(rec.grid.tolist(), m_y)]
+    assert len(rows) == 21
+    assert out == _table("reconstruction", ["t", "rho", "m_y"], rows)
+
+
+def test_an_unwritable_out_path_exits_4_naming_it(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = _run(capsys, ["absorb", "--rates", "constant:2,1", "--j", "2",
+                                 "--grid", "0:1:4", "--out", str(target)])
+    assert rc == 4 and out == ""
+    assert err == f"data error: cannot write {target}: No such file or directory\n"
+    # fit writes its CSV, then fails on the JSON beside it
+    data = tmp_path / "cascade.csv"
+    _write_logistic_csv(data, n_points=20, horizon=6.0)
+    (tmp_path / "fitout.json").mkdir()
+    rc, out, err = _run(capsys, ["fit", "--data", str(data), "--families", "logistic",
+                                 *_FIT_OPTS, "--out", str(tmp_path / "fitout")])
+    assert rc == 4 and out == ""
+    assert err.startswith(f"data error: cannot write {tmp_path / 'fitout.json'}: ")
+    assert err.count("\n") == 1
+
+
+def test_a_closed_stdout_pipe_ends_quietly_with_exit_1():
+    """``rumorbd ... | head -2``: no traceback, no 'Exception ignored' line."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rumorbd.cli", "moments", "--rates", "constant:2,1",
+         "--j", "3", "--grid", "0:20:100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env(),
+    )
+    assert proc.stdout.readline() == b"# schema: rumorbd.moments.v1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def _checkout_env() -> dict:
     # a subprocess imports the same package as this test, installed or not
     src = str(Path(rumorbd.__file__).resolve().parent.parent)
@@ -591,9 +746,9 @@ _BUDGET = ["--budget", "50", "--restarts", "1"]
         (["moments", *_RATES, "--grid", "0:2:4"], "moments",
          {"fit", "growth", "oracle", "process"}),
         (["oracle", *_RATES, "--t", "0.5", "--n-max", "20", "--k-max", "20"], "oracle",
-         {"fit", "growth", "process"}),
+         {"fit", "growth", "process", "proportional", "_ode"}),
         (["simulate", *_RATES, "--horizon", "1", "--replicates", "10"], "process",
-         {"fit", "growth", "oracle"}),
+         {"fit", "growth", "oracle", "proportional", "_ode"}),
         (["fit", "--families", "logistic", *_BUDGET], "fit", {"oracle", "process", "moments"}),
         (["reconstruct-y", "--family", "logistic", "--rho-values", "2", "--grid", "0:5:4",
           *_BUDGET], "fit", {"oracle", "process", "moments"}),
