@@ -6,18 +6,18 @@ Latin-hypercube starts, on one fit problem (:class:`_Problem`): one box in
 one set of search coordinates, positive parameters in log scale, declared by
 the roles of the family's parameters.  Both criteria run one multi-start
 search, bounded least squares by a Levenberg-Marquardt written in numpy
-(:func:`_lockstep_lm`) that runs restarts in lockstep, each in its own box,
-on one batched evaluator of the residuals y - m(t) (:class:`_Batch`).  A
-fit is a model selection of one family: the restarts of every family with
-the same number of parameters are one batch, and a restart ends the same
-whichever rows share it.  MSE is that search; RAE is not smooth, so it then
-runs one scipy Nelder-Mead per family from the best point the search met,
-and only RAE fits import scipy.optimize.  The initial spreader count j is
-pinned to the first observation by default — the model requires X(0) = j
-and the series starts at the first post — or, with ``estimate_j``, profiled
-over the integers (:func:`_profile_argmin`).  The rate ratio rho is never
-estimated: it is a fixed input (Y-family mean levels depend on it, X-family
-means do not).
+(:func:`_lockstep_lm`): each round is one call of a batched evaluator of the
+residuals y - m(t) (:class:`_Batch`) on every restart's trial point, in its
+own box, and the Jacobian columns there.  A fit is a model selection of one
+family: the restarts of every family with the same number of parameters are
+one batch, and a restart ends the same whichever rows share it.  MSE is that
+search; RAE is not smooth, so it then runs one scipy Nelder-Mead per family
+from the best point the search met, and only RAE fits import scipy.optimize.
+The initial spreader count j is pinned to the first observation by default —
+the model requires X(0) = j and the series starts at the first post — or,
+with ``estimate_j``, profiled over the integers (:func:`_profile_argmin`).
+The rate ratio rho is never estimated: it is a fixed input (Y-family mean
+levels depend on it, X-family means do not).
 
 Reconstruction composes a fitted spreader-mean curve with the proportional
 inactive-mean formula for user-chosen rho values.  For an X-family fit this
@@ -291,7 +291,8 @@ def fit_one(
 ) -> FitResult:
     """Multi-start fit of one family: :func:`select_model` of that family
     alone, raising the :class:`DataError` or :class:`DomainError` that stops
-    it.  ``budget`` caps the evaluations per restart.
+    it.  ``budget`` caps the evaluations counted per restart (uncounted: the
+    Jacobian columns at a trial that is rejected or ends its restart).
 
     The restarts run bounded least squares, all of them in lockstep; an RAE
     fit gives them half its budget and polishes the best point with one
@@ -443,9 +444,10 @@ class _Lockstep(NamedTuple):
     fun0: np.ndarray  # (n, m) residuals there
     x: np.ndarray  # (n, d) final points
     fun: np.ndarray  # (n, m) residuals there
-    nfev: np.ndarray  # (n,) residual evaluations, Jacobian columns included
+    nfev: np.ndarray  # (n,) residual evaluations counted, Jacobian columns included
     exhausted: np.ndarray  # (n,) the row ended on its budget
     success: bool  # no row ended on its budget
+    rounds: int  # ``residuals`` calls
 
 
 @np.errstate(over="ignore")  # a damping that overflows gives a zero step
@@ -457,13 +459,18 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     point belongs to, so rows may be starts of different problems.  Each row
     minimises its own cost F = r.r over its own box [lower, upper], through
     points strictly inside it: the bounds are (n, d) matrices, or (d,) rows
-    that every row shares.  A row alternates two kinds of evaluation: the d
-    forward-difference columns of its Jacobian J at its point z (step
+    that every row shares.  The rows advance in lockstep rounds, one
+    ``residuals`` call each.  In a round each running row evaluates one trial
+    point, its start in the first round, and with it, if the trial leaves room
+    for a Jacobian and one more trial (nfev + d + 2 <= ``budget``), the d
+    forward-difference columns of its Jacobian J at the trial point (step
     h = sqrt(eps) max(1, |z_i|), taken inward where z + h reaches the upper
-    bound), and one trial point.  Each iteration is one ``residuals`` call on
-    the trial points and Jacobian columns of all running rows, so the rows
-    advance in lockstep.  Each row's arithmetic is its own: a row ends bit for
-    bit the same alone as in any batch, whatever the other rows' problems.
+    bound).  The round judges the trials, forms J at each new point that does
+    not end its row and takes the next steps.  Columns at a rejected trial, or
+    at one that ends its row, are dropped: nfev counts the trial points and
+    the columns of the Jacobians formed.  Each row's arithmetic is its own: a
+    row ends bit for bit the same alone as in any batch, whatever the other
+    rows' problems.
 
     The model is that of scipy's trust-region reflective method with
     ``x_scale="jac"`` (Coleman and Li's scaling for bounds).  After each
@@ -483,8 +490,8 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     that lowers F is accepted and mu is multiplied by
     max(1/3, 1 - (2 min(rho, 1) - 1)^3), but not below the machine epsilon; a
     rejected trial multiplies mu by nu, then doubles nu (Nielsen 1999; nu
-    restarts at 2 on acceptance).  A rejected trial costs one evaluation: the
-    next step reuses the diagonalisation.
+    restarts at 2 on acceptance).  After a rejected trial the next step
+    reuses the diagonalisation.
 
     A row stops on the first of:
 
@@ -492,10 +499,10 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     * ftol: an accepted trial lowered F by less than 1e-12 F with rho > 0.25;
     * xtol: its next step has |p| < 1e-10 (1e-10 + |z|); that step is not
       evaluated;
-    * budget: its next evaluation would take its count of residual
-      evaluations past ``budget``.  A Jacobian is made only with room for the
-      trial after it (d + 1 evaluations); the evaluation at the start is
-      always made.
+    * budget: its next evaluation would take nfev past ``budget``: a new
+      point has no room for its Jacobian and the trial after it (d + 1
+      evaluations), or a rejected trial no room for the next.  The
+      evaluation at the start is always made.
 
     A damping that overflows gives a zero step, which ends the row on xtol.
     """
@@ -506,18 +513,13 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     z0 = np.clip(x0, lower + inset[0], upper - inset[1])
     in_lo, in_hi = np.nextafter([lower, upper], [upper, lower])
     add = np.add.reduce
-    r0 = residuals(z0, np.arange(n))
-    z, r = z0.copy(), r0.copy()
-    m = r.shape[1]
-    cost = add(r * r, axis=1)
-    nfev = np.ones(n, dtype=int)
+    z, r0 = z0.copy(), None
+    nfev = np.zeros(n, dtype=int)
     done = np.zeros(n, dtype=bool)
     exhausted = np.zeros(n, dtype=bool)
-    need_jac = np.ones(n, dtype=bool)
     # per row, from its last Jacobian: J; the column norms N; the scaling s;
     # the term diag(|g|/N) of B, in the units of q; theta; the eigenvalues e
     # of B, its eigenvectors V times s, and V^T S g
-    jac = np.empty((n, d, m))
     norm = np.zeros((n, d))
     scale = np.empty((n, d))
     extra = np.empty((n, d))
@@ -529,32 +531,50 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     nu = np.full(n, 2.0)
     step = np.zeros((n, d))
     diag = np.eye(d, dtype=bool)
-    while True:
-        over = ~done & (nfev + np.where(need_jac, d + 1, 1) > budget)
-        exhausted |= over
-        done |= over
-        ji = (~done & need_jac).nonzero()[0]
-        ti = (~done & ~need_jac).nonzero()[0]
+    ti, trial, rounds = np.arange(n), z0, 0  # the first round evaluates the starts
+    while ti.size:
         nt = ti.size
-        if not (nt or ji.size):
-            break
-        zt = z[ti]
-        trial = zt + step[ti]
-        points, rows = trial, ti
-        if ji.size:
-            zj = z[ji]
-            h = _FD_STEP * np.maximum(1.0, np.abs(zj))
-            zh = zj + h
-            zh = np.where(zh < upper[ji], zh, zj - h)
-            columns = np.where(diag, zh[:, None, :], zj[:, None, :])
-            points = np.concatenate([trial, columns.reshape(-1, d)])
-            rows = np.concatenate([ti, np.repeat(ji, d)])
-        out = residuals(points, rows)
-
+        room = nfev[ti] + d + 2 <= budget
+        ci, zc = ti[room], trial[room]
+        h = _FD_STEP * np.maximum(1.0, np.abs(zc))
+        zh = zc + h
+        zh = np.where(zh < upper[ci], zh, zc - h)
+        columns = np.where(diag, zh[:, None, :], zc[:, None, :])
+        out = residuals(np.concatenate([trial, columns.reshape(-1, d)]),
+                        np.concatenate([ti, np.repeat(ci, d)]))
+        rounds += 1
+        nfev[ti] += 1
+        rt, m = out[:nt], out.shape[1]
+        ct = add(rt * rt, axis=1)
+        if r0 is None:  # every start is accepted
+            r0, r, cost, ok = rt, rt.copy(), ct, np.ones(n, dtype=bool)
+            jac = np.empty((n, d, m))
+        else:
+            p = step[ti]
+            jp = add(jac[ti] * p[:, :, None], axis=1)
+            q = p / scale[ti]
+            pred = -(2.0 * add(r[ti] * jp, axis=1) + add(jp * jp, axis=1)
+                     + add(extra[ti] * q * q, axis=1))
+            cost_t, mu_t, nu_t = cost[ti], mu[ti], nu[ti]
+            actual = cost_t - ct
+            rho = np.divide(actual, pred, out=np.zeros(nt), where=pred > 0.0)
+            ok = actual > 0.0
+            done[ti[ok & (actual < _FTOL * cost_t) & (rho > 0.25)]] = True
+            factor = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
+            mu[ti] = np.where(ok, np.maximum(mu_t * factor, _EPS), mu_t * nu_t)
+            nu[ti] = np.where(ok, 2.0, 2.0 * nu_t)
+            ai = ti[ok]
+            z[ai], r[ai], cost[ai] = trial[ok], rt[ok], ct[ok]
+        # a new point that does not end its row takes its Jacobian from the
+        # columns, or ends the row on its budget when it has none
+        over = ti[ok & ~room & ~done[ti]]
+        exhausted[over] = done[over] = True
+        fresh = ok[room] & ~done[ci]
+        ji, zj, hj = ci[fresh], zc[fresh], (zh - zc)[fresh]
         if ji.size:
             nfev[ji] += d
             rj = r[ji]
-            jj = (out[nt:].reshape(-1, d, m) - rj[:, None, :]) / (zh - zj)[:, :, None]
+            jj = (out[nt:].reshape(-1, d, m)[fresh] - rj[:, None, :]) / hj[:, :, None]
             g = add(jj * rj[:, None, :], axis=2)
             nj = np.maximum(norm[ji], np.sqrt(add(jj * jj, axis=2)))
             nj[nj == 0.0] = 1.0
@@ -576,32 +596,8 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
             eig[ji] = np.maximum(e, 0.0)
             basis[ji] = vec * sj[:, :, None]
             vg[ji] = add(vec * (g * sj)[:, :, None], axis=1)
-            need_jac[ji] = False
 
-        if nt:
-            nfev[ti] += 1
-            rt = out[:nt]
-            p = step[ti]
-            jp = add(jac[ti] * p[:, :, None], axis=1)
-            q = p / scale[ti]
-            pred = -(2.0 * add(r[ti] * jp, axis=1) + add(jp * jp, axis=1)
-                     + add(extra[ti] * q * q, axis=1))
-            ct = add(rt * rt, axis=1)
-            cost_t, mu_t, nu_t = cost[ti], mu[ti], nu[ti]
-            actual = cost_t - ct
-            rho = np.divide(actual, pred, out=np.zeros(nt), where=pred > 0.0)
-            ok = actual > 0.0
-            done[ti[ok & (actual < _FTOL * cost_t) & (rho > 0.25)]] = True
-            factor = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
-            mu[ti] = np.where(ok, np.maximum(mu_t * factor, _EPS), mu_t * nu_t)
-            nu[ti] = np.where(ok, 2.0, 2.0 * nu_t)
-            ai = ti[ok]
-            z[ai], r[ai], cost[ai] = trial[ok], rt[ok], ct[ok]
-            need_jac[ai] = True
-
-        si = (~done & ~need_jac).nonzero()[0]
-        if not si.size:
-            continue
+        si = ti[~done[ti]]
         e = eig[si]
         w = vg[si] / (e + (mu[si] * e[:, -1])[:, None])
         p = -add(basis[si] * w[:, None, :], axis=2)
@@ -612,7 +608,11 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
         small = np.sqrt(add(p * p, axis=1)) < _XTOL * (_XTOL + np.sqrt(add(zs * zs, axis=1)))
         done[si[small]] = True
         step[si] = p
-    return _Lockstep(z0, r0, z, r, nfev, exhausted, not exhausted.any())
+        over = si[~small & (nfev[si] >= budget)]  # no room for the next trial
+        exhausted[over] = done[over] = True
+        ti = (~done).nonzero()[0]
+        trial = z[ti] + step[ti]
+    return _Lockstep(z0, r0, z, r, nfev, exhausted, not exhausted.any(), rounds)
 
 
 class _Problem:
@@ -707,7 +707,7 @@ class _Batch:
         restart that ends on a filled row scores inf.  RAE then adds one row:
         a Nelder-Mead run on :meth:`rae` from the point of least RAE among the
         starts and the ends, allowed the evaluations the restarts left unused,
-        so the fit's evaluations stay within ``restarts * budget``."""
+        so the fit's counted evaluations stay within ``restarts * budget``."""
         n = len(res.x)
         fun = np.concatenate([res.fun0, res.fun])  # the starts, then the ends
         values = np.where(fun[:, 0] == _RESIDUAL_CAP, math.inf,
@@ -751,8 +751,8 @@ def _search(batch: _Batch, starts: list[np.ndarray], kind: str,
             budget: int) -> list[list[_Restart]]:
     """Every start (a row of parameter values) of every problem of ``batch``
     run to its end by one :func:`_lockstep_lm`, on the problem's residuals
-    and box, at ``budget`` residual evaluations per restart (Jacobian columns
-    included) for MSE and ``budget // 2`` for RAE; then :meth:`_Batch.settle`
+    and box, at ``budget`` counted residual evaluations per restart (Jacobian
+    columns included) for MSE and ``budget // 2`` for RAE; then :meth:`_Batch.settle`
     per problem.  A row ends the same whichever problems share its batch."""
     counts = [len(s) for s in starts]
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -761,8 +761,8 @@ def _search(batch: _Batch, starts: list[np.ndarray], kind: str,
                    lower=batch.lo[owner], upper=batch.hi[owner],
                    budget=budget if kind == "mse" else budget // 2)
     ends = np.cumsum(counts)
-    return [batch.settle(k, kind, _Lockstep(*(f[a:b] for f in res[:-1]),
-                                            not res.exhausted[a:b].any()), budget)
+    return [batch.settle(k, kind, _Lockstep(*(f[a:b] for f in res[:-2]),
+                                            not res.exhausted[a:b].any(), res.rounds), budget)
             for k, (a, b) in enumerate(zip(ends - counts, ends))]
 
 

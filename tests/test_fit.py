@@ -101,6 +101,11 @@ def test_dataset_rejects_malformed_input(times, counts):
         Dataset(name="bad", times=times, counts=counts)
 
 
+def test_dataset_error_names_the_first_count():
+    with pytest.raises(DataError, match=r"first count must be >= 1, got 0\.5$"):
+        Dataset(name="bad", times=(0, 1), counts=(0.5, 2))
+
+
 def test_dataset_from_csv_round_trip(tmp_path):
     p = tmp_path / "week1.csv"
     p.write_text("# retweet tallies\nt,count\n0,1\n# midweek\n1,3\n2.5,7\n")
@@ -198,6 +203,10 @@ def test_fit_requires_more_points_than_parameters():
         fit_one("multisig_logistic", ds, "mse")
     with pytest.raises(DataError):
         fit_one("gompertz", ds, "mse")  # 2 points cannot pin 2 params + 1
+    three = Dataset(name="three", times=(0.0, 1.0, 2.0), counts=(1.0, 2.0, 3.0))
+    assert fit_one("gompertz", three, "mse", 50, restarts=1).n_evals > 0
+    with pytest.raises(DataError, match="at least 4 points to fit 3 parameters"):
+        fit_one("gompertz", three, "mse", 50, restarts=1, estimate_j=True)  # j is one more
 
 
 def test_fit_is_deterministic_for_fixed_seed():
@@ -624,6 +633,99 @@ def test_lockstep_rows_of_problems_with_different_boxes_are_bit_identical_alone(
         assert alone.nfev[0] == res.nfev[i] and alone.exhausted[0] == res.exhausted[i]
 
 
+def test_rejected_trials_follow_nielsens_damping_schedule():
+    """Independent route: Nielsen's (1999) schedule.  On atan(z) from z = 100
+    in [-1e4, 1e4] the first two trials overshoot.  Each rejection multiplies
+    mu by nu, from mu = 10 and nu = 2, then doubles nu; with one parameter the
+    step is the undamped one over 1 + mu, so the first three trials step at
+    mu = 10, 20 and 80."""
+    trials = []
+
+    def residuals(points, rows):
+        trials.append(points[0, 0])
+        return np.arctan(points)
+
+    fit_module._lockstep_lm(residuals, [[100.0]], -1e4, 1e4, 100)
+    start, *first = np.abs(np.arctan(trials[:4]))
+    assert first[0] > start and first[1] > start > first[2]
+    steps = (np.array(trials[1:4]) - trials[0]) * [1.0 + 10.0, 1.0 + 20.0, 1.0 + 80.0]
+    np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
+
+
+def _spy_on_rounds(monkeypatch):
+    """Record each _lockstep_lm run: its result, and per ``residuals`` call
+    the rows, the points and the cost r.r of each point."""
+    runs = []
+    inner = fit_module._lockstep_lm
+
+    def spy(residuals, x0, *args, **kwargs):
+        calls = []
+
+        def seen(points, rows):
+            out = residuals(points, rows)
+            calls.append((rows, points, np.add.reduce(out * out, axis=1)))
+            return out
+
+        runs.append((inner(seen, x0, *args, **kwargs), calls))
+        return runs[-1][0]
+
+    monkeypatch.setattr(fit_module, "_lockstep_lm", spy)
+    return runs
+
+
+def test_a_lockstep_row_spends_one_round_per_trial_plus_its_start(monkeypatch):
+    """Each round evaluates the row's trial point first, its start in the
+    first round, and with it the d Jacobian columns at that point or none:
+    no round is spent on a Jacobian alone."""
+    ds = _count_series(1)
+    dims = _dims_for("gompertz", ds)
+    problem = _Problem("gompertz", dims, ds, 1, 2.0)
+    runs = _spy_on_rounds(monkeypatch)
+    _search_alone(problem, _starts(dims, 1, 1))
+    ((res, calls),) = runs
+    d = len(dims)
+    assert res.rounds == len(calls) > 10
+    assert np.array_equal(calls[0][1][0], res.x0[0])
+    for _, points, _ in calls:
+        trial, columns = points[0], points[1:]
+        assert len(columns) in (0, d)
+        assert np.array_equal(columns != trial, np.eye(len(columns), d, dtype=bool))
+    assert (res.nfev[0] - res.rounds) % d == 0
+
+
+def test_a_selection_spends_a_third_fewer_rounds(monkeypatch):
+    """Series 1, all families: the two batches took 90 + 139 ``residuals``
+    calls when every Jacobian had a round of its own."""
+    runs = _spy_on_rounds(monkeypatch)
+    select_model(_count_series(1), "all", "mse", 400, restarts=4, seed=1)
+    assert sum(res.rounds for res, _ in runs) <= (90 + 139) * 2 / 3
+
+
+@pytest.mark.parametrize("kind, budget", [("mse", 400), ("mse", 4), ("mse", 7), ("rae", 400)])
+def test_every_uncounted_point_is_a_column_at_a_rejected_or_last_trial(kind, budget,
+                                                                       monkeypatch):
+    """Per row, from the costs the evaluator returned (a trial is accepted
+    when it lowers the cost of the row's point): the points nfev leaves out
+    are the d columns at each rejected trial that had them, and at most d
+    more at the row's last trial, which may end it on ftol."""
+    runs = _spy_on_rounds(monkeypatch)
+    report = select_model(_count_series(1), "all", kind, budget, restarts=4, seed=1)
+    for res, calls in runs:
+        d = res.x.shape[1]
+        for i, nfev in enumerate(res.nfev.tolist()):
+            mine = [cost[rows == i] for rows, _, cost in calls if (rows == i).any()]
+            assert {len(c) for c in mine} <= {1, d + 1}
+            point, dropped, last = mine[0][0], 0, 0
+            for c in mine[1:]:
+                accepted = c[0] < point
+                point = min(point, c[0])
+                dropped += d * (len(c) > 1 and not accepted)
+                last = d * (len(c) > 1 and accepted)
+            assert dropped <= sum(map(len, mine)) - nfev <= dropped + last
+    for fit in report.results:
+        assert 0 < fit.n_evals <= fit.restarts * budget
+
+
 def _trf_best(family, ds, starts, budget):
     """Independent route: scipy's trust-region reflective least squares from
     each start (a row of parameter values), its own 2-point Jacobian, on the
@@ -708,6 +810,41 @@ def test_select_model_runs_one_batch_per_number_of_parameters(monkeypatch):
                           restarts=4, seed=2)
     assert first.results == tuple(second.results[i] for i in (1, 0, 2))
     assert [r.family for r in first.results] == ["multisig_logistic", "logistic", "korf"]
+
+
+# (series, kind, budget): the winner, then per family in registry order its
+# n_evals, "+" when converged.  Budgets 3, 4, 6 and 7 are d + 1 and d + 2 for
+# the two-parameter families and for the multisigmoidal one: the edges of
+# room for a Jacobian and the trial after it.
+_FIT_MAP = {
+    (1, "mse", 400): ("multisig_logistic", "215+ 297+ 205+ 162+ 1582+ 331+ 207+ 238+"),
+    (1, "rae", 400): ("multisig_logistic", "422+ 615+ 455+ 517+ 2000- 535+ 439+ 500+"),
+    (2, "mse", 400): ("multisig_logistic", "210+ 291+ 200+ 165+ 1565+ 283+ 182+ 223+"),
+    (2, "rae", 400): ("multisig_logistic", "528+ 549+ 372+ 498+ 2000- 583+ 421+ 428+"),
+    (3, "mse", 400): ("multisig_logistic", "227+ 271+ 204+ 171+ 1695+ 189+ 200+ 216+"),
+    (3, "rae", 400): ("multisig_logistic", "439+ 492+ 665+ 516+ 1566+ 432+ 444+ 473+"),
+    (6, "mse", 400): ("multisig_logistic", "193+ 467+ 188+ 165+ 1461+ 284+ 282+ 226+"),
+    (6, "rae", 400): ("multisig_logistic", "397+ 601+ 459+ 528+ 2000- 511+ 521+ 415+"),
+    (1, "mse", 3): ("mitscherlich", "4- 4- 4- 4- 5- 4- 4- 4-"),
+    (1, "mse", 4): ("mitscherlich", "16- 16- 16- 16- 5- 16- 15- 16-"),
+    (1, "mse", 6): ("mitscherlich", "16- 16- 16- 16- 5- 16- 15- 16-"),
+    (1, "mse", 7): ("mitscherlich", "28- 28- 28- 28- 35- 28- 24- 28-"),
+}
+
+
+@pytest.mark.parametrize("series, kind, budget", list(_FIT_MAP))
+def test_fit_map_is_pinned(series, kind, budget):
+    """Fixed settings give fixed fits.  Only integers and bools are pinned, so
+    the check holds on any CPU; a change to the search that moves them
+    updates these values and says so in CHANGES.md."""
+    report = select_model(_count_series(series), "all", kind, budget, restarts=4, seed=series)
+    fits = " ".join(f"{fit.n_evals}{'+' if fit.converged else '-'}" for fit in report.results)
+    assert (report.winner, fits) == _FIT_MAP[series, kind, budget]
+
+
+def test_estimate_j_fit_is_pinned():
+    fit = fit_one("logistic", _count_series(2), "mse", 400, restarts=4, seed=2, estimate_j=True)
+    assert (fit.j, fit.n_evals, fit.restarts, fit.converged) == (1, 577, 12, True)
 
 
 def test_every_family_gets_one_box_dim_per_parameter():
