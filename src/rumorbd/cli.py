@@ -5,11 +5,13 @@ Every output is a CSV whose first line is a versioned schema comment
 (`# schema: rumorbd.<name>.v1`), so downstream plotting scripts can pin the
 column layout.  A float cell is exactly ``format(v, ".12g")``; subcommands
 hand the writer columns, which :mod:`rumorbd._csvtext` encodes in numpy.
-Options may come from flags or a JSON --config file; flags win over the
-file, the file wins over defaults.  Exit codes: 0 ok, 1 stdout closed by its
-reader, 2 bad usage or parameter domain, 3 numeric failure, 4 malformed data
-or an unwritable output path.  Each subcommand imports the engine modules
-it runs, so a start loads no other.
+Each option is declared once, in ``_OPTIONS``, and each subcommand's options
+and defaults once, in ``_COMMANDS``: the parser, ``--help`` and the lookup
+read both.  Options may come from flags or a JSON --config file; flags win
+over the file, the file wins over defaults.  Exit codes: 0 ok, 1 stdout
+closed by its reader, 2 bad usage or parameter domain, 3 numeric failure, 4
+malformed data or an unwritable output path.  Each subcommand imports the
+engine modules it runs, so a start loads no other.
 """
 
 from __future__ import annotations
@@ -64,41 +66,87 @@ def _write_csv(path: str | None, schema: str, header: list[str], rows=(), *,
         f.writelines(blocks(columns))
 
 
+# ===== Options =================================================================
+
+# option -> (kind, help).  An int or float kind is the flag's type, a bool
+# kind a switch, and a tuple the choices of a string option.  Any other
+# option is a string; a config may give a ``list`` option as a JSON list and
+# a ``dict`` option as a JSON object.
+_OPTIONS = {
+    "rates": (dict, "JSON object or shorthand constant:LAM,MU"),
+    "j": (int, "initial spreader count"),
+    "horizon": (float, "time span of each path"),
+    "replicates": (int, "number of paths"),
+    "seed": (int, "random seed"),
+    "cap": (int, "population cap"),
+    "grid": (str, "time grid START:END:STEPS (endpoint excluded)"),
+    "trajectory": (bool, "emit one event-by-event trajectory instead of ensemble statistics"),
+    "method": (("auto", "closed", "ode"), "moment route"),
+    "t": (float, "time of the probability table"),
+    "n_max": (int, "largest spreader count of the table"),
+    "k_max": (int, "largest inactive count of the table"),
+    "max_leak": (float, "largest probability allowed to leave the table"),
+    "data": (str, "CSV file with header t,count"),
+    "objective": (("mse", "rae"), "fit objective"),
+    "families": (list, "'all' or comma-separated family names"),
+    "budget": (int, "evaluations per restart, and per j tried with --estimate-j: residual "
+                    "vectors, Jacobian columns included; RAE gives the restarts half and its "
+                    "Nelder-Mead polish what they leave"),
+    "restarts": (int, "random starts per family"),
+    "rho": (float, "fixed rate ratio the curves carry during the fit"),
+    "estimate_j": (bool, "estimate j instead of pinning it to the first observation"),
+    "family": (str, "growth-curve family to fit"),
+    "rho_values": (list, "comma-separated rho list"),
+    "config": (str, "JSON file with option defaults"),
+    "out": (str, "output path (default: stdout)"),
+}
+_REQUIRED = object()
+
+
 class _Conf:
-    """Option lookup with precedence: flag > config file > default."""
+    """Option lookup with precedence: flag > config file > the subcommand's
+    default."""
 
     def __init__(self, ns: argparse.Namespace) -> None:
         self.ns = ns
+        self.defaults = _COMMANDS[ns.command][2]
         self.cfg: dict = {}
-        cfg_path = getattr(ns, "config", None)
-        if cfg_path:
+        if ns.config:
             try:
-                self.cfg = json.loads(Path(cfg_path).read_text())
+                self.cfg = json.loads(Path(ns.config).read_text())
             except OSError as exc:
-                raise DataError(f"cannot read config file {cfg_path}: {exc}") from exc
+                raise DataError(f"cannot read config file {ns.config}: {exc}") from exc
             except json.JSONDecodeError as exc:
-                raise DataError(f"config file {cfg_path} is not valid JSON: {exc}") from exc
+                raise DataError(f"config file {ns.config} is not valid JSON: {exc}") from exc
             if not isinstance(self.cfg, dict):
-                raise DataError(f"config file {cfg_path} must hold a JSON object")
+                raise DataError(f"config file {ns.config} must hold a JSON object")
 
-    def get(self, key: str, default=None, required: bool = False, kind=None):
-        """The option's value, converted by ``kind`` when one is given."""
+    def __getitem__(self, key: str):
+        """The option's value.  A config value must be of the option's kind
+        (:func:`converted` for a number or a switch), else it is a
+        :class:`DataError` naming the option."""
         flag = f"--{key.replace('_', '-')}"
-        v = getattr(self.ns, key, None)
-        if v is None:
-            v = self.cfg.get(key, default)
-        if v is None and required:
+        v = getattr(self.ns, key)
+        if v is not None:  # argparse has converted it
+            return v
+        if key in self.cfg:
+            v, kind = self.cfg[key], _OPTIONS[key][0]
+            if kind in (int, float, bool):
+                return converted(v, kind, f"option {flag}")
+            if isinstance(v, str) or kind in (list, dict) and isinstance(v, kind):
+                return v
+            also = f" or {kind.__name__}" if kind in (list, dict) else ""
+            raise DataError(f"option {flag} must be str{also}, got {v!r}")
+        default = self.defaults.get(key)
+        if default is _REQUIRED:
             raise DataError(f"missing required option {flag}")
-        return v if v is None or kind is None else converted(v, kind, f"option {flag}")
+        # a string default may name another option: simulate's grid ends at its horizon
+        return default.format_map(self) if isinstance(default, str) else default
 
 
-def _listed(value, flag: str) -> list:
-    """A comma-separated string, or a JSON list from the config, as a list."""
-    if isinstance(value, str):
-        return [v.strip() for v in value.split(",") if v.strip()]
-    if not isinstance(value, list):
-        raise DataError(f"option {flag} must be a comma-separated list, got {value!r}")
-    return value
+def _listed(value) -> list:
+    """A comma-separated string as a list; a JSON list as it is."""
+    return [v.strip() for v in value.split(",") if v.strip()] if isinstance(value, str) else value
 
 
 def _parse_rates(value):
@@ -148,108 +196,71 @@ def _parse_grid(value) -> list[float]:
 # ===== Subcommands =============================================================
 
 
-def _cmd_simulate(ns: argparse.Namespace) -> int:
+def _cmd_simulate(conf: _Conf) -> None:
     from . import process as process_mod
 
-    conf = _Conf(ns)
-    rates = _parse_rates(conf.get("rates", required=True))
-    j = conf.get("j", required=True, kind=int)
-    horizon = conf.get("horizon", required=True, kind=float)
-    seed = conf.get("seed", 0, kind=int)
-    cap = conf.get("cap", 10**6, kind=int)
-    out = conf.get("out")
-    if conf.get("trajectory", False, kind=bool):
-        traj = process_mod.simulate(rates, j, horizon, seed, cap=cap)
-        _write_csv(out, "trajectory", ["time", "event", "n", "k"], traj.events)
-        return 0
-    replicates = conf.get("replicates", 1000, kind=int)
-    grid = _parse_grid(conf.get("grid", f"0:{horizon}:50"))
-    stats = process_mod.ensemble(rates, j, horizon, grid, replicates, seed, cap=cap)
+    rates = _parse_rates(conf["rates"])
+    if conf["trajectory"]:
+        traj = process_mod.simulate(rates, conf["j"], conf["horizon"], conf["seed"],
+                                    cap=conf["cap"])
+        _write_csv(conf["out"], "trajectory", ["time", "event", "n", "k"], traj.events)
+        return
+    stats = process_mod.ensemble(rates, conf["j"], conf["horizon"], _parse_grid(conf["grid"]),
+                                 conf["replicates"], conf["seed"], cap=conf["cap"])
     header = [
         "t", "mean_x", "var_x", "mean_y", "var_y", "cov", "corr",
         "absorbed_frac", "se_x", "se_y", "cap_frac",
     ]
     columns = [stats.grid, *(getattr(stats, h) for h in header[1:])]
-    _write_csv(out, "ensemble", header, columns=columns)
-    return 0
+    _write_csv(conf["out"], "ensemble", header, columns=columns)
 
 
-def _cmd_moments(ns: argparse.Namespace) -> int:
+def _cmd_moments(conf: _Conf) -> None:
     from . import moments as moments_mod
 
-    conf = _Conf(ns)
-    rates = _parse_rates(conf.get("rates", required=True))
-    j = conf.get("j", required=True, kind=int)
-    grid = _parse_grid(conf.get("grid", required=True))
-    method = str(conf.get("method", "auto"))
-    out = conf.get("out")
     header = [
         "t", "m_x", "var_x", "m_y", "var_y", "m2_y", "m_xy", "cov", "corr",
         "fano_x", "fano_y", "cv_x", "cv_y", "r_index",
     ]
-    rep = moments_mod.moment_report(rates, j, grid, method=method)
-    _write_csv(out, "moments", header, columns=[getattr(rep, h) for h in header])
-    return 0
+    rep = moments_mod.moment_report(_parse_rates(conf["rates"]), conf["j"],
+                                    _parse_grid(conf["grid"]), method=conf["method"])
+    _write_csv(conf["out"], "moments", header, columns=[getattr(rep, h) for h in header])
 
 
-def _cmd_absorb(ns: argparse.Namespace) -> int:
+def _cmd_absorb(conf: _Conf) -> None:
     from . import proportional
 
-    conf = _Conf(ns)
-    rates = _parse_rates(conf.get("rates", required=True))
-    j = conf.get("j", required=True, kind=int)
-    grid = _parse_grid(conf.get("grid", required=True))
-    out = conf.get("out")
+    rates, j, grid = _parse_rates(conf["rates"]), conf["j"], _parse_grid(conf["grid"])
     view = rates.proportional_view()
     if view is None:
-        raise DomainError(
-            "absorption probabilities need constant or proportional rates"
-        )
+        raise DomainError("absorption probabilities need constant or proportional rates")
     rates.validate_horizon(grid[-1])
     rho, base_mu = view
     p_abs = proportional.absorption_prop(rho, base_mu.big_m(grid), j)
-    _write_csv(out, "absorb", ["t", "absorption_prob"], columns=[grid, p_abs])
-    return 0
+    _write_csv(conf["out"], "absorb", ["t", "absorption_prob"], columns=[grid, p_abs])
 
 
-def _cmd_oracle(ns: argparse.Namespace) -> int:
+def _cmd_oracle(conf: _Conf) -> None:
     from . import oracle as oracle_mod
 
-    conf = _Conf(ns)
-    rates = _parse_rates(conf.get("rates", required=True))
-    j = conf.get("j", required=True, kind=int)
-    t = conf.get("t", required=True, kind=float)
-    n_max = conf.get("n_max", required=True, kind=int)
-    k_max = conf.get("k_max", required=True, kind=int)
-    max_leak = conf.get("max_leak", 1e-4, kind=float)
-    out = conf.get("out")
-    grid = oracle_mod.solve_forward(rates, j, t, n_max, k_max, max_leak=max_leak)
+    grid = oracle_mod.solve_forward(_parse_rates(conf["rates"]), conf["j"], conf["t"],
+                                    conf["n_max"], conf["k_max"], max_leak=conf["max_leak"])
     n, k = np.indices(grid.p.shape).reshape(2, -1)
-    _write_csv(out, "oracle", ["n", "k", "p"], columns=[n, k, grid.p.ravel()])
-    return 0
+    _write_csv(conf["out"], "oracle", ["n", "k", "p"], columns=[n, k, grid.p.ravel()])
 
 
-def _cmd_fit(ns: argparse.Namespace) -> int:
+def _cmd_fit(conf: _Conf) -> None:
     from . import fit as fit_mod
     from . import growth
 
-    conf = _Conf(ns)
-    dataset = fit_mod.dataset_from_csv(conf.get("data", required=True))
-    kind = str(conf.get("objective", "mse"))
-    families = conf.get("families", "all")
-    if families != "all":
-        families = _listed(families, "--families")
+    dataset = fit_mod.dataset_from_csv(conf["data"])
+    families = conf["families"]
     report = fit_mod.select_model(
-        dataset,
-        families,
-        kind,
-        budget=conf.get("budget", 10_000, kind=int),
-        restarts=conf.get("restarts", 16, kind=int),
-        seed=conf.get("seed", 0, kind=int),
-        rho=conf.get("rho", 2.0, kind=float),
-        estimate_j=conf.get("estimate_j", False, kind=bool),
+        dataset, families if families == "all" else _listed(families), conf["objective"],
+        budget=conf["budget"], restarts=conf["restarts"], seed=conf["seed"], rho=conf["rho"],
+        estimate_j=conf["estimate_j"],
     )
-    out = conf.get("out")
+    out = conf["out"]
     params = [dict(zip(growth.FAMILIES[fr.family].param_names, fr.params))
               for fr in report.results]
     header = ["family", "objective", "value", "converged", "n_evals", "restarts", "params"]
@@ -281,41 +292,45 @@ def _cmd_fit(ns: argparse.Namespace) -> int:
     _write_csv(out + ".csv" if own else None, "fit", header, rows)
     with _opened(out + ".json" if own else None) as f:
         f.write(json.dumps(as_json, indent=2) + "\n")
-    return 0
 
 
-def _cmd_reconstruct_y(ns: argparse.Namespace) -> int:
+def _cmd_reconstruct_y(conf: _Conf) -> None:
     from . import fit as fit_mod
 
-    conf = _Conf(ns)
-    dataset = fit_mod.dataset_from_csv(conf.get("data", required=True))
-    family = str(conf.get("family", required=True))
-    kind = str(conf.get("objective", "mse"))
-    rho_raw = _listed(conf.get("rho_values", required=True), "--rho-values")
-    rho_values = [converted(r, float, "option --rho-values") for r in rho_raw]
-    grid = _parse_grid(conf.get("grid", required=True))
-    fr = fit_mod.fit_one(
-        family,
-        dataset,
-        kind,
-        budget=conf.get("budget", 10_000, kind=int),
-        restarts=conf.get("restarts", 16, kind=int),
-        seed=conf.get("seed", 0, kind=int),
-        rho=conf.get("rho", 2.0, kind=float),
-    )
+    dataset = fit_mod.dataset_from_csv(conf["data"])
+    family, kind = conf["family"], conf["objective"]
+    rho_values = [converted(r, float, "option --rho-values") for r in _listed(conf["rho_values"])]
+    grid = _parse_grid(conf["grid"])
+    fr = fit_mod.fit_one(family, dataset, kind, budget=conf["budget"],
+                         restarts=conf["restarts"], seed=conf["seed"], rho=conf["rho"])
     rec = fit_mod.reconstruct_y(fr, rho_values, grid)
     columns = [np.tile(rec.grid, len(rec.rho_values)),
                np.repeat(rec.rho_values, rec.grid.size), rec.m_y.ravel()]
-    _write_csv(conf.get("out"), "reconstruction", ["t", "rho", "m_y"], columns=columns)
-    return 0
+    _write_csv(conf["out"], "reconstruction", ["t", "rho", "m_y"], columns=columns)
 
 
 # ===== Parser and entry point ==================================================
 
+_RATES = {"rates": _REQUIRED, "j": _REQUIRED}
+_FIT = {"objective": "mse", "budget": 10_000, "restarts": 16, "seed": 0, "rho": 2.0}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--out", help="output path (default: stdout)")
+# subcommand -> (handler, help, {option: default or _REQUIRED}); every
+# subcommand also takes --config and --out
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "sample trajectories / ensemble statistics", {
+        **_RATES, "horizon": _REQUIRED, "replicates": 1000, "seed": 0, "cap": 10**6,
+        "grid": "0:{horizon}:50", "trajectory": False}),
+    "moments": (_cmd_moments, "closed-form/ODE transient moments on a grid",
+                {**_RATES, "grid": _REQUIRED, "method": "auto"}),
+    "absorb": (_cmd_absorb, "absorption probability on a grid", {**_RATES, "grid": _REQUIRED}),
+    "oracle": (_cmd_oracle, "truncated master-equation probability table", {
+        **_RATES, "t": _REQUIRED, "n_max": _REQUIRED, "k_max": _REQUIRED, "max_leak": 1e-4}),
+    "fit": (_cmd_fit, "fit growth-curve families to t,count data", {
+        "data": _REQUIRED, "families": "all", **_FIT, "estimate_j": False}),
+    "reconstruct-y": (_cmd_reconstruct_y, "inactive mean implied by a fitted curve, per rho", {
+        "data": _REQUIRED, "family": _REQUIRED, "rho_values": _REQUIRED, "grid": _REQUIRED,
+        **_FIT}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,92 +344,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="sample trajectories / ensemble statistics")
-    p.add_argument("--rates", help="JSON object or shorthand constant:LAM,MU")
-    p.add_argument("--j", type=int, help="initial spreader count")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cap", type=int, help="population cap (default 10^6)")
-    p.add_argument("--grid", help="recording grid START:END:STEPS (endpoint excluded)")
-    p.add_argument(
-        "--trajectory", action="store_true", default=None,
-        help="emit one event-by-event trajectory instead of ensemble statistics",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("moments", help="closed-form/ODE transient moments on a grid")
-    p.add_argument("--rates")
-    p.add_argument("--j", type=int)
-    p.add_argument("--grid")
-    p.add_argument("--method", choices=("auto", "closed", "ode"))
-    _add_common(p)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("absorb", help="absorption probability on a grid")
-    p.add_argument("--rates")
-    p.add_argument("--j", type=int)
-    p.add_argument("--grid")
-    _add_common(p)
-    p.set_defaults(func=_cmd_absorb)
-
-    p = sub.add_parser("oracle", help="truncated master-equation probability table")
-    p.add_argument("--rates")
-    p.add_argument("--j", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--max-leak", dest="max_leak", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("fit", help="fit growth-curve families to t,count data")
-    p.add_argument("--data", help="CSV file with header t,count")
-    p.add_argument("--objective", choices=("mse", "rae"))
-    p.add_argument("--families", help="'all' or comma-separated family names")
-    p.add_argument(
-        "--budget", type=int,
-        help="evaluations per restart, and per j tried with --estimate-j: residual "
-        "vectors, Jacobian columns included; RAE gives the restarts half and "
-        "its Nelder-Mead polish what they leave",
-    )
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rho", type=float, help="fixed rate ratio carried by the curves")
-    p.add_argument(
-        "--estimate-j", dest="estimate_j", action="store_true", default=None,
-        help="estimate j instead of pinning it to the first observation",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser(
-        "reconstruct-y", help="inactive mean implied by a fitted curve, per rho"
-    )
-    p.add_argument("--data")
-    p.add_argument("--family")
-    p.add_argument("--objective", choices=("mse", "rae"))
-    p.add_argument("--rho-values", dest="rho_values", help="comma-separated rho list")
-    p.add_argument("--grid")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rho", type=float, help="rate ratio used during the fit itself")
-    _add_common(p)
-    p.set_defaults(func=_cmd_reconstruct_y)
-
+    for command, (func, text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for key, default in {**defaults, "config": None, "out": None}.items():
+            kind, text = _OPTIONS[key]
+            if default is _REQUIRED:
+                text += " (required)"
+            elif default is not None and kind is not bool:
+                text += f" (default: {default})"
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:  # None when absent, so that a config value can stand in
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, type=kind if kind in (int, float) else None,
+                               choices=kind if isinstance(kind, tuple) else None, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        code = ns.func(ns)
+        ns.func(_Conf(ns))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader of stdout left early (`| head`): end quietly, and send
         # what is still buffered to devnull, where the exit flush cannot fail

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, subcommand output, config precedence,
 and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -109,6 +110,11 @@ def test_absorb_matches_closed_absorption(capsys):
     t_last = float(rows[-1][0])
     assert float(rows[-1][1]) == pytest.approx(cf.absorption(2, 1, 3, t_last), rel=1e-9)
     assert float(rows[-1][1]) == pytest.approx(0.125, abs=1e-6)  # (mu/lam)^j
+
+
+def test_a_grid_is_spaced_from_its_start():
+    assert cli._parse_grid("1:2:4") == [1.0, 1.25, 1.5, 1.75]
+    assert cli._parse_grid("0.5:3.5:3") == [0.5, 1.5, 2.5]
 
 
 # ===== simulate ================================================================
@@ -220,7 +226,9 @@ def test_fit_writes_csv_and_json(tmp_path, capsys):
     assert header == ["family", "objective", "value", "converged", "n_evals",
                       "restarts", "params"]
     assert [r[0] for r in rows] == ["logistic", "gompertz"]
-    report = json.loads((tmp_path / "fitout.json").read_text())
+    text = (tmp_path / "fitout.json").read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
     assert report["winner"] == "logistic"
     assert report["dataset"] == "cascade"
     logi = report["results"][0]
@@ -306,6 +314,43 @@ def test_config_file_supplies_options_and_flags_win(tmp_path, capsys):
     assert len(_rows(out)[2]) == 8  # flag overrides the file
 
 
+_DATA = "<data>"  # stands for the path of a logistic count series
+
+
+@pytest.mark.parametrize(
+    "argv,spelled",
+    [
+        (["simulate", "--rates", "constant:1,1", "--j", "2", "--horizon", "1.5"],
+         ["--seed", "0", "--replicates", "1000", "--cap", "1000000", "--grid", "0:1.5:50"]),
+        (["simulate", "--trajectory", "--rates", "constant:1.2,0.8", "--j", "2",
+          "--horizon", "2"], ["--seed", "0", "--cap", "1000000"]),
+        (["moments", "--rates", "constant:2,1", "--j", "1", "--grid", "0:5:10"],
+         ["--method", "auto"]),
+        (["absorb", "--rates", "constant:2,1", "--j", "1", "--grid", "0:5:10"], ["--out", "-"]),
+        (["oracle", "--rates", "constant:1,2", "--j", "1", "--t", "0.5",
+          "--n-max", "12", "--k-max", "12"], ["--max-leak", "1e-4"]),
+        # mitscherlich and korf are inactive-mean families, whose fits depend on rho
+        (["fit", "--data", _DATA, "--families", "logistic,mitscherlich"],
+         ["--objective", "mse", "--budget", "10000", "--restarts", "16", "--seed", "0",
+          "--rho", "2"]),
+        (["fit", "--data", _DATA, "--budget", "300", "--restarts", "2"], ["--families", "all"]),
+        (["reconstruct-y", "--data", _DATA, "--family", "korf", "--rho-values", "1.5,3",
+          "--grid", "0:5:4"],
+         ["--objective", "mse", "--budget", "10000", "--restarts", "16", "--seed", "0",
+          "--rho", "2"]),
+    ],
+    ids=["simulate", "trajectory", "moments", "absorb", "oracle", "fit", "fit-families",
+         "reconstruct-y"],
+)
+def test_an_omitted_option_is_its_documented_default(tmp_path, capsys, argv, spelled):
+    data = tmp_path / "cascade.csv"
+    _write_logistic_csv(data, n_points=20, horizon=6.0)
+    argv = [str(data) if a == _DATA else a for a in argv]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0 and err == "" and out.count("\n") > 4
+    assert _run(capsys, [*argv, *spelled]) == (0, out, "")
+
+
 def test_config_file_must_be_a_json_object(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("[1, 2, 3]")
@@ -366,6 +411,13 @@ def test_csv_template_writes_the_bytes_of_per_cell_formatting(tmp_path):
         (["simulate", "--rates", "constant:1,1", "--j", "1", "--horizon", "-2",
           "--grid", "0:1:4"], 2),
         (["moments", "--rates", "constant:1,1", "--j", "1", "--grid", "0:inf:4"], 4),
+        (["moments", "--rates", "constant:1,1", "--j", "1", "--grid", "2:2:4"], 4),
+        # the curve's induced rate turns negative at t = 15.74, between the
+        # grid's last point (16) and the one before it (12)
+        (["absorb", "--rates", json.dumps({"kind": "proportional", "rho": 2, "base": {
+            "kind": "curve", "curve": {"family": "multisig_logistic", "c": 20, "beta1": 2,
+                                       "beta2": -1.2, "beta3": 0.3, "beta4": -0.012}}}),
+          "--j", "1", "--grid", "0:20:5"], 2),
     ],
 )
 def test_exit_codes_for_bad_usage(capsys, argv, code):
@@ -441,9 +493,24 @@ _CURVE_RATES = {"kind": "proportional", "rho": 2.0, "base": {"kind": "curve", "c
         (["fit"], {"families": "logistic", "estimate_j": "no"}, "--estimate-j"),
         (["reconstruct-y"], {"family": "logistic", "rho_values": 2, "grid": "0:5:10"},
          "--rho-values"),
+        # a string option takes a JSON string only
+        (["fit"], {"data": 5}, "--data"),
+        (["absorb"], {"rates": "constant:2,1", "j": 1, "grid": "0:1:4", "out": 5}, "--out"),
+        (["absorb"], {"rates": "constant:2,1", "j": 1, "grid": "0:1:4", "out": ["a"]}, "--out"),
+        (["moments"], {"rates": "constant:1,1", "j": 1, "grid": "0:1:4", "method": 1},
+         "--method"),
+        (["fit"], {"families": "logistic", "objective": 1}, "--objective"),
+        (["moments"], {"rates": 5, "j": 1, "grid": "0:1:4"}, "--rates"),
+        (["moments"], {"rates": "constant:1,1", "j": 1, "grid": [0, 1, 4]}, "--grid"),
+        (["reconstruct-y"], {"family": ["logistic"], "rho_values": "2", "grid": "0:5:10"},
+         "--family"),
+        (["simulate"], {"rates": "constant:1,1", "j": 1, "horizon": 1.0, "seed": None},
+         "--seed"),
     ],
     ids=["j-fractional", "j-bool", "curve-j-fractional", "replicates-fractional",
-         "trajectory-string", "families-number", "estimate-j-string", "rho-values-number"],
+         "trajectory-string", "families-number", "estimate-j-string", "rho-values-number",
+         "data-number", "out-number", "out-list", "method-number", "objective-number",
+         "rates-number", "grid-list", "family-list", "seed-null"],
 )
 def test_config_values_of_the_wrong_type_exit_4_naming_the_option(
     tmp_path, capsys, argv, cfg, named
@@ -466,6 +533,92 @@ def test_config_accepts_integral_numbers_and_json_booleans(tmp_path, capsys):
                                 "seed": 1, "trajectory": True}))
     rc, out, _ = _run(capsys, ["simulate", "--config", str(path)])
     assert rc == 0 and out.startswith("# schema: rumorbd.trajectory.v1\n")
+
+
+# ===== flags and --help ========================================================
+
+
+def _subparsers() -> dict:
+    """Each subcommand's parser, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_FLAGS = {
+    "simulate": ["--rates", "--j", "--horizon", "--replicates", "--seed", "--cap", "--grid",
+                 "--trajectory"],
+    "moments": ["--rates", "--j", "--grid", "--method"],
+    "absorb": ["--rates", "--j", "--grid"],
+    "oracle": ["--rates", "--j", "--t", "--n-max", "--k-max", "--max-leak"],
+    "fit": ["--data", "--objective", "--families", "--budget", "--restarts", "--seed", "--rho",
+            "--estimate-j"],
+    "reconstruct-y": ["--data", "--family", "--objective", "--rho-values", "--grid", "--budget",
+                      "--restarts", "--seed", "--rho"],
+}
+_TYPES = {"--j": int, "--horizon": float, "--replicates": int, "--seed": int, "--cap": int,
+          "--t": float, "--n-max": int, "--k-max": int, "--max-leak": float, "--budget": int,
+          "--restarts": int, "--rho": float}
+_CHOICES = {"--method": ("auto", "closed", "ode"), "--objective": ("mse", "rae")}
+_SWITCHES = {"--trajectory", "--estimate-j"}
+
+
+def test_each_subcommand_takes_the_flags_it_took():
+    subs = _subparsers()
+    assert sorted(subs) == sorted(_FLAGS)
+    for name, sub in subs.items():
+        actions = [a for a in sub._actions if "--help" not in a.option_strings]
+        flags = [f for a in actions for f in a.option_strings]
+        assert sorted(flags) == sorted([*_FLAGS[name], "--config", "--out"]), name
+        for a, flag in zip(actions, flags):
+            # no flag has a default of its own, so a config value can stand in
+            assert a.dest == flag[2:].replace("-", "_") and a.default is None
+            assert isinstance(a, argparse._StoreTrueAction) == (flag in _SWITCHES)
+            assert a.choices == _CHOICES.get(flag)
+            assert flag in _SWITCHES or a.type is _TYPES.get(flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--j", "two"],
+    ["oracle", "--t", "soon"],
+    ["moments", "--method", "rk4"],
+    ["fit", "--estimate-j", "yes"],
+    ["absorb", "--seed", "1"],
+])
+def test_a_malformed_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "usage: rumorbd" in capsys.readouterr().err
+
+
+_REQ = "(required)"
+_FIT_DEFAULTS = {"--objective": "(default: mse)", "--budget": "(default: 10000)",
+                 "--restarts": "(default: 16)", "--seed": "(default: 0)",
+                 "--rho": "(default: 2.0)"}
+_HELP = {
+    "simulate": {"--rates": _REQ, "--j": _REQ, "--horizon": _REQ,
+                 "--replicates": "(default: 1000)", "--seed": "(default: 0)",
+                 "--cap": "(default: 1000000)", "--grid": "(default: 0:{horizon}:50)"},
+    "moments": {"--rates": _REQ, "--j": _REQ, "--grid": _REQ, "--method": "(default: auto)"},
+    "absorb": {"--rates": _REQ, "--j": _REQ, "--grid": _REQ},
+    "oracle": {"--rates": _REQ, "--j": _REQ, "--t": _REQ, "--n-max": _REQ, "--k-max": _REQ,
+               "--max-leak": "(default: 0.0001)"},
+    "fit": {"--data": _REQ, "--families": "(default: all)", **_FIT_DEFAULTS},
+    "reconstruct-y": {"--data": _REQ, "--family": _REQ, "--rho-values": _REQ, "--grid": _REQ,
+                      **_FIT_DEFAULTS},
+}
+
+
+def test_help_names_each_default_and_each_required_option():
+    for name, sub in _subparsers().items():
+        expected = {**_HELP[name], "--out": "(default: stdout)"}
+        text = " ".join(sub.format_help().split())
+        for a in sub._actions:
+            flag, note = a.option_strings[-1], expected.get(a.option_strings[-1])
+            if note is None:
+                assert "(default" not in a.help and _REQ not in a.help, (name, flag)
+            else:
+                assert a.help.endswith(" " + note), (name, flag)
+                assert note in text
 
 
 _MOMENT_HEADER = [
