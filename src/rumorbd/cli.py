@@ -299,7 +299,13 @@ def _cmd_reconstruct_y(conf: _Conf) -> None:
 
     dataset = fit_mod.dataset_from_csv(conf["data"])
     family, kind = conf["family"], conf["objective"]
-    rho_values = [converted(r, float, "option --rho-values") for r in _listed(conf["rho_values"])]
+    rho_values = conf["rho_values"]
+    if isinstance(rho_values, str):  # the flag's text, or a config string
+        try:
+            rho_values = [float(r) for r in _listed(rho_values)]
+        except ValueError as exc:
+            raise DataError(f"option --rho-values must list numbers, got {rho_values!r}") from exc
+    rho_values = [converted(r, float, "option --rho-values") for r in rho_values]
     grid = _parse_grid(conf["grid"])
     fr = fit_mod.fit_one(family, dataset, kind, budget=conf["budget"],
                          restarts=conf["restarts"], seed=conf["seed"], rho=conf["rho"])

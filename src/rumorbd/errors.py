@@ -90,11 +90,11 @@ def check_final_count(j: int, k: int) -> None:
 
 def converted(value, kind, what: str):
     """``kind(value)``; a value that does not convert raises :class:`DataError`
-    naming ``what``.  Nothing is truncated or read by truthiness: a bool
-    converts only to ``bool``, ``bool`` takes only a bool, and ``int`` takes
-    no fractional number."""
+    naming ``what``.  Nothing is parsed, truncated or read by truthiness: a
+    bool converts only to ``bool``, ``bool`` takes only a bool, a string is
+    no number, and ``int`` takes no fractional number."""
     message = f"{what} must be {kind.__name__}, got {value!r}"
-    if isinstance(value, bool) != (kind is bool) or (
+    if isinstance(value, bool) != (kind is bool) or isinstance(value, str) or (
         kind is int and isinstance(value, float) and not value.is_integer()
     ):
         raise DataError(message)

@@ -2,17 +2,17 @@
 model selection, and inactive-mean reconstruction.
 
 Fitting minimizes MSE or RAE over each family's parameter box from
-Latin-hypercube starts, on one fit problem (:class:`_Problem`): one box in
-one set of search coordinates, positive parameters in log scale, declared by
-the roles of the family's parameters.  Both criteria run one multi-start
-search, bounded least squares by a Levenberg-Marquardt written in numpy
-(:func:`_lockstep_lm`): each round is one call of a batched evaluator of the
-residuals y - m(t) (:class:`_Batch`) on every restart's trial point, in its
-own box, and the Jacobian columns there.  A fit is a model selection of one
-family: the restarts of every family with the same number of parameters are
-one batch, and a restart ends the same whichever rows share it.  MSE is that
-search; RAE is not smooth, so it then runs one scipy Nelder-Mead per family
-from the best point the search met, and only RAE fits import scipy.optimize.
+Latin-hypercube starts, positive parameters searched in log scale.  The
+families with the same number of parameters are one fit (:class:`_Batch`):
+one dataset at one j and rho, one box per family, declared by the roles of
+its parameters.  Both criteria run one multi-start search, bounded least
+squares by a Levenberg-Marquardt written in numpy (:func:`_lockstep_lm`):
+each round is one call of the batch's residuals y - m(t) on every restart's
+trial point, in its own box, and the Jacobian columns there.  A fit is a
+model selection of one family, and a restart ends the same whichever rows
+share its batch.  MSE is that search; RAE is not smooth, so it then runs one
+scipy Nelder-Mead per family from the best point the search met, and only
+RAE fits import scipy.optimize.
 The initial spreader count j is pinned to the first observation by default —
 the model requires X(0) = j and the series starts at the first post — or,
 with ``estimate_j``, profiled over the integers (:func:`_profile_argmin`).
@@ -244,16 +244,17 @@ def _starts(dims: list[_Dim], restarts: int, seed: int,
     lows, highs = np.array([(math.log(lo), math.log(hi)) if log else (lo, hi)
                             for lo, hi, log in draws]).T
     z = lows + unit * (highs - lows)
-    # the math module's exp, as in _Problem.encode
+    # the math module's exp, as in _Batch.encode
     starts = np.array([[math.exp(v) if log else v for v, log in zip(row, logs)] for row in z]) * sign
     if logistic is not None and logistic.curve is not None:
         starts = np.vstack([starts, (*logistic.params, 0.0, 0.0, _B4_EDGE)])
     return starts
 
 
-def _checked_dims(name: str, dataset: Dataset, estimate_j: bool) -> list[_Dim]:
+def _box(name: str, dataset: Dataset, estimate_j: bool, j: int, rho: float) -> list[_Dim]:
     """The family's box, once the dataset is known to hold more points than
-    the fit has parameters (j among them with ``estimate_j``)."""
+    the fit has parameters (j among them with ``estimate_j``) and the
+    family's constructor to accept ``j`` and ``rho``."""
     dims = _dims_for(name, dataset)
     n_params = len(dims) + estimate_j
     if len(dataset) < n_params + 1:
@@ -261,6 +262,7 @@ def _checked_dims(name: str, dataset: Dataset, estimate_j: bool) -> list[_Dim]:
             f"{name} needs at least {n_params + 1} points to fit "
             f"{n_params} parameters, dataset {dataset.name!r} has {len(dataset)}"
         )
+    _build_curve(name, tuple(d.hi for d in dims), j, rho)  # raises on a bad j or rho
     return dims
 
 
@@ -321,50 +323,49 @@ def _fit_families(names: list[str], dataset: Dataset, kind: str, budget: int, re
     """Each family of ``names`` fitted, or the :class:`DataError` or
     :class:`DomainError` that stopped its fit.  Logistic is fitted first when
     the multisigmoidal family, nested at its optimum, is asked for.  With j
-    pinned, one :func:`_fits` batch per (nested, number of parameters); with
+    pinned, one :class:`_Batch` per (nested, number of parameters); with
     ``estimate_j``, one profile per family (:func:`_profiled`)."""
     check_int("budget", budget, 1)
     check_int("restarts", restarts, 1)
     fits: dict[str, FitResult | Exception] = {}
-    problems: dict[str, _Problem] = {}
+    boxes: dict[str, list[_Dim]] = {}
     j0 = max(1, int(round(dataset.counts[0])))  # the first count, rounded
     for name in dict.fromkeys(["logistic", *names] if _NESTED in names else names):
         try:
-            problems[name] = _Problem(name, _checked_dims(name, dataset, estimate_j), dataset,
-                                      j0, rho)
+            boxes[name] = _box(name, dataset, estimate_j, j0, rho)
         except (DataError, DomainError) as exc:
             fits[name] = exc
     if _NESTED in fits and "logistic" not in names:
-        problems.pop("logistic", None)  # nothing nests at its optimum
+        boxes.pop("logistic", None)  # nothing nests at its optimum
 
     def starts(name: str) -> np.ndarray:
         logistic = fits.get("logistic") if name == _NESTED else None
-        return _starts(problems[name].dims, restarts, seed,
+        return _starts(boxes[name], restarts, seed,
                        logistic if isinstance(logistic, FitResult) else None)
 
     if estimate_j:
-        for name, first in problems.items():
-            fits[name] = _profiled(first, starts(name), kind, budget)
+        for name, box in boxes.items():
+            fits[name] = _profiled(_Batch([name], [box], dataset, j0, rho), starts(name), kind,
+                                   budget)
         return fits
-    batch_key = lambda name: (name == _NESTED, len(problems[name].dims))  # noqa: E731
-    for _, group in itertools.groupby(sorted(problems, key=batch_key), key=batch_key):
+    batch_key = lambda name: (name == _NESTED, len(boxes[name]))  # noqa: E731
+    for _, group in itertools.groupby(sorted(boxes, key=batch_key), key=batch_key):
         group = list(group)
-        fits.update(zip(group, _fits([problems[name] for name in group],
-                                     [starts(name) for name in group], kind, budget)))
+        batch = _Batch(group, [boxes[name] for name in group], dataset, j0, rho)
+        fits.update(zip(group, batch.fits([starts(name) for name in group], kind, budget)))
     return fits
 
 
-def _profiled(first: _Problem, starts: np.ndarray, kind: str, budget: int) -> FitResult:
-    """The fit from ``starts`` at the j :func:`_profile_argmin` picks from
-    ``first.j`` over [1, round(max count)], with ``n_evals`` and ``restarts``
-    summed over every j tried."""
+def _profiled(first: _Batch, starts: np.ndarray, kind: str, budget: int) -> FitResult:
+    """The fit of the one family of ``first`` from ``starts`` at the j
+    :func:`_profile_argmin` picks from ``first.j`` over [1, round(max
+    count)], with ``n_evals`` and ``restarts`` summed over every j tried."""
     tried: dict[int, FitResult] = {}
 
     def value(j: int) -> float:
         if j not in tried:
-            at = first if j == first.j else _Problem(first.family.family, first.dims,
-                                                     first.dataset, j, first.rho)
-            tried[j] = _fits([at], [starts], kind, budget)[0]
+            batch = _Batch(first.names, first.boxes, first.dataset, j, first.rho)
+            tried[j] = batch.fits([starts], kind, budget)[0]
         return tried[j].value
 
     j = _profile_argmin(value, first.j, int(round(max(first.dataset.counts))))
@@ -426,15 +427,6 @@ def _bound_message(params: tuple[float, ...], dims: list[_Dim]) -> str:
         if abs(v - bound) <= _XTOL * max(1.0, abs(bound))
     ]
     return f"on the parameter box bound: {', '.join(hits)}" if hits else ""
-
-
-class _Restart(NamedTuple):
-    """Where one restart ended."""
-
-    z: np.ndarray  # search coordinates
-    value: float  # objective there; inf when the curve is invalid or overflows
-    converged: bool  # stopped on a tolerance test, not on its budget
-    evals: int
 
 
 class _Lockstep(NamedTuple):
@@ -615,61 +607,44 @@ def _lockstep_lm(residuals, x0, lower, upper, budget: int) -> _Lockstep:
     return _Lockstep(z0, r0, z, r, nfev, exhausted, not exhausted.any(), rounds)
 
 
-class _Problem:
-    """One family's fit at a fixed j and rho: its box, in the one set of
-    search coordinates, and the residuals there.
+class _Batch:
+    """The fit of families with the same number of parameters to one dataset
+    at one j and rho: row k of each array is the box of ``names[k]``.  The
+    one evaluator of every fit's residuals.
 
     A positive parameter is searched as its log, any other as itself, beta4
     included: its optimum is often the bound 0-, where a log coordinate runs
     to -inf and the residual's slope in it vanishes.
     """
 
-    def __init__(self, name: str, dims: list[_Dim], dataset: Dataset, j: int, rho: float):
-        _build_curve(name, tuple(d.hi for d in dims), j, rho)  # raises on a bad j or rho
-        self.family, self.dims, self.dataset, self.j, self.rho = (
-            growth.FAMILIES[name], dims, dataset, j, rho)
+    def __init__(self, names: list[str], boxes: list[list[_Dim]], dataset: Dataset, j: int,
+                 rho: float):
+        self.names, self.boxes, self.dataset, self.j, self.rho = names, boxes, dataset, j, rho
+        self.families = [growth.FAMILIES[name] for name in names]
         self.t = np.asarray(dataset.times)
         self.y = np.asarray(dataset.counts)
-        self.log = np.array([d.log for d in dims])
-        self.p_lo = np.array([d.lo for d in dims])
-        self.p_hi = np.array([d.hi for d in dims])
-        self.lo, self.hi = self.encode(self.p_lo), self.encode(self.p_hi)
+        # each field of the boxes as a matrix, one row per family
+        _, self.p_lo, self.p_hi, self.log = map(np.array, zip(*(zip(*box) for box in boxes)))
+        self.lo, self.hi = self.encode(self.p_lo, self.log), self.encode(self.p_hi, self.log)
         # the box holds every parameter where its constructor wants it, but for
         # the carrying capacity > j (its lower bound max(y) may equal j)
-        self.capacity = np.array([self.family.roles[d.name] == "capacity" for d in dims])
+        self.free = np.array([[family.roles[d.name] != "capacity" for d in box]
+                              for family, box in zip(self.families, boxes)])
 
-    def encode(self, params) -> np.ndarray:
-        """Search coordinates of a parameter row, or of a matrix of rows.  The
-        logs are the math module's, like the exps of :func:`_starts`, so the
-        start points are those of earlier releases bit for bit; numpy's
-        differ from them in the last ulp."""
+    @staticmethod
+    def encode(params, log) -> np.ndarray:
+        """Search coordinates of a parameter row, or of a matrix of rows, where
+        ``log`` marks the parameters searched in log scale.  The logs are the
+        math module's, like the exps of :func:`_starts`, so the start points
+        are those of earlier releases bit for bit; numpy's differ from them in
+        the last ulp."""
         z = np.array(params, dtype=float)
-        z[..., self.log] = np.vectorize(math.log, otypes=[float])(z[..., self.log])
+        z[..., log] = np.vectorize(math.log, otypes=[float])(z[..., log])
         return z
 
-    def deviation(self, params: np.ndarray) -> np.ndarray:
-        """y - m(t) at a parameter row, or at each row of a matrix: one call of
-        the family's broadcast ``mean_formula``, on numpy scalars for a row."""
-        cols = params.T[:, :, None] if params.ndim == 2 else params
-        return self.y - self.family.mean_formula(self.t, self.j, self.rho, *cols)
-
-
-class _Batch:
-    """Fit problems with the same number of parameters and of data points,
-    evaluated together: row k of each array is the box of ``problems[k]``.
-    The one evaluator of every fit's residuals."""
-
-    def __init__(self, problems: list[_Problem]):
-        self.problems = problems
-        stack = lambda name: np.array([getattr(p, name) for p in problems])  # noqa: E731
-        self.log, self.p_lo, self.p_hi, self.lo, self.hi = map(
-            stack, ("log", "p_lo", "p_hi", "lo", "hi"))
-        self.free = ~stack("capacity")  # the parameters with no floor at j
-        self.j = stack("j")[:, None]
-
     def decode(self, z: np.ndarray, which) -> np.ndarray:
-        """Parameter rows of the rows of ``z``, row i on the box of problem
-        ``which[i]``, or all on that of the problem ``which``, an int;
+        """Parameter rows of the rows of ``z``, row i on the box of family
+        ``which[i]``, or all on that of the family ``which``, an int;
         exp(log(lo)) can round just outside the box, so they are clipped onto
         it."""
         return np.minimum(np.maximum(np.where(self.log[which], np.exp(z), z), self.p_lo[which]),
@@ -678,100 +653,89 @@ class _Batch:
     @np.errstate(all="ignore")
     def residuals(self, z: np.ndarray, which) -> np.ndarray:
         """Residual rows y - m(t) at the rows of ``z``, as :meth:`decode`
-        assigns them to problems: decoding, the cap and the fill run once on
-        all rows, each problem's ``mean_formula`` once on its own rows.  A row
-        is the constant fill where the carrying capacity is not above j or any
-        |residual| reaches the cap (NaN included)."""
+        assigns them to families: decoding, the cap and the fill run once on
+        all rows, each family's broadcast ``mean_formula`` once on its own
+        rows (on numpy scalars for a single row).  A row is the constant fill
+        where the carrying capacity is not above j or any |residual| reaches
+        the cap (NaN included)."""
         params = self.decode(z, which)
+
+        def deviation(k: int, p: np.ndarray) -> np.ndarray:
+            cols = p.T[:, :, None] if p.ndim == 2 else p
+            return self.y - self.families[k].mean_formula(self.t, self.j, self.rho, *cols)
+
         if np.ndim(which):
-            r = np.empty((len(z), len(self.problems[0].t)))
-            for k, problem in enumerate(self.problems):
+            r = np.empty((len(z), len(self.t)))
+            for k in range(len(self.names)):
                 i = (which == k).nonzero()[0]
                 if i.size:
-                    r[i] = problem.deviation(params[i])
+                    r[i] = deviation(k, params[i])
         else:
-            r = self.problems[which].deviation(params)
+            r = deviation(which, params)
         ok = ((np.abs(r) < _RESIDUAL_CAP).all(axis=-1)
-              & ((params > self.j[which]) | self.free[which]).all(axis=-1))
+              & ((params > self.j) | self.free[which]).all(axis=-1))
         return np.where(ok[..., None], r, _RESIDUAL_CAP)
 
     def rae(self, z: np.ndarray, k: int) -> float:
-        """RAE of problem ``k`` at the point ``z``: +inf off its box, and on a
+        """RAE of family ``k`` at the point ``z``: +inf off its box, and on a
         filled row the fill's RAE, a finite plateau."""
         if not ((self.lo[k] <= z) & (z <= self.hi[k])).all():
             return math.inf
-        return float(_value(self.residuals(z, k), self.problems[k].y, "rae"))
+        return float(_value(self.residuals(z, k), self.y, "rae"))
 
-    def settle(self, k: int, kind: str, res: _Lockstep, budget: int) -> list[_Restart]:
-        """Where the lockstep rows ``res`` of problem ``k``'s starts ended; a
-        restart that ends on a filled row scores inf.  RAE then adds one row:
-        a Nelder-Mead run on :meth:`rae` from the point of least RAE among the
-        starts and the ends, allowed the evaluations the restarts left unused,
-        so the fit's counted evaluations stay within ``restarts * budget``."""
-        n = len(res.x)
+    def fits(self, starts: list[np.ndarray], kind: str, budget: int) -> list[FitResult]:
+        """Each family's fit from its ``starts``, a matrix of parameter rows.
+
+        One :func:`_lockstep_lm` runs every start to its end, on its family's
+        residuals and box, at ``budget`` counted residual evaluations per
+        restart (Jacobian columns included) for MSE and ``budget // 2`` for
+        RAE; a row ends the same whichever families share the batch.  A start
+        or an end on a filled row scores inf.  RAE then runs one Nelder-Mead
+        per family on :meth:`rae` from the point of least RAE among its starts
+        and ends, allowed the evaluations its restarts left unused, so the
+        fit's counted evaluations stay within ``restarts * budget``.  The fit
+        is the family's first end of least value, or the polish where that
+        scores strictly less, its objective re-evaluated on the constructed
+        curve; the failure result when every end scores inf and no polish ran.
+        """
+        owner = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
+        res = minimize(lambda z, rows: self.residuals(z, owner[rows]),
+                       np.concatenate([self.encode(s, log) for s, log in zip(starts, self.log)]),
+                       "lm", lower=self.lo[owner], upper=self.hi[owner],
+                       budget=budget if kind == "mse" else budget // 2)
         fun = np.concatenate([res.fun0, res.fun])  # the starts, then the ends
-        values = np.where(fun[:, 0] == _RESIDUAL_CAP, math.inf,
-                          _value(fun, self.problems[k].y, kind))
-        ends = values[n:]
-        converged = ~res.exhausted & (ends < math.inf)
-        rows = list(map(_Restart, res.x, ends.tolist(), converged.tolist(), res.nfev.tolist()))
-        best = int(np.argmin(values))
-        if kind == "mse" or values[best] == math.inf:
-            return rows
-        options = {"maxfev": budget * n - int(res.nfev.sum()), "xatol": 1e-10, "fatol": 1e-14,
-                   "adaptive": True}
-        polish = minimize(self.rae, np.concatenate([res.x0, res.x])[best], "Nelder-Mead",
-                          args=(k,), options=options)
-        # with no evaluation left the run returns its start at value inf
-        return [*rows, _Restart(polish.x, min(polish.fun, values[best]), polish.success,
-                                polish.nfev)]
-
-    def result(self, k: int, kind: str, rows: list[_Restart], restarts: int) -> FitResult:
-        """Problem ``k``'s best restart of ``rows``, its objective re-evaluated
-        on the constructed curve; the failure result when every restart scores
-        inf.  Ties go to the first restart."""
-        problem = self.problems[k]
-        best = min((row for row in rows if row.value < math.inf),
-                   key=lambda row: row.value, default=None)
-        failed = FitResult(
-            family=problem.family.family, params=(), kind=kind, value=math.inf, converged=False,
-            n_evals=sum(row.evals for row in rows), restarts=restarts, j=problem.j,
-            rho=problem.rho, curve=None, message="all restarts diverged or left the parameter box",
-        )
-        if best is None:
-            return failed
-        params = tuple(self.decode(best.z, k).tolist())
-        curve = _build_curve(failed.family, params, problem.j, problem.rho)
-        return replace(failed, params=params, value=objective(curve, problem.dataset, kind),
-                       converged=best.converged, curve=curve,
-                       message=_bound_message(params, problem.dims))
-
-
-def _search(batch: _Batch, starts: list[np.ndarray], kind: str,
-            budget: int) -> list[list[_Restart]]:
-    """Every start (a row of parameter values) of every problem of ``batch``
-    run to its end by one :func:`_lockstep_lm`, on the problem's residuals
-    and box, at ``budget`` counted residual evaluations per restart (Jacobian
-    columns included) for MSE and ``budget // 2`` for RAE; then :meth:`_Batch.settle`
-    per problem.  A row ends the same whichever problems share its batch."""
-    counts = [len(s) for s in starts]
-    owner = np.repeat(np.arange(len(counts)), counts)
-    res = minimize(lambda z, rows: batch.residuals(z, owner[rows]),
-                   np.concatenate([p.encode(s) for p, s in zip(batch.problems, starts)]), "lm",
-                   lower=batch.lo[owner], upper=batch.hi[owner],
-                   budget=budget if kind == "mse" else budget // 2)
-    ends = np.cumsum(counts)
-    return [batch.settle(k, kind, _Lockstep(*(f[a:b] for f in res[:-2]),
-                                            not res.exhausted[a:b].any(), res.rounds), budget)
-            for k, (a, b) in enumerate(zip(ends - counts, ends))]
-
-
-def _fits(problems: list[_Problem], starts: list[np.ndarray], kind: str,
-          budget: int) -> list[FitResult]:
-    """Each problem's fit from its starts, all searched in one batch."""
-    batch = _Batch(problems)
-    return [batch.result(k, kind, rows, len(s))
-            for k, (s, rows) in enumerate(zip(starts, _search(batch, starts, kind, budget)))]
+        values = np.where(fun[:, 0] == _RESIDUAL_CAP, math.inf, _value(fun, self.y, kind))
+        fits = []
+        for k, name in enumerate(self.names):
+            mine = owner == k
+            met = values.reshape(2, -1)[:, mine]  # its starts, then its ends
+            x, evals = res.x[mine], int(res.nfev[mine].sum())
+            end = int(np.argmin(met[1]))
+            z, value = x[end], met[1, end]
+            converged = not res.exhausted[mine][end]
+            if kind == "rae" and met.min() < math.inf:
+                best = int(np.argmin(met))
+                options = {"maxfev": budget * len(x) - evals, "xatol": 1e-10, "fatol": 1e-14,
+                           "adaptive": True}
+                polish = minimize(self.rae, np.concatenate([res.x0[mine], x])[best],
+                                  "Nelder-Mead", args=(k,), options=options)
+                evals += polish.nfev
+                # with no evaluation left the run returns its start at value inf
+                polished = min(polish.fun, met.flat[best])
+                if polished < value:
+                    z, value, converged = polish.x, polished, polish.success
+            fit = FitResult(
+                family=name, params=(), kind=kind, value=math.inf, converged=False,
+                n_evals=evals, restarts=len(x), j=self.j, rho=self.rho, curve=None,
+                message="all restarts diverged or left the parameter box")
+            if value < math.inf:
+                params = tuple(self.decode(z, k).tolist())
+                curve = _build_curve(name, params, self.j, self.rho)
+                fit = replace(fit, params=params, value=objective(curve, self.dataset, kind),
+                              converged=converged, curve=curve,
+                              message=_bound_message(params, self.boxes[k]))
+            fits.append(fit)
+        return fits
 
 
 def select_model(

@@ -506,11 +506,27 @@ _CURVE_RATES = {"kind": "proportional", "rho": 2.0, "base": {"kind": "curve", "c
          "--family"),
         (["simulate"], {"rates": "constant:1,1", "j": 1, "horizon": 1.0, "seed": None},
          "--seed"),
+        # a number option takes a JSON number only, in a rate or curve spec too
+        (["moments"], {"rates": "constant:1,1", "j": "2", "grid": "0:1:4"}, "--j"),
+        (["simulate"], {"rates": "constant:1,1", "j": 1, "horizon": 1.0, "seed": "1"},
+         "--seed"),
+        (["simulate"], {"rates": "constant:1,1", "j": 1, "horizon": "1.0"}, "--horizon"),
+        (["moments"], {"rates": {"kind": "constant", "lam": "2", "mu": 1}, "j": 1,
+                       "grid": "0:1:4"}, "'lam'"),
+        (["moments"], {"rates": {**_CURVE_RATES, "base": {"kind": "curve", "curve": {
+            "family": "logistic", "c": "10", "r": 1.0, "j": 1, "rho": 2.0}}}, "j": 1,
+            "grid": "0:1:4"}, "'c'"),
+        (["reconstruct-y"], {"family": "logistic", "rho_values": [2.0, "1.5"], "grid": "0:5:10"},
+         "--rho-values"),
+        (["reconstruct-y"], {"family": "logistic", "rho_values": "2,x", "grid": "0:5:10"},
+         "--rho-values"),
     ],
     ids=["j-fractional", "j-bool", "curve-j-fractional", "replicates-fractional",
          "trajectory-string", "families-number", "estimate-j-string", "rho-values-number",
          "data-number", "out-number", "out-list", "method-number", "objective-number",
-         "rates-number", "grid-list", "family-list", "seed-null"],
+         "rates-number", "grid-list", "family-list", "seed-null", "j-string", "seed-string",
+         "horizon-string", "rate-field-string", "curve-field-string", "rho-values-item-string",
+         "rho-values-text"],
 )
 def test_config_values_of_the_wrong_type_exit_4_naming_the_option(
     tmp_path, capsys, argv, cfg, named

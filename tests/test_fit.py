@@ -20,7 +20,6 @@ from rumorbd.fit import (
     _build_curve,
     _dims_for,
     _latin_hypercube,
-    _Problem,
     _starts,
     dataset_from_csv,
     fit_one,
@@ -57,9 +56,38 @@ def _count_series(seed):
     return Dataset(name=f"series{seed}", times=tuple(t.tolist()), counts=tuple(y.tolist()))
 
 
-def _search_alone(problem, starts, budget=400):
-    """Where each MSE restart from ``starts`` ends, in a batch of ``problem`` alone."""
-    return fit_module._search(_Batch([problem]), [starts], "mse", budget)[0]
+def _batch(family, ds, j=1):
+    """The fit of ``family`` alone on ``ds`` at rho = 2."""
+    return _Batch([family], [_dims_for(family, ds)], ds, j, 2.0)
+
+
+def _spy_on_minimize(monkeypatch):
+    """Record each ``fit.minimize`` call: (method, keyword arguments, result)."""
+    calls = []
+    inner = fit_module.minimize
+
+    def spy(fun, x0, method, **kwargs):
+        res = inner(fun, x0, method, **kwargs)
+        calls.append((method, kwargs, res))
+        return res
+
+    monkeypatch.setattr(fit_module, "minimize", spy)
+    return calls
+
+
+def _search_alone(batch, starts, budget=400):
+    """Where each restart from ``starts`` ends (the :class:`_Lockstep` rows) in
+    the MSE fit of the one family of ``batch``."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_on_minimize(patch)
+        batch.fits([starts], "mse", budget)
+    ((_, _, res),) = calls
+    return res
+
+
+def _filled(res, i):
+    """Row ``i`` of a lockstep result ended on the fill: it scores inf."""
+    return bool(np.all(res.fun[i] == 1e50))
 
 
 class _ConstantStub:
@@ -233,7 +261,7 @@ def test_latin_hypercube_puts_one_point_in_each_stratum():
 def test_fit_budget_caps_evaluations_per_restart():
     truth = growth.Gompertz(alpha=1.0, beta=0.8, j=2, rho=2.0)
     ds = _noisy(truth, np.linspace(0.0, 6.0, 30), rel=0.02, seed=5)
-    for kind, budget in (("mse", 60), ("mse", 400), ("rae", 60)):
+    for kind, budget in (("mse", 60), ("mse", 400), ("rae", 60), ("mse", 1), ("rae", 1)):
         fit = fit_one("gompertz", ds, kind, budget=budget, restarts=3, seed=1)
         assert 0 < fit.n_evals <= fit.restarts * budget
 
@@ -324,7 +352,7 @@ def test_estimate_j_profile_equals_the_exhaustive_argmin(family, truth, kind):
     dims = _dims_for(family, ds)
     starts = _starts(dims, 3, 3)
     j0 = round(ds.counts[0])
-    profile = {j: fit_module._fits([_Problem(family, dims, ds, j, 2.0)], [starts], kind, 300)[0]
+    profile = {j: _Batch([family], [dims], ds, j, 2.0).fits([starts], kind, 300)[0]
                for j in range(1, round(max(ds.counts)) + 1)}
     best = min(profile, key=lambda j: (profile[j].value, abs(j - j0), j))
     assert fit.j == best
@@ -362,10 +390,10 @@ def test_rae_evaluator_equals_the_objective_of_the_constructed_curve(family):
     constructed curve; off the box it is +inf."""
     ds = _count_series(1)
     dims = _dims_for(family, ds)
-    problem = _Problem(family, dims, ds, 1, 2.0)
-    batch = _Batch([problem])
-    corners = np.array(list(itertools.product(*zip(problem.lo, problem.hi))))
-    points = np.concatenate([problem.encode(_starts(dims, 32, seed=5)), corners])
+    batch = _batch(family, ds)
+    lo, hi = batch.lo[0], batch.hi[0]
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    points = np.concatenate([batch.encode(_starts(dims, 32, seed=5), batch.log[0]), corners])
     checked = 0
     for z in points:
         try:
@@ -378,10 +406,10 @@ def test_rae_evaluator_equals_the_objective_of_the_constructed_curve(family):
         assert batch.rae(z, 0) == pytest.approx(objective(curve, ds, "rae"), rel=1e-15, abs=0.0)
         checked += 1
     assert checked >= 32
-    span = problem.hi - problem.lo
+    span = hi - lo
     for i in range(len(dims)):
-        for side, bound in ((-1.0, problem.lo), (1.0, problem.hi)):
-            z = 0.5 * (problem.lo + problem.hi)
+        for side, bound in ((-1.0, lo), (1.0, hi)):
+            z = 0.5 * (lo + hi)
             z[i] = bound[i] + side * 1e-9 * span[i]
             assert batch.rae(z, 0) == math.inf
 
@@ -469,20 +497,51 @@ def test_rae_multisig_is_no_worse_than_its_logistic_on_every_count_series():
 def test_rae_fit_is_one_lockstep_search_and_one_polish(monkeypatch):
     """Per pinned-j RAE fit: one least-squares batch at half the budget per
     restart, then one Nelder-Mead run on what the batch left."""
-    calls = []
-    inner = fit_module.minimize
-
-    def spy(fun, x0, method, **kwargs):
-        res = inner(fun, x0, method, **kwargs)
-        calls.append((method, kwargs, int(np.sum(res.nfev))))
-        return res
-
-    monkeypatch.setattr(fit_module, "minimize", spy)
+    calls = _spy_on_minimize(monkeypatch)
     fr = fit_one("gompertz", _count_series(2), "rae", 400, restarts=4, seed=2)
-    (lm, lm_kwargs, lm_evals), (nm, nm_kwargs, nm_evals) = calls
+    (lm, lm_kwargs, lm_res), (nm, nm_kwargs, nm_res) = calls
+    lm_evals, nm_evals = int(np.sum(lm_res.nfev)), nm_res.nfev
     assert (lm, lm_kwargs["budget"], nm) == ("lm", 200, "Nelder-Mead")
     assert nm_kwargs["options"]["maxfev"] == 4 * 400 - lm_evals >= nm_evals
     assert fr.n_evals == lm_evals + nm_evals <= fr.restarts * 400
+
+
+def test_an_rae_fit_whose_starts_and_ends_all_score_inf_runs_no_polish(monkeypatch):
+    """Counts of 1e60 lie more than the cap 1e50 above every Gompertz curve of
+    the box (m <= j e^100 < 3e43), so every residual row is the constant fill.
+    Its Jacobian is zero, so each restart ends on gtol after its start and d
+    columns: 3 x 3 evaluations, and no polish from a point that scores inf."""
+    ds = Dataset(name="huge", times=(0.0, 1.0, 2.0, 3.0), counts=(1.0, 1e60, 1e60, 1e60))
+    calls = _spy_on_minimize(monkeypatch)
+    fit = fit_one("gompertz", ds, "rae", 400, restarts=3, seed=0)
+    ((method, _, res),) = calls
+    assert method == "lm" and res.nfev.tolist() == [3, 3, 3] and not res.exhausted.any()
+    assert (fit.value, fit.params, fit.converged, fit.curve) == (math.inf, (), False, None)
+    assert fit.n_evals == 9 and fit.restarts == 3
+    assert fit.message == "all restarts diverged or left the parameter box"
+
+
+def test_a_polish_that_does_not_lower_the_best_end_keeps_that_end(monkeypatch):
+    """Extended logistic on series 4 ends on the corner (n lower, eps upper)
+    of its box, where the polish finds no lower RAE: it spends its
+    evaluations and stops unconverged.  The fit is the best end, scored by
+    the objective of its constructed curve, with the convergence of its
+    lockstep row."""
+    ds = _count_series(4)
+    calls = _spy_on_minimize(monkeypatch)
+    fit = fit_one("ext_logistic", ds, "rae", 100, restarts=2, seed=4)
+    (_, _, lm), (_, options, nm) = calls
+    dims = _dims_for("ext_logistic", ds)
+    ends = [tuple(min(max(math.exp(v) if d.log else v, d.lo), d.hi) for v, d in zip(z, dims))
+            for z in lm.x]
+    scores = [objective(growth.ExtLogistic(*p, j=1, rho=2.0), ds, "rae") for p in ends]
+    best = int(np.argmin(scores))
+    assert nm.fun >= scores[best] and not nm.success
+    assert nm.nfev == options["options"]["maxfev"]
+    assert fit.params == pytest.approx(ends[best], rel=1e-15, abs=0.0)
+    assert fit.value == scores[best]
+    assert fit.converged and not lm.exhausted[best]
+    assert fit.n_evals == int(lm.nfev.sum()) + nm.nfev
 
 
 def test_select_model_survives_overflowing_curves_without_warnings():
@@ -499,37 +558,36 @@ def test_least_squares_restart_caps_finite_overflowing_residuals():
     """exp(491) ~ 1e213 is finite, but its square overflows the cost r.r; the
     capped row leaves the rows beside it in its batch bit for bit unchanged."""
     ds = _count_series(1)
-    dims = _dims_for("gen_gompertz", ds)
-    problem = _Problem("gen_gompertz", dims, ds, 1, 2.0)
+    batch = _batch("gen_gompertz", ds)
     p0 = np.array([40.0, 100.0])  # a = 40, b = 100: m(14) = e^491
-    others = _starts(dims, 4, seed=1)
+    others = _starts(_dims_for("gen_gompertz", ds), 4, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = _Batch([problem]).residuals(problem.encode(p0)[None], 0)[0]
-        (capped,) = _search_alone(problem, p0[None])
-        mixed = _search_alone(problem, np.vstack([others[0], p0, others[1:]]))
-        alone = [_search_alone(problem, p[None])[0] for p in others]
+        r = batch.residuals(batch.encode(p0, batch.log[0])[None], 0)[0]
+        capped = _search_alone(batch, p0[None])
+        mixed = _search_alone(batch, np.vstack([others[0], p0, others[1:]]))
+        alone = [_search_alone(batch, p[None]) for p in others]
     assert np.all(r == r[0]) and math.isfinite(float(r @ r))
-    assert capped.value == math.inf and not capped.converged
-    assert mixed[1].value == math.inf and not mixed[1].converged
-    beside = [mixed[0], *mixed[2:]]
-    assert all(row.converged and math.isfinite(row.value) for row in beside)
-    for a, b in zip(alone, beside):
-        assert np.array_equal(a.z, b.z) and a.value == b.value and a.evals == b.evals
+    assert _filled(capped, 0) and _filled(mixed, 1)  # scored inf: not converged
+    beside = [0, 2, 3, 4]
+    assert not any(_filled(mixed, i) or mixed.exhausted[i] for i in beside)
+    for a, i in zip(alone, beside):
+        assert np.array_equal(a.x[0], mixed.x[i]) and np.array_equal(a.fun[0], mixed.fun[i])
+        assert a.nfev[0] == mixed.nfev[i]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lockstep_rows_are_bit_identical_alone_and_in_the_batch(seed):
     ds = _count_series(seed)
     for family in growth.FAMILIES:
-        dims = _dims_for(family, ds)
-        problem = _Problem(family, dims, ds, 1, 2.0)
-        starts = _starts(dims, 6, seed)
-        batch = _search_alone(problem, starts)
-        for p0, row in zip(starts, batch):
-            (alone,) = _search_alone(problem, p0[None])
-            assert np.array_equal(alone.z, row.z), family
-            assert alone.value == row.value and alone.evals == row.evals, family
+        batch = _batch(family, ds)
+        starts = _starts(_dims_for(family, ds), 6, seed)
+        res = _search_alone(batch, starts)
+        for i, p0 in enumerate(starts):
+            alone = _search_alone(batch, p0[None])
+            assert np.array_equal(alone.x[0], res.x[i]), family
+            assert np.array_equal(alone.fun[0], res.fun[i]), family
+            assert alone.nfev[0] == res.nfev[i] and alone.exhausted[0] == res.exhausted[i], family
 
 
 @pytest.mark.parametrize("family", list(growth.FAMILIES))
@@ -540,10 +598,9 @@ def test_residual_fill_equals_the_constructor_on_box_edges(family):
     overflows the cap."""
     flat = Dataset(name="flat", times=tuple(range(7)), counts=(2.0,) * 7)
     dims = _dims_for(family, flat)
-    problem = _Problem(family, dims, flat, 2, 2.0)
-    batch = _Batch([problem])
-    corners = np.array(list(itertools.product(*zip(problem.lo, problem.hi))))
-    rows = np.concatenate([corners, [0.5 * (problem.lo + problem.hi)]])
+    batch = _batch(family, flat, j=2)
+    corners = np.array(list(itertools.product(*zip(batch.lo[0], batch.hi[0]))))
+    rows = np.concatenate([corners, [0.5 * (batch.lo[0] + batch.hi[0])]])
 
     def fits(z):
         try:
@@ -558,7 +615,7 @@ def test_residual_fill_equals_the_constructor_on_box_edges(family):
     if dims[0].name in ("c", "n"):  # the all-lower corner has c = j
         assert filled[0]
     with pytest.raises(DomainError, match="rho"):
-        _Problem(family, dims, flat, 2, 1.0)
+        fit_module._box(family, flat, False, 2, 1.0)
 
 
 def _spy_on_points(monkeypatch):
@@ -586,49 +643,50 @@ def test_lockstep_evaluates_only_points_strictly_inside_the_box(seed, family, mo
     heads for a flat corner (Korf) and where a start is on a bound (the
     nested multisigmoidal start has beta4 = -1e-12)."""
     ds = _count_series(seed)
-    dims = _dims_for(family, ds)
     logistic = fit_one("logistic", ds, "mse", 400, restarts=4, seed=seed)
-    problem = _Problem(family, dims, ds, 1, 2.0)
+    batch = _batch(family, ds)
     seen = _spy_on_points(monkeypatch)
     nested = logistic if family == "multisig_logistic" else None
-    _search_alone(problem, _starts(dims, 4, seed, nested))
+    _search_alone(batch, _starts(_dims_for(family, ds), 4, seed, nested))
     assert seen and _inside(seen)
     for lo, _, hi in seen:
-        assert np.all(lo == problem.lo) and np.all(hi == problem.hi)
+        assert np.all(lo == batch.lo[0]) and np.all(hi == batch.hi[0])
 
 
 def test_a_mixed_batch_evaluates_every_point_inside_its_own_rows_box(monkeypatch):
-    """Every two-parameter family of series 6 and the logistic of series 2
-    (another capacity box) in one batch, as a model selection runs them."""
-    series6, series2 = _count_series(6), _count_series(2)
-    problems = [_Problem(family, _dims_for(family, series6), series6, 1, 2.0)
-                for family, cls in growth.FAMILIES.items() if len(cls.param_names) == 2]
-    problems.append(_Problem("logistic", _dims_for("logistic", series2), series2, 1, 2.0))
+    """Every two-parameter family of series 6 in one batch, as a model
+    selection runs them."""
+    ds = _count_series(6)
+    names = [family for family, cls in growth.FAMILIES.items() if len(cls.param_names) == 2]
+    dims = [_dims_for(family, ds) for family in names]
+    batch = _Batch(names, dims, ds, 1, 2.0)
     seen = _spy_on_points(monkeypatch)
-    fit_module._search(_Batch(problems), [_starts(p.dims, 4, 6) for p in problems], "mse", 400)
+    batch.fits([_starts(box, 4, 6) for box in dims], "mse", 400)
     assert len(seen) > 1 and _inside(seen)
-    boxes = {(tuple(p.lo), tuple(p.hi)) for p in problems}
-    assert len(boxes) == 5  # rates, two capacities, eps, Mitscherlich's amplitude
+    boxes = set(zip(map(tuple, batch.lo), map(tuple, batch.hi)))
+    assert len(boxes) == 4  # rates, a capacity and a rate, a capacity and eps, Mitscherlich's
     assert {(tuple(a), tuple(b)) for lo, _, hi in seen for a, b in zip(lo, hi)} == boxes
 
 
 def test_lockstep_rows_of_problems_with_different_boxes_are_bit_identical_alone():
-    """One _lockstep_lm batch of logistic rows on two series (two capacity
-    boxes) and Gompertz rows (a rate box), bounds given per row; each row
-    alone is given its problem's (d,) bounds."""
-    problems = [_Problem(family, _dims_for(family, ds), ds, 1, 2.0)
-                for family, ds in (("logistic", _count_series(1)), ("logistic", _count_series(2)),
-                                   ("gompertz", _count_series(2)))]
-    assert not np.array_equal(problems[0].hi, problems[1].hi)
-    z0 = np.concatenate([p.encode(_starts(p.dims, 3, 2)) for p in problems])
+    """One _lockstep_lm batch of logistic rows (a capacity and a rate),
+    extended logistic rows (a capacity and eps) and Gompertz rows (rates) on
+    one series, bounds given per row; each row alone is given its family's
+    (d,) bounds."""
+    ds = _count_series(2)
+    names = ["logistic", "ext_logistic", "gompertz"]
+    dims = [_dims_for(family, ds) for family in names]
+    batch = _Batch(names, dims, ds, 1, 2.0)
+    assert len(set(zip(map(tuple, batch.lo), map(tuple, batch.hi)))) == 3
+    z0 = np.concatenate([batch.encode(_starts(box, 3, 2), log)
+                         for box, log in zip(dims, batch.log)])
     owner = np.repeat([0, 1, 2], 3)
-    batch = _Batch(problems)
     res = fit_module._lockstep_lm(lambda z, rows: batch.residuals(z, owner[rows]), z0,
                                   batch.lo[owner], batch.hi[owner], 400)
     for i, k in enumerate(owner):
-        p, single = problems[k], _Batch([problems[k]])
+        single = _batch(names[k], ds)
         alone = fit_module._lockstep_lm(lambda z, rows: single.residuals(z, 0), z0[i:i + 1],
-                                        p.lo, p.hi, 400)
+                                        single.lo[0], single.hi[0], 400)
         assert np.array_equal(alone.x[0], res.x[i]) and np.array_equal(alone.fun[0], res.fun[i])
         assert alone.nfev[0] == res.nfev[i] and alone.exhausted[0] == res.exhausted[i]
 
@@ -679,9 +737,8 @@ def test_a_lockstep_row_spends_one_round_per_trial_plus_its_start(monkeypatch):
     no round is spent on a Jacobian alone."""
     ds = _count_series(1)
     dims = _dims_for("gompertz", ds)
-    problem = _Problem("gompertz", dims, ds, 1, 2.0)
     runs = _spy_on_rounds(monkeypatch)
-    _search_alone(problem, _starts(dims, 1, 1))
+    _search_alone(_batch("gompertz", ds), _starts(dims, 1, 1))
     ((res, calls),) = runs
     d = len(dims)
     assert res.rounds == len(calls) > 10

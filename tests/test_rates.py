@@ -345,8 +345,10 @@ def test_transform_cache_extension_matches_fresh():
 def test_rates_from_config_constant():
     r = rates_from_config({"kind": "constant", "lam": 2.0, "mu": 1.0})
     assert r == Constant(lam=2.0, mu=1.0)
-    r2 = rates_from_config({"kind": "constant", "lambda": 3, "mu": "1.5"})
+    r2 = rates_from_config({"kind": "constant", "lambda": 3, "mu": 1.5})
     assert r2 == Constant(lam=3.0, mu=1.5)
+    with pytest.raises(DataError, match="'mu' must be float, got '1.5'"):
+        rates_from_config({"kind": "constant", "lambda": 3, "mu": "1.5"})  # a string is no number
 
 
 def test_rates_from_config_proportional_cosine():
